@@ -93,7 +93,16 @@ def knn_indices(m: Array, k: int, metric: str = "cosine") -> Array:
     """Exact k nearest neighbors per row, self excluded.
 
     Returns an (n, k) int array ordered by decreasing similarity; ties break
-    toward the lower index. Brute force, no approximate indexing.
+    toward the lower index, so the result equals the first k columns of a
+    stable descending argsort of each row, and the top-k table is a prefix of
+    every larger one. Brute force over the full similarity matrix, no
+    approximate indexing.
+
+    Selection is partial: np.partition finds each row's k-th largest
+    similarity, and only the candidates at or above it are stable-sorted, in
+    index order, so equal similarities keep the lower index first. A row with
+    more (or fewer) than k such candidates, because ties straddle the k-th
+    place or a NaN is present, is stable-sorted alone.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -101,19 +110,29 @@ def knn_indices(m: Array, k: int, metric: str = "cosine") -> Array:
     n = m.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
+    # cost is the negated similarity (cosine) or the squared distance
+    # (euclidean); ascending cost is descending similarity
     if metric == "cosine":
         u = l2_normalize_rows(m)
-        sims = u @ u.T
+        cost = u @ u.T
+        np.negative(cost, out=cost)
     elif metric == "euclidean":
         sq = (m * m).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (m @ m.T)
-        sims = -d2
+        cost = sq[:, None] + sq[None, :] - 2.0 * (m @ m.T)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    np.fill_diagonal(sims, -np.inf)
-    # stable sort keeps the lower original index first among equal similarities
-    order = np.argsort(-sims, axis=1, kind="stable")
-    return order[:, :k].astype(np.int64)
+    np.fill_diagonal(cost, np.inf)
+    kth = np.partition(cost, k - 1, axis=1)[:, k - 1:k]
+    cand = cost <= kth
+    exact = cand.sum(axis=1) == k
+    out = np.empty((n, k), dtype=np.int64)
+    rows = np.flatnonzero(exact)
+    idx = np.nonzero(cand[rows])[1].reshape(rows.size, k)
+    order = np.argsort(cost[rows[:, None], idx], axis=1, kind="stable")
+    out[rows] = np.take_along_axis(idx, order, axis=1)
+    for i in np.flatnonzero(~exact):
+        out[i] = np.argsort(cost[i], kind="stable")[:k]
+    return out
 
 
 def least_squares(x: Array, y: Array) -> Array:

@@ -93,11 +93,27 @@ def build_bank(model: HeadModel, target_features: np.ndarray) -> MemoryBank:
     return MemoryBank(l2_normalize_rows(feats), softmax(logits))
 
 
-def reciprocal_flags(bank: MemoryBank, k: int) -> np.ndarray:
-    """flags[i, j] is True when i is also among the k neighbors of its j-th
-    neighbor (mutual nearness)."""
-    nn = knn_indices(bank.features, k, "cosine")
-    return (nn[nn] == np.arange(bank.n)[:, None, None]).any(axis=-1)
+def _bank_knn(bank: MemoryBank, k: int, knn: np.ndarray | None = None) -> np.ndarray:
+    """The bank's top-k cosine neighbor table: the first k columns of a given
+    wider table (knn_indices tables are prefixes of each other), or a fresh
+    one when knn is None."""
+    if knn is None:
+        return knn_indices(bank.features, k, "cosine")
+    knn = np.asarray(knn)
+    if knn.ndim != 2 or knn.shape[0] != bank.n or knn.shape[1] < k:
+        raise ValueError(f"neighbor table of shape {knn.shape} does not cover "
+                         f"{bank.n} bank rows with {k} neighbors")
+    return knn[:, :k]
+
+
+def reciprocal_flags(bank: MemoryBank, k: int, rows: np.ndarray | None = None,
+                     knn: np.ndarray | None = None) -> np.ndarray:
+    """flags[i, j] is True when rows[i] is also among the k neighbors of its
+    j-th neighbor (mutual nearness). rows defaults to the whole bank; knn is
+    an optional precomputed neighbor table of the bank (see _bank_knn)."""
+    nn = _bank_knn(bank, k, knn)
+    rows = np.arange(bank.n) if rows is None else np.asarray(rows, dtype=np.int64)
+    return (nn[nn[rows]] == rows[:, None, None]).any(axis=-1)
 
 
 def _simplex_nll_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
@@ -115,11 +131,12 @@ def _simplex_nll_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
 def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBank,
              cfg: NrcConfig, self_anchor: np.ndarray | None = None,
              reciprocal_override: np.ndarray | None = None,
-             ) -> tuple[float, np.ndarray]:
+             knn: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Reciprocal-weighted affinity to bank neighbors, expanded-neighborhood
     affinity scaled by r, a stop-gradient self term, and the batch diversity
     penalty. Gradient is with respect to batch_scores; bank entries and the
-    self anchor are constants.
+    self anchor are constants. knn is the bank's neighbor table with at least
+    max(K, KK) columns; it is computed here when absent.
     """
     p = np.asarray(batch_scores, dtype=np.float64)
     bidx = np.asarray(batch_indices, dtype=np.int64)
@@ -132,11 +149,11 @@ def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
         raise ValueError("bank too small for the neighborhood sizes")
     anchor = p if self_anchor is None else np.asarray(self_anchor, dtype=np.float64)
 
-    nn_k = knn_indices(bank.features, cfg.K, "cosine")
-    nn_kk = nn_k if cfg.KK == cfg.K else knn_indices(bank.features, cfg.KK, "cosine")
-    neigh = nn_k[bidx]                                   # (b, K)
+    table = _bank_knn(bank, max(cfg.K, cfg.KK), knn)
+    nn_kk = table[:, :cfg.KK]
+    neigh = table[bidx, :cfg.K]                          # (b, K)
     if reciprocal_override is None:
-        recip = (nn_k[neigh] == bidx[:, None, None]).any(axis=-1)
+        recip = reciprocal_flags(bank, cfg.K, bidx, table)
     else:
         recip = np.asarray(reciprocal_override, dtype=bool)
     aff = np.where(recip, 1.0, cfg.r)                    # (b, K)
@@ -164,25 +181,32 @@ def decay_lambda(step: int, max_step: int, beta: float) -> float:
 
 def sample_backgrounds(bank_n: int, neigh: np.ndarray, batch_indices: np.ndarray,
                        size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform non-neighbor sample per batch row, without replacement."""
+    """Uniform non-neighbor sample per batch row, without replacement.
+
+    Each row draws positions in its ascending pool of allowed bank indices
+    (one rng.choice per row, the draw rng.choice(pool, ...) would make) and
+    maps a position to its bank index by counting the blocked indices below
+    it, so no pool is built."""
     b, k = neigh.shape
     if bank_n <= k + size:
         raise ValueError(f"bank of {bank_n} too small for K={k} plus {size} background")
     out = np.empty((b, size), dtype=np.int64)
     for i in range(b):
-        blocked = set(neigh[i].tolist())
-        blocked.add(int(batch_indices[i]))
-        pool = np.array([j for j in range(bank_n) if j not in blocked], dtype=np.int64)
-        out[i] = rng.choice(pool, size=size, replace=False)
+        blocked = np.unique(np.append(neigh[i], batch_indices[i]))
+        pos = rng.choice(bank_n - blocked.size, size=size, replace=False)
+        # blocked[j] - j allowed indices lie below blocked[j]
+        out[i] = pos + np.searchsorted(blocked - np.arange(blocked.size), pos, side="right")
     return out
 
 
 def aad_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBank,
              lambda_t: float, cfg: AadConfig, rng: np.random.Generator | None = None,
-             backgrounds: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+             backgrounds: np.ndarray | None = None,
+             knn: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Attract each prediction toward its close bank neighbors, disperse it
     from a resampled background set weighted by lambda_t. Gradient is with
-    respect to batch_scores; bank entries are constants."""
+    respect to batch_scores; bank entries are constants. knn is the bank's
+    neighbor table with at least K columns; it is computed here when absent."""
     p = np.asarray(batch_scores, dtype=np.float64)
     bidx = np.asarray(batch_indices, dtype=np.int64)
     b = p.shape[0]
@@ -191,7 +215,7 @@ def aad_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
     if bidx.size and (bidx.min() < 0 or bidx.max() >= bank.n):
         raise ValueError("batch index outside the bank")
 
-    neigh = knn_indices(bank.features, cfg.K, "cosine")[bidx]
+    neigh = _bank_knn(bank, cfg.K, knn)[bidx]
     if backgrounds is None:
         if rng is None:
             raise ValueError("aad_loss needs an rng when backgrounds are not given")
@@ -226,6 +250,7 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
     rng_bg = derive_rng(cfg.seed, "aad-background")
     steps_per_epoch = n // bs
     total_steps = cfg.epochs * steps_per_epoch
+    table_k = max(cfg.K, cfg.KK) if kind == "nrc" else cfg.K
 
     step = 0
     for _ in range(cfg.epochs):
@@ -234,13 +259,15 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
             rows = order[s * bs:(s + 1) * bs]
             shards = shard_rows(rows, workers)
             lambda_t = decay_lambda(step, total_steps, cfg.beta) if kind == "aad" else 0.0
+            # the bank only changes after the step: rank it once for all shards
+            knn = knn_indices(bank.features, table_k, "cosine")
 
             def objective(_w, sh, logits):
                 p = softmax(logits)
                 if kind == "nrc":
-                    v, dscores = nrc_loss(p, sh, bank, cfg)
+                    v, dscores = nrc_loss(p, sh, bank, cfg, knn=knn)
                 else:
-                    v, dscores = aad_loss(p, sh, bank, lambda_t, cfg, rng=rng_bg)
+                    v, dscores = aad_loss(p, sh, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
                 return v, softmax_score_grad(p, dscores)
 
             _, grads, outputs = sharded_step(model, x, shards, objective, sync)

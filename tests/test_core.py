@@ -166,6 +166,53 @@ class TestKnn:
             assert len(set(nn[i].tolist())) == k
 
 
+def _stable_knn(m, k, metric):
+    """Full stable descending argsort of the similarity rows, self excluded."""
+    m = np.asarray(m, dtype=np.float64)
+    if metric == "cosine":
+        u = l2_normalize_rows(m)
+        sims = u @ u.T
+    else:
+        sq = (m * m).sum(axis=1)
+        sims = -(sq[:, None] + sq[None, :] - 2.0 * (m @ m.T))
+    np.fill_diagonal(sims, -np.inf)
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def knn_inputs(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 10 ** 6)))
+    m = rng.normal(size=(n, d))
+    shape = draw(st.sampled_from(["random", "rounded", "duplicated"]))
+    if shape == "rounded":
+        m = np.round(m)
+    elif shape == "duplicated":
+        m = m[rng.integers(0, max(1, n // 3), size=n)]
+    m[~m.any(axis=1)] = 1.0   # cosine needs nonzero rows
+    return m
+
+
+class TestKnnMatchesStableSort:
+    @given(knn_inputs(), st.sampled_from(["cosine", "euclidean"]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_k_equals_the_stable_argsort(self, m, metric):
+        n = m.shape[0]
+        full = _stable_knn(m, n - 1, metric)
+        for k in range(1, n):
+            np.testing.assert_array_equal(knn_indices(m, k, metric), full[:, :k])
+
+    @given(knn_inputs(), st.sampled_from(["cosine", "euclidean"]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_smaller_table_is_a_prefix(self, m, metric, data):
+        n = m.shape[0]
+        kk = data.draw(st.integers(1, n - 1))
+        k = data.draw(st.integers(1, kk))
+        np.testing.assert_array_equal(knn_indices(m, k, metric),
+                                      knn_indices(m, kk, metric)[:, :k])
+
+
 class TestLeastSquares:
     def test_identity_design_returns_response(self):
         y = np.array([2.0, -1.0, 0.5])

@@ -26,6 +26,12 @@ def two_pair_bank():
     return MemoryBank(feats, np.stack([u, u, v, v]))
 
 
+def random_bank(rng, n, c, d=4):
+    feats = rng.normal(size=(n, d)) + 0.2
+    return MemoryBank(feats / np.linalg.norm(feats, axis=1, keepdims=True),
+                      rng.dirichlet(np.ones(c), size=n))
+
+
 class TestMemoryBank:
     def test_non_unit_features_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
@@ -74,6 +80,14 @@ class TestReciprocalFlags:
         bank = MemoryBank(feats, np.full((4, 2), 0.5))
         flags = reciprocal_flags(bank, 1)
         assert flags[0, 0] and flags[1, 0]
+
+    def test_batch_rows_and_a_wider_table(self):
+        bank = random_bank(make_rng(11), 15, 3)
+        full = reciprocal_flags(bank, 2)
+        rows = np.array([9, 0, 4, 4])
+        wide = knn_indices(bank.features, 5, "cosine")
+        np.testing.assert_array_equal(reciprocal_flags(bank, 2, rows), full[rows])
+        np.testing.assert_array_equal(reciprocal_flags(bank, 2, rows, wide), full[rows])
 
 
 class TestNrcLoss:
@@ -235,6 +249,97 @@ class TestBackgroundSampling:
         a = sample_backgrounds(30, neigh, np.array([0, 1]), 4, make_rng(8))
         b = sample_backgrounds(30, neigh, np.array([0, 1]), 4, make_rng(8))
         np.testing.assert_array_equal(a, b)
+
+
+def pool_loop_backgrounds(bank_n, neigh, batch_indices, size, rng):
+    """The original sampler: build each row's pool of allowed indices and
+    draw from it."""
+    out = np.empty((neigh.shape[0], size), dtype=np.int64)
+    for i in range(neigh.shape[0]):
+        blocked = set(neigh[i].tolist())
+        blocked.add(int(batch_indices[i]))
+        pool = np.array([j for j in range(bank_n) if j not in blocked], dtype=np.int64)
+        out[i] = rng.choice(pool, size=size, replace=False)
+    return out
+
+
+class TestBackgroundStream:
+    def test_matches_the_pool_loop_draw_for_draw(self):
+        cases = make_rng(21)
+        for case in range(300):
+            k = int(cases.integers(1, 6))
+            size = int(cases.integers(1, 12))
+            bank_n = int(cases.integers(k + size + 1, k + size + 60))
+            b = int(cases.integers(1, 9))
+            bidx = cases.integers(0, bank_n, size=b)
+            neigh = np.stack([cases.choice(np.delete(np.arange(bank_n), i), k,
+                                           replace=False) for i in bidx])
+            got_rng, want_rng = make_rng(case), make_rng(case)
+            got = sample_backgrounds(bank_n, neigh, bidx, size, got_rng)
+            want = pool_loop_backgrounds(bank_n, neigh, bidx, size, want_rng)
+            np.testing.assert_array_equal(got, want)
+            # the stream stays aligned for the next caller
+            assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+
+class TestSharedNeighborTable:
+    def test_nrc_given_table_is_bit_identical(self):
+        rng = make_rng(31)
+        bank = random_bank(rng, 20, 4)
+        p = rng.dirichlet(np.ones(4), size=5)
+        idx = np.array([3, 17, 0, 8, 11])
+        for K, KK in ((2, 4), (3, 3), (4, 2)):
+            cfg = NrcConfig(K=K, KK=KK, r=0.1)
+            own = nrc_loss(p, idx, bank, cfg)
+            for width in (max(K, KK), 6):
+                table = knn_indices(bank.features, width, "cosine")
+                shared = nrc_loss(p, idx, bank, cfg, knn=table)
+                assert shared[0] == own[0]
+                np.testing.assert_array_equal(shared[1], own[1])
+
+    def test_aad_given_table_is_bit_identical(self):
+        rng = make_rng(32)
+        bank = random_bank(rng, 20, 4)
+        p = rng.dirichlet(np.ones(4), size=5)
+        idx = np.array([3, 17, 0, 8, 11])
+        cfg = AadConfig(K=3)
+        table = knn_indices(bank.features, 5, "cosine")
+        own = aad_loss(p, idx, bank, 0.4, cfg, rng=make_rng(5))
+        shared = aad_loss(p, idx, bank, 0.4, cfg, rng=make_rng(5), knn=table)
+        assert shared[0] == own[0]
+        np.testing.assert_array_equal(shared[1], own[1])
+
+    def test_table_must_cover_the_bank(self):
+        bank = random_bank(make_rng(33), 12, 3)
+        p = bank.scores[:2]
+        with pytest.raises(ValueError, match="neighbor table"):
+            nrc_loss(p, np.arange(2), bank, NrcConfig(K=2, KK=3),
+                     knn=knn_indices(bank.features, 2, "cosine"))
+        with pytest.raises(ValueError, match="neighbor table"):
+            aad_loss(p, np.arange(2), bank, 0.0, AadConfig(K=2), rng=make_rng(0),
+                     knn=knn_indices(bank.features[:8], 2, "cosine"))
+
+    @pytest.mark.parametrize("cell", [DistConfig(1, 64), DistConfig(16, 4)],
+                             ids=lambda c: c.label)
+    @pytest.mark.parametrize("adapt, cfg", [
+        (nrc_adapt, NrcConfig(K=2, KK=3, epochs=2, batch_size=64, seed=0)),
+        (aad_adapt, AadConfig(epochs=2, batch_size=64, seed=0)),
+    ], ids=["nrc", "aad"])
+    def test_bank_ranked_once_per_step(self, monkeypatch, cell, adapt, cfg):
+        import sfuda.neighbors as neighbors
+
+        calls = []
+
+        def counted(m, k, metric="cosine"):
+            calls.append(k)
+            return knn_indices(m, k, metric)
+
+        monkeypatch.setattr(neighbors, "knn_indices", counted)
+        _, tgt, first = TestAdaptationLoops().make_setup()
+        adapt(first, tgt.features, cfg, dist=cell)
+        steps = cfg.epochs * (tgt.features.shape[0] // cfg.batch_size)
+        assert len(calls) == steps
+        assert set(calls) == {max(cfg.K, getattr(cfg, "KK", cfg.K))}
 
 
 class TestDecay:
