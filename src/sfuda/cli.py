@@ -169,24 +169,31 @@ def _method_config(cfg: dict, method: str):
     return cfg_cls(**overrides)
 
 
+def _head_and_train(cfg: dict, norm_kind: str) -> tuple[dict, TrainConfig | None]:
+    """The validated head section as norm_kind/activation/hidden_dim keywords,
+    norm_kind defaulting per command, and the first-transfer TrainConfig
+    (None when the train section is absent or empty)."""
+    head = cfg.get("head", {})
+    _check_keys(head, {"hidden_dim", "norm_kind", "activation"}, "head")
+    train_raw = cfg.get("train", {})
+    _check_keys(train_raw, {f.name for f in dataclasses.fields(TrainConfig)}, "train")
+    return ({"norm_kind": head.get("norm_kind", norm_kind),
+             "activation": head.get("activation", "relu"),
+             "hidden_dim": int(head.get("hidden_dim", 256))},
+            TrainConfig(**train_raw) if train_raw else None)
+
+
 def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
                 ) -> list[TaskSpec]:
     tasks = cfg.get("tasks")
     if not tasks:
         raise CliError("config needs a nonempty 'tasks' list")
-    head = cfg.get("head", {})
-    _check_keys(head, {"hidden_dim", "norm_kind", "activation"}, "head")
-    train_raw = cfg.get("train", {})
-    _check_keys(train_raw, {f.name for f in dataclasses.fields(TrainConfig)}, "train")
-    train = TrainConfig(**train_raw) if train_raw else None
+    head, train = _head_and_train(cfg, "layernorm")
+    common = dict(target=target, source=source, train=train, **head)
     methods = cfg.get("methods", [])
 
     specs = []
     for task in tasks:
-        common = dict(target=target, source=source,
-                      norm_kind=head.get("norm_kind", "layernorm"),
-                      activation=head.get("activation", "relu"),
-                      hidden_dim=int(head.get("hidden_dim", 256)), train=train)
         if task in SFUDA_TASKS:
             if not methods:
                 raise CliError(f"task {task} needs a 'methods' list")
@@ -355,20 +362,13 @@ def cmd_distgrid(args) -> list[str]:
     cells = [parse_cell(c) for c in section.get("cells", [])] or list(DEFAULT_GRID)
     if section.get("sync_batchnorm"):
         cells = [replace(c, sync_batchnorm=True) for c in cells]
-    head = cfg.get("head", {})
-    _check_keys(head, {"hidden_dim", "norm_kind", "activation"}, "head")
-    train_raw = cfg.get("train", {})
-    _check_keys(train_raw, {f.name for f in dataclasses.fields(TrainConfig)}, "train")
-    train = TrainConfig(**train_raw) if train_raw else None
+    head, train = _head_and_train(cfg, "batchnorm")
 
     results = {}
     for method in methods:
         results[method] = run_distributed_grid(
-            method, source, target, cells, common["seeds"],
-            norm_kind=head.get("norm_kind", "batchnorm"),
-            activation=head.get("activation", "relu"),
-            hidden_dim=int(head.get("hidden_dim", 256)),
-            train_cfg=train, method_cfg=_method_config(cfg, method))
+            method, source, target, cells, common["seeds"], train_cfg=train,
+            method_cfg=_method_config(cfg, method), **head)
 
     rows = []
     for i, cell in enumerate(cells):
@@ -403,16 +403,9 @@ def cmd_sweep(args) -> list[str]:
     if not method or not params:
         raise CliError("sweep needs 'method' and 'params'")
     source, target = datasets_from_config(cfg)
-    head = cfg.get("head", {})
-    _check_keys(head, {"hidden_dim", "norm_kind", "activation"}, "head")
-    train_raw = cfg.get("train", {})
-    _check_keys(train_raw, {f.name for f in dataclasses.fields(TrainConfig)}, "train")
-    task = section.get("task", "SFUDA")
-    spec = TaskSpec(task=task, method=method, target=target, source=source,
-                    norm_kind=head.get("norm_kind", "layernorm"),
-                    activation=head.get("activation", "relu"),
-                    hidden_dim=int(head.get("hidden_dim", 256)),
-                    train=TrainConfig(**train_raw) if train_raw else None)
+    head, train = _head_and_train(cfg, "layernorm")
+    spec = TaskSpec(task=section.get("task", "SFUDA"), method=method, target=target,
+                    source=source, train=train, **head)
     grid = hyperparameter_grid(method, params, [spec], common["seeds"])
 
     names = grid["params"]
@@ -499,11 +492,14 @@ def cmd_report(args) -> list[str]:
     common = resolve_common(args, cfg)
     if not args.records:
         raise CliError("report needs at least one records file")
-    records = []
+    records, digests = [], []
     for path in args.records:
         records.extend(_read_records(path))
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
 
-    chash = config_hash({"records": sorted(args.records)}, common)
+    # provenance covers what the records say, not where they were read from
+    chash = config_hash({"records_sha256": digests}, common)
     fmt = common["format"]
     stamp = _stamp(chash)
     files = {}

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: softmax/entropy, cosine geometry, exact k-NN,
-least squares, and seeded randomness helpers.
+"""Shared numerical primitives: softmax, row normalization, exact k-NN,
+one-hot targets, and seeded randomness helpers.
 
 All arithmetic is float64. Ranking ties break toward the lower index so that
 repeated runs are bit-for-bit reproducible.
@@ -50,31 +50,6 @@ def log_softmax(logits: Array) -> Array:
         raise ValueError("log_softmax input must be finite")
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def entropy(p: Array) -> float:
-    """Shannon entropy in nats of a probability vector; 0*log0 treated as 0."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("entropy expects a nonempty vector")
-    if np.any(p < 0):
-        raise ValueError("entropy input has a negative entry")
-    s = float(p.sum())
-    if abs(s - 1.0) > 1e-6:
-        raise ValueError(f"entropy input sums to {s:.9g}, expected 1")
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return max(0.0, float(-terms.sum()))
-
-
-def cosine_similarity(a: Array, b: Array) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity of a zero vector")
-    v = float(a @ b / (na * nb))
-    return min(1.0, max(-1.0, v))
 
 
 def l2_normalize_rows(m: Array) -> Array:
@@ -132,32 +107,6 @@ def knn_indices(m: Array, k: int, metric: str = "cosine") -> Array:
     out[rows] = np.take_along_axis(idx, order, axis=1)
     for i in np.flatnonzero(~exact):
         out[i] = np.argsort(cost[i], kind="stable")[:k]
-    return out
-
-
-def least_squares(x: Array, y: Array) -> Array:
-    """Minimum-norm OLS coefficients; rejects rank-deficient designs."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.ndim != 2:
-        raise ValueError("least_squares expects a 2-d design matrix")
-    n, p = x.shape
-    if y.shape[0] != n:
-        raise ValueError("design and response row counts differ")
-    if n < p:
-        raise ValueError(f"need at least p={p} rows, got {n}")
-    if np.linalg.matrix_rank(x) < p:
-        raise ValueError("rank-deficient design matrix")
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    return beta
-
-
-def logsumexp(z: Array, axis: int = 0) -> Array:
-    """Stable log-sum-exp along an axis."""
-    z = np.asarray(z, dtype=np.float64)
-    m = np.max(z, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(z - m), axis=axis)) + np.squeeze(m, axis=axis)
     return out
 
 

@@ -1,6 +1,6 @@
-"""Shared mini-batch machinery for the gradient-based adaptation loops:
-seeded shuffling, contiguous worker shards, shard-averaged gradients, and the
-inverse-decay step size. The W=1 path is the plain single-worker loop."""
+"""Simulated data parallelism for the gradient-based adaptation loops:
+contiguous worker shards of each batch and shard-averaged gradients. The W=1
+path is the plain single-worker step; the loop itself is head.run_epochs."""
 
 from __future__ import annotations
 
@@ -9,11 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .head import HeadModel, backward, forward
-
-TRAINED_ALL = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta",
-               "classifier_weight", "classifier_bias")
-TRAINED_BOTTLENECK = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta")
-
 
 @dataclass(frozen=True)
 class DistConfig:
@@ -38,12 +33,6 @@ class DistConfig:
 
 DEFAULT_GRID = (DistConfig(1, 64), DistConfig(2, 32), DistConfig(4, 16),
                 DistConfig(8, 8), DistConfig(16, 4))
-
-
-def adapt_lr(base: float, step: int, total_steps: int) -> float:
-    """Inverse-decay schedule shared by the adaptation loops."""
-    t = step / max(1, total_steps)
-    return base * (1.0 + 10.0 * t) ** -0.75
 
 
 def shard_rows(rows: np.ndarray, workers: int) -> list[np.ndarray]:
@@ -110,3 +99,15 @@ def effective_batch(n: int, batch_size: int, workers: int) -> int:
     if bs < workers:
         raise ValueError(f"cannot split batches of {bs} across {workers} workers")
     return bs
+
+
+def adapt_layout(model: HeadModel, n: int, batch_size: int,
+                 dist: DistConfig | None) -> tuple[int, DistConfig]:
+    """An adapter's global batch on n rows and its worker layout (one worker
+    when dist is None); rejects shards too small for batchnorm statistics."""
+    dist = dist if dist is not None else DistConfig()
+    bs = effective_batch(n, batch_size, dist.workers)
+    if (model.norm.kind == "batchnorm" and bs // dist.workers < 2
+            and not dist.sync_batchnorm):
+        raise ValueError("shard size < 2 is invalid with a batchnorm head")
+    return bs, dist

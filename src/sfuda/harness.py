@@ -179,7 +179,8 @@ def run_task(spec: TaskSpec) -> ExperimentRecord:
             adapted = adapt_fn(first, target.features, method_cfg)
             accuracy = evaluate(adapted, target.features, target.labels)
         # transductive contract: we score exactly the matrix the adapter saw
-        assert _features_hash(target.features) == feats_hash_in
+        if _features_hash(target.features) != feats_hash_in:
+            raise RuntimeError("adapter modified the target features")
 
     delta = accuracy - baseline
     failed = bool(accuracy < baseline)

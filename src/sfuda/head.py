@@ -8,8 +8,7 @@ pin every formula here.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -17,14 +16,12 @@ from scipy.special import erf
 from .core import derive_rng, log_softmax, make_rng, one_hot, softmax
 from .data import DomainDataset
 
-PARAM_NAMES = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta",
-               "classifier_weight", "classifier_bias")
 BOTTLENECK_PARAMS = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta")
 CLASSIFIER_PARAMS = ("classifier_weight", "classifier_bias")
+PARAM_NAMES = BOTTLENECK_PARAMS + CLASSIFIER_PARAMS
 
-NORM_TAGS = {"batchnorm": 0, "layernorm": 1}
-ACT_TAGS = {"relu": 0, "gelu": 1}
-CKPT_MAGIC = b"SFHM"
+NORM_KINDS = ("batchnorm", "layernorm")
+ACTIVATIONS = ("relu", "gelu")
 
 
 class StaleCacheError(RuntimeError):
@@ -44,9 +41,9 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.norm_kind not in NORM_TAGS:
+        if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
-        if self.activation not in ACT_TAGS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if min(self.in_dim, self.num_classes, self.hidden_dim) < 1:
             raise ValueError("dimensions must be positive")
@@ -289,12 +286,13 @@ class TrainConfig:
             raise ValueError("grad_clip must be positive when set")
 
 
-def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
-    """Base rate under the shared (1 + 10 t)^(-0.75) inverse-decay convention."""
-    if cfg.lr_schedule == "constant":
-        return cfg.learning_rate
+def scheduled_lr(base: float, schedule: str, step: int, total_steps: int) -> float:
+    """Step size at a step: base itself under "constant", else the shared
+    (1 + 10 t)^(-0.75) inverse decay with t = step / total_steps."""
+    if schedule == "constant":
+        return base
     t = step / max(1, total_steps)
-    return cfg.learning_rate * (1.0 + 10.0 * t) ** -0.75
+    return base * (1.0 + 10.0 * t) ** -0.75
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -326,12 +324,41 @@ def sgd_step(model: HeadModel, grads: dict[str, np.ndarray], state: SgdState,
     model.bump_version()
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Seeded shuffle, contiguous batches, trailing partial batch dropped."""
-    order = rng.permutation(n)
-    steps = n // batch_size
-    for s in range(steps):
-        yield order[s * batch_size:(s + 1) * batch_size]
+def run_epochs(model: HeadModel, n: int, batch_size: int, epochs: int, step_grads, *,
+               names: tuple[str, ...], rng: np.random.Generator, learning_rate: float,
+               momentum: float, weight_decay: float, schedule: str = "inverse-decay",
+               grad_clip: float | None = None, lr_scale: dict[str, float] | None = None,
+               epoch_hook=None, step_hook=None) -> None:
+    """The one SGD loop behind first transfer and every adapter; trains model
+    in place.
+
+    Each epoch calls epoch_hook(), then cuts a seeded shuffle of the n
+    rows into contiguous batches, dropping the trailing partial batch. Per
+    batch, step_grads(rows, step) -> (loss, grads) gives the gradients; the
+    loop keeps those of the trainable names, clips their global norm to
+    grad_clip when set, calls step_hook(step, loss, grads), and takes a
+    momentum step at the scheduled rate times lr_scale[name] (default 1).
+    """
+    params = model.params()
+    state = SgdState({k: params[k] for k in names})
+    steps_per_epoch = n // batch_size
+    total_steps = epochs * steps_per_epoch
+    step = 0
+    for _ in range(epochs):
+        if epoch_hook is not None:
+            epoch_hook()
+        order = rng.permutation(n)
+        for s in range(steps_per_epoch):
+            loss, grads = step_grads(order[s * batch_size:(s + 1) * batch_size], step)
+            grads = {k: grads[k] for k in names}
+            if grad_clip is not None:
+                clip_global_norm(grads, grad_clip)
+            if step_hook is not None:
+                step_hook(step, loss, grads)
+            sgd_step(model, grads, state,
+                     scheduled_lr(learning_rate, schedule, step, total_steps),
+                     momentum, weight_decay, lr_scale)
+            step += 1
 
 
 def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
@@ -349,37 +376,27 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
     if data.d != model.in_dim or data.num_classes != model.num_classes:
         raise ValueError("model and dataset shapes disagree")
     model = model.copy()
-    n = data.n
-    bs = min(cfg.batch_size, n)
-    if scope == "full" and model.norm.kind == "batchnorm" and bs < 2:
+    bs = min(cfg.batch_size, data.n)
+    full = scope == "full"
+    if full and model.norm.kind == "batchnorm" and bs < 2:
         raise ValueError("batch_size < 2 is invalid with a batchnorm head")
-
-    names = CLASSIFIER_PARAMS if scope == "classifier_only" else PARAM_NAMES
-    lr_scale = None
-    if scope == "full":
-        # bottleneck-side tensors move slower than the freshly seeded classifier
-        lr_scale = {k: 0.1 for k in BOTTLENECK_PARAMS}
-    state = SgdState({k: v for k, v in model.params().items() if k in names})
     targets = smoothed_targets(data.labels, data.num_classes, cfg.label_smoothing)
-    rng = derive_rng(cfg.seed, "train-shuffle")
-    mode = "train" if scope == "full" else "eval"
-    steps_per_epoch = max(1, n // bs)
-    total_steps = cfg.epochs * steps_per_epoch
+    mode = "train" if full else "eval"
 
-    step = 0
-    for _ in range(cfg.epochs):
-        for rows in _epoch_batches(n, bs, rng):
-            logits, _, cache = forward(model, data.features[rows], mode)
-            loss, dlogits = cross_entropy(logits, targets[rows])
-            grads = backward(model, cache, dlogits)
-            grads = {k: grads[k] for k in names}
-            if cfg.grad_clip is not None:
-                clip_global_norm(grads, cfg.grad_clip)
-            if step_hook is not None:
-                step_hook(step, loss, grads)
-            sgd_step(model, grads, state, lr_at(cfg, step, total_steps),
-                     cfg.momentum, cfg.weight_decay, lr_scale)
-            step += 1
+    def step_grads(rows, _step):
+        logits, _, cache = forward(model, data.features[rows], mode)
+        loss, dlogits = cross_entropy(logits, targets[rows])
+        return loss, backward(model, cache, dlogits)
+
+    run_epochs(model, data.n, bs, cfg.epochs, step_grads,
+               names=PARAM_NAMES if full else CLASSIFIER_PARAMS,
+               rng=derive_rng(cfg.seed, "train-shuffle"),
+               learning_rate=cfg.learning_rate, momentum=cfg.momentum,
+               weight_decay=cfg.weight_decay, schedule=cfg.lr_schedule,
+               grad_clip=cfg.grad_clip,
+               # bottleneck-side tensors move slower than the freshly seeded classifier
+               lr_scale={k: 0.1 for k in BOTTLENECK_PARAMS} if full else None,
+               step_hook=step_hook)
     return model
 
 
@@ -414,54 +431,3 @@ def evaluate(model: HeadModel, features: np.ndarray, labels: np.ndarray) -> floa
     logits, _, _ = forward(model, features, "eval")
     pred = logits.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean() * 100.0)
-
-
-def save_head(model: HeadModel, path: str) -> None:
-    norm = model.norm
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIIBB", CKPT_MAGIC, model.in_dim, model.hidden_dim,
-                             model.num_classes, NORM_TAGS[norm.kind],
-                             ACT_TAGS[model.activation]))
-        fh.write(struct.pack("<dd", norm.momentum, norm.eps))
-        tensors = [model.bottleneck_weight, model.bottleneck_bias, norm.gamma, norm.beta]
-        if norm.kind == "batchnorm":
-            tensors += [norm.running_mean, norm.running_var]
-        tensors += [model.classifier_weight, model.classifier_bias]
-        for t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
-
-
-def load_head(path: str) -> HeadModel:
-    with open(path, "rb") as fh:
-        head = fh.read(18)
-        if len(head) < 18:
-            raise ValueError(f"{path}: truncated header")
-        magic, d, h, c, norm_tag, act_tag = struct.unpack("<4sIIIBB", head)
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        momentum, eps = struct.unpack("<dd", fh.read(16))
-        kinds = {v: k for k, v in NORM_TAGS.items()}
-        acts = {v: k for k, v in ACT_TAGS.items()}
-        if norm_tag not in kinds or act_tag not in acts:
-            raise ValueError(f"{path}: unknown norm or activation tag")
-        kind = kinds[norm_tag]
-
-        def take(shape):
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated tensor payload")
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-        w1 = take((d, h))
-        b1 = take((h,))
-        gamma = take((h,))
-        beta = take((h,))
-        rm = take((h,)) if kind == "batchnorm" else None
-        rv = take((h,)) if kind == "batchnorm" else None
-        wc = take((h, c))
-        bc = take((c,))
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after parameters")
-    norm = NormLayer(kind, gamma, beta, rm, rv, momentum, eps)
-    return HeadModel(w1, b1, norm, acts[act_tag], wc, bc)

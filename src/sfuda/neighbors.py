@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import derive_rng, knn_indices, l2_normalize_rows, softmax
-from .engine import (DistConfig, TRAINED_ALL, adapt_lr, effective_batch,
-                     shard_rows, sharded_step)
-from .head import HeadModel, SgdState, forward, sgd_step
+from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
+from .head import PARAM_NAMES, HeadModel, forward, run_epochs
 
 
 @dataclass
@@ -237,45 +236,36 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
                     kind: str, dist: DistConfig | None) -> HeadModel:
     x = np.asarray(target_features, dtype=np.float64)
     model = model.copy()
-    workers = dist.workers if dist is not None else 1
-    sync = dist.sync_batchnorm if dist is not None else False
     n = x.shape[0]
-    bs = effective_batch(n, cfg.batch_size, workers)
-    if model.norm.kind == "batchnorm" and bs // workers < 2 and not sync:
-        raise ValueError("shard size < 2 is invalid with a batchnorm head")
-
+    bs, dist = adapt_layout(model, n, cfg.batch_size, dist)
     bank = build_bank(model, x)
-    state = SgdState(model.params())
-    rng_shuffle = derive_rng(cfg.seed, "adapt-shuffle")
     rng_bg = derive_rng(cfg.seed, "aad-background")
-    steps_per_epoch = n // bs
-    total_steps = cfg.epochs * steps_per_epoch
+    total_steps = cfg.epochs * (n // bs)
     table_k = max(cfg.K, cfg.KK) if kind == "nrc" else cfg.K
 
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng_shuffle.permutation(n)
-        for s in range(steps_per_epoch):
-            rows = order[s * bs:(s + 1) * bs]
-            shards = shard_rows(rows, workers)
-            lambda_t = decay_lambda(step, total_steps, cfg.beta) if kind == "aad" else 0.0
-            # the bank only changes after the step: rank it once for all shards
-            knn = knn_indices(bank.features, table_k, "cosine")
+    def step_grads(rows, step):
+        lambda_t = decay_lambda(step, total_steps, cfg.beta) if kind == "aad" else 0.0
+        # the bank only changes once every shard has run: rank it once for all
+        knn = knn_indices(bank.features, table_k, "cosine")
 
-            def objective(_w, sh, logits):
-                p = softmax(logits)
-                if kind == "nrc":
-                    v, dscores = nrc_loss(p, sh, bank, cfg, knn=knn)
-                else:
-                    v, dscores = aad_loss(p, sh, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
-                return v, softmax_score_grad(p, dscores)
+        def objective(_w, sh, logits):
+            p = softmax(logits)
+            if kind == "nrc":
+                v, dscores = nrc_loss(p, sh, bank, cfg, knn=knn)
+            else:
+                v, dscores = aad_loss(p, sh, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
+            return v, softmax_score_grad(p, dscores)
 
-            _, grads, outputs = sharded_step(model, x, shards, objective, sync)
-            sgd_step(model, grads, state, adapt_lr(cfg.learning_rate, step, total_steps),
-                     cfg.momentum, cfg.weight_decay)
-            for sh, logits, feats in outputs:
-                bank.refresh(sh, feats, softmax(logits))
-            step += 1
+        loss, grads, outputs = sharded_step(model, x, shard_rows(rows, dist.workers),
+                                            objective, dist.sync_batchnorm)
+        # pre-update outputs, as the optimizer step that follows never reads the bank
+        for sh, logits, feats in outputs:
+            bank.refresh(sh, feats, softmax(logits))
+        return loss, grads
+
+    run_epochs(model, n, bs, cfg.epochs, step_grads, names=PARAM_NAMES,
+               rng=derive_rng(cfg.seed, "adapt-shuffle"), learning_rate=cfg.learning_rate,
+               momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     return model
 
 

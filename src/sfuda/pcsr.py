@@ -125,9 +125,5 @@ def pcsr_adapt(model: HeadModel, target_features: np.ndarray, cfg: PcsrConfig,
             xm, tm, _ = mixup_batch(xb, tb, cfg.mixup_alpha, rng_mix)
             return xm, tm
 
-    return run_im_ce_loop(
-        model, x, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate, ce_weight=cfg.ce_weight,
-        momentum=cfg.momentum, weight_decay=cfg.weight_decay, seed=cfg.seed,
-        relabel=relabel, mixup_fn=mixup_fn, mixup_weight=cfg.mixup_weight,
-        dist=dist)
+    return run_im_ce_loop(model, x, cfg, relabel, mixup_fn=mixup_fn,
+                          mixup_weight=cfg.mixup_weight, dist=dist)

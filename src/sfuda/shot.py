@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import derive_rng, l2_normalize_rows, log_softmax, one_hot
-from .engine import (DistConfig, TRAINED_BOTTLENECK, adapt_lr, effective_batch,
-                     shard_rows, sharded_step)
-from .head import HeadModel, SgdState, cross_entropy, forward, sgd_step
+from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
+from .head import BOTTLENECK_PARAMS, HeadModel, cross_entropy, forward, run_epochs
 from .sca import Prototypes, spherical_kmeans
 
 
@@ -136,67 +135,52 @@ def im_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     return ve + vd, ge + gd
 
 
-def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, *, epochs: int,
-                   batch_size: int, learning_rate: float, ce_weight: float,
-                   momentum: float, weight_decay: float, seed: int, relabel,
+def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
                    mixup_fn=None, mixup_weight: float = 0.0,
                    dist: DistConfig | None = None) -> HeadModel:
     """Shared trainer for the pseudo-label + information-maximization family.
 
-    relabel(model, prev_protos) -> (labels, protos) runs once per epoch on the
-    full set. The classifier never moves. mixup_fn, when given and weighted,
-    contributes an extra supervised term on mixed inputs.
+    cfg (ShotConfig or PcsrConfig) gives the loop's hyperparameters and the
+    CE weight. relabel(model, prev_protos) -> (labels, protos) runs once per
+    epoch on the full set. The classifier never moves. mixup_fn, when given
+    and weighted, contributes an extra supervised term on mixed inputs.
     """
     x = np.asarray(target_features, dtype=np.float64)
     model = model.copy()
-    workers = dist.workers if dist is not None else 1
-    sync = dist.sync_batchnorm if dist is not None else False
-    n = x.shape[0]
-    bs = effective_batch(n, batch_size, workers)
-    if model.norm.kind == "batchnorm" and bs // workers < 2 and not sync:
-        raise ValueError("shard size < 2 is invalid with a batchnorm head")
+    bs, dist = adapt_layout(model, x.shape[0], cfg.batch_size, dist)
+    protos = targets = None
 
-    c_count = model.num_classes
-    state = SgdState({k: v for k, v in model.params().items() if k in TRAINED_BOTTLENECK})
-    rng_shuffle = derive_rng(seed, "adapt-shuffle")
-    steps_per_epoch = n // bs
-    total_steps = epochs * steps_per_epoch
-    step = 0
-    protos = None
-    for _ in range(epochs):
+    def epoch_hook():
+        nonlocal protos, targets
         labels, protos = relabel(model, protos)
-        targets = one_hot(labels, c_count)
+        targets = one_hot(labels, model.num_classes)
 
-        order = rng_shuffle.permutation(n)
-        for s in range(steps_per_epoch):
-            rows = order[s * bs:(s + 1) * bs]
-            shards = shard_rows(rows, workers)
+    def objective(_w, sh, logits):
+        v_im, d_im = im_loss(logits)
+        v_ce, d_ce = cross_entropy(logits, targets[sh])
+        return v_im + cfg.ce_weight * v_ce, d_im + cfg.ce_weight * d_ce
 
-            def objective(_w, sh, logits):
-                v_im, d_im = im_loss(logits)
-                v_ce, d_ce = cross_entropy(logits, targets[sh])
-                return v_im + ce_weight * v_ce, d_im + ce_weight * d_ce
+    def step_grads(rows, _step):
+        shards = shard_rows(rows, dist.workers)
+        loss, grads, _ = sharded_step(model, x, shards, objective, dist.sync_batchnorm)
+        if mixup_fn is not None and mixup_weight > 0.0:
+            mixed = [mixup_fn(x[sh], targets[sh]) for sh in shards]
+            xm = np.concatenate([m[0] for m in mixed])
+            tm = np.concatenate([m[1] for m in mixed])
+            pos = np.arange(len(xm))
 
-            _, grads, _ = sharded_step(model, x, shards, objective, sync)
-            grads = {k: grads[k] for k in TRAINED_BOTTLENECK}
+            def mix_objective(_w, sh, logits):
+                return cross_entropy(logits, tm[sh])
 
-            if mixup_fn is not None and mixup_weight > 0.0:
-                mixed = [mixup_fn(x[sh], targets[sh]) for sh in shards]
-                xm = np.concatenate([m[0] for m in mixed])
-                tm = np.concatenate([m[1] for m in mixed])
-                pos = np.arange(len(xm))
+            _, gm, _ = sharded_step(model, xm, shard_rows(pos, dist.workers),
+                                    mix_objective, dist.sync_batchnorm)
+            for k in BOTTLENECK_PARAMS:
+                grads[k] += mixup_weight * gm[k]
+        return loss, grads
 
-                def mix_objective(w, sh, logits):
-                    return cross_entropy(logits, tm[sh])
-
-                _, gm, _ = sharded_step(model, xm, shard_rows(pos, workers),
-                                        mix_objective, sync)
-                for k in TRAINED_BOTTLENECK:
-                    grads[k] += mixup_weight * gm[k]
-
-            sgd_step(model, grads, state, adapt_lr(learning_rate, step, total_steps),
-                     momentum, weight_decay)
-            step += 1
+    run_epochs(model, x.shape[0], bs, cfg.epochs, step_grads, names=BOTTLENECK_PARAMS,
+               rng=derive_rng(cfg.seed, "adapt-shuffle"), learning_rate=cfg.learning_rate,
+               momentum=cfg.momentum, weight_decay=cfg.weight_decay, epoch_hook=epoch_hook)
     return model
 
 
@@ -205,11 +189,6 @@ def shot_adapt(model: HeadModel, target_features: np.ndarray, cfg: ShotConfig,
     """Adapt the bottleneck to unlabeled target features; classifier frozen."""
 
     def relabel(m, prev):
-        labels, protos = shot_pseudo_labels(m, target_features, cfg.kmeans_rounds, prev)
-        return labels, protos
+        return shot_pseudo_labels(m, target_features, cfg.kmeans_rounds, prev)
 
-    return run_im_ce_loop(
-        model, target_features, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate, ce_weight=cfg.ce_weight,
-        momentum=cfg.momentum, weight_decay=cfg.weight_decay, seed=cfg.seed,
-        relabel=relabel, dist=dist)
+    return run_im_ce_loop(model, target_features, cfg, relabel, dist=dist)

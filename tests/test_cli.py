@@ -246,6 +246,30 @@ class TestReportCommand:
         for group_by in ("norm_kind", "method", "task"):
             assert (rep_out / f"by_{group_by}.csv").exists()
 
+    @staticmethod
+    def report_stamp(records, out):
+        assert main(["report", str(records), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["records"] == [str(records)]
+        return manifest["provenance"]["config_sha256"]
+
+    def test_stamp_follows_the_records_contents(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        records = tmp_path / "suite" / "records.csv"
+        main(["suite", "--config", cfg, "--seeds", "0,1", "--out", str(records.parent)])
+        before = self.report_stamp(records, tmp_path / "r1")
+        records.write_text("".join(records.read_text().splitlines(True)[:-1]))
+        assert self.report_stamp(records, tmp_path / "r2") != before
+
+    def test_stamp_ignores_the_records_path(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        records = tmp_path / "suite" / "records.csv"
+        main(["suite", "--config", cfg, "--seeds", "0,1", "--out", str(records.parent)])
+        moved = tmp_path / "elsewhere.csv"
+        moved.write_bytes(records.read_bytes())
+        assert (self.report_stamp(records, tmp_path / "r1")
+                == self.report_stamp(moved, tmp_path / "r2"))
+
     def test_rejects_a_non_records_file(self, tmp_path, capsys):
         assert main(["report", ASSET_TABLE, "--out", str(tmp_path / "o")]) == 1
         assert "not a records table" in capsys.readouterr().err

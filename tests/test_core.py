@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfuda.core import (cosine_similarity, derive_rng, derive_seed, entropy,
-                        knn_indices, l2_normalize_rows, least_squares,
-                        log_softmax, logsumexp, make_rng, one_hot, softmax)
+from sfuda.core import (derive_rng, derive_seed, knn_indices, l2_normalize_rows,
+                        log_softmax, make_rng, one_hot, softmax)
 
 
 class TestSoftmax:
@@ -44,55 +43,6 @@ class TestSoftmax:
         p = softmax(z)
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) < 1e-9
-
-
-class TestEntropy:
-    def test_one_hot_is_zero(self):
-        assert entropy([1.0, 0.0, 0.0]) == 0.0
-
-    def test_uniform_four_is_ln4(self):
-        assert abs(entropy([0.25] * 4) - math.log(4.0)) < 1e-12
-
-    def test_binary_point_nine(self):
-        exact = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        got = entropy([0.9, 0.1])
-        assert abs(got - exact) < 1e-12
-        assert abs(got - 0.3251) < 5e-5
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            entropy([1.1, -0.1])
-
-    def test_not_normalized_rejected(self):
-        with pytest.raises(ValueError):
-            entropy([0.5, 0.6])
-
-    @given(st.integers(2, 8), st.integers(0, 10 ** 6))
-    @settings(max_examples=50, deadline=None)
-    def test_bounds(self, c, seed):
-        p = make_rng(seed).dirichlet(np.ones(c))
-        h = entropy(p)
-        assert -1e-12 <= h <= math.log(c) + 1e-12
-
-
-class TestCosine:
-    def test_quarter_turn_half(self):
-        assert abs(cosine_similarity([1.0, 1.0], [1.0, 0.0]) - 1.0 / math.sqrt(2)) < 1e-12
-
-    def test_self_is_one(self):
-        v = [3.0, -2.0, 0.5]
-        assert abs(cosine_similarity(v, v) - 1.0) < 1e-12
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
-    def test_range(self, seed):
-        rng = make_rng(seed)
-        a, b = rng.normal(size=3) + 0.1, rng.normal(size=3) + 0.1
-        assert -1.0 - 1e-12 <= cosine_similarity(a, b) <= 1.0 + 1e-12
 
 
 class TestNormalizeRows:
@@ -213,34 +163,6 @@ class TestKnnMatchesStableSort:
                                       knn_indices(m, kk, metric)[:, :k])
 
 
-class TestLeastSquares:
-    def test_identity_design_returns_response(self):
-        y = np.array([2.0, -1.0, 0.5])
-        np.testing.assert_allclose(least_squares(np.eye(3), y), y, atol=1e-12)
-
-    def test_line_through_three_points(self):
-        x = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
-        y = np.array([1.0, 3.0, 5.0])
-        np.testing.assert_allclose(least_squares(x, y), [2.0, 1.0], atol=1e-10)
-
-    def test_collinear_columns_rejected(self):
-        x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        with pytest.raises(ValueError, match="rank"):
-            least_squares(x, np.array([1.0, 2.0, 3.0]))
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError):
-            least_squares(np.ones((1, 2)), np.array([1.0]))
-
-    def test_residual_orthogonal_to_design(self):
-        rng = make_rng(7)
-        x = rng.normal(size=(20, 3))
-        y = rng.normal(size=20)
-        beta = least_squares(x, y)
-        r = y - x @ beta
-        np.testing.assert_allclose(x.T @ r, 0.0, atol=1e-9)
-
-
 class TestRngDerivation:
     def test_same_inputs_same_stream(self):
         a = derive_rng(3, "adapt").normal(size=4)
@@ -267,14 +189,6 @@ class TestRngDerivation:
 
 
 class TestSmallUtilities:
-    def test_logsumexp_matches_naive(self):
-        z = np.array([[1.0, 2.0], [0.0, -1.0]])
-        np.testing.assert_allclose(logsumexp(z, axis=1),
-                                   np.log(np.exp(z).sum(axis=1)), atol=1e-12)
-
-    def test_logsumexp_large(self):
-        assert np.isfinite(logsumexp(np.array([1000.0, 1000.0]), axis=0))
-
     def test_one_hot(self):
         out = one_hot(np.array([0, 2]), 3)
         np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

@@ -5,6 +5,7 @@ import pytest
 
 from sfuda.core import make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
+from sfuda.distsim import ADAPT_METHODS
 from sfuda.harness import (ExperimentRecord, SuiteResult, TaskSpec,
                            failure_report, format_mean_std,
                            hyperparameter_grid, run_suite, run_task,
@@ -203,6 +204,21 @@ class TestSuite:
         assert result.aggregates[0]["summary"] == "no successful runs"
         assert np.isfinite(good_rec.accuracy)
         assert result.aggregates[1]["n_ok"] == 1
+
+    def test_an_adapter_that_mutates_the_target_breaks_the_contract(self, monkeypatch):
+        src, tgt = small_shifted_pair()
+        cfg_cls, adapt_fn = ADAPT_METHODS["SHOT"]
+
+        def mutating(model, feats, cfg, dist=None):
+            feats += 1.0
+            return adapt_fn(model, feats, cfg, dist)
+
+        monkeypatch.setitem(ADAPT_METHODS, "SHOT", (cfg_cls, mutating))
+        spec = TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
+                        hidden_dim=16, method_config=ShotConfig(epochs=1))
+        rec, = run_suite([spec], [0]).records
+        assert rec.failed is True
+        assert "adapter modified the target features" in rec.error
 
 
 class TestFormatting:

@@ -3,15 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sfuda.head
 from conftest import fd_param_grads, grad_gap, max_rel_err, tiny_model
 from sfuda.core import make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
+from sfuda.engine import DistConfig
 from sfuda.head import (BOTTLENECK_PARAMS, CLASSIFIER_PARAMS, PARAM_NAMES,
                         HeadConfig, HeadModel, NormLayer, SgdState,
                         StaleCacheError, TrainConfig, adabn, backward,
                         clip_global_norm, cross_entropy, evaluate, forward,
-                        init_head, load_head, lr_at, save_head, sgd_step,
-                        smoothed_targets, train_supervised, two_phase_finetune)
+                        init_head, scheduled_lr, sgd_step, smoothed_targets,
+                        train_supervised, two_phase_finetune)
+from sfuda.neighbors import NrcConfig, nrc_adapt
+from sfuda.shot import ShotConfig, shot_adapt
 
 
 def passthrough_model(d, norm_kind="batchnorm"):
@@ -176,12 +180,11 @@ class TestLossPieces:
         np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
 
     def test_lr_schedule(self):
-        cfg = TrainConfig(learning_rate=0.5)
-        assert lr_at(cfg, 0, 100) == 0.5
-        rates = [lr_at(cfg, s, 100) for s in range(0, 101, 10)]
+        assert scheduled_lr(0.5, "inverse-decay", 0, 100) == 0.5
+        rates = [scheduled_lr(0.5, "inverse-decay", s, 100) for s in range(0, 101, 10)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
-        const = TrainConfig(learning_rate=0.5, lr_schedule="constant")
-        assert lr_at(const, 73, 100) == 0.5
+        assert rates[-1] == 0.5 * 11.0 ** -0.75
+        assert scheduled_lr(0.5, "constant", 73, 100) == 0.5
 
 
 class TestTraining:
@@ -305,6 +308,70 @@ class TestTraining:
             train_supervised(model, src, "partial", TrainConfig(epochs=1))
 
 
+class TestOneLoop:
+    """First transfer and the adapters all step through head.run_epochs: one
+    sgd_step per full batch, at the closed-form rate, over the trainer's
+    trainable names."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        real = sfuda.head.sgd_step
+
+        def spy(model, grads, state, lr, momentum, weight_decay, lr_scale=None):
+            calls.append((lr, sorted(grads), lr_scale))
+            real(model, grads, state, lr, momentum, weight_decay, lr_scale)
+
+        monkeypatch.setattr(sfuda.head, "sgd_step", spy)
+        return calls
+
+    @staticmethod
+    def check(steps, total, lr, schedule, names, lr_scale=None):
+        if schedule == "constant":
+            rates = [lr] * total
+        else:
+            rates = [lr * (1.0 + 10.0 * s / total) ** -0.75 for s in range(total)]
+        assert len(steps) == total
+        assert [step[0] for step in steps] == pytest.approx(rates, rel=1e-12, abs=0.0)
+        assert all(step[1] == sorted(names) for step in steps)
+        assert all(step[2] == lr_scale for step in steps)
+
+    @staticmethod
+    def pair():
+        # 75 rows per domain: batches of 16 leave a partial batch of 11
+        shift = ShiftSpec(np.full(6, 0.3), np.ones(6), np.zeros(6))
+        return gen_gaussian_pair(3, 6, 25, 3.0, shift, make_rng(50))
+
+    @pytest.mark.parametrize("scope", ["classifier_only", "full"])
+    @pytest.mark.parametrize("schedule", ["constant", "inverse-decay"])
+    def test_train_supervised(self, steps, scope, schedule):
+        src, _ = self.pair()
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05,
+                          lr_schedule=schedule, seed=0)
+        train_supervised(init_head(HeadConfig(6, 3, hidden_dim=8, seed=0)), src, scope, cfg)
+        if scope == "full":
+            self.check(steps, 3 * 4, 0.05, schedule, PARAM_NAMES,
+                       {k: 0.1 for k in BOTTLENECK_PARAMS})
+        else:
+            self.check(steps, 3 * 4, 0.05, schedule, CLASSIFIER_PARAMS)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_shot_adapt(self, steps, workers):
+        _, tgt = self.pair()
+        shot_adapt(init_head(HeadConfig(6, 3, hidden_dim=8, seed=0)), tgt.features,
+                   ShotConfig(epochs=2, batch_size=16, learning_rate=0.05),
+                   dist=DistConfig(workers, 16 // workers))
+        self.check(steps, 2 * 4, 0.05, "inverse-decay", BOTTLENECK_PARAMS)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_nrc_adapt(self, steps, workers):
+        _, tgt = self.pair()
+        nrc_adapt(init_head(HeadConfig(6, 3, hidden_dim=8, seed=0)), tgt.features,
+                  NrcConfig(epochs=2, batch_size=16, learning_rate=0.05),
+                  dist=DistConfig(workers, 16 // workers))
+        self.check(steps, 2 * 4, 0.05, "inverse-decay", PARAM_NAMES)
+
+
 class TestAdabn:
     def test_replaces_stats_with_target_moments(self):
         model = tiny_model(seed=27, norm="batchnorm")
@@ -359,53 +426,6 @@ class TestAdabn:
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="width"):
             adabn(tiny_model(norm="batchnorm"), np.zeros((4, 7)))
-
-
-class TestCheckpoint:
-    @pytest.mark.parametrize("norm", ["batchnorm", "layernorm"])
-    def test_round_trip_is_bitwise(self, tmp_path, norm):
-        model = tiny_model(seed=33, norm=norm, act="gelu")
-        if norm == "batchnorm":
-            forward(model, make_rng(34).normal(size=(6, 5)), "train")
-        path = str(tmp_path / "head.bin")
-        save_head(model, path)
-        back = load_head(path)
-        for name in PARAM_NAMES:
-            np.testing.assert_array_equal(back.params()[name], model.params()[name])
-        assert back.activation == model.activation
-        assert back.norm.kind == model.norm.kind
-        assert back.norm.eps == model.norm.eps
-        if norm == "batchnorm":
-            np.testing.assert_array_equal(back.norm.running_mean,
-                                          model.norm.running_mean)
-            np.testing.assert_array_equal(back.norm.running_var,
-                                          model.norm.running_var)
-        x = make_rng(35).normal(size=(4, 5))
-        np.testing.assert_array_equal(forward(back, x, "eval")[0],
-                                      forward(model, x, "eval")[0])
-
-    def test_bad_magic(self, tmp_path):
-        path = str(tmp_path / "head.bin")
-        open(path, "wb").write(b"XXXX" + b"\0" * 40)
-        with pytest.raises(ValueError, match="magic"):
-            load_head(path)
-
-    def test_truncated_payload(self, tmp_path):
-        model = tiny_model(seed=36)
-        path = str(tmp_path / "head.bin")
-        save_head(model, path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-4])
-        with pytest.raises(ValueError, match="truncated"):
-            load_head(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        model = tiny_model(seed=37)
-        path = str(tmp_path / "head.bin")
-        save_head(model, path)
-        open(path, "ab").write(b"\0")
-        with pytest.raises(ValueError, match="trailing"):
-            load_head(path)
 
 
 class TestConfigValidation:
