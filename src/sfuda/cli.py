@@ -25,10 +25,10 @@ from . import __version__
 from .core import make_rng
 from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
                    labels_text, load_embeddings, load_results_table)
-from .distsim import ADAPT_METHODS, parse_cell, run_distributed_grid
+from .distsim import parse_cell, run_distributed_grid
 from .engine import DEFAULT_GRID
-from .harness import (ExperimentRecord, TaskSpec, failure_report,
-                      hyperparameter_grid, run_suite, run_task)
+from .harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, TransferMemo,
+                      failure_report, hyperparameter_grid, run_suite, run_task)
 from .head import TrainConfig
 from .stats import fit_linear, fit_multilinear
 
@@ -349,6 +349,11 @@ def cmd_suite(args) -> list[str]:
     for agg in result.aggregates:
         label = agg["task"] + (f"/{agg['method']}" if agg["method"] else "")
         print(f"{label:>16s}  {agg['summary']}")
+    errors = sum(r.error is not None for r in result.records)
+    if errors:
+        # the outputs are complete; the exit status still reports the errors
+        raise CliError(f"{errors} of {len(result.records)} records raised "
+                       f"(see the error column of records.{common['format']})")
     return paths
 
 
@@ -364,11 +369,12 @@ def cmd_distgrid(args) -> list[str]:
         cells = [replace(c, sync_batchnorm=True) for c in cells]
     head, train = _head_and_train(cfg, "batchnorm")
 
+    memo = TransferMemo()  # one first transfer per seed, shared by every method
     results = {}
     for method in methods:
         results[method] = run_distributed_grid(
             method, source, target, cells, common["seeds"], train_cfg=train,
-            method_cfg=_method_config(cfg, method), **head)
+            method_cfg=_method_config(cfg, method), memo=memo, **head)
 
     rows = []
     for i, cell in enumerate(cells):

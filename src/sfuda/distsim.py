@@ -13,23 +13,12 @@ import numpy as np
 from .core import derive_seed
 from .data import DomainDataset
 from .engine import DEFAULT_GRID, DistConfig, shard_rows, sharded_step
-from .head import (HeadConfig, HeadModel, TrainConfig, backward, evaluate, forward,
-                   init_head, train_supervised)
-from .neighbors import AadConfig, NrcConfig, aad_adapt, nrc_adapt
-from .pcsr import PcsrConfig, pcsr_adapt
-from .shot import ShotConfig, shot_adapt
+from .harness import ADAPT_METHODS, TaskSpec, TransferMemo, first_transfer
+from .head import HeadModel, TrainConfig, backward, evaluate, forward
 
-__all__ = ["DistConfig", "DEFAULT_GRID", "ADAPT_METHODS", "parse_cell",
+__all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell",
            "centralized_gradient", "sharded_gradient", "run_distributed_grid",
            "GridResult"]
-
-# gradient-based adapters; prototype transport has no optimization loop to shard
-ADAPT_METHODS = {
-    "SHOT": (ShotConfig, shot_adapt),
-    "NRC": (NrcConfig, nrc_adapt),
-    "AAD": (AadConfig, aad_adapt),
-    "PCSR": (PcsrConfig, pcsr_adapt),
-}
 
 
 def parse_cell(label: str) -> DistConfig:
@@ -83,9 +72,12 @@ def run_distributed_grid(method: str, source: DomainDataset, target: DomainDatas
                          grid=DEFAULT_GRID, seeds=(0,), norm_kind: str = "batchnorm",
                          activation: str = "relu", hidden_dim: int = 256,
                          train_cfg: TrainConfig | None = None,
-                         method_cfg=None) -> GridResult:
+                         method_cfg=None, memo: TransferMemo | None = None,
+                         ) -> GridResult:
     """Classifier-only source transfer, then one adaptation per (cell, seed)
     with sharded gradients; transductive accuracy per cell, mean over seeds.
+    The transfer is the SFUDA record's, taken from memo (a fresh one when
+    None), so grids of several methods can share it.
     """
     if method == "SCA":
         raise ValueError("SCA has no gradient loop; its result is invariant to "
@@ -99,14 +91,14 @@ def run_distributed_grid(method: str, source: DomainDataset, target: DomainDatas
         raise ValueError("grid cells must share one global batch size")
     cfg_cls, adapt_fn = ADAPT_METHODS[method]
     base_cfg = method_cfg if method_cfg is not None else cfg_cls()
+    memo = memo if memo is not None else TransferMemo()
 
     accs: dict[str, list[float]] = {c.label: [] for c in cells}
     for seed in seeds:
-        head_cfg = HeadConfig(source.d, source.num_classes, hidden_dim,
-                              norm_kind, activation, seed=derive_seed(seed, "head-init"))
-        tr = train_cfg if train_cfg is not None else TrainConfig()
-        tr = replace(tr, seed=derive_seed(seed, "first-transfer"))
-        lp = train_supervised(init_head(head_cfg), source, "classifier_only", tr)
+        spec = TaskSpec("SFUDA", target, source, method, norm_kind=norm_kind,
+                        activation=activation, hidden_dim=hidden_dim, seed=seed,
+                        train=train_cfg)
+        lp = first_transfer(spec, "classifier_only", source, memo)
         for cell in cells:
             mcfg = replace(base_cfg, batch_size=cell.global_batch,
                            seed=derive_seed(seed, "adapt"))

@@ -3,7 +3,8 @@ delta-accuracy and failure-rate reporting, and hyperparameter grids.
 
 Every record carries the classifier-only out-of-domain baseline for its
 (source, target, seed); an adaptation that lands strictly below it is a
-failure. Identical specs reproduce identical accuracies bit for bit.
+failure. Identical specs reproduce identical accuracies bit for bit, and a
+suite trains each distinct first transfer once and shares it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -20,12 +22,21 @@ import numpy as np
 from . import __version__
 from .core import derive_rng, derive_seed
 from .data import DomainDataset
-from .distsim import ADAPT_METHODS
-from .head import (HeadConfig, HeadModel, TrainConfig, evaluate, forward,
-                   init_head, train_supervised)
+from .head import (HeadConfig, HeadModel, TrainConfig, evaluate, init_head,
+                   train_supervised)
+from .neighbors import AadConfig, NrcConfig, aad_adapt, nrc_adapt
+from .pcsr import PcsrConfig, pcsr_adapt
 from .sca import sca_adapt
+from .shot import ShotConfig, shot_adapt
 
 TASKS = ("LP-IDG", "FT-IDG", "LP-ODG", "FT-ODG", "SFUDA", "FT-SFUDA")
+# gradient-based adapters; prototype transport has no optimization loop to shard
+ADAPT_METHODS = {
+    "SHOT": (ShotConfig, shot_adapt),
+    "NRC": (NrcConfig, nrc_adapt),
+    "AAD": (AadConfig, aad_adapt),
+    "PCSR": (PcsrConfig, pcsr_adapt),
+}
 METHODS = ("SCA",) + tuple(ADAPT_METHODS)
 
 
@@ -115,12 +126,56 @@ def _train_cfg(spec: TaskSpec) -> TrainConfig:
     return replace(base, seed=derive_seed(spec.seed, "first-transfer"))
 
 
-def _lp_odg(spec: TaskSpec) -> tuple[HeadModel, float]:
+class TransferMemo:
+    """Values computed once per key and shared while the memo lives: one
+    `run_suite` call, one `sfuda distgrid` command or one standalone
+    `run_task`. A key is a tuple of objects, taken by identity, plus hashable
+    parameters; the memo keeps those objects alive, so no other object can
+    take over their ids. Each key has its own lock, so concurrent callers of
+    one key wait for a single computation. A computation that raises stores
+    nothing: the next caller tries again and gets its own error."""
+
+    def __init__(self):
+        self._guard = threading.Lock()
+        self._slots: dict[tuple, dict] = {}
+
+    def get(self, objects: tuple, params: tuple, make):
+        key = (tuple(map(id, objects)), params)
+        with self._guard:
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = {"lock": threading.Lock(), "pins": objects}
+        with slot["lock"]:
+            if "value" not in slot:
+                slot["value"] = make()
+        return slot["value"]
+
+
+def first_transfer(spec: TaskSpec, scope: str, data: DomainDataset,
+                   memo: TransferMemo) -> HeadModel:
+    """spec's head trained on data at scope, once per memo. The key holds
+    everything the head depends on; callers must not modify the result
+    (every adapter trains a copy)."""
+    head_cfg = _head_config(spec, data.d, data.num_classes)
+    train_cfg = _train_cfg(spec)
+    return memo.get((data,), (scope, dataclasses.astuple(head_cfg),
+                              dataclasses.astuple(train_cfg)),
+                    lambda: train_supervised(init_head(head_cfg), data, scope, train_cfg))
+
+
+def _lp_odg(spec: TaskSpec, memo: TransferMemo) -> tuple[HeadModel, float]:
     """Classifier-only source training scored on the full target; the shared
     baseline. Bitwise identical whether run standalone or inside another task."""
-    head = init_head(_head_config(spec, spec.source.d, spec.source.num_classes))
-    model = train_supervised(head, spec.source, "classifier_only", _train_cfg(spec))
-    return model, evaluate(model, spec.target.features, spec.target.labels)
+    model = first_transfer(spec, "classifier_only", spec.source, memo)
+    return model, memo.get((model, spec.target), ("accuracy",), lambda: evaluate(
+        model, spec.target.features, spec.target.labels))
+
+
+def _idg_split(target: DomainDataset, seed: int) -> tuple[DomainDataset, np.ndarray]:
+    """The in-domain training set (80% per class) and the held-out indices."""
+    tr_idx, te_idx = stratified_split(target.labels, 0.8, derive_rng(seed, "idg-split"))
+    return DomainDataset(target.name + "/train", target.features[tr_idx],
+                         target.labels[tr_idx], target.num_classes), te_idx
 
 
 def _dataset_fingerprint(ds: DomainDataset | None) -> dict | None:
@@ -130,43 +185,34 @@ def _dataset_fingerprint(ds: DomainDataset | None) -> dict | None:
             "features_sha256": _features_hash(ds.features)}
 
 
-def run_task(spec: TaskSpec) -> ExperimentRecord:
-    """Execute one transfer task and score it against the shared baseline."""
+def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentRecord:
+    """Execute one transfer task and score it against the shared baseline.
+    First transfers and the baseline come from memo (a fresh one when None),
+    which changes no result, only how often they are computed."""
     t0 = time.perf_counter()
+    memo = memo if memo is not None else TransferMemo()
     target = spec.target
     method_cfg = None
 
     if spec.task in ("LP-IDG", "FT-IDG"):
-        tr_idx, te_idx = stratified_split(target.labels, 0.8,
-                                          derive_rng(spec.seed, "idg-split"))
-        train_ds = DomainDataset(target.name + "/train",
-                                 target.features[tr_idx], target.labels[tr_idx],
-                                 target.num_classes)
+        train_ds, te_idx = memo.get((target,), ("idg-split", spec.seed),
+                                    lambda: _idg_split(target, spec.seed))
         scope = "classifier_only" if spec.task == "LP-IDG" else "full"
-        head = init_head(_head_config(spec, target.d, target.num_classes))
-        model = train_supervised(head, train_ds, scope, _train_cfg(spec))
+        model = first_transfer(spec, scope, train_ds, memo)
         accuracy = evaluate(model, target.features[te_idx], target.labels[te_idx])
-        baseline = _lp_odg(spec)[1] if spec.source is not None else float("nan")
+        baseline = _lp_odg(spec, memo)[1] if spec.source is not None else float("nan")
 
-    elif spec.task in ("LP-ODG", "FT-ODG"):
-        if spec.task == "LP-ODG":
-            model, accuracy = _lp_odg(spec)
-            baseline = accuracy
-        else:
-            head = init_head(_head_config(spec, spec.source.d, spec.source.num_classes))
-            model = train_supervised(head, spec.source, "full", _train_cfg(spec))
-            accuracy = evaluate(model, target.features, target.labels)
-            baseline = _lp_odg(spec)[1]
+    else:
+        first, baseline = _lp_odg(spec, memo)
+        if spec.task in ("FT-ODG", "FT-SFUDA"):
+            first = first_transfer(spec, "full", spec.source, memo)
 
-    else:  # SFUDA / FT-SFUDA
+    if spec.task == "LP-ODG":
+        accuracy = baseline
+    elif spec.task == "FT-ODG":
+        accuracy = evaluate(first, target.features, target.labels)
+    elif spec.task in ("SFUDA", "FT-SFUDA"):
         feats_hash_in = _features_hash(target.features)
-        if spec.task == "SFUDA":
-            first, baseline = _lp_odg(spec)
-        else:
-            head = init_head(_head_config(spec, spec.source.d, spec.source.num_classes))
-            first = train_supervised(head, spec.source, "full", _train_cfg(spec))
-            baseline = _lp_odg(spec)[1]
-
         if spec.method == "SCA":
             # raw input space under classifier-only transfer, bottleneck after FT
             space = "bottleneck" if spec.task == "FT-SFUDA" else "raw"
@@ -227,25 +273,27 @@ class SuiteResult:
     aggregates: list[dict] = field(default_factory=list)
 
 
-def _run_one(spec: TaskSpec) -> ExperimentRecord:
+def _run_one(spec: TaskSpec, memo: TransferMemo) -> ExperimentRecord:
     try:
-        return run_task(spec)
+        return run_task(spec, memo)
     except Exception as err:  # isolate and record
         return _error_record(spec, err)
 
 
 def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> SuiteResult:
     """Every spec at every seed. A run that raises is recorded as a failure
-    with its reason; the suite never aborts. jobs > 1 fans the independent
-    runs over a thread pool; results keep their spec-order positions."""
+    with its reason; the suite never aborts. Runs share one memo, so each
+    distinct first transfer trains once. jobs > 1 fans the runs over a
+    thread pool; results keep their spec-order positions."""
     seeds = list(seeds)
     flat = [replace(spec, seed=seed) for spec in specs for seed in seeds]
+    memo = TransferMemo()
     if jobs > 1 and len(flat) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one, flat))
+            records = list(pool.map(lambda s: _run_one(s, memo), flat))
     else:
-        records = [_run_one(s) for s in flat]
+        records = [_run_one(s, memo) for s in flat]
     k = len(seeds)
     by_spec = [records[i * k:(i + 1) * k] for i in range(len(specs))]
 

@@ -195,6 +195,12 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
     return logits, feats, cache
 
 
+def _classifier_grads(feats: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of the classifier tensors, given the features it read."""
+    return {"classifier_weight": feats.T @ dlogits,
+            "classifier_bias": dlogits.sum(axis=0)}
+
+
 def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
              ) -> dict[str, np.ndarray]:
     """Analytic gradients of a scalar loss wrt every parameter tensor.
@@ -208,8 +214,7 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
     feats, y, xhat, inv = cache.feats, cache.y, cache.xhat, cache.inv_std
     norm = model.norm
 
-    d_wc = feats.T @ dlogits
-    d_bc = dlogits.sum(axis=0)
+    grads = _classifier_grads(feats, dlogits)
     dfeats = dlogits @ model.classifier_weight.T
 
     if model.activation == "relu":
@@ -238,8 +243,7 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
         "bottleneck_bias": d_b1,
         "gamma": dgamma,
         "beta": dbeta,
-        "classifier_weight": d_wc,
-        "classifier_bias": d_bc,
+        **grads,
     }
 
 
@@ -365,9 +369,10 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
                      cfg: TrainConfig, step_hook=None) -> HeadModel:
     """Label-smoothed cross-entropy training with SGD momentum.
 
-    scope="classifier_only" runs eval-mode forwards, so the bottleneck, the
-    norm parameters, and the batchnorm running statistics stay untouched.
-    scope="full" trains everything with the bottleneck at a tenth of the rate.
+    scope="classifier_only" runs eval-mode forwards and computes only the
+    classifier gradients, so the bottleneck, the norm parameters, and the
+    batchnorm running statistics stay untouched. scope="full" trains
+    everything with the bottleneck at a tenth of the rate.
     """
     if data.labels is None:
         raise ValueError("supervised training needs labels")
@@ -384,9 +389,11 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
     mode = "train" if full else "eval"
 
     def step_grads(rows, _step):
-        logits, _, cache = forward(model, data.features[rows], mode)
+        logits, feats, cache = forward(model, data.features[rows], mode)
         loss, dlogits = cross_entropy(logits, targets[rows])
-        return loss, backward(model, cache, dlogits)
+        if full:
+            return loss, backward(model, cache, dlogits)
+        return loss, _classifier_grads(feats, dlogits)
 
     run_epochs(model, data.n, bs, cfg.epochs, step_grads,
                names=PARAM_NAMES if full else CLASSIFIER_PARAMS,

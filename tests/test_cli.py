@@ -6,6 +6,7 @@ import pytest
 
 from sfuda.cli import main, parse_seeds
 from sfuda.data import load_embeddings
+from sfuda.harness import ADAPT_METHODS
 
 ASSET_TABLE = os.path.join(os.path.dirname(__file__), "..", "assets",
                            "example_results.csv")
@@ -181,6 +182,24 @@ class TestFailureHandling:
         cfg = write_config(tmp_path, cfg_dict)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "no parameter" in capsys.readouterr().err
+
+    def test_errored_records_set_the_exit_status(self, tmp_path, capsys, monkeypatch):
+        cfg_cls, _ = ADAPT_METHODS["SHOT"]
+
+        def raising(model, feats, cfg, dist=None):
+            raise RuntimeError("adapter broke")
+
+        monkeypatch.setitem(ADAPT_METHODS, "SHOT", (cfg_cls, raising))
+        cfg = {**base_config(), "tasks": ["LP-ODG", "SFUDA"], "methods": ["SHOT"]}
+        out = tmp_path / "out"
+        assert main(["suite", "--config", write_config(tmp_path, cfg), "--seed", "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if ln.startswith("error:")] == \
+            ["error: 1 of 2 records raised (see the error column of records.csv)"]
+        rows = read_rows(out / "records.csv")
+        assert [r["error"] for r in rows] == ["", "RuntimeError: adapter broke"]
+        assert (out / "manifest.json").exists() and (out / "aggregates.csv").exists()
 
     def test_partial_outputs_are_removed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

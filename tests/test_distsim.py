@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sfuda.harness
 from conftest import max_rel_err
 from sfuda.core import make_rng
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.distsim import (ADAPT_METHODS, GridResult, centralized_gradient,
                            parse_cell, run_distributed_grid, sharded_gradient)
 from sfuda.engine import DEFAULT_GRID, DistConfig, effective_batch, shard_rows
+from sfuda.harness import TransferMemo
 from sfuda.head import (PARAM_NAMES, HeadConfig, TrainConfig, init_head,
                         train_supervised)
 from sfuda.neighbors import AadConfig
@@ -156,6 +158,28 @@ class TestDistributedGrid:
             assert row["local_batch"] == cell.local_batch
             assert len(row["accuracies"]) == 1
             assert row["std"] == 0.0
+
+    def test_methods_sharing_a_memo_train_one_transfer_per_seed(self, monkeypatch):
+        src, tgt = self.grid_pair()
+        kw = dict(grid=(DistConfig(1, 16), DistConfig(4, 4)), seeds=(0, 1),
+                  hidden_dim=16, train_cfg=TrainConfig(epochs=4))
+        cfgs = {"SHOT": ShotConfig(epochs=1, batch_size=16),
+                "AAD": AadConfig(epochs=1, batch_size=16)}
+        alone = {m: run_distributed_grid(m, src, tgt, method_cfg=c, **kw).rows
+                 for m, c in cfgs.items()}
+        calls = []
+        real = sfuda.harness.train_supervised
+
+        def spy(model, data, scope, cfg, step_hook=None):
+            calls.append(cfg.seed)
+            return real(model, data, scope, cfg, step_hook)
+
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
+        memo = TransferMemo()
+        shared = {m: run_distributed_grid(m, src, tgt, method_cfg=c, memo=memo, **kw).rows
+                  for m, c in cfgs.items()}
+        assert len(calls) == len(set(calls)) == 2
+        assert shared == alone
 
     def test_prototype_transport_is_rejected_as_layout_invariant(self):
         src, tgt = self.grid_pair()

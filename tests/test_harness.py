@@ -1,17 +1,19 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sfuda.harness
 from sfuda.core import make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
-from sfuda.distsim import ADAPT_METHODS
-from sfuda.harness import (ExperimentRecord, SuiteResult, TaskSpec,
+from sfuda.harness import (ADAPT_METHODS, ExperimentRecord, SuiteResult, TaskSpec,
                            failure_report, format_mean_std,
                            hyperparameter_grid, run_suite, run_task,
                            stratified_split)
 from sfuda.head import TrainConfig
 from sfuda.neighbors import NrcConfig
+from sfuda.pcsr import PcsrConfig
 from sfuda.shot import ShotConfig
 
 
@@ -219,6 +221,84 @@ class TestSuite:
         rec, = run_suite([spec], [0]).records
         assert rec.failed is True
         assert "adapter modified the target features" in rec.error
+
+
+class TrainSpy:
+    """Stands in for harness.train_supervised: logs each call's (scope,
+    training data bytes, seed) and raises on the calls fail(scope, data)
+    picks."""
+
+    def __init__(self, fail=lambda scope, data: False):
+        self.real = sfuda.harness.train_supervised
+        self.fail = fail
+        self.calls = []
+        self.lock = threading.Lock()
+
+    def __call__(self, model, data, scope, cfg, step_hook=None):
+        with self.lock:
+            self.calls.append((scope, data.features.tobytes() + data.labels.tobytes(),
+                               cfg.seed))
+        if self.fail(scope, data):
+            raise RuntimeError("first transfer broke")
+        return self.real(model, data, scope, cfg, step_hook)
+
+
+def scores(rec):
+    return np.array([rec.accuracy, rec.baseline_lp_odg, rec.delta]).tobytes()
+
+
+class TestSharedFirstTransfer:
+    """A suite trains each distinct first transfer once and shares it; no
+    record's numbers move by a bit against running it alone."""
+
+    @staticmethod
+    def specs(src, tgt):
+        common = dict(target=tgt, source=src, hidden_dim=16,
+                      train=TrainConfig(epochs=4))
+        shot = ShotConfig(epochs=2, batch_size=16)
+        return [TaskSpec(task="LP-IDG", **common),
+                TaskSpec(task="LP-ODG", **common),
+                TaskSpec(task="FT-ODG", **common),
+                TaskSpec(task="SFUDA", method="SCA", **common),
+                TaskSpec(task="SFUDA", method="SHOT", method_config=shot, **common),
+                TaskSpec(task="SFUDA", method="PCSR",
+                         method_config=PcsrConfig(epochs=2, batch_size=16), **common),
+                TaskSpec(task="FT-SFUDA", method="SHOT", method_config=shot, **common)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_training_per_distinct_transfer_and_standalone_scores(
+            self, monkeypatch, jobs):
+        src, tgt = small_shifted_pair()
+        specs = self.specs(src, tgt)
+        spy = TrainSpy()
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
+        result = run_suite(specs, [0, 1], jobs=jobs)
+        # per seed: LP on the in-domain split, LP and FT on the source
+        assert len(spy.calls) == len(set(spy.calls)) == 6
+        assert all(r.error is None for r in result.records)
+        alone = [run_task(replace(spec, seed=seed)) for spec in specs for seed in (0, 1)]
+        assert [scores(r) for r in result.records] == [scores(r) for r in alone]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_raising_transfer_fails_every_record_that_needs_it(
+            self, monkeypatch, jobs):
+        src, tgt = small_shifted_pair()
+        needs_lp = self.specs(src, tgt)[1:]
+        no_source = TaskSpec(task="LP-IDG", target=tgt, hidden_dim=16,
+                             train=TrainConfig(epochs=4))
+        spy = TrainSpy(fail=lambda scope, data: scope == "classifier_only"
+                       and data is src)
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
+        result = run_suite([no_source] + needs_lp, [0], jobs=jobs)
+        kept, *broken = result.records
+        assert [r.error for r in broken] == \
+            ["RuntimeError: first transfer broke"] * len(needs_lp)
+        # a failure is not stored: each record retried and got its own error
+        assert sum(scope == "classifier_only" and data.startswith(src.features.tobytes())
+                   for scope, data, _ in spy.calls) == len(needs_lp)
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy.real)
+        assert kept.error is None
+        assert scores(kept) == scores(run_task(no_source))
 
 
 class TestFormatting:

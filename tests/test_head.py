@@ -5,7 +5,7 @@ import pytest
 
 import sfuda.head
 from conftest import fd_param_grads, grad_gap, max_rel_err, tiny_model
-from sfuda.core import make_rng
+from sfuda.core import derive_rng, make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
 from sfuda.head import (BOTTLENECK_PARAMS, CLASSIFIER_PARAMS, PARAM_NAMES,
@@ -196,15 +196,20 @@ class TestTraining:
 
     def test_classifier_only_never_touches_bottleneck_bytes(self):
         src, _ = gen_gaussian_pair(3, 6, 40, 3.0, ShiftSpec.identity(6), make_rng(20))
-        model = init_head(HeadConfig(6, 3, hidden_dim=12, norm_kind="batchnorm", seed=0))
-        out = train_supervised(model, src, "classifier_only",
-                               TrainConfig(epochs=5, seed=0))
-        for name in BOTTLENECK_PARAMS:
-            np.testing.assert_array_equal(out.params()[name], model.params()[name])
-        np.testing.assert_array_equal(out.norm.running_mean, model.norm.running_mean)
-        np.testing.assert_array_equal(out.norm.running_var, model.norm.running_var)
-        assert any(not np.array_equal(out.params()[n], model.params()[n])
-                   for n in CLASSIFIER_PARAMS)
+        for norm in ("batchnorm", "layernorm"):
+            for act in ("relu", "gelu"):
+                model = init_head(HeadConfig(6, 3, hidden_dim=12, norm_kind=norm,
+                                             activation=act, seed=0))
+                out = train_supervised(model, src, "classifier_only",
+                                       TrainConfig(epochs=5, seed=0))
+                for name in BOTTLENECK_PARAMS:
+                    assert out.params()[name].tobytes() == model.params()[name].tobytes()
+                for stat in ("running_mean", "running_var"):
+                    before, after = getattr(model.norm, stat), getattr(out.norm, stat)
+                    assert (before is None and after is None) or \
+                        after.tobytes() == before.tobytes()
+                assert any(not np.array_equal(out.params()[n], model.params()[n])
+                           for n in CLASSIFIER_PARAMS)
 
     def test_zero_learning_rate_is_a_bitwise_noop(self):
         src, _ = gen_gaussian_pair(3, 6, 40, 3.0, ShiftSpec.identity(6), make_rng(21))
@@ -370,6 +375,43 @@ class TestOneLoop:
                   NrcConfig(epochs=2, batch_size=16, learning_rate=0.05),
                   dist=DistConfig(workers, 16 // workers))
         self.check(steps, 2 * 4, 0.05, "inverse-decay", PARAM_NAMES)
+
+
+class TestClassifierOnlyGradients:
+    """A classifier-only step computes the classifier gradients alone, with
+    the expressions backward uses, so they match it bit for bit."""
+
+    @staticmethod
+    def setup(norm, act, n):
+        rng = make_rng(60)
+        model = init_head(HeadConfig(20, 7, hidden_dim=32, norm_kind=norm,
+                                     activation=act, seed=1))
+        model.norm.gamma[:] = rng.uniform(0.5, 1.5, 32)
+        model.norm.beta[:] = rng.normal(scale=0.3, size=32)
+        if norm == "batchnorm":
+            model.norm.running_mean = rng.normal(size=32)
+            model.norm.running_var = rng.uniform(0.5, 2.0, 32)
+        data = DomainDataset("d", rng.normal(size=(n, 20)),
+                             rng.integers(0, 7, n), 7)
+        return model, data
+
+    @pytest.mark.parametrize("norm", ["batchnorm", "layernorm"])
+    @pytest.mark.parametrize("act", ["relu", "gelu"])
+    @pytest.mark.parametrize("b", [1, 2, 64])
+    def test_step_grads_equal_backward_bitwise(self, norm, act, b):
+        model, data = self.setup(norm, act, 64)
+        cfg = TrainConfig(epochs=1, batch_size=b, seed=9)
+        seen = []
+        train_supervised(model, data, "classifier_only", cfg,
+                         step_hook=lambda _s, _l, grads: seen.append(grads))
+        # the first step reads the untrained model: replay it through backward
+        rows = derive_rng(cfg.seed, "train-shuffle").permutation(64)[:b]
+        logits, _, cache = forward(model, data.features[rows], "eval")
+        targets = smoothed_targets(data.labels, 7, cfg.label_smoothing)[rows]
+        want = backward(model, cache, cross_entropy(logits, targets)[1])
+        assert len(seen) == 64 // b and sorted(seen[0]) == sorted(CLASSIFIER_PARAMS)
+        for name in CLASSIFIER_PARAMS:
+            assert seen[0][name].tobytes() == want[name].tobytes()
 
 
 class TestAdabn:

@@ -1,8 +1,10 @@
 """The benchmark's traced run (`perfbench/launch.py --trace`) wraps layer
 functions by name and binds their argument names, so a refactor that renames
 either makes the traced run fail. Both CLI workloads it traces run here on
-tiny configs."""
+tiny configs, and the benchmark's own summary of their spans pins the number
+of first transfers trained."""
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +14,15 @@ from pathlib import Path
 import pytest
 
 LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
+
+
+def summarize(spans):
+    """perfbench/tracer.py's per-layer metrics of a span dump."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  LAUNCH.parent / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.summarize(spans)[0]
 
 DATA = {"generate": {"num_classes": 3, "dim": 5, "n_per_class": 16,
                      "class_sep": 3.0, "seed": 0, "shift": {"mean_shift": 0.3}}}
@@ -38,16 +49,19 @@ def test_traced_cli_run_succeeds(tmp_path, command, cfg):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
     spans = tmp_path / "spans.json"
+    seeds = [0] if command == "suite" else [0, 1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, str(LAUNCH), "--marks", str(tmp_path / "marks.json"),
          "--trace", str(spans), "--", command, "--config", str(config),
-         "--seed", "0", "--out", str(tmp_path / "out")],
+         "--seeds", ",".join(map(str, seeds)), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(spans.read_text())
+    metrics = summarize(json.loads(spans.read_text()))
+    # SFUDA records (suite) and methods (distgrid) share one LP per seed
+    assert metrics["head.train_supervised.calls"] == len(seeds)
+    assert metrics["harness.first_transfer.useful_ratio"] == 1.0
     if command == "suite":
-        # run_suite records a raising run instead of exiting nonzero
         with open(tmp_path / "out" / "records.csv", newline="") as fh:
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
         assert len(rows) == 3
