@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import make_rng
@@ -253,11 +254,23 @@ def _stamp(chash: str) -> str:
     return f"# sfuda {__version__} config {chash[:12]}\n"
 
 
+def _blas_build() -> str:
+    """numpy's BLAS as "name version"; "unknown" where numpy predates
+    show_config(mode="dicts") or does not report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 def _manifest(cfg: dict, common: dict, chash: str, command: str) -> str:
+    # provenance is not hashed: the numeric environment is recorded, not compared
     doc = {"config": cfg,
            "provenance": {"toolkit_version": __version__, "config_sha256": chash,
                           "command": command, "seeds": common["seeds"],
-                          "format": common["format"]}}
+                          "format": common["format"], "numpy": np.__version__,
+                          "scipy": scipy.__version__, "blas": _blas_build()}}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -412,7 +425,7 @@ def cmd_sweep(args) -> list[str]:
     head, train = _head_and_train(cfg, "layernorm")
     spec = TaskSpec(task=section.get("task", "SFUDA"), method=method, target=target,
                     source=source, train=train, **head)
-    grid = hyperparameter_grid(method, params, [spec], common["seeds"])
+    grid = hyperparameter_grid(method, params, [spec], common["seeds"], common["jobs"])
 
     names = grid["params"]
     rows = [{**{n: row["combo"][n] for n in names},

@@ -9,12 +9,16 @@ suite trains each distinct first transfer once and shares it.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -178,11 +182,14 @@ def _idg_split(target: DomainDataset, seed: int) -> tuple[DomainDataset, np.ndar
                          target.labels[tr_idx], target.num_classes), te_idx
 
 
-def _dataset_fingerprint(ds: DomainDataset | None) -> dict | None:
+def _dataset_fingerprint(ds: DomainDataset | None, memo: TransferMemo) -> dict | None:
+    """ds's manifest entry, hashed once per memo (the hash covers every
+    feature byte, and a suite shares its datasets across records)."""
     if ds is None:
         return None
-    return {"name": ds.name, "n": ds.n, "d": ds.d, "num_classes": ds.num_classes,
-            "features_sha256": _features_hash(ds.features)}
+    return memo.get((ds,), ("fingerprint",), lambda: {
+        "name": ds.name, "n": ds.n, "d": ds.d, "num_classes": ds.num_classes,
+        "features_sha256": _features_hash(ds.features)})
 
 
 def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentRecord:
@@ -193,6 +200,9 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
     memo = memo if memo is not None else TransferMemo()
     target = spec.target
     method_cfg = None
+    # taken before any adapter of the memo's suite can see the target
+    fingerprints = {"source": _dataset_fingerprint(spec.source, memo),
+                    "target": _dataset_fingerprint(target, memo)}
 
     if spec.task in ("LP-IDG", "FT-IDG"):
         train_ds, te_idx = memo.get((target,), ("idg-split", spec.seed),
@@ -212,7 +222,6 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
     elif spec.task == "FT-ODG":
         accuracy = evaluate(first, target.features, target.labels)
     elif spec.task in ("SFUDA", "FT-SFUDA"):
-        feats_hash_in = _features_hash(target.features)
         if spec.method == "SCA":
             # raw input space under classifier-only transfer, bottleneck after FT
             space = "bottleneck" if spec.task == "FT-SFUDA" else "raw"
@@ -225,7 +234,7 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
             adapted = adapt_fn(first, target.features, method_cfg)
             accuracy = evaluate(adapted, target.features, target.labels)
         # transductive contract: we score exactly the matrix the adapter saw
-        if _features_hash(target.features) != feats_hash_in:
+        if _features_hash(target.features) != fingerprints["target"]["features_sha256"]:
             raise RuntimeError("adapter modified the target features")
 
     delta = accuracy - baseline
@@ -239,8 +248,7 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
         "seed": spec.seed,
         "train": dataclasses.asdict(spec.train) if spec.train else dataclasses.asdict(TrainConfig()),
         "method_config": dataclasses.asdict(method_cfg) if method_cfg is not None else None,
-        "source": _dataset_fingerprint(spec.source),
-        "target": _dataset_fingerprint(spec.target),
+        **fingerprints,
         "toolkit_version": __version__,
     }
     return ExperimentRecord(
@@ -280,17 +288,74 @@ def _run_one(spec: TaskSpec, memo: TransferMemo) -> ExperimentRecord:
         return _error_record(spec, err)
 
 
+def _openblas_libraries() -> list[str]:
+    """Paths of the OpenBLAS builds mapped into this process (numpy's and
+    scipy's wheels each bundle one); empty where /proc/self/maps is absent."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    return sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+
+
+def _blas_thread_controls() -> list[tuple]:
+    """(set, get) of each loaded OpenBLAS's thread count, under whichever
+    of the symbol names its build exports."""
+    controls = []
+    for path in _openblas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _blas_thread_cap(workers: int):
+    """While `workers` threads each call BLAS, give each library at most its
+    share of the usable cores, so workers times BLAS threads does not exceed
+    them; a count already lower stays. Every changed count is restored on
+    exit. No effect where no OpenBLAS is found."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    share = max(1, cpus // workers)
+    changed = []
+    try:
+        for setter, getter in _blas_thread_controls():
+            before = getter()
+            if share < before:
+                setter(share)
+                changed.append((setter, before))
+        yield
+    finally:
+        for setter, before in changed:
+            setter(before)
+
+
 def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> SuiteResult:
     """Every spec at every seed. A run that raises is recorded as a failure
     with its reason; the suite never aborts. Runs share one memo, so each
     distinct first transfer trains once. jobs > 1 fans the runs over a
-    thread pool; results keep their spec-order positions."""
+    thread pool, with BLAS threads capped for its lifetime (results do not
+    depend on the BLAS thread count); results keep their spec-order
+    positions."""
     seeds = list(seeds)
     flat = [replace(spec, seed=seed) for spec in specs for seed in seeds]
     memo = TransferMemo()
-    if jobs > 1 and len(flat) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(flat))
+    if workers > 1:
+        with _blas_thread_cap(workers), ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda s: _run_one(s, memo), flat))
     else:
         records = [_run_one(s, memo) for s in flat]
@@ -349,8 +414,10 @@ def failure_report(records: list[ExperimentRecord], group_by: str,
 
 
 def hyperparameter_grid(method: str, param_grid: dict, specs: list[TaskSpec],
-                        seeds) -> dict:
-    """Mean accuracy for every combination of the swept method parameters."""
+                        seeds, jobs: int = 1) -> dict:
+    """Mean accuracy for every combination of the swept method parameters.
+    Every combination runs in one suite, so each first transfer trains once
+    per seed, not once per combination."""
     if method == "SCA":
         raise ValueError("SCA exposes no swept hyperparameters")
     if method not in ADAPT_METHODS:
@@ -365,15 +432,18 @@ def hyperparameter_grid(method: str, param_grid: dict, specs: list[TaskSpec],
             raise ValueError("every spec in a sweep must use the swept method")
 
     names = list(param_grid)
+    combos = [dict(zip(names, combo))
+              for combo in itertools.product(*(param_grid[n] for n in names))]
+    seeds = list(seeds)
+    swept = [replace(s, method_config=cfg_cls(**combo)) for combo in combos for s in specs]
+    records = run_suite(swept, seeds, jobs).records
+    per_combo = len(specs) * len(seeds)  # records are spec-major
     rows = []
-    for combo in itertools.product(*(param_grid[n] for n in names)):
-        override = dict(zip(names, combo))
-        cfg = cfg_cls(**override)
-        swept = [replace(s, method_config=cfg) for s in specs]
-        result = run_suite(swept, seeds)
-        vals = np.array([r.accuracy for r in result.records if np.isfinite(r.accuracy)])
-        rows.append({"combo": override,
+    for i, combo in enumerate(combos):
+        group = records[i * per_combo:(i + 1) * per_combo]
+        vals = np.array([r.accuracy for r in group if np.isfinite(r.accuracy)])
+        rows.append({"combo": combo,
                      "mean": float(vals.mean()) if vals.size else float("nan"),
                      "n_ok": int(vals.size),
-                     "n_total": len(result.records)})
+                     "n_total": len(group)})
     return {"method": method, "params": names, "rows": rows}

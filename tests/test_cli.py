@@ -128,6 +128,18 @@ class TestSuite:
         assert code == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
+    def test_manifest_records_the_numeric_environment(self, tmp_path):
+        cfg = write_config(tmp_path, self.suite_config())
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["suite", "--config", cfg, "--seeds", "0,1", "--out", str(a)]) == 0
+        prov = json.loads((a / "manifest.json").read_text())["provenance"]
+        assert prov["numpy"] == np.__version__
+        assert prov["scipy"] and prov["blas"]
+        assert main(["suite", "--config", str(a / "manifest.json"),
+                     "--seeds", "0,1", "--out", str(b)]) == 0
+        for name in ("records.csv", "aggregates.csv", "manifest.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_jobs_flag_does_not_change_results(self, tmp_path):
         cfg = write_config(tmp_path, self.suite_config())
         a, b = tmp_path / "a", tmp_path / "b"
@@ -226,6 +238,18 @@ class TestSweepCommand:
         assert len(rows) == 4
         assert all(np.isfinite(float(r["mean"])) for r in rows)
         assert [r["epochs"] for r in rows] == ["1", "1", "2", "2"]
+
+
+    def test_jobs_flag_does_not_change_the_sweep(self, tmp_path):
+        cfg_dict = base_config()
+        cfg_dict["sweep"] = {"method": "SHOT",
+                             "params": {"epochs": [1, 2], "ce_weight": [0.0, 0.3]}}
+        cfg = write_config(tmp_path, cfg_dict)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", cfg, "--seeds", "0,1", "--out", str(a)]) == 0
+        assert main(["sweep", "--config", cfg, "--seeds", "0,1", "--jobs", "2",
+                     "--out", str(b)]) == 0
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
 class TestStatsCommand:

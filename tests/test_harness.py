@@ -1,3 +1,4 @@
+import os
 import threading
 from dataclasses import replace
 
@@ -222,6 +223,31 @@ class TestSuite:
         assert rec.failed is True
         assert "adapter modified the target features" in rec.error
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_dataset_is_hashed_once_per_suite(self, monkeypatch, jobs):
+        src, tgt = small_shifted_pair()
+        calls = []
+        real = sfuda.harness._features_hash
+
+        def spy(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(sfuda.harness, "_features_hash", spy)
+        common = dict(target=tgt, source=src, hidden_dim=16, train=TrainConfig(epochs=2))
+        shot = ShotConfig(epochs=1)
+        specs = [TaskSpec(task="LP-IDG", **common), TaskSpec(task="LP-ODG", **common),
+                 TaskSpec(task="SFUDA", method="SCA", **common),
+                 TaskSpec(task="SFUDA", method="SHOT", method_config=shot, **common),
+                 TaskSpec(task="FT-SFUDA", method="SHOT", method_config=shot, **common)]
+        records = run_suite(specs, [0, 1], jobs=jobs).records
+        assert all(r.error is None for r in records)
+        # source and target once each, plus one "after" hash per adapted record
+        assert len(calls) == 2 + 3 * 2
+        for r in records:
+            assert r.manifest["source"]["features_sha256"] == real(src.features)
+            assert r.manifest["target"]["features_sha256"] == real(tgt.features)
+
 
 class TrainSpy:
     """Stands in for harness.train_supervised: logs each call's (scope,
@@ -301,6 +327,133 @@ class TestSharedFirstTransfer:
         assert scores(kept) == scores(run_task(no_source))
 
 
+BLAS = sfuda.harness._blas_thread_controls()
+needs_openblas = pytest.mark.skipif(not BLAS, reason="no loaded OpenBLAS found")
+
+
+def usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def blas_counts():
+    return [get() for _, get in BLAS]
+
+
+class Abort(BaseException):
+    """Escapes run_suite's per-record isolation, which catches Exception."""
+
+
+class TestBlasThreadCap:
+    """A suite's thread pool caps BLAS threads at the workers' share of the
+    cores for its lifetime and restores them after; serial suites leave
+    them alone, and no result depends on the count."""
+
+    @pytest.fixture
+    def full_threads(self):
+        """Every OpenBLAS at one thread per usable core, restored after."""
+        cpus = usable_cpus()
+        if cpus < 2:
+            pytest.skip("a cap needs at least two usable cores to show")
+        before = blas_counts()
+        for setter, _ in BLAS:
+            setter(cpus)
+        yield cpus
+        for (setter, _), n in zip(BLAS, before):
+            setter(n)
+
+    @staticmethod
+    def spy_counts(monkeypatch, raises=None):
+        """Logs the BLAS thread counts each first transfer sees."""
+        seen = []
+        real = sfuda.harness.train_supervised
+
+        def spy(model, data, scope, cfg, step_hook=None):
+            seen.append(blas_counts())
+            if raises is not None:
+                raise raises
+            return real(model, data, scope, cfg, step_hook)
+
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
+        return seen
+
+    @staticmethod
+    def two_records():
+        src, tgt = small_shifted_pair()
+        return [TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16,
+                         train=TrainConfig(epochs=2))], [0, 1]
+
+    @needs_openblas
+    def test_pool_workers_see_their_share_and_the_count_comes_back(
+            self, monkeypatch, full_threads):
+        seen = self.spy_counts(monkeypatch)
+        result = run_suite(*self.two_records(), jobs=2)
+        assert all(r.error is None for r in result.records)
+        assert seen == [[min(full_threads, full_threads // 2)] * len(BLAS)] * 2
+        assert blas_counts() == [full_threads] * len(BLAS)
+
+    @needs_openblas
+    def test_count_comes_back_when_records_raise(self, monkeypatch, full_threads):
+        self.spy_counts(monkeypatch, raises=RuntimeError("boom"))
+        result = run_suite(*self.two_records(), jobs=2)
+        assert [r.error for r in result.records] == ["RuntimeError: boom"] * 2
+        assert blas_counts() == [full_threads] * len(BLAS)
+        self.spy_counts(monkeypatch, raises=Abort())
+        with pytest.raises(Abort):
+            run_suite(*self.two_records(), jobs=2)
+        assert blas_counts() == [full_threads] * len(BLAS)
+
+    @needs_openblas
+    @pytest.mark.parametrize("jobs,n_seeds", [(1, 2), (2, 1)])
+    def test_a_suite_without_a_pool_leaves_the_count_alone(
+            self, monkeypatch, full_threads, jobs, n_seeds):
+        seen = self.spy_counts(monkeypatch)
+        specs, seeds = self.two_records()
+        run_suite(specs, seeds[:n_seeds], jobs=jobs)
+        assert seen == [[full_threads] * len(BLAS)] * n_seeds
+
+    @needs_openblas
+    def test_no_library_found_means_no_cap(self, monkeypatch, full_threads):
+        monkeypatch.setattr(sfuda.harness, "_openblas_libraries", lambda: [])
+        assert sfuda.harness._blas_thread_controls() == []
+        seen = self.spy_counts(monkeypatch)
+        run_suite(*self.two_records(), jobs=2)
+        assert seen == [[full_threads] * len(BLAS)] * 2
+
+    def test_the_cap_never_raises_a_count(self, monkeypatch):
+        counts = {"low": 1, "high": 16}
+        log = []
+
+        def control(name):
+            def setter(n):
+                log.append((name, n))
+                counts[name] = n
+            return setter, lambda: counts[name]
+
+        monkeypatch.setattr(sfuda.harness, "_blas_thread_controls",
+                            lambda: [control("low"), control("high")])
+        monkeypatch.setattr(sfuda.harness.os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        with sfuda.harness._blas_thread_cap(2):
+            assert counts == {"low": 1, "high": 4}
+        assert log == [("high", 4), ("high", 16)]
+
+    def test_blas_thread_count_changes_no_result_byte(self):
+        # big enough that OpenBLAS splits its GEMMs over threads at jobs 1
+        shift = ShiftSpec(np.full(128, 0.2), np.ones(128), np.zeros(128))
+        src, tgt = gen_gaussian_pair(4, 128, 250, 3.0, shift, make_rng(3))
+        common = dict(target=tgt, source=src, hidden_dim=128, train=TrainConfig(epochs=1))
+        specs = [TaskSpec(task="FT-ODG", **common),
+                 TaskSpec(task="SFUDA", method="SHOT",
+                          method_config=ShotConfig(epochs=1), **common)]
+        serial = run_suite(specs, [0, 1], jobs=1)
+        pooled = run_suite(specs, [0, 1], jobs=2)
+        assert all(r.error is None for r in serial.records)
+        assert [scores(r) for r in serial.records] == [scores(r) for r in pooled.records]
+
+
 class TestFormatting:
     def test_mean_std_rendering(self):
         assert format_mean_std(88.5, 0.7071067811865476, 2) == "88.5 ± 0.7"
@@ -378,6 +531,18 @@ class TestHyperparameterGrid:
         out = hyperparameter_grid("NRC", {"K": [3]}, [spec], [0])
         direct = run_suite([replace(spec, method_config=NrcConfig(K=3))], [0])
         assert out["rows"][0]["mean"] == direct.records[0].accuracy
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_first_transfer_per_seed_across_combinations(self, monkeypatch, jobs):
+        _, _, spec = self.sweep_fixture()
+        grid = {"K": [2, 3, 4], "KK": [2, 3]}
+        expected = hyperparameter_grid("NRC", grid, [spec], [0, 1])
+        spy = TrainSpy()
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
+        out = hyperparameter_grid("NRC", grid, [spec], [0, 1], jobs=jobs)
+        assert len(spy.calls) == len(set(spy.calls)) == 2
+        assert out == expected
+        assert [r["n_total"] for r in out["rows"]] == [2] * 6
 
     def test_unknown_parameter_rejected(self):
         _, _, spec = self.sweep_fixture()
