@@ -26,9 +26,9 @@ from . import __version__
 from .core import make_rng
 from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
                    labels_text, load_embeddings, load_results_table)
-from .distsim import parse_cell, run_distributed_grid
+from .distsim import parse_cell, run_distributed_grids
 from .engine import DEFAULT_GRID
-from .harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, TransferMemo,
+from .harness import (ADAPT_METHODS, ExperimentRecord, SuiteResult, TaskSpec,
                       failure_report, hyperparameter_grid, run_suite, run_task)
 from .head import TrainConfig
 from .stats import fit_linear, fit_multilinear
@@ -161,7 +161,7 @@ def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
 
 
 def _method_config(cfg: dict, method: str):
-    if method == "SCA":
+    if method not in ADAPT_METHODS:  # SCA has no config; runners reject unknown names
         return None
     cfg_cls, _ = ADAPT_METHODS[method]
     overrides = cfg.get("method_configs", {}).get(method, {})
@@ -293,6 +293,18 @@ def _emit(out_dir: str, files: dict[str, str | bytes]) -> list[str]:
     return written
 
 
+def _write(cfg: dict, common: dict, command: str, tables: dict,
+           chash: str | None = None) -> list[str]:
+    """Each table (name -> (rows, columns)) as name.FORMAT, stamped with
+    chash (default: cfg's config hash), then manifest.json for cfg."""
+    chash = chash or config_hash(cfg, common)
+    fmt = common["format"]
+    files = {f"{name}.{fmt}": _table(rows, columns, fmt, _stamp(chash))
+             for name, (rows, columns) in tables.items()}
+    files["manifest.json"] = _manifest(cfg, common, chash, command)
+    return _emit(common["out_dir"], files)
+
+
 def cmd_gen_data(args) -> list[str]:
     cfg = load_config(args.config)
     common = resolve_common(args, cfg)
@@ -314,22 +326,15 @@ def cmd_gen_data(args) -> list[str]:
     return paths
 
 
-def _suite_outputs(cfg, common, result, command):
-    chash = config_hash(cfg, common)
-    stamp = _stamp(chash)
-    fmt = common["format"]
-    ext = fmt
-    files = {
-        f"records.{ext}": _table(_record_rows(result.records), RECORD_COLUMNS, fmt, stamp),
-        "manifest.json": _manifest(cfg, common, chash, command),
-    }
+def _suite_tables(result: SuiteResult) -> dict:
+    tables = {"records": (_record_rows(result.records), RECORD_COLUMNS)}
     if result.aggregates:
-        agg_rows = [{**a, "mean": _fmt_float(a["mean"]), "std": _fmt_float(a["std"])}
-                    for a in result.aggregates]
-        files[f"aggregates.{ext}"] = _table(
-            agg_rows, ["task", "method", "source", "target", "norm_kind",
-                       "n_seeds", "n_ok", "mean", "std", "summary"], fmt, stamp)
-    return files
+        tables["aggregates"] = (
+            [{**a, "mean": _fmt_float(a["mean"]), "std": _fmt_float(a["std"])}
+             for a in result.aggregates],
+            ["task", "method", "source", "target", "norm_kind", "n_seeds", "n_ok",
+             "mean", "std", "summary"])
+    return tables
 
 
 def cmd_run(args) -> list[str]:
@@ -342,9 +347,7 @@ def cmd_run(args) -> list[str]:
     if len(common["seeds"]) != 1:
         raise CliError("run expects exactly one seed; use suite for sweeps")
     rec = run_task(replace(specs[0], seed=common["seeds"][0]))
-    from .harness import SuiteResult
-    files = _suite_outputs(cfg, common, SuiteResult([rec]), "run")
-    paths = _emit(common["out_dir"], files)
+    paths = _write(cfg, common, "run", _suite_tables(SuiteResult([rec])))
     print(f"{rec.task}{'/' + rec.method if rec.method else ''} seed {rec.seed}: "
           f"accuracy {rec.accuracy:.2f} (baseline {rec.baseline_lp_odg:.2f}, "
           f"{'FAILED' if rec.failed else 'ok'})")
@@ -357,8 +360,7 @@ def cmd_suite(args) -> list[str]:
     source, target = datasets_from_config(cfg)
     specs = build_specs(cfg, source, target)
     result = run_suite(specs, common["seeds"], jobs=common["jobs"])
-    files = _suite_outputs(cfg, common, result, "suite")
-    paths = _emit(common["out_dir"], files)
+    paths = _write(cfg, common, "suite", _suite_tables(result))
     for agg in result.aggregates:
         label = agg["task"] + (f"/{agg['method']}" if agg["method"] else "")
         print(f"{label:>16s}  {agg['summary']}")
@@ -381,32 +383,27 @@ def cmd_distgrid(args) -> list[str]:
     if section.get("sync_batchnorm"):
         cells = [replace(c, sync_batchnorm=True) for c in cells]
     head, train = _head_and_train(cfg, "batchnorm")
-
-    memo = TransferMemo()  # one first transfer per seed, shared by every method
-    results = {}
-    for method in methods:
-        results[method] = run_distributed_grid(
-            method, source, target, cells, common["seeds"], train_cfg=train,
-            method_cfg=_method_config(cfg, method), memo=memo, **head)
+    results, errors = run_distributed_grids(
+        methods, source, target, cells, common["seeds"], train_cfg=train,
+        method_cfgs={m: _method_config(cfg, m) for m in methods},
+        jobs=common["jobs"], **head)
 
     rows = []
     for i, cell in enumerate(cells):
         row = {"cell": cell.label, "workers": cell.workers,
                "local_batch": cell.local_batch}
-        for method in methods:
-            r = results[method].rows[i]
-            row[method] = f"{r['mean']:.2f} ± {r['std']:.2f}"
+        for res in results:
+            r = res.rows[i]
+            row[res.method] = f"{r['mean']:.2f} ± {r['std']:.2f}"
         rows.append(row)
-    chash = config_hash(cfg, common)
-    fmt = common["format"]
-    files = {
-        f"distgrid.{fmt}": _table(rows, ["cell", "workers", "local_batch"] + methods,
-                                  fmt, _stamp(chash)),
-        "manifest.json": _manifest(cfg, common, chash, "distgrid"),
-    }
-    paths = _emit(common["out_dir"], files)
+    paths = _write(cfg, common, "distgrid",
+                   {"distgrid": (rows, ["cell", "workers", "local_batch"] + methods)})
     for row in rows:
         print("  ".join([f"{row['cell']:>6s}"] + [f"{row[m]:>16s}" for m in methods]))
+    if errors:
+        # the outputs are complete; the exit status still reports the errors
+        total = len(methods) * len(cells) * len(common["seeds"])
+        raise CliError(f"{len(errors)} of {total} grid records raised (first: {errors[0]})")
     return paths
 
 
@@ -421,6 +418,8 @@ def cmd_sweep(args) -> list[str]:
     params = section.get("params")
     if not method or not params:
         raise CliError("sweep needs 'method' and 'params'")
+    if not isinstance(params, dict):
+        raise CliError("sweep.params must map parameter names to lists of values")
     source, target = datasets_from_config(cfg)
     head, train = _head_and_train(cfg, "layernorm")
     spec = TaskSpec(task=section.get("task", "SFUDA"), method=method, target=target,
@@ -431,14 +430,8 @@ def cmd_sweep(args) -> list[str]:
     rows = [{**{n: row["combo"][n] for n in names},
              "mean": _fmt_float(row["mean"]), "n_ok": row["n_ok"],
              "n_total": row["n_total"]} for row in grid["rows"]]
-    chash = config_hash(cfg, common)
-    fmt = common["format"]
-    files = {
-        f"sweep.{fmt}": _table(rows, names + ["mean", "n_ok", "n_total"], fmt,
-                               _stamp(chash)),
-        "manifest.json": _manifest(cfg, common, chash, "sweep"),
-    }
-    paths = _emit(common["out_dir"], files)
+    paths = _write(cfg, common, "sweep",
+                   {"sweep": (rows, names + ["mean", "n_ok", "n_total"])})
     for row in rows:
         combo = ", ".join(f"{n}={row[n]}" for n in names)
         print(f"{combo:>32s}  mean {float(row['mean']):.2f}")
@@ -473,15 +466,9 @@ def cmd_stats(args) -> list[str]:
         })
         print(f"{label}: lin adj_r2 {lin.adj_r2:.3f}  mlin adj_r2 {mlin.adj_r2:.3f}  "
               f"(m {mlin.m:.3f}, q {mlin.q:.2f}, dm {mlin.delta_m:.3f}, dq {mlin.delta_q:.2f})")
-    chash = config_hash({**cfg, "results_table": table_path}, common)
-    fmt = common["format"]
-    files = {
-        f"stats.{fmt}": _table(rows, ["task", "n", "m", "q", "delta_m", "delta_q",
-                                      "lin_adj_r2", "mlin_adj_r2"], fmt, _stamp(chash)),
-        "manifest.json": _manifest({**cfg, "results_table": table_path}, common,
-                                   chash, "stats"),
-    }
-    return _emit(common["out_dir"], files)
+    return _write({**cfg, "results_table": table_path}, common, "stats",
+                  {"stats": (rows, ["task", "n", "m", "q", "delta_m", "delta_q",
+                                    "lin_adj_r2", "mlin_adj_r2"])})
 
 
 def _read_records(path: str) -> list[ExperimentRecord]:
@@ -517,19 +504,14 @@ def cmd_report(args) -> list[str]:
         with open(path, "rb") as fh:
             digests.append(hashlib.sha256(fh.read()).hexdigest())
 
-    # provenance covers what the records say, not where they were read from
-    chash = config_hash({"records_sha256": digests}, common)
-    fmt = common["format"]
-    stamp = _stamp(chash)
-    files = {}
+    tables = {}
     for group_by in ("norm_kind", "method", "task"):
         rows, notes = failure_report(records, group_by)
         table_rows = [{**r, "delta_mean": _fmt_float(r["delta_mean"]),
                        "delta_std": _fmt_float(r["delta_std"]),
                        "failure_rate": _fmt_float(r["failure_rate"])} for r in rows]
-        files[f"by_{group_by}.{fmt}"] = _table(
-            table_rows, ["group", "n", "delta_mean", "delta_std", "failure_rate"],
-            fmt, stamp)
+        tables[f"by_{group_by}"] = (
+            table_rows, ["group", "n", "delta_mean", "delta_std", "failure_rate"])
         print(f"-- grouped by {group_by}")
         for r in rows:
             print(f"  {str(r['group']) or '(none)':>12s}  n={r['n']:<3d} "
@@ -541,13 +523,11 @@ def cmd_report(args) -> list[str]:
                    "seed": r.seed, "baseline_lp_odg": _fmt_float(r.baseline_lp_odg),
                    "accuracy": _fmt_float(r.accuracy), "delta": _fmt_float(r.delta),
                    "failed": int(r.failed)} for r in records]
-    files[f"points.{fmt}"] = _table(point_rows,
-                                    ["task", "method", "norm_kind", "seed",
-                                     "baseline_lp_odg", "accuracy", "delta", "failed"],
-                                    fmt, stamp)
-    files["manifest.json"] = _manifest({"records": sorted(args.records)}, common,
-                                       chash, "report")
-    return _emit(common["out_dir"], files)
+    tables["points"] = (point_rows, ["task", "method", "norm_kind", "seed",
+                                     "baseline_lp_odg", "accuracy", "delta", "failed"])
+    # provenance covers what the records say, not where they were read from
+    return _write({"records": sorted(args.records)}, common, "report", tables,
+                  config_hash({"records_sha256": digests}, common))
 
 
 def build_parser() -> argparse.ArgumentParser:

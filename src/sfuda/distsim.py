@@ -10,15 +10,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import derive_seed
 from .data import DomainDataset
 from .engine import DEFAULT_GRID, DistConfig, shard_rows, sharded_step
-from .harness import ADAPT_METHODS, TaskSpec, TransferMemo, first_transfer
-from .head import HeadModel, TrainConfig, backward, evaluate, forward
+from .harness import ADAPT_METHODS, TaskSpec, run_suite
+from .head import HeadModel, TrainConfig, backward, forward
 
 __all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell",
            "centralized_gradient", "sharded_gradient", "run_distributed_grid",
-           "GridResult"]
+           "run_distributed_grids", "GridResult"]
 
 
 def parse_cell(label: str) -> DistConfig:
@@ -68,52 +67,63 @@ class GridResult:
     rows: list[dict]
 
 
-def run_distributed_grid(method: str, source: DomainDataset, target: DomainDataset,
-                         grid=DEFAULT_GRID, seeds=(0,), norm_kind: str = "batchnorm",
-                         activation: str = "relu", hidden_dim: int = 256,
-                         train_cfg: TrainConfig | None = None,
-                         method_cfg=None, memo: TransferMemo | None = None,
-                         ) -> GridResult:
-    """Classifier-only source transfer, then one adaptation per (cell, seed)
-    with sharded gradients; transductive accuracy per cell, mean over seeds.
-    The transfer is the SFUDA record's, taken from memo (a fresh one when
-    None), so grids of several methods can share it.
-    """
-    if method == "SCA":
-        raise ValueError("SCA has no gradient loop; its result is invariant to "
-                         "the simulated worker layout")
-    if method not in ADAPT_METHODS:
-        raise ValueError(f"unknown method {method!r}")
+def run_distributed_grids(methods, source: DomainDataset, target: DomainDataset,
+                          grid=DEFAULT_GRID, seeds=(0,), norm_kind: str = "batchnorm",
+                          activation: str = "relu", hidden_dim: int = 256,
+                          train_cfg: TrainConfig | None = None,
+                          method_cfgs: dict | None = None, jobs: int = 1,
+                          ) -> tuple[list[GridResult], list[str]]:
+    """One SFUDA record per (method, cell, seed), all in one `run_suite`, so
+    every method and cell of a seed starts from one classifier-only transfer.
+    Returns one GridResult per method (transductive accuracy per cell, nan
+    where a record raised) and one line per record that raised."""
+    for method in methods:
+        if method == "SCA":
+            raise ValueError("SCA has no gradient loop; its result is invariant to "
+                             "the simulated worker layout")
+        if method not in ADAPT_METHODS:
+            raise ValueError(f"unknown method {method!r}")
     if target.labels is None:
         raise ValueError("target labels are required to score the grid")
     cells = list(grid)
     if len({c.global_batch for c in cells}) != 1:
         raise ValueError("grid cells must share one global batch size")
-    cfg_cls, adapt_fn = ADAPT_METHODS[method]
-    base_cfg = method_cfg if method_cfg is not None else cfg_cls()
-    memo = memo if memo is not None else TransferMemo()
+    specs = []
+    for method in methods:
+        base = (method_cfgs or {}).get(method) or ADAPT_METHODS[method][0]()
+        specs.extend(TaskSpec("SFUDA", target, source, method, norm_kind=norm_kind,
+                              activation=activation, hidden_dim=hidden_dim,
+                              train=train_cfg, dist=cell,
+                              method_config=replace(base, batch_size=cell.global_batch))
+                     for cell in cells)
+    seeds = list(seeds)
+    records = iter(run_suite(specs, seeds, jobs).records)  # in spec order, seed-minor
 
-    accs: dict[str, list[float]] = {c.label: [] for c in cells}
-    for seed in seeds:
-        spec = TaskSpec("SFUDA", target, source, method, norm_kind=norm_kind,
-                        activation=activation, hidden_dim=hidden_dim, seed=seed,
-                        train=train_cfg)
-        lp = first_transfer(spec, "classifier_only", source, memo)
+    results, errors = [], []
+    for method in methods:
+        rows = []
         for cell in cells:
-            mcfg = replace(base_cfg, batch_size=cell.global_batch,
-                           seed=derive_seed(seed, "adapt"))
-            adapted = adapt_fn(lp, target.features, mcfg, dist=cell)
-            accs[cell.label].append(evaluate(adapted, target.features, target.labels))
+            group = [next(records) for _ in seeds]
+            errors.extend(f"{method} {cell.label} seed {r.seed}: {r.error}"
+                          for r in group if r.error is not None)
+            vals = np.array([r.accuracy for r in group])
+            rows.append({"cell": cell.label, "workers": cell.workers,
+                         "local_batch": cell.local_batch, "mean": float(vals.mean()),
+                         "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
+                         "accuracies": vals.tolist()})
+        results.append(GridResult(method, rows))
+    return results, errors
 
-    rows = []
-    for cell in cells:
-        vals = np.asarray(accs[cell.label])
-        rows.append({
-            "cell": cell.label,
-            "workers": cell.workers,
-            "local_batch": cell.local_batch,
-            "mean": float(vals.mean()),
-            "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-            "accuracies": [float(v) for v in vals],
-        })
-    return GridResult(method, rows)
+
+def run_distributed_grid(method: str, source: DomainDataset, target: DomainDataset,
+                         grid=DEFAULT_GRID, seeds=(0,), norm_kind: str = "batchnorm",
+                         activation: str = "relu", hidden_dim: int = 256,
+                         train_cfg: TrainConfig | None = None,
+                         method_cfg=None) -> GridResult:
+    """The grid of one method; raises when any of its records raised."""
+    results, errors = run_distributed_grids(
+        [method], source, target, grid, seeds, norm_kind, activation, hidden_dim,
+        train_cfg, {method: method_cfg})
+    if errors:
+        raise RuntimeError(f"{len(errors)} grid record(s) raised; first: {errors[0]}")
+    return results[0]

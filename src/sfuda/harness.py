@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .core import derive_rng, derive_seed
 from .data import DomainDataset
+from .engine import DistConfig
 from .head import (HeadConfig, HeadModel, TrainConfig, evaluate, init_head,
                    train_supervised)
 from .neighbors import AadConfig, NrcConfig, aad_adapt, nrc_adapt
@@ -56,6 +57,7 @@ class TaskSpec:
     seed: int = 0
     train: TrainConfig | None = None
     method_config: object | None = None
+    dist: DistConfig | None = None
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -70,6 +72,8 @@ class TaskSpec:
                 raise ValueError(f"unknown method {self.method!r}")
         elif self.method is not None:
             raise ValueError(f"{self.task} does not take a method")
+        if self.dist is not None and self.method not in ADAPT_METHODS:
+            raise ValueError(f"{self.method or self.task} has no gradient loop to shard")
         if self.source is not None:
             if self.source.labels is None:
                 raise ValueError("source dataset must be labeled")
@@ -132,12 +136,12 @@ def _train_cfg(spec: TaskSpec) -> TrainConfig:
 
 class TransferMemo:
     """Values computed once per key and shared while the memo lives: one
-    `run_suite` call, one `sfuda distgrid` command or one standalone
-    `run_task`. A key is a tuple of objects, taken by identity, plus hashable
-    parameters; the memo keeps those objects alive, so no other object can
-    take over their ids. Each key has its own lock, so concurrent callers of
-    one key wait for a single computation. A computation that raises stores
-    nothing: the next caller tries again and gets its own error."""
+    `run_suite` call or one standalone `run_task`. A key is a tuple of
+    objects, taken by identity, plus hashable parameters; the memo keeps those
+    objects alive, so no other object can take over their ids. Each key has
+    its own lock, so concurrent callers of one key wait for a single
+    computation. A computation that raises stores nothing: the next caller
+    tries again and gets its own error."""
 
     def __init__(self):
         self._guard = threading.Lock()
@@ -231,7 +235,7 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
             cfg_cls, adapt_fn = ADAPT_METHODS[spec.method]
             base = spec.method_config if spec.method_config is not None else cfg_cls()
             method_cfg = replace(base, seed=derive_seed(spec.seed, "adapt"))
-            adapted = adapt_fn(first, target.features, method_cfg)
+            adapted = adapt_fn(first, target.features, method_cfg, dist=spec.dist)
             accuracy = evaluate(adapted, target.features, target.labels)
         # transductive contract: we score exactly the matrix the adapter saw
         if _features_hash(target.features) != fingerprints["target"]["features_sha256"]:
@@ -248,6 +252,7 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
         "seed": spec.seed,
         "train": dataclasses.asdict(spec.train) if spec.train else dataclasses.asdict(TrainConfig()),
         "method_config": dataclasses.asdict(method_cfg) if method_cfg is not None else None,
+        "dist": dataclasses.asdict(spec.dist) if spec.dist is not None else None,
         **fingerprints,
         "toolkit_version": __version__,
     }
@@ -424,9 +429,11 @@ def hyperparameter_grid(method: str, param_grid: dict, specs: list[TaskSpec],
         raise ValueError(f"unknown method {method!r}")
     cfg_cls, _ = ADAPT_METHODS[method]
     legal = {f.name for f in dataclasses.fields(cfg_cls)}
-    for name in param_grid:
+    for name, values in param_grid.items():
         if name not in legal:
             raise ValueError(f"{method} has no parameter {name!r}")
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"sweep parameter {name!r} needs a nonempty list of values")
     for spec in specs:
         if spec.method != method:
             raise ValueError("every spec in a sweep must use the swept method")

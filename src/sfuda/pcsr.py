@@ -87,19 +87,19 @@ def _polycentric_refine(feats_n: np.ndarray, labels: np.ndarray,
 
 
 def polycentric_pseudo_labels(model: HeadModel, target_features: np.ndarray,
-                              m_centers: int, seed: int = 0,
+                              m_centers: int, rng: np.random.Generator,
                               kmeans_rounds: int = 1,
                               prev_prototypes: Prototypes | None = None,
-                              ) -> np.ndarray:
-    """Soft-prototype labeling refined by per-class sub-centers. With
+                              ) -> tuple[np.ndarray, Prototypes]:
+    """Soft-prototype labeling refined by per-class sub-centers (rng picks
+    their starting members), and the soft prototypes it refined. With
     m_centers=1 this reproduces the single-center labeling fixpoint."""
     if m_centers < 1:
         raise ValueError("m_centers must be positive")
-    rng = derive_rng(seed, "pcsr-centers")
     x = np.asarray(target_features, dtype=np.float64)
     labels, protos, feats = _label_pass(model, x, kmeans_rounds, prev_prototypes)
     return _polycentric_refine(l2_normalize_rows(feats), labels, protos,
-                               m_centers, rng)
+                               m_centers, rng), protos
 
 
 def pcsr_adapt(model: HeadModel, target_features: np.ndarray, cfg: PcsrConfig,
@@ -114,10 +114,7 @@ def pcsr_adapt(model: HeadModel, target_features: np.ndarray, cfg: PcsrConfig,
     rng_mix = derive_rng(cfg.seed, "pcsr-mixup")
 
     def relabel(m, prev):
-        labels, protos, feats = _label_pass(m, x, cfg.kmeans_rounds, prev)
-        labels = _polycentric_refine(l2_normalize_rows(feats), labels, protos,
-                                     cfg.M, rng_centers)
-        return labels, protos
+        return polycentric_pseudo_labels(m, x, cfg.M, rng_centers, cfg.kmeans_rounds, prev)
 
     mixup_fn = None
     if cfg.mixup_weight > 0.0:

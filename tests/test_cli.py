@@ -23,6 +23,14 @@ def base_config():
     }
 
 
+def distgrid_config(cells=("1x8", "2x4")):
+    cfg = base_config()
+    del cfg["tasks"]
+    cfg["distgrid"] = {"methods": ["SHOT", "NRC", "AAD"], "cells": list(cells)}
+    cfg["method_configs"] = {m: {"epochs": 1} for m in ("SHOT", "NRC", "AAD")}
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -140,13 +148,16 @@ class TestSuite:
         for name in ("records.csv", "aggregates.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_jobs_flag_does_not_change_results(self, tmp_path):
-        cfg = write_config(tmp_path, self.suite_config())
+    @pytest.mark.parametrize("command", ["suite", "distgrid"])
+    def test_jobs_flag_does_not_change_results(self, tmp_path, command):
+        suite = command == "suite"
+        cfg = write_config(tmp_path, self.suite_config() if suite else distgrid_config())
+        table = "records.csv" if suite else "distgrid.csv"
         a, b = tmp_path / "a", tmp_path / "b"
-        main(["suite", "--config", cfg, "--seeds", "0,1", "--out", str(a)])
-        main(["suite", "--config", cfg, "--seeds", "0,1", "--jobs", "2",
-              "--out", str(b)])
-        assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+        assert main([command, "--config", cfg, "--seeds", "0,1", "--out", str(a)]) == 0
+        assert main([command, "--config", cfg, "--seeds", "0,1", "--jobs", "2",
+                     "--out", str(b)]) == 0
+        assert (a / table).read_bytes() == (b / table).read_bytes()
 
     def test_tsv_format(self, tmp_path):
         cfg = write_config(tmp_path, self.suite_config())
@@ -212,6 +223,35 @@ class TestFailureHandling:
         rows = read_rows(out / "records.csv")
         assert [r["error"] for r in rows] == ["", "RuntimeError: adapter broke"]
         assert (out / "manifest.json").exists() and (out / "aggregates.csv").exists()
+
+    def test_raising_grid_cell_sets_the_exit_status(self, tmp_path, capsys):
+        # a batchnorm head cannot take one-row shards, so 64x1 raises
+        cfg = distgrid_config(cells=("1x64", "64x1"))
+        cfg["head"]["norm_kind"] = "batchnorm"
+        out = tmp_path / "out"
+        assert main(["distgrid", "--config", write_config(tmp_path, cfg), "--seed", "0",
+                     "--out", str(out)]) == 1
+        err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(err) == 1
+        assert err[0].startswith("error: 3 of 6 grid records raised (first: SHOT 64x1 seed 0")
+        rows = read_rows(out / "distgrid.csv")
+        assert [r["cell"] for r in rows] == ["1x64", "64x1"]
+        for m in ("SHOT", "NRC", "AAD"):
+            assert "nan" not in rows[0][m]
+            assert rows[1][m] == "nan ± 0.00"
+        assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("values", [[], 2])
+    def test_sweep_parameter_needs_a_nonempty_list(self, tmp_path, capsys, values):
+        cfg_dict = base_config()
+        cfg_dict["sweep"] = {"method": "SHOT", "params": {"epochs": values}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg_dict),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: sweep parameter 'epochs' needs a nonempty list")
+        assert not out.exists()
 
     def test_partial_outputs_are_removed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

@@ -8,9 +8,9 @@ from conftest import max_rel_err
 from sfuda.core import make_rng
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.distsim import (ADAPT_METHODS, GridResult, centralized_gradient,
-                           parse_cell, run_distributed_grid, sharded_gradient)
+                           parse_cell, run_distributed_grid, run_distributed_grids,
+                           sharded_gradient)
 from sfuda.engine import DEFAULT_GRID, DistConfig, effective_batch, shard_rows
-from sfuda.harness import TransferMemo
 from sfuda.head import (PARAM_NAMES, HeadConfig, TrainConfig, init_head,
                         train_supervised)
 from sfuda.neighbors import AadConfig
@@ -159,7 +159,7 @@ class TestDistributedGrid:
             assert len(row["accuracies"]) == 1
             assert row["std"] == 0.0
 
-    def test_methods_sharing_a_memo_train_one_transfer_per_seed(self, monkeypatch):
+    def test_methods_in_one_grid_train_one_transfer_per_seed(self, monkeypatch):
         src, tgt = self.grid_pair()
         kw = dict(grid=(DistConfig(1, 16), DistConfig(4, 4)), seeds=(0, 1),
                   hidden_dim=16, train_cfg=TrainConfig(epochs=4))
@@ -175,11 +175,25 @@ class TestDistributedGrid:
             return real(model, data, scope, cfg, step_hook)
 
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
-        memo = TransferMemo()
-        shared = {m: run_distributed_grid(m, src, tgt, method_cfg=c, memo=memo, **kw).rows
-                  for m, c in cfgs.items()}
+        results, errors = run_distributed_grids(list(cfgs), src, tgt,
+                                                method_cfgs=cfgs, **kw)
         assert len(calls) == len(set(calls)) == 2
-        assert shared == alone
+        assert errors == []
+        assert {r.method: r.rows for r in results} == alone
+
+    def test_raising_cell_reads_nan_and_the_one_method_grid_raises(self):
+        src, tgt = self.grid_pair()
+        grid = (DistConfig(1, 64), DistConfig(64, 1))  # one-row batchnorm shards
+        kw = dict(grid=grid, seeds=(0,), hidden_dim=16,
+                  train_cfg=TrainConfig(epochs=2))
+        results, errors = run_distributed_grids(
+            ["SHOT"], src, tgt, method_cfgs={"SHOT": ShotConfig(epochs=1)}, **kw)
+        assert errors == ["SHOT 64x1 seed 0: ValueError: shard size < 2 is invalid "
+                          "with a batchnorm head"]
+        first, broken = results[0].rows
+        assert np.isfinite(first["mean"]) and np.isnan(broken["mean"])
+        with pytest.raises(RuntimeError, match="1 grid record"):
+            run_distributed_grid("SHOT", src, tgt, method_cfg=ShotConfig(epochs=1), **kw)
 
     def test_prototype_transport_is_rejected_as_layout_invariant(self):
         src, tgt = self.grid_pair()

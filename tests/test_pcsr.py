@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sfuda.pcsr
 from sfuda.core import derive_rng, derive_seed, l2_normalize_rows, make_rng
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.head import (CLASSIFIER_PARAMS, PARAM_NAMES, HeadConfig,
@@ -110,26 +111,39 @@ class TestPolycentricLabels:
 
     def test_single_center_matches_single_prototype_labels(self):
         _, tgt, first = self.make_rig()
-        poly = polycentric_pseudo_labels(first, tgt.features, 1, seed=0)
+        poly = polycentric_pseudo_labels(first, tgt.features, 1, make_rng(0))[0]
         single, _ = shot_pseudo_labels(first, tgt.features)
         np.testing.assert_array_equal(poly, single)
 
     def test_identical_samples_get_one_label(self):
         _, tgt, first = self.make_rig()
         x = np.tile(tgt.features[3], (20, 1))
-        labels = polycentric_pseudo_labels(first, x, 2, seed=0)
+        labels = polycentric_pseudo_labels(first, x, 2, make_rng(0))[0]
         assert np.unique(labels).size == 1
 
     def test_deterministic(self):
         _, tgt, first = self.make_rig()
-        a = polycentric_pseudo_labels(first, tgt.features, 2, seed=4)
-        b = polycentric_pseudo_labels(first, tgt.features, 2, seed=4)
+        a = polycentric_pseudo_labels(first, tgt.features, 2, make_rng(4))[0]
+        b = polycentric_pseudo_labels(first, tgt.features, 2, make_rng(4))[0]
         np.testing.assert_array_equal(a, b)
+
+    def test_pcsr_adapt_relabels_through_it_once_per_epoch(self, monkeypatch):
+        _, tgt, first = self.make_rig()
+        calls = []
+        real = sfuda.pcsr.polycentric_pseudo_labels
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(sfuda.pcsr, "polycentric_pseudo_labels", spy)
+        pcsr_adapt(first, tgt.features, PcsrConfig(M=3, epochs=2, batch_size=32))
+        assert calls == [3, 3]
 
     def test_zero_centers_rejected(self):
         _, tgt, first = self.make_rig()
         with pytest.raises(ValueError, match="m_centers"):
-            polycentric_pseudo_labels(first, tgt.features, 0)
+            polycentric_pseudo_labels(first, tgt.features, 0, make_rng(0))
 
 
 class TestPcsrAdapt:
