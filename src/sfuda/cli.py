@@ -507,16 +507,14 @@ def cmd_report(args) -> list[str]:
     tables = {}
     for group_by in ("norm_kind", "method", "task"):
         rows, notes = failure_report(records, group_by)
-        table_rows = [{**r, "delta_mean": _fmt_float(r["delta_mean"]),
-                       "delta_std": _fmt_float(r["delta_std"]),
-                       "failure_rate": _fmt_float(r["failure_rate"])} for r in rows]
-        tables[f"by_{group_by}"] = (
-            table_rows, ["group", "n", "delta_mean", "delta_std", "failure_rate"])
+        floats = ("delta_mean", "delta_std", "failure_rate", "error_rate")
+        tables[f"by_{group_by}"] = ([{**r, **{k: _fmt_float(r[k]) for k in floats}}
+                                     for r in rows], ["group", "n", *floats])
         print(f"-- grouped by {group_by}")
         for r in rows:
             print(f"  {str(r['group']) or '(none)':>12s}  n={r['n']:<3d} "
                   f"delta {r['delta_mean']:+.2f} ± {r['delta_std']:.2f}  "
-                  f"failures {r['failure_rate']:.1f}%")
+                  f"failures {r['failure_rate']:.1f}%  errors {r['error_rate']:.1f}%")
         for note in notes:
             print(f"  note: {note}")
     point_rows = [{"task": r.task, "method": r.method or "", "norm_kind": r.norm_kind,
@@ -542,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="single seed")
         p.add_argument("--seeds", help="seed range A..B or comma list")
-        p.add_argument("--jobs", type=int, help="parallel experiment runs")
+        p.add_argument("--jobs", type=int, help="worker processes for the records")
         p.add_argument("--out", help="output directory (default $SFUDA_OUT_DIR)")
         p.add_argument("--format", choices=("csv", "tsv"), help="table format")
 

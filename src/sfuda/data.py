@@ -166,17 +166,6 @@ def labels_text(dataset: DomainDataset) -> str:
     return "".join(f"{int(v)}\n" for v in dataset.labels)
 
 
-def save_embeddings(dataset: DomainDataset, features_path: str,
-                    labels_path: str | None = None) -> None:
-    """Binary features (magic, counts, little-endian float32 payload) plus an
-    optional plain-text labels file, one integer per line."""
-    with open(features_path, "wb") as fh:
-        fh.write(embeddings_bytes(dataset))
-    if labels_path is not None:
-        with open(labels_path, "w") as fh:
-            fh.write(labels_text(dataset))
-
-
 def load_embeddings(features_path: str, labels_path: str | None = None,
                     num_classes: int | None = None, name: str | None = None,
                     ) -> DomainDataset:

@@ -14,11 +14,9 @@ import ctypes
 import dataclasses
 import hashlib
 import itertools
-import json
 import os
-import threading
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,52 +136,79 @@ class TransferMemo:
     """Values computed once per key and shared while the memo lives: one
     `run_suite` call or one standalone `run_task`. A key is a tuple of
     objects, taken by identity, plus hashable parameters; the memo keeps those
-    objects alive, so no other object can take over their ids. Each key has
-    its own lock, so concurrent callers of one key wait for a single
-    computation. A computation that raises stores nothing: the next caller
-    tries again and gets its own error."""
+    objects alive, so no other object can take over their ids. A computation
+    that raises stores nothing: the next caller tries again and gets its own
+    error. A pooled suite forks its workers, so each works on its own copy,
+    under the same ids."""
 
     def __init__(self):
-        self._guard = threading.Lock()
-        self._slots: dict[tuple, dict] = {}
+        self._slots: dict[tuple, tuple] = {}
+
+    @staticmethod
+    def key(objects: tuple, params: tuple) -> tuple:
+        return tuple(map(id, objects)), params
 
     def get(self, objects: tuple, params: tuple, make):
-        key = (tuple(map(id, objects)), params)
-        with self._guard:
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = self._slots[key] = {"lock": threading.Lock(), "pins": objects}
-        with slot["lock"]:
-            if "value" not in slot:
-                slot["value"] = make()
-        return slot["value"]
+        key = self.key(objects, params)
+        if key not in self._slots:
+            self._slots[key] = (objects, make())
+        return self._slots[key][1]
+
+
+def _transfer_entry(spec: TaskSpec, scope: str, data: DomainDataset) -> tuple:
+    """first_transfer's memo key (objects, params) and computation; the key
+    holds everything the head depends on."""
+    head_cfg = _head_config(spec, data.d, data.num_classes)
+    train_cfg = _train_cfg(spec)
+    return ((data,), (scope, dataclasses.astuple(head_cfg), dataclasses.astuple(train_cfg)),
+            lambda: train_supervised(init_head(head_cfg), data, scope, train_cfg))
 
 
 def first_transfer(spec: TaskSpec, scope: str, data: DomainDataset,
                    memo: TransferMemo) -> HeadModel:
-    """spec's head trained on data at scope, once per memo. The key holds
-    everything the head depends on; callers must not modify the result
-    (every adapter trains a copy)."""
-    head_cfg = _head_config(spec, data.d, data.num_classes)
-    train_cfg = _train_cfg(spec)
-    return memo.get((data,), (scope, dataclasses.astuple(head_cfg),
-                              dataclasses.astuple(train_cfg)),
-                    lambda: train_supervised(init_head(head_cfg), data, scope, train_cfg))
+    """spec's head trained on data at scope, once per memo. Callers must not
+    modify the result (every adapter trains a copy)."""
+    return memo.get(*_transfer_entry(spec, scope, data))
 
 
-def _lp_odg(spec: TaskSpec, memo: TransferMemo) -> tuple[HeadModel, float]:
-    """Classifier-only source training scored on the full target; the shared
-    baseline. Bitwise identical whether run standalone or inside another task."""
-    model = first_transfer(spec, "classifier_only", spec.source, memo)
-    return model, memo.get((model, spec.target), ("accuracy",), lambda: evaluate(
-        model, spec.target.features, spec.target.labels))
+def _baseline_entry(spec: TaskSpec, memo: TransferMemo) -> tuple:
+    """The LP-ODG baseline's memo key and computation: the classifier-only
+    source transfer scored on the full target. Bitwise identical whether run
+    standalone or inside another task."""
+    objects, params, _ = _transfer_entry(spec, "classifier_only", spec.source)
+    target = spec.target
+    return objects + (target,), ("baseline",) + params, lambda: evaluate(
+        first_transfer(spec, "classifier_only", spec.source, memo),
+        target.features, target.labels)
 
 
-def _idg_split(target: DomainDataset, seed: int) -> tuple[DomainDataset, np.ndarray]:
+def _idg_split(spec: TaskSpec, memo: TransferMemo) -> tuple[DomainDataset, np.ndarray]:
     """The in-domain training set (80% per class) and the held-out indices."""
-    tr_idx, te_idx = stratified_split(target.labels, 0.8, derive_rng(seed, "idg-split"))
-    return DomainDataset(target.name + "/train", target.features[tr_idx],
-                         target.labels[tr_idx], target.num_classes), te_idx
+    target = spec.target
+
+    def split():
+        tr_idx, te_idx = stratified_split(target.labels, 0.8,
+                                          derive_rng(spec.seed, "idg-split"))
+        return DomainDataset(target.name + "/train", target.features[tr_idx],
+                             target.labels[tr_idx], target.num_classes), te_idx
+
+    return memo.get((target,), ("idg-split", spec.seed), split)
+
+
+def _transfer_plan(spec: TaskSpec, memo: TransferMemo) -> dict[str, tuple]:
+    """The first transfers spec's task starts from, as role -> (scope, data),
+    in the order run_task trains them: "idg" on the in-domain split, "lp"
+    (the head the LP-ODG baseline scores) whenever there is a source, and
+    "ft" for the tasks that start from full fine-tuning on the source."""
+    plan = {}
+    if spec.task in ("LP-IDG", "FT-IDG"):
+        plan["idg"] = ("classifier_only" if spec.task == "LP-IDG" else "full",
+                       _idg_split(spec, memo)[0])
+    if spec.source is not None:
+        plan["lp"] = ("classifier_only", spec.source)
+    if spec.task in ("FT-ODG", "FT-SFUDA"):
+        plan["ft"] = ("full", spec.source)
+    return plan
 
 
 def _dataset_fingerprint(ds: DomainDataset | None, memo: TransferMemo) -> dict | None:
@@ -207,25 +232,19 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
     # taken before any adapter of the memo's suite can see the target
     fingerprints = {"source": _dataset_fingerprint(spec.source, memo),
                     "target": _dataset_fingerprint(target, memo)}
+    heads = {role: first_transfer(spec, scope, data, memo)
+             for role, (scope, data) in _transfer_plan(spec, memo).items()}
+    baseline = memo.get(*_baseline_entry(spec, memo)) if "lp" in heads else float("nan")
 
     if spec.task in ("LP-IDG", "FT-IDG"):
-        train_ds, te_idx = memo.get((target,), ("idg-split", spec.seed),
-                                    lambda: _idg_split(target, spec.seed))
-        scope = "classifier_only" if spec.task == "LP-IDG" else "full"
-        model = first_transfer(spec, scope, train_ds, memo)
-        accuracy = evaluate(model, target.features[te_idx], target.labels[te_idx])
-        baseline = _lp_odg(spec, memo)[1] if spec.source is not None else float("nan")
-
-    else:
-        first, baseline = _lp_odg(spec, memo)
-        if spec.task in ("FT-ODG", "FT-SFUDA"):
-            first = first_transfer(spec, "full", spec.source, memo)
-
-    if spec.task == "LP-ODG":
+        te_idx = _idg_split(spec, memo)[1]
+        accuracy = evaluate(heads["idg"], target.features[te_idx], target.labels[te_idx])
+    elif spec.task == "LP-ODG":
         accuracy = baseline
     elif spec.task == "FT-ODG":
-        accuracy = evaluate(first, target.features, target.labels)
-    elif spec.task in ("SFUDA", "FT-SFUDA"):
+        accuracy = evaluate(heads["ft"], target.features, target.labels)
+    else:
+        first = heads.get("ft", heads["lp"])
         if spec.method == "SCA":
             # raw input space under classifier-only transfer, bottleneck after FT
             space = "bottleneck" if spec.task == "FT-SFUDA" else "raw"
@@ -264,15 +283,18 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
         wall_time=time.perf_counter() - t0, manifest=manifest)
 
 
-def _error_record(spec: TaskSpec, err: Exception) -> ExperimentRecord:
+def _error_record(spec: TaskSpec, error: str) -> ExperimentRecord:
     nan = float("nan")
     return ExperimentRecord(
         task=spec.task, method=spec.method,
         source_name=spec.source.name if spec.source else "",
         target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
         accuracy=nan, baseline_lp_odg=nan, delta=nan, failed=True,
-        wall_time=0.0, manifest={"error": f"{type(err).__name__}: {err}"},
-        error=f"{type(err).__name__}: {err}")
+        wall_time=0.0, manifest={"error": error}, error=error)
+
+
+def _error_text(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
 
 
 def format_mean_std(mean: float, std: float, n: int) -> str:
@@ -290,7 +312,7 @@ def _run_one(spec: TaskSpec, memo: TransferMemo) -> ExperimentRecord:
     try:
         return run_task(spec, memo)
     except Exception as err:  # isolate and record
-        return _error_record(spec, err)
+        return _error_record(spec, _error_text(err))
 
 
 def _openblas_libraries() -> list[str]:
@@ -326,10 +348,11 @@ def _blas_thread_controls() -> list[tuple]:
 
 @contextlib.contextmanager
 def _blas_thread_cap(workers: int):
-    """While `workers` threads each call BLAS, give each library at most its
+    """While `workers` processes each call BLAS, give each library at most its
     share of the usable cores, so workers times BLAS threads does not exceed
     them; a count already lower stays. Every changed count is restored on
-    exit. No effect where no OpenBLAS is found."""
+    exit. Workers forked inside inherit the capped counts. No effect where
+    no OpenBLAS is found."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
@@ -348,20 +371,115 @@ def _blas_thread_cap(workers: int):
             setter(before)
 
 
+# The (records, memo) of the pooled suite a worker process serves; set by
+# _start_worker in the forked workers only, never in the suite's own process.
+_worker_suite: tuple | None = None
+
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _start_worker(flat: list[TaskSpec], memo: TransferMemo, parent: int) -> None:
+    """Initializer of a pooled suite's workers. fork hands them flat and memo
+    as they are in the parent, without pickling."""
+    global _worker_suite
+    _worker_suite = flat, memo
+    # the kernel kills this worker when the suite's process dies, even by SIGKILL
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # it died before the request took effect
+        os._exit(1)
+
+
+def _pooled_transfer(i: int, role: str) -> tuple:
+    """Stage one, in a worker: (head, its LP-ODG baseline or None, None) for
+    record i's first transfer in that role, or (None, None, error)."""
+    flat, memo = _worker_suite
+    spec = flat[i]
+    try:
+        head = first_transfer(spec, *_transfer_plan(spec, memo)[role], memo)
+        return head, memo.get(*_baseline_entry(spec, memo)) if role == "lp" else None, None
+    except Exception as err:  # carried by the records that need this transfer
+        return None, None, _error_text(err)
+
+
+def _pooled_record(i: int) -> ExperimentRecord:
+    flat, memo = _worker_suite
+    return _run_one(flat[i], memo)
+
+
+def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
+                ) -> list[ExperimentRecord]:
+    """flat's records on `workers` forked processes, with what serial records
+    share computed once: dataset hashes and in-domain splits here, then each
+    distinct first transfer and baseline on a first pool, then the records
+    on a second pool forked from the filled memo."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    @contextlib.contextmanager
+    def pool():
+        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_start_worker,
+                                       initargs=(flat, memo, os.getpid()))
+        try:
+            yield executor
+        finally:  # after an exception (Ctrl-C too), start no further record
+            executor.shutdown(cancel_futures=True)
+
+    jobs, needs = {}, []  # memo key -> (first record, role); each record's keys
+    for i, spec in enumerate(flat):
+        _dataset_fingerprint(spec.source, memo)
+        _dataset_fingerprint(spec.target, memo)
+        keys = []
+        for role, (scope, data) in _transfer_plan(spec, memo).items():
+            keys.append(memo.key(*_transfer_entry(spec, scope, data)[:2]))
+            jobs.setdefault(keys[-1], (i, role))
+        needs.append(keys)
+
+    with pool() as executor:
+        done = list(executor.map(_pooled_transfer, *zip(*jobs.values())))
+    errors = {}
+    for key, (i, role), (head, baseline, error) in zip(jobs, jobs.values(), done):
+        if error is not None:
+            errors[key] = error
+            continue
+        spec = flat[i]
+        memo.get(*_transfer_entry(spec, *_transfer_plan(spec, memo)[role])[:2], lambda: head)
+        if baseline is not None:
+            memo.get(*_baseline_entry(spec, memo)[:2], lambda: baseline)
+    # as in a serial suite, a transfer that raised stores nothing: the first
+    # record to reach it carries its error, and every later one tries again
+    reached = {}
+    for i, keys in enumerate(needs):
+        key = next((k for k in keys if k in errors), None)
+        if key is not None:
+            reached.setdefault(key, i)
+    carried = {i: errors[key] for key, i in reached.items()}
+
+    todo = [i for i in range(len(flat)) if i not in carried]
+    with pool() as executor:
+        ran = dict(zip(todo, executor.map(_pooled_record, todo)))
+    return [ran[i] if i in ran else _error_record(flat[i], carried[i])
+            for i in range(len(flat))]
+
+
 def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> SuiteResult:
     """Every spec at every seed. A run that raises is recorded as a failure
-    with its reason; the suite never aborts. Runs share one memo, so each
-    distinct first transfer trains once. jobs > 1 fans the runs over a
-    thread pool, with BLAS threads capped for its lifetime (results do not
-    depend on the BLAS thread count); results keep their spec-order
-    positions."""
+    with its reason; the suite never aborts. Each distinct first transfer
+    trains once per suite. jobs > 1 runs the records on that many forked
+    worker processes (serially where the platform cannot fork), with BLAS
+    threads capped for the pool's lifetime; results do not depend on either
+    and keep their spec-order positions. A worker that dies raises
+    BrokenProcessPool."""
     seeds = list(seeds)
     flat = [replace(spec, seed=seed) for spec in specs for seed in seeds]
     memo = TransferMemo()
     workers = min(jobs, len(flat))
-    if workers > 1:
-        with _blas_thread_cap(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda s: _run_one(s, memo), flat))
+    if workers > 1 and hasattr(os, "fork"):
+        with _blas_thread_cap(workers):
+            records = _run_pooled(flat, memo, workers)
     else:
         records = [_run_one(s, memo) for s in flat]
     k = len(seeds)
@@ -390,8 +508,11 @@ GROUP_KEYS = {"norm_kind": lambda r: r.norm_kind,
 
 def failure_report(records: list[ExperimentRecord], group_by: str,
                    ) -> tuple[list[dict], list[str]]:
-    """Delta-accuracy mean/std and failure rate per group. Records without a
-    finite baseline cannot be scored against it and are skipped with a note."""
+    """Delta-accuracy mean/std, failure rate and error rate per group, in
+    percent. A record that raised has no accuracy: it counts in `error_rate`
+    and stays out of `failure_rate`, which is nan for a group where every
+    record raised. Records without a finite baseline that did not raise
+    cannot be scored against it and are skipped with a note."""
     if group_by not in GROUP_KEYS:
         raise ValueError(f"group_by must be one of {sorted(GROUP_KEYS)}")
     key = GROUP_KEYS[group_by]
@@ -404,16 +525,16 @@ def failure_report(records: list[ExperimentRecord], group_by: str,
     rows = []
     for name in sorted({key(r) for r in scored}):
         group = [r for r in scored if key(r) == name]
-        if not group:
-            notes.append(f"group {name!r} is empty")
-            continue
+        ran = [r for r in group if not r.error]
         deltas = np.array([r.delta for r in group if np.isfinite(r.delta)])
         rows.append({
             "group": name,
             "n": len(group),
             "delta_mean": float(deltas.mean()) if deltas.size else float("nan"),
             "delta_std": float(deltas.std(ddof=1)) if deltas.size > 1 else 0.0,
-            "failure_rate": 100.0 * sum(r.failed for r in group) / len(group),
+            "failure_rate": (100.0 * sum(r.failed for r in ran) / len(ran)
+                             if ran else float("nan")),
+            "error_rate": 100.0 * (len(group) - len(ran)) / len(group),
         })
     return rows, notes
 

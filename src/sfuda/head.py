@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .core import derive_rng, log_softmax, make_rng, one_hot, softmax
 from .data import DomainDataset
@@ -141,10 +140,12 @@ class ForwardCache:
 
 
 def _gelu(y: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # imported here: it is most of the package's import time
     return y * 0.5 * (1.0 + erf(y / np.sqrt(2.0)))
 
 
 def _gelu_grad(y: np.ndarray) -> np.ndarray:
+    from scipy.special import erf
     phi = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
     return 0.5 * (1.0 + erf(y / np.sqrt(2.0))) + y * phi
 
@@ -405,15 +406,6 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
                lr_scale={k: 0.1 for k in BOTTLENECK_PARAMS} if full else None,
                step_hook=step_hook)
     return model
-
-
-def two_phase_finetune(model: HeadModel, data: DomainDataset, cfg: TrainConfig,
-                       step_hook=None) -> HeadModel:
-    """Classifier-only warmup, then full fine-tuning under gradient clipping."""
-    if cfg.grad_clip is None:
-        raise ValueError("two-phase fine-tuning requires grad_clip")
-    warm = train_supervised(model, data, "classifier_only", cfg, step_hook=step_hook)
-    return train_supervised(warm, data, "full", cfg, step_hook=step_hook)
 
 
 def adabn(model: HeadModel, target_features: np.ndarray) -> HeadModel:

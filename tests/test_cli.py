@@ -1,9 +1,14 @@
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import sfuda
 from sfuda.cli import main, parse_seeds
 from sfuda.data import load_embeddings
 from sfuda.harness import ADAPT_METHODS
@@ -42,6 +47,37 @@ def read_rows(path):
         lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def start_cli(tmp_path, argv, patch=""):
+    """`sfuda ARGV` in a child process, in tmp_path, after running patch
+    (Python source that may change sfuda.harness) in it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfuda.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "\n".join(["import os, sys", "import sfuda.harness", patch,
+                        "from sfuda.cli import main", f"sys.exit(main({argv!r}))"])
+    return subprocess.Popen([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def alive(pid):
+    """pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestImport:
+    def test_the_cli_loads_neither_scipy_special_nor_multiprocessing(self, tmp_path):
+        # gelu heads and pooled suites import them when they run
+        proc = start_cli(tmp_path, ["--version"], patch="import sfuda.cli\nprint(sorted("
+                         "m for m in ('scipy.special', 'multiprocessing') if m in sys.modules))")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.splitlines()[0] == "[]"
 
 
 class TestSeedParsing:
@@ -253,6 +289,50 @@ class TestFailureHandling:
         assert err.startswith("error: sweep parameter 'epochs' needs a nonempty list")
         assert not out.exists()
 
+    def test_a_dying_worker_fails_the_suite_with_one_error_line(self, tmp_path):
+        cfg = {**base_config(), "tasks": ["LP-ODG", "SFUDA"], "methods": ["SHOT"]}
+        write_config(tmp_path, cfg)
+        patch = ('cfg_cls, _ = sfuda.harness.ADAPT_METHODS["SHOT"]\n'
+                 'sfuda.harness.ADAPT_METHODS["SHOT"] = (cfg_cls, lambda *a, **k: os._exit(1))')
+        proc = start_cli(tmp_path, ["suite", "--config", "cfg.json", "--seeds", "0,1",
+                                    "--jobs", "2", "--out", "out"], patch)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            "error: A process in the process pool was terminated abruptly "
+            "while the future was running or pending."]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="needs /proc/PID/task/PID/children")
+    def test_killing_the_cli_kills_its_workers(self, tmp_path):
+        cfg = {**base_config(), "tasks": ["SFUDA"], "methods": ["SHOT"],
+               "method_configs": {"SHOT": {"epochs": 5000}}}
+        write_config(tmp_path, cfg)
+        proc = start_cli(tmp_path, ["suite", "--config", "cfg.json", "--seeds", "0..3",
+                                    "--jobs", "2", "--out", "out"])
+        workers, last = [], None
+        try:
+            # the records' workers: the same ones twice half a second apart
+            deadline = time.monotonic() + 60
+            while not workers and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.5)
+                with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                    now = sorted(int(pid) for pid in fh.read().split())
+                workers, last = (now if now == last else []), now
+            assert workers, "the suite started no worker"
+            proc.kill()
+            proc.wait(timeout=10)
+            time.sleep(5)
+            assert [pid for pid in workers if alive(pid)] == []
+        finally:
+            # stray workers hold the CLI's output pipes open, so they go first
+            for pid in workers:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.kill()
+            proc.communicate(timeout=60)
+
     def test_partial_outputs_are_removed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "out"
@@ -352,6 +432,22 @@ class TestReportCommand:
         moved.write_bytes(records.read_bytes())
         assert (self.report_stamp(records, tmp_path / "r1")
                 == self.report_stamp(moved, tmp_path / "r2"))
+
+    def test_errored_records_fill_the_error_rate_column(self, tmp_path, monkeypatch):
+        cfg_cls, _ = ADAPT_METHODS["SHOT"]
+
+        def raising(model, feats, cfg, dist=None):
+            raise RuntimeError("adapter broke")
+
+        monkeypatch.setitem(ADAPT_METHODS, "SHOT", (cfg_cls, raising))
+        cfg = {**base_config(), "tasks": ["LP-ODG", "SFUDA"], "methods": ["SHOT"]}
+        suite_out, rep_out = tmp_path / "suite", tmp_path / "report"
+        main(["suite", "--config", write_config(tmp_path, cfg), "--seed", "0",
+              "--out", str(suite_out)])
+        assert main(["report", str(suite_out / "records.csv"), "--out", str(rep_out)]) == 0
+        rows = {r["group"]: r for r in read_rows(rep_out / "by_method.csv")}
+        assert (rows["SHOT"]["error_rate"], rows["SHOT"]["failure_rate"]) == ("100.0", "nan")
+        assert (rows[""]["error_rate"], rows[""]["failure_rate"]) == ("0.0", "0.0")
 
     def test_rejects_a_non_records_file(self, tmp_path, capsys):
         assert main(["report", ASSET_TABLE, "--out", str(tmp_path / "o")]) == 1

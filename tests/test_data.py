@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sfuda.core import make_rng
-from sfuda.data import (DomainDataset, ShiftSpec, gen_gaussian_pair,
-                        load_embeddings, load_results_table, save_embeddings)
+from sfuda.data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
+                        labels_text, load_embeddings, load_results_table)
 from sfuda.head import HeadConfig, TrainConfig, evaluate, init_head, train_supervised
 
 
@@ -140,11 +140,20 @@ class TestDatasetValidation:
         assert ds.labels is None and ds.n == 3 and ds.d == 2
 
 
+def save(dataset, fpath, lpath=None):
+    """Writes dataset in the files `gen-data` writes."""
+    with open(fpath, "wb") as fh:
+        fh.write(embeddings_bytes(dataset))
+    if lpath is not None:
+        with open(lpath, "w") as fh:
+            fh.write(labels_text(dataset))
+
+
 class TestEmbeddingsIO:
     def test_float32_round_trip(self, tmp_path):
         src, _ = small_pair(seed=2, n=20)
         fpath, lpath = str(tmp_path / "e.bin"), str(tmp_path / "e.labels")
-        save_embeddings(src, fpath, lpath)
+        save(src, fpath, lpath)
         back = load_embeddings(fpath, lpath)
         expect = src.features.astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(back.features, expect)
@@ -154,7 +163,7 @@ class TestEmbeddingsIO:
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         src, _ = small_pair(seed=2, n=10, d=6)
         fpath = str(tmp_path / "e.bin")
-        save_embeddings(src, fpath)
+        save(src, fpath)
         raw = open(fpath, "rb").read()
         open(fpath, "wb").write(raw[:-8])
         expected = 30 * 6 * 4  # n=10 per class, 3 classes
@@ -177,7 +186,7 @@ class TestEmbeddingsIO:
     def test_label_count_mismatch(self, tmp_path):
         src, _ = small_pair(seed=2, n=10)
         fpath, lpath = str(tmp_path / "e.bin"), str(tmp_path / "e.labels")
-        save_embeddings(src, fpath, lpath)
+        save(src, fpath, lpath)
         lines = open(lpath).read().splitlines()[:-2]
         open(lpath, "w").write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="expected 30 labels, found 28"):
@@ -186,7 +195,7 @@ class TestEmbeddingsIO:
     def test_features_only_needs_class_count(self, tmp_path):
         src, _ = small_pair(seed=2, n=10)
         fpath = str(tmp_path / "e.bin")
-        save_embeddings(src, fpath)
+        save(src, fpath)
         with pytest.raises(ValueError, match="num_classes"):
             load_embeddings(fpath)
         back = load_embeddings(fpath, num_classes=3)

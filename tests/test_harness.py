@@ -1,5 +1,6 @@
+import hashlib
+import json
 import os
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,28 @@ def separable_target():
 def small_shifted_pair(seed=40, C=3, d=6, n=25, sep=4.0):
     shift = ShiftSpec(np.full(d, 0.3), np.ones(d), np.zeros(d))
     return gen_gaussian_pair(C, d, n, sep, shift, make_rng(seed))
+
+
+class CallLog:
+    """One line per call, appended to a file, so that the calls a pooled
+    suite makes in its worker processes are counted too."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def add(self, *fields):
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps(fields) + "\n")
+
+    def read(self) -> list[tuple]:
+        if not self.path.exists():
+            return []
+        return [tuple(json.loads(line)) for line in self.path.read_text().splitlines()]
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    return CallLog(tmp_path / "calls.jsonl")
 
 
 def fake_record(group, delta, failed, task="SFUDA", baseline=70.0, error=None):
@@ -190,9 +213,19 @@ class TestSuite:
                  TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
                           hidden_dim=16, method_config=ShotConfig(epochs=3))]
         serial = run_suite(specs, [0, 1], jobs=1)
-        threaded = run_suite(specs, [0, 1], jobs=2)
+        pooled = run_suite(specs, [0, 1], jobs=2)
         assert [r.accuracy for r in serial.records] == \
-            [r.accuracy for r in threaded.records]
+            [r.accuracy for r in pooled.records]
+
+    def test_without_fork_a_pooled_suite_runs_serially(self, monkeypatch):
+        src, tgt = small_shifted_pair()
+        specs = [TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16),
+                 TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
+                          hidden_dim=16, method_config=ShotConfig(epochs=3))]
+        pooled = run_suite(specs, [0, 1], jobs=2)
+        monkeypatch.delattr(os, "fork")
+        serial = run_suite(specs, [0, 1], jobs=2)
+        assert [scores(r) for r in serial.records] == [scores(r) for r in pooled.records]
 
     def test_a_raising_run_is_isolated_and_recorded(self):
         src, tgt = small_shifted_pair()
@@ -224,13 +257,12 @@ class TestSuite:
         assert "adapter modified the target features" in rec.error
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_each_dataset_is_hashed_once_per_suite(self, monkeypatch, jobs):
+    def test_each_dataset_is_hashed_once_per_suite(self, monkeypatch, call_log, jobs):
         src, tgt = small_shifted_pair()
-        calls = []
         real = sfuda.harness._features_hash
 
         def spy(x):
-            calls.append(x)
+            call_log.add("hash")
             return real(x)
 
         monkeypatch.setattr(sfuda.harness, "_features_hash", spy)
@@ -243,27 +275,32 @@ class TestSuite:
         records = run_suite(specs, [0, 1], jobs=jobs).records
         assert all(r.error is None for r in records)
         # source and target once each, plus one "after" hash per adapted record
-        assert len(calls) == 2 + 3 * 2
+        assert len(call_log.read()) == 2 + 3 * 2
         for r in records:
             assert r.manifest["source"]["features_sha256"] == real(src.features)
             assert r.manifest["target"]["features_sha256"] == real(tgt.features)
 
 
+def data_digest(data):
+    return hashlib.sha256(data.features.tobytes() + data.labels.tobytes()).hexdigest()
+
+
 class TrainSpy:
     """Stands in for harness.train_supervised: logs each call's (scope,
-    training data bytes, seed) and raises on the calls fail(scope, data)
-    picks."""
+    training data digest, seed) to a CallLog and raises on the calls
+    fail(scope, data) picks."""
 
-    def __init__(self, fail=lambda scope, data: False):
+    def __init__(self, log, fail=lambda scope, data: False):
         self.real = sfuda.harness.train_supervised
+        self.log = log
         self.fail = fail
-        self.calls = []
-        self.lock = threading.Lock()
+
+    @property
+    def calls(self):
+        return self.log.read()
 
     def __call__(self, model, data, scope, cfg, step_hook=None):
-        with self.lock:
-            self.calls.append((scope, data.features.tobytes() + data.labels.tobytes(),
-                               cfg.seed))
+        self.log.add(scope, data_digest(data), cfg.seed)
         if self.fail(scope, data):
             raise RuntimeError("first transfer broke")
         return self.real(model, data, scope, cfg, step_hook)
@@ -293,10 +330,10 @@ class TestSharedFirstTransfer:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_training_per_distinct_transfer_and_standalone_scores(
-            self, monkeypatch, jobs):
+            self, monkeypatch, call_log, jobs):
         src, tgt = small_shifted_pair()
         specs = self.specs(src, tgt)
-        spy = TrainSpy()
+        spy = TrainSpy(call_log)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
         result = run_suite(specs, [0, 1], jobs=jobs)
         # per seed: LP on the in-domain split, LP and FT on the source
@@ -307,12 +344,12 @@ class TestSharedFirstTransfer:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_raising_transfer_fails_every_record_that_needs_it(
-            self, monkeypatch, jobs):
+            self, monkeypatch, call_log, jobs):
         src, tgt = small_shifted_pair()
         needs_lp = self.specs(src, tgt)[1:]
         no_source = TaskSpec(task="LP-IDG", target=tgt, hidden_dim=16,
                              train=TrainConfig(epochs=4))
-        spy = TrainSpy(fail=lambda scope, data: scope == "classifier_only"
+        spy = TrainSpy(call_log, fail=lambda scope, data: scope == "classifier_only"
                        and data is src)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
         result = run_suite([no_source] + needs_lp, [0], jobs=jobs)
@@ -320,8 +357,8 @@ class TestSharedFirstTransfer:
         assert [r.error for r in broken] == \
             ["RuntimeError: first transfer broke"] * len(needs_lp)
         # a failure is not stored: each record retried and got its own error
-        assert sum(scope == "classifier_only" and data.startswith(src.features.tobytes())
-                   for scope, data, _ in spy.calls) == len(needs_lp)
+        assert sum(scope == "classifier_only" and digest == data_digest(src)
+                   for scope, digest, _ in spy.calls) == len(needs_lp)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy.real)
         assert kept.error is None
         assert scores(kept) == scores(run_task(no_source))
@@ -347,7 +384,7 @@ class Abort(BaseException):
 
 
 class TestBlasThreadCap:
-    """A suite's thread pool caps BLAS threads at the workers' share of the
+    """A pooled suite caps BLAS threads at the workers' share of the
     cores for its lifetime and restores them after; serial suites leave
     them alone, and no result depends on the count."""
 
@@ -365,19 +402,17 @@ class TestBlasThreadCap:
             setter(n)
 
     @staticmethod
-    def spy_counts(monkeypatch, raises=None):
-        """Logs the BLAS thread counts each first transfer sees."""
-        seen = []
+    def spy_counts(monkeypatch, log, raises=None):
+        """Logs to log the BLAS thread counts each first transfer sees."""
         real = sfuda.harness.train_supervised
 
         def spy(model, data, scope, cfg, step_hook=None):
-            seen.append(blas_counts())
+            log.add(*blas_counts())
             if raises is not None:
                 raise raises
             return real(model, data, scope, cfg, step_hook)
 
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
-        return seen
 
     @staticmethod
     def two_records():
@@ -387,20 +422,20 @@ class TestBlasThreadCap:
 
     @needs_openblas
     def test_pool_workers_see_their_share_and_the_count_comes_back(
-            self, monkeypatch, full_threads):
-        seen = self.spy_counts(monkeypatch)
+            self, monkeypatch, call_log, full_threads):
+        self.spy_counts(monkeypatch, call_log)
         result = run_suite(*self.two_records(), jobs=2)
         assert all(r.error is None for r in result.records)
-        assert seen == [[min(full_threads, full_threads // 2)] * len(BLAS)] * 2
+        assert call_log.read() == [(min(full_threads, full_threads // 2),) * len(BLAS)] * 2
         assert blas_counts() == [full_threads] * len(BLAS)
 
     @needs_openblas
-    def test_count_comes_back_when_records_raise(self, monkeypatch, full_threads):
-        self.spy_counts(monkeypatch, raises=RuntimeError("boom"))
+    def test_count_comes_back_when_records_raise(self, monkeypatch, call_log, full_threads):
+        self.spy_counts(monkeypatch, call_log, raises=RuntimeError("boom"))
         result = run_suite(*self.two_records(), jobs=2)
         assert [r.error for r in result.records] == ["RuntimeError: boom"] * 2
         assert blas_counts() == [full_threads] * len(BLAS)
-        self.spy_counts(monkeypatch, raises=Abort())
+        self.spy_counts(monkeypatch, call_log, raises=Abort())
         with pytest.raises(Abort):
             run_suite(*self.two_records(), jobs=2)
         assert blas_counts() == [full_threads] * len(BLAS)
@@ -408,19 +443,19 @@ class TestBlasThreadCap:
     @needs_openblas
     @pytest.mark.parametrize("jobs,n_seeds", [(1, 2), (2, 1)])
     def test_a_suite_without_a_pool_leaves_the_count_alone(
-            self, monkeypatch, full_threads, jobs, n_seeds):
-        seen = self.spy_counts(monkeypatch)
+            self, monkeypatch, call_log, full_threads, jobs, n_seeds):
+        self.spy_counts(monkeypatch, call_log)
         specs, seeds = self.two_records()
         run_suite(specs, seeds[:n_seeds], jobs=jobs)
-        assert seen == [[full_threads] * len(BLAS)] * n_seeds
+        assert call_log.read() == [(full_threads,) * len(BLAS)] * n_seeds
 
     @needs_openblas
-    def test_no_library_found_means_no_cap(self, monkeypatch, full_threads):
+    def test_no_library_found_means_no_cap(self, monkeypatch, call_log, full_threads):
         monkeypatch.setattr(sfuda.harness, "_openblas_libraries", lambda: [])
         assert sfuda.harness._blas_thread_controls() == []
-        seen = self.spy_counts(monkeypatch)
+        self.spy_counts(monkeypatch, call_log)
         run_suite(*self.two_records(), jobs=2)
-        assert seen == [[full_threads] * len(BLAS)] * 2
+        assert call_log.read() == [(full_threads,) * len(BLAS)] * 2
 
     def test_the_cap_never_raises_a_count(self, monkeypatch):
         counts = {"low": 1, "high": 16}
@@ -470,6 +505,7 @@ class TestFailureReport:
         by = {r["group"]: r for r in rows}
         assert by["AAD"]["failure_rate"] == 25.0
         assert by["SHOT"]["failure_rate"] == 0.0
+        assert by["AAD"]["error_rate"] == by["SHOT"]["error_rate"] == 0.0
         assert sum(r["n"] for r in rows) == len(records)
         assert notes == []
         assert by["AAD"]["delta_mean"] == pytest.approx((-2.0 + 3.0) / 4.0)
@@ -486,12 +522,21 @@ class TestFailureReport:
         assert len(rows) == 1
         assert notes == ["1 record(s) without a baseline omitted"]
 
-    def test_errored_records_still_count_as_failures(self):
+    def test_errored_records_count_as_errors_not_failures(self):
         err = fake_record("SHOT", float("nan"), True, error="ValueError: x")
         err.baseline_lp_odg = float("nan")
-        rows, _ = failure_report([err, fake_record("SHOT", 1.0, False)], "method")
-        assert rows[0]["n"] == 2
+        rows, _ = failure_report([err, fake_record("SHOT", 1.0, False),
+                                  fake_record("SHOT", -1.0, True)], "method")
+        assert rows[0]["n"] == 3
         assert rows[0]["failure_rate"] == 50.0
+        assert rows[0]["error_rate"] == pytest.approx(100.0 / 3)
+        assert rows[0]["delta_mean"] == 0.0
+
+    def test_a_group_where_every_record_raised_has_no_failure_rate(self):
+        err = fake_record("SHOT", float("nan"), True, error="ValueError: x")
+        rows, _ = failure_report([err], "method")
+        assert rows[0]["error_rate"] == 100.0
+        assert np.isnan(rows[0]["failure_rate"])
 
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError, match="group_by"):
@@ -533,11 +578,12 @@ class TestHyperparameterGrid:
         assert out["rows"][0]["mean"] == direct.records[0].accuracy
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_first_transfer_per_seed_across_combinations(self, monkeypatch, jobs):
+    def test_one_first_transfer_per_seed_across_combinations(self, monkeypatch, call_log,
+                                                              jobs):
         _, _, spec = self.sweep_fixture()
         grid = {"K": [2, 3, 4], "KK": [2, 3]}
         expected = hyperparameter_grid("NRC", grid, [spec], [0, 1])
-        spy = TrainSpy()
+        spy = TrainSpy(call_log)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
         out = hyperparameter_grid("NRC", grid, [spec], [0, 1], jobs=jobs)
         assert len(spy.calls) == len(set(spy.calls)) == 2

@@ -13,7 +13,7 @@ from sfuda.head import (BOTTLENECK_PARAMS, CLASSIFIER_PARAMS, PARAM_NAMES,
                         StaleCacheError, TrainConfig, adabn, backward,
                         clip_global_norm, cross_entropy, evaluate, forward,
                         init_head, scheduled_lr, sgd_step, smoothed_targets,
-                        train_supervised, two_phase_finetune)
+                        train_supervised)
 from sfuda.neighbors import NrcConfig, nrc_adapt
 from sfuda.shot import ShotConfig, shot_adapt
 
@@ -258,28 +258,10 @@ class TestTraining:
         assert seen
         assert all(t <= 1.0 + 1e-9 for t in seen)
 
-    def test_two_phase_with_huge_clip_equals_sequential(self):
-        src, _ = gen_gaussian_pair(3, 6, 40, 3.0, ShiftSpec.identity(6), make_rng(25))
-        model = init_head(HeadConfig(6, 3, hidden_dim=12, seed=0))
-        cfg = TrainConfig(epochs=3, grad_clip=1e9, seed=0)
-        combined = two_phase_finetune(model, src, cfg)
-        plain = dataclasses.replace(cfg, grad_clip=None)
-        warm = train_supervised(model, src, "classifier_only", plain)
-        sequential = train_supervised(warm, src, "full", plain)
-        for name in PARAM_NAMES:
-            np.testing.assert_array_equal(combined.params()[name],
-                                          sequential.params()[name])
-
-    def test_two_phase_requires_clip(self):
-        src, _ = gen_gaussian_pair(3, 6, 40, 3.0, ShiftSpec.identity(6), make_rng(26))
-        model = init_head(HeadConfig(6, 3, hidden_dim=12, seed=0))
-        with pytest.raises(ValueError, match="grad_clip"):
-            two_phase_finetune(model, src, TrainConfig(epochs=1, seed=0))
-
     def test_huge_inputs_with_conflicting_labels_destabilize_plain_training(self):
         # duplicated samples carrying two different labels keep pushing large
         # wrong-label gradients; at lr 2 the unclipped full pass falls below
-        # its own warm start while the clipped two-phase run stays finite
+        # its own warm start while a clipped warm start plus full pass stays finite
         src, _ = gen_gaussian_pair(4, 8, 50, 1.5, ShiftSpec.identity(8), make_rng(2))
         feats = np.vstack([src.features, src.features]) * 1000.0
         labels = np.concatenate([src.labels, (src.labels + 1) % 4])
@@ -295,8 +277,9 @@ class TestTraining:
                         or acc_plain < acc_warm)
         assert plain_broken
 
-        guarded = two_phase_finetune(model, data,
-                                     dataclasses.replace(hot, grad_clip=1.0))
+        clipped = dataclasses.replace(hot, grad_clip=1.0)
+        guarded = train_supervised(train_supervised(model, data, "classifier_only", clipped),
+                                   data, "full", clipped)
         assert all(np.isfinite(v).all() for v in guarded.params().values())
         assert evaluate(guarded, data.features, data.labels) >= acc_plain
 
