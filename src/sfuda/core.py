@@ -64,50 +64,84 @@ def l2_normalize_rows(m: Array) -> Array:
     return m / norms[:, None]
 
 
-def knn_indices(m: Array, k: int, metric: str = "cosine") -> Array:
-    """Exact k nearest neighbors per row, self excluded.
+# Smallest gap between consecutive costs that a ranking of some rows trusts
+# to order them as the full table does (see knn_indices).
+_RANK_GUARD = 1e-12
+
+
+def knn_indices(m: Array, k: int, metric: str = "cosine",
+                rows: Array | None = None, unit: Array | None = None) -> Array:
+    """Exact k nearest cosine neighbors per row, self excluded.
 
     Returns an (n, k) int array ordered by decreasing similarity; ties break
     toward the lower index, so the result equals the first k columns of a
     stable descending argsort of each row, and the top-k table is a prefix of
     every larger one. Brute force over the full similarity matrix, no
-    approximate indexing.
+    approximate indexing. metric must be "cosine".
 
     Selection is partial: np.partition finds each row's k-th largest
     similarity, and only the candidates at or above it are stable-sorted, in
     index order, so equal similarities keep the lower index first. A row with
     more (or fewer) than k such candidates, because ties straddle the k-th
     place or a NaN is present, is stable-sorted alone.
+
+    With rows (indices into m, in any order, repeats allowed) only those rows
+    are ranked, from u[rows] @ u.T, and the result is knn_indices(m, k)[rows]
+    bit for bit. The two products round differently, by at most about
+    d * eps on unit rows, so the order is trusted only where every gap
+    between a ranked row's k+1 lowest costs exceeds a guard well above that
+    (see _RANK_GUARD); a smaller gap, a tie or a NaN makes the call rank the
+    full table and return its rows.
+
+    unit, when given, must be l2_normalize_rows(m): a caller that ranks rows
+    of one matrix more than once normalizes it once.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("knn_indices expects a matrix")
-    n = m.shape[0]
+    if metric != "cosine":
+        raise ValueError(f"unknown metric {metric!r}")
+    n, d = m.shape
     if not 1 <= k < n:
         raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
-    # cost is the negated similarity (cosine) or the squared distance
-    # (euclidean); ascending cost is descending similarity
-    if metric == "cosine":
-        u = l2_normalize_rows(m)
+    # cost is the negated cosine similarity: ascending cost is descending
+    # similarity
+    u = l2_normalize_rows(m) if unit is None else np.asarray(unit, dtype=np.float64)
+    if u.shape != m.shape:
+        raise ValueError(f"unit rows of shape {u.shape} do not match m {m.shape}")
+    if rows is None:
         cost = u @ u.T
         np.negative(cost, out=cost)
-    elif metric == "euclidean":
-        sq = (m * m).sum(axis=1)
-        cost = sq[:, None] + sq[None, :] - 2.0 * (m @ m.T)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    np.fill_diagonal(cost, np.inf)
-    kth = np.partition(cost, k - 1, axis=1)[:, k - 1:k]
-    cand = cost <= kth
-    exact = cand.sum(axis=1) == k
-    out = np.empty((n, k), dtype=np.int64)
-    rows = np.flatnonzero(exact)
-    idx = np.nonzero(cand[rows])[1].reshape(rows.size, k)
-    order = np.argsort(cost[rows[:, None], idx], axis=1, kind="stable")
-    out[rows] = np.take_along_axis(idx, order, axis=1)
-    for i in np.flatnonzero(~exact):
-        out[i] = np.argsort(cost[i], kind="stable")[:k]
-    return out
+        np.fill_diagonal(cost, np.inf)
+        kth = np.partition(cost, k - 1, axis=1)[:, k - 1:k]
+        cand = cost <= kth
+        exact = cand.sum(axis=1) == k
+        out = np.empty((n, k), dtype=np.int64)
+        fast = np.flatnonzero(exact)
+        idx = np.nonzero(cand[fast])[1].reshape(fast.size, k)
+        order = np.argsort(cost[fast[:, None], idx], axis=1, kind="stable")
+        out[fast] = np.take_along_axis(idx, order, axis=1)
+        for i in np.flatnonzero(~exact):
+            out[i] = np.argsort(cost[i], kind="stable")[:k]
+        return out
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
+        raise ValueError(f"rows must be a vector of indices below n={n}")
+    cost = -u[rows] @ u.T
+    cost[np.arange(rows.size), rows] = np.inf
+    # each row's k+1 lowest costs, ascending; with every gap above the guard
+    # there is no tie for the tie rule to break
+    low = np.argpartition(cost, k, axis=1)[:, :k + 1]
+    low_cost = np.take_along_axis(cost, low, axis=1)
+    order = np.argsort(low_cost, axis=1)
+    gaps = np.diff(np.take_along_axis(low_cost, order, axis=1), axis=1)
+    # Either product puts a cost of unit rows within d * eps / 2 of exact, so
+    # rounding closes a gap of at most 2 * d * eps; the guard is four times
+    # that at least. A NaN sorts last: it reaches the k+1 lowest only when it
+    # changes the ranking, and then its gap compares False.
+    if not np.all(gaps > max(_RANK_GUARD, 8.0 * d * np.finfo(np.float64).eps)):
+        return knn_indices(m, k, unit=u)[rows]
+    return np.take_along_axis(low, order[:, :k], axis=1)
 
 
 def one_hot(labels: Array, num_classes: int) -> Array:

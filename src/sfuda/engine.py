@@ -48,47 +48,39 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
     """One simulated data-parallel step.
 
     objective(worker, rows, logits) -> (value, dlogits) sees only its shard,
-    so any batch-level statistic inside it is shard-local. Each worker runs
-    its own train-mode forward (shard-local batch statistics) unless
-    sync_batchnorm pools them; gradients are averaged unweighted.
+    so any batch-level statistic inside it is shard-local; it is called once
+    per shard, in shard order. Each worker normalizes with its own shard's
+    batch statistics unless sync_batchnorm pools them; gradients are averaged
+    unweighted.
+
+    The workers share one train-mode forward and one backward: the shards
+    (equal in size, as shard_rows cuts them) are stacked as (W, m, d), which
+    head.forward and head.backward treat as W separate batches, so the step
+    equals W per-shard forwards and backwards bit for bit. One worker, or
+    pooled batchnorm statistics, take one plain (W*m, d) batch instead.
 
     Returns (mean objective value, averaged gradient dict, per-shard outputs)
-    where outputs is a list of (rows, logits, feats) from the forwards.
+    where outputs is a list of (rows, logits, feats) from the forward.
     """
     w = len(shards)
-    if sync_batchnorm and w > 1 and model.norm.kind == "batchnorm":
-        rows_all = np.concatenate(shards)
-        logits, feats, cache = forward(model, x[rows_all], "train")
-        dl = np.empty_like(logits)
-        values = []
-        outputs = []
-        ofs = 0
-        for wi, sh in enumerate(shards):
-            m = len(sh)
-            v, d = objective(wi, sh, logits[ofs:ofs + m])
-            dl[ofs:ofs + m] = d
-            values.append(v)
-            outputs.append((sh, logits[ofs:ofs + m], feats[ofs:ofs + m]))
-            ofs += m
-        # backward is linear in dlogits, so one pass gives the shard average
-        grads = backward(model, cache, dl / w)
-        return float(np.mean(values)), grads, outputs
-
-    gsum: dict[str, np.ndarray] | None = None
+    m = len(shards[0])
+    if any(len(sh) != m for sh in shards):
+        raise ValueError("shards must have equal sizes")
+    pooled = w == 1 or (sync_batchnorm and model.norm.kind == "batchnorm")
+    xb = x[np.concatenate(shards)]
+    logits, feats, cache = forward(model, xb if pooled else xb.reshape(w, m, -1), "train")
+    logits, feats = logits.reshape(w, m, -1), feats.reshape(w, m, -1)
+    dl = np.empty_like(logits)
     values = []
-    outputs = []
     for wi, sh in enumerate(shards):
-        logits, feats, cache = forward(model, x[sh], "train")
-        v, dl = objective(wi, sh, logits)
-        g = backward(model, cache, dl)
+        v, dl[wi] = objective(wi, sh, logits[wi])
         values.append(v)
-        outputs.append((sh, logits, feats))
-        if gsum is None:
-            gsum = g
-        else:
-            for k in gsum:
-                gsum[k] += g[k]
-    grads = {k: v / w for k, v in gsum.items()}
+    outputs = [(sh, logits[wi], feats[wi]) for wi, sh in enumerate(shards)]
+    if pooled:
+        # backward is linear in dlogits, so one pass gives the shard average
+        grads = backward(model, cache, dl.reshape(w * m, -1) / w)
+    else:
+        grads = {k: g / w for k, g in backward(model, cache, dl).items()}
     return float(np.mean(values)), grads, outputs
 
 

@@ -289,7 +289,7 @@ def _error_record(spec: TaskSpec, error: str) -> ExperimentRecord:
         task=spec.task, method=spec.method,
         source_name=spec.source.name if spec.source else "",
         target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
-        accuracy=nan, baseline_lp_odg=nan, delta=nan, failed=True,
+        accuracy=nan, baseline_lp_odg=nan, delta=nan, failed=False,
         wall_time=0.0, manifest={"error": error}, error=error)
 
 

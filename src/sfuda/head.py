@@ -8,6 +8,7 @@ pin every formula here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,18 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
 
     Train mode normalizes with batch statistics and updates the running
     estimates; eval mode is a pure per-row function.
+
+    x is a batch (m, d) or a stack of equal worker shards (W, m, d). A stack
+    gives each shard its own batch statistics and running-statistic update,
+    in shard order, so its outputs and the model's state afterwards equal
+    those of W forwards on the shards one after another, bit for bit.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.in_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != model.in_dim:
         raise ValueError(f"expected inputs of width {model.in_dim}, got {x.shape}")
-    b = x.shape[0]
+    b = x.shape[-2]
     norm = model.norm
     z = x @ model.bottleneck_weight + model.bottleneck_bias
 
@@ -170,19 +176,20 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
         if mode == "train":
             if b < 2:
                 raise ValueError("train-mode batchnorm needs a batch of at least 2")
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
+            mu = z.mean(axis=-2, keepdims=True)
+            var = z.var(axis=-2, keepdims=True)
             inv = 1.0 / np.sqrt(var + norm.eps)
             xhat = (z - mu) * inv
-            m = norm.momentum
-            norm.running_mean = (1.0 - m) * norm.running_mean + m * mu
-            norm.running_var = (1.0 - m) * norm.running_var + m * var * b / (b - 1)
+            m, h = norm.momentum, z.shape[-1]
+            for mu_w, var_w in zip(mu.reshape(-1, h), var.reshape(-1, h)):
+                norm.running_mean = (1.0 - m) * norm.running_mean + m * mu_w
+                norm.running_var = (1.0 - m) * norm.running_var + m * var_w * b / (b - 1)
         else:
             inv = 1.0 / np.sqrt(norm.running_var + norm.eps)
             xhat = (z - norm.running_mean) * inv
     else:
-        mu = z.mean(axis=1, keepdims=True)
-        var = z.var(axis=1, keepdims=True)
+        mu = z.mean(axis=-1, keepdims=True)
+        var = z.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + norm.eps)
         xhat = (z - mu) * inv
     y = norm.gamma * xhat + norm.beta
@@ -197,9 +204,10 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
 
 
 def _classifier_grads(feats: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the classifier tensors, given the features it read."""
-    return {"classifier_weight": feats.T @ dlogits,
-            "classifier_bias": dlogits.sum(axis=0)}
+    """Gradients of the classifier tensors, given the features it read
+    (per shard when the inputs are stacked)."""
+    return {"classifier_weight": np.swapaxes(feats, -1, -2) @ dlogits,
+            "classifier_bias": dlogits.sum(axis=-2)}
 
 
 def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
@@ -207,7 +215,10 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
     """Analytic gradients of a scalar loss wrt every parameter tensor.
 
     Train-mode batchnorm gradients flow through the batch mean and variance;
-    eval-mode statistics are constants.
+    eval-mode statistics are constants. After a stacked forward, dlogits is
+    (W, m, C) too, each shard's gradients flow through its own statistics,
+    and the result is the sum of the W per-shard gradients, added in shard
+    order: bit for bit what summing W separate backward calls gives.
     """
     if cache.version != model.version:
         raise StaleCacheError("forward cache is stale; parameters changed since")
@@ -215,7 +226,6 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
     feats, y, xhat, inv = cache.feats, cache.y, cache.xhat, cache.inv_std
     norm = model.norm
 
-    grads = _classifier_grads(feats, dlogits)
     dfeats = dlogits @ model.classifier_weight.T
 
     if model.activation == "relu":
@@ -223,29 +233,29 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
     else:
         dy = dfeats * _gelu_grad(y)
 
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
     dxhat = dy * norm.gamma
-
     if norm.kind == "batchnorm":
         if cache.mode == "train":
-            dz = inv * (dxhat - dxhat.mean(axis=0)
-                        - xhat * (dxhat * xhat).mean(axis=0))
+            dz = inv * (dxhat - dxhat.mean(axis=-2, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-2, keepdims=True))
         else:
             dz = dxhat * inv
     else:
-        dz = inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        dz = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
-    d_w1 = cache.x.T @ dz
-    d_b1 = dz.sum(axis=0)
-    return {
-        "bottleneck_weight": d_w1,
-        "bottleneck_bias": d_b1,
-        "gamma": dgamma,
-        "beta": dbeta,
-        **grads,
+    grads = {
+        "bottleneck_weight": np.swapaxes(cache.x, -1, -2) @ dz,
+        "bottleneck_bias": dz.sum(axis=-2),
+        "gamma": (dy * xhat).sum(axis=-2),
+        "beta": dy.sum(axis=-2),
+        **_classifier_grads(feats, dlogits),
     }
+    if cache.x.ndim == 3:
+        # add the shards' gradients one by one, in shard order, as summing
+        # separate backward calls does (np.sum may pair them up instead)
+        grads = {k: functools.reduce(np.add, g) for k, g in grads.items()}
+    return grads
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray,

@@ -97,7 +97,7 @@ def _bank_knn(bank: MemoryBank, k: int, knn: np.ndarray | None = None) -> np.nda
     wider table (knn_indices tables are prefixes of each other), or a fresh
     one when knn is None."""
     if knn is None:
-        return knn_indices(bank.features, k, "cosine")
+        return knn_indices(bank.features, k)
     knn = np.asarray(knn)
     if knn.ndim != 2 or knn.shape[0] != bank.n or knn.shape[1] < k:
         raise ValueError(f"neighbor table of shape {knn.shape} does not cover "
@@ -189,13 +189,18 @@ def sample_backgrounds(bank_n: int, neigh: np.ndarray, batch_indices: np.ndarray
     b, k = neigh.shape
     if bank_n <= k + size:
         raise ValueError(f"bank of {bank_n} too small for K={k} plus {size} background")
-    out = np.empty((b, size), dtype=np.int64)
-    for i in range(b):
-        blocked = np.unique(np.append(neigh[i], batch_indices[i]))
-        pos = rng.choice(bank_n - blocked.size, size=size, replace=False)
-        # blocked[j] - j allowed indices lie below blocked[j]
-        out[i] = pos + np.searchsorted(blocked - np.arange(blocked.size), pos, side="right")
-    return out
+    blocked = np.sort(np.column_stack([neigh, batch_indices]), axis=1)
+    repeat = np.zeros(blocked.shape, dtype=bool)
+    repeat[:, 1:] = blocked[:, 1:] == blocked[:, :-1]
+    # a repeated index blocks nothing more: move it past every position
+    blocked[repeat] = bank_n + k + 1
+    blocked.sort(axis=1)
+    free = bank_n - (k + 1) + repeat.sum(axis=1)
+    pos = np.array([rng.choice(f, size=size, replace=False) for f in free],
+                   dtype=np.int64).reshape(b, size)
+    # blocked[j] - j allowed indices lie below blocked[j]
+    shifted = blocked - np.arange(k + 1)
+    return pos + (shifted[:, None, :] <= pos[:, :, None]).sum(axis=2)
 
 
 def aad_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBank,
@@ -245,8 +250,17 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
 
     def step_grads(rows, step):
         lambda_t = decay_lambda(step, total_steps, cfg.beta) if kind == "aad" else 0.0
-        # the bank only changes once every shard has run: rank it once for all
-        knn = knn_indices(bank.features, table_k, "cosine")
+        # the bank only changes once every shard has run, and a step reads
+        # the table rows of its batch (AAD), or of its batch and their K
+        # neighbors (NRC): rank those alone; the rest hold n, so a stray read
+        # raises IndexError
+        knn = np.full((n, table_k), n, dtype=np.int64)
+        unit = l2_normalize_rows(bank.features)
+        knn[rows] = knn_indices(bank.features, table_k, rows=rows, unit=unit)
+        if kind == "nrc":
+            extra = np.setdiff1d(knn[rows, :cfg.K], rows)
+            if extra.size:
+                knn[extra] = knn_indices(bank.features, table_k, rows=extra, unit=unit)
 
         def objective(_w, sh, logits):
             p = softmax(logits)

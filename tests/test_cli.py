@@ -258,6 +258,8 @@ class TestFailureHandling:
             ["error: 1 of 2 records raised (see the error column of records.csv)"]
         rows = read_rows(out / "records.csv")
         assert [r["error"] for r in rows] == ["", "RuntimeError: adapter broke"]
+        # the record that raised is an error, not an adaptation failure
+        assert (rows[1]["failed"], rows[1]["accuracy"]) == ("0", "nan")
         assert (out / "manifest.json").exists() and (out / "aggregates.csv").exists()
 
     def test_raising_grid_cell_sets_the_exit_status(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sfuda import core
 from sfuda.core import (derive_rng, derive_seed, knn_indices, l2_normalize_rows,
                         log_softmax, make_rng, one_hot, softmax)
 
@@ -73,8 +75,9 @@ class TestNormalizeRows:
 
 class TestKnn:
     def test_collinear_middle_is_nearest_of_both_ends(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-        nn = knn_indices(pts, 1, metric="euclidean")
+        # on the line x = 1 the middle point has the smallest angle to both ends
+        pts = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 3.0]])
+        nn = knn_indices(pts, 1)
         assert nn[0, 0] == 1
         assert nn[2, 0] == 1
 
@@ -101,30 +104,26 @@ class TestKnn:
         assert nn[0, 0] == 1
 
     def test_unknown_metric(self):
-        with pytest.raises(ValueError, match="metric"):
-            knn_indices(np.eye(3), 1, metric="manhattan")
+        for metric in ("manhattan", "euclidean"):
+            with pytest.raises(ValueError, match="metric"):
+                knn_indices(np.eye(3), 1, metric=metric)
 
     @given(st.integers(0, 10 ** 6), st.integers(3, 10))
     @settings(max_examples=40, deadline=None)
     def test_index_ranges(self, seed, n):
         pts = make_rng(seed).normal(size=(n, 4)) + 0.05
         k = min(3, n - 1)
-        nn = knn_indices(pts, k, metric="euclidean")
+        nn = knn_indices(pts, k)
         assert nn.shape == (n, k)
         assert np.all((0 <= nn) & (nn < n))
         for i in range(n):
             assert len(set(nn[i].tolist())) == k
 
 
-def _stable_knn(m, k, metric):
-    """Full stable descending argsort of the similarity rows, self excluded."""
-    m = np.asarray(m, dtype=np.float64)
-    if metric == "cosine":
-        u = l2_normalize_rows(m)
-        sims = u @ u.T
-    else:
-        sq = (m * m).sum(axis=1)
-        sims = -(sq[:, None] + sq[None, :] - 2.0 * (m @ m.T))
+def _stable_knn(m, k):
+    """Full stable descending argsort of the cosine rows, self excluded."""
+    u = l2_normalize_rows(m)
+    sims = u @ u.T
     np.fill_diagonal(sims, -np.inf)
     return np.argsort(-sims, axis=1, kind="stable")[:, :k]
 
@@ -145,22 +144,86 @@ def knn_inputs(draw):
 
 
 class TestKnnMatchesStableSort:
-    @given(knn_inputs(), st.sampled_from(["cosine", "euclidean"]))
+    @given(knn_inputs())
     @settings(max_examples=150, deadline=None)
-    def test_every_k_equals_the_stable_argsort(self, m, metric):
+    def test_every_k_equals_the_stable_argsort(self, m):
         n = m.shape[0]
-        full = _stable_knn(m, n - 1, metric)
+        full = _stable_knn(m, n - 1)
         for k in range(1, n):
-            np.testing.assert_array_equal(knn_indices(m, k, metric), full[:, :k])
+            np.testing.assert_array_equal(knn_indices(m, k), full[:, :k])
 
-    @given(knn_inputs(), st.sampled_from(["cosine", "euclidean"]), st.data())
+    @given(knn_inputs(), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_smaller_table_is_a_prefix(self, m, metric, data):
+    def test_smaller_table_is_a_prefix(self, m, data):
         n = m.shape[0]
         kk = data.draw(st.integers(1, n - 1))
         k = data.draw(st.integers(1, kk))
-        np.testing.assert_array_equal(knn_indices(m, k, metric),
-                                      knn_indices(m, kk, metric)[:, :k])
+        np.testing.assert_array_equal(knn_indices(m, k), knn_indices(m, kk)[:, :k])
+
+
+class TestRankedRows:
+    """knn_indices(m, k, rows=R) ranks only R yet returns the full table's rows."""
+
+    @staticmethod
+    def ranked(m, k, rows):
+        """knn_indices(m, k, rows=rows), and whether it fell back to the full
+        table (the fallback calls the module-level name, which is spied on)."""
+        real = core.knn_indices
+        fell_back = []
+
+        def spy(*args, **kwargs):
+            fell_back.append(True)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(core, "knn_indices", spy):
+            out = real(m, k, rows=rows)
+        return out, bool(fell_back)
+
+    @given(knn_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_full_table_rows(self, m, data):
+        n = m.shape[0]
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
+                        dtype=np.int64)
+        # a ranked row with two exact copies elsewhere ties them at its lowest
+        # cost, which no rounding bound can order
+        copies = (m[rows][:, None, :] == m[None, :, :]).all(axis=2).sum(axis=1) - 1
+        for k in range(1, n):
+            got, fell_back = self.ranked(m, k, rows)
+            assert got.shape == (rows.size, k)
+            want = knn_indices(m, k)[rows]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                knn_indices(m, k, rows=rows, unit=l2_normalize_rows(m)), want)
+            if (copies >= 2).any():
+                assert fell_back
+
+    def test_ties_fall_back_and_separated_rows_do_not(self):
+        rng = make_rng(3)
+        m = rng.normal(size=(40, 8))
+        got, fell_back = self.ranked(m, 5, np.array([7, 3, 3, 39]))
+        assert not fell_back
+        np.testing.assert_array_equal(got, knn_indices(m, 5)[[7, 3, 3, 39]])
+        m[[11, 12]] = m[3]
+        got, fell_back = self.ranked(m, 5, np.array([7, 3]))
+        assert fell_back
+        np.testing.assert_array_equal(got, knn_indices(m, 5)[[7, 3]])
+
+    def test_nan_falls_back(self):
+        m = make_rng(4).normal(size=(10, 3))
+        m[6, 0] = np.nan
+        got, fell_back = self.ranked(m, 2, np.array([0, 6]))
+        assert fell_back
+        np.testing.assert_array_equal(got, knn_indices(m, 2)[[0, 6]])
+
+    def test_rows_outside_the_matrix_rejected(self):
+        for rows in ([10], [-1], [[0, 1]]):
+            with pytest.raises(ValueError, match="rows"):
+                knn_indices(np.eye(10), 2, rows=np.array(rows))
+
+    def test_unit_rows_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match="unit rows"):
+            knn_indices(np.eye(10), 2, rows=np.arange(3), unit=np.eye(9))
 
 
 class TestRngDerivation:

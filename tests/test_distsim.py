@@ -2,16 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfuda.harness
-from conftest import max_rel_err
+from conftest import max_rel_err, tiny_model
 from sfuda.core import make_rng
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.distsim import (ADAPT_METHODS, GridResult, centralized_gradient,
                            parse_cell, run_distributed_grid, run_distributed_grids,
                            sharded_gradient)
-from sfuda.engine import DEFAULT_GRID, DistConfig, effective_batch, shard_rows
-from sfuda.head import (PARAM_NAMES, HeadConfig, TrainConfig, init_head,
+from sfuda.engine import (DEFAULT_GRID, DistConfig, effective_batch, shard_rows,
+                          sharded_step)
+from sfuda.head import (PARAM_NAMES, HeadConfig, TrainConfig, backward, forward,
+                        init_head,
                         train_supervised)
 from sfuda.neighbors import AadConfig
 from sfuda.shot import ShotConfig, diversity_loss, entropy_loss, im_loss
@@ -63,6 +67,75 @@ class TestShardMachinery:
     def test_default_grid_shares_global_batch(self):
         assert {c.global_batch for c in DEFAULT_GRID} == {64}
         assert [c.label for c in DEFAULT_GRID][0] == "1x64"
+
+
+def shard_loop_step(model, x, shards, objective, sync_batchnorm):
+    """Reference data-parallel step: one forward and backward per shard (one
+    pooled pass when batchnorm statistics are synced), gradients added in
+    shard order and averaged."""
+    w = len(shards)
+    if sync_batchnorm and w > 1 and model.norm.kind == "batchnorm":
+        logits, feats, cache = forward(model, x[np.concatenate(shards)], "train")
+        dl, values, outputs, ofs = np.empty_like(logits), [], [], 0
+        for wi, sh in enumerate(shards):
+            v, dl[ofs:ofs + len(sh)] = objective(wi, sh, logits[ofs:ofs + len(sh)])
+            values.append(v)
+            outputs.append((sh, logits[ofs:ofs + len(sh)], feats[ofs:ofs + len(sh)]))
+            ofs += len(sh)
+        return float(np.mean(values)), backward(model, cache, dl / w), outputs
+    gsum, values, outputs = None, [], []
+    for wi, sh in enumerate(shards):
+        logits, feats, cache = forward(model, x[sh], "train")
+        v, dl = objective(wi, sh, logits)
+        g = backward(model, cache, dl)
+        values.append(v)
+        outputs.append((sh, logits, feats))
+        if gsum is None:
+            gsum = g
+        else:
+            for k in gsum:
+                gsum[k] += g[k]
+    return float(np.mean(values)), {k: v / w for k, v in gsum.items()}, outputs
+
+
+class TestStackedStep:
+    @given(st.sampled_from(["batchnorm", "layernorm"]), st.sampled_from(["relu", "gelu"]),
+           st.booleans(), st.integers(1, 16), st.integers(1, 6), st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_equals_the_shard_loop_bit_for_bit(self, norm, act, sync, w, m, seed):
+        if norm == "batchnorm" and (w * m if sync else m) < 2:
+            m = 2   # batch statistics need two rows per pass
+        rng = make_rng(seed)
+        c = int(rng.integers(1, 5))
+        model = tiny_model(seed=seed, d=int(rng.integers(1, 6)), h=int(rng.integers(1, 6)),
+                           c=c, norm=norm, act=act)
+        x = rng.normal(size=(w * m + 3, model.in_dim))
+        shards = shard_rows(rng.permutation(len(x))[:w * m], w)
+        targets = rng.dirichlet(np.ones(c), size=len(x))
+
+        def objective(wi, sh, logits):
+            # a shard-coupled term and a per-row term
+            v_im, d_im = im_loss(logits)
+            return v_im + wi * float(targets[sh].sum()), d_im + targets[sh] * (wi + 1)
+
+        ref_model, new_model = model.copy(), model.copy()
+        want = shard_loop_step(ref_model, x, shards, objective, sync)
+        got = sharded_step(new_model, x, shards, objective, sync)
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1])
+        for k in want[1]:
+            assert got[1][k].tobytes() == want[1][k].tobytes()
+        for (gs, gl, gf), (ws, wl, wf) in zip(got[2], want[2], strict=True):
+            np.testing.assert_array_equal(gs, ws)
+            assert gl.tobytes() == wl.tobytes() and gf.tobytes() == wf.tobytes()
+        if norm == "batchnorm":
+            assert new_model.norm.running_mean.tobytes() == ref_model.norm.running_mean.tobytes()
+            assert new_model.norm.running_var.tobytes() == ref_model.norm.running_var.tobytes()
+
+    def test_unequal_shards_rejected(self):
+        with pytest.raises(ValueError, match="equal sizes"):
+            sharded_step(tiny_model(), np.zeros((5, 5)), [np.arange(3), np.arange(3, 5)],
+                         lambda _w, sh, logits: (0.0, np.zeros_like(logits)))
 
 
 class TestGradientDecomposition:

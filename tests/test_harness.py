@@ -234,7 +234,8 @@ class TestSuite:
         good = TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16)
         result = run_suite([bad, good], [0])
         bad_rec, good_rec = result.records
-        assert bad_rec.failed is True
+        # an error is not an adaptation failure
+        assert bad_rec.failed is False
         assert np.isnan(bad_rec.accuracy)
         assert bad_rec.error.startswith("ValueError:")
         assert result.aggregates[0]["summary"] == "no successful runs"
@@ -253,7 +254,7 @@ class TestSuite:
         spec = TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
                         hidden_dim=16, method_config=ShotConfig(epochs=1))
         rec, = run_suite([spec], [0]).records
-        assert rec.failed is True
+        assert rec.failed is False
         assert "adapter modified the target features" in rec.error
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfuda.head
 from conftest import fd_param_grads, grad_gap, max_rel_err, tiny_model
@@ -150,6 +152,67 @@ class TestBackward:
         sgd_step(model, grads, SgdState(model.params()), 0.1, 0.0, 0.0)
         with pytest.raises(StaleCacheError):
             backward(model, cache, np.ones((4, 3)))
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def stacked_cases(draw):
+    norm = draw(st.sampled_from(["batchnorm", "layernorm"]))
+    act = draw(st.sampled_from(["relu", "gelu"]))
+    w = draw(st.integers(1, 16))
+    m = draw(st.integers(2 if norm == "batchnorm" else 1, 20))
+    d, h, c = (draw(st.integers(1, 6)) for _ in range(3))
+    rng = make_rng(draw(st.integers(0, 10 ** 6)))
+    model = tiny_model(seed=int(rng.integers(1 << 30)), d=d, h=h, c=c, norm=norm, act=act)
+    model.norm.gamma[:] = rng.normal(size=h)
+    model.norm.beta[:] = rng.normal(size=h)
+    if norm == "batchnorm":
+        model.norm.running_mean = rng.normal(size=h)
+        model.norm.running_var = rng.uniform(0.5, 2.0, size=h)
+    return model, rng.normal(size=(w, m, d)), rng.normal(size=(w, m, c))
+
+
+class TestStackedShards:
+    """A (W, m, d) stack through forward/backward is W shard passes in one."""
+
+    @given(stacked_cases(), st.sampled_from(["train", "eval"]))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_equals_the_shard_loop_bit_for_bit(self, case, mode):
+        model, x, dl = case
+        loop, stack = model.copy(), model.copy()
+        outs, gsum = [], None
+        for xw, dw in zip(x, dl):
+            logits, feats, cache = forward(loop, xw, mode)
+            g = backward(loop, cache, dw)
+            outs.append((logits, feats))
+            if gsum is None:
+                gsum = g
+            else:
+                for k in gsum:
+                    gsum[k] += g[k]
+        logits, feats, cache = forward(stack, x, mode)
+        grads = backward(stack, cache, dl)
+        for w, (lw, fw) in enumerate(outs):
+            same_bytes(logits[w], lw)
+            same_bytes(feats[w], fw)
+        assert list(grads) == list(gsum)
+        for k in gsum:
+            same_bytes(grads[k], gsum[k])
+        if model.norm.kind == "batchnorm":
+            same_bytes(stack.norm.running_mean, loop.norm.running_mean)
+            same_bytes(stack.norm.running_var, loop.norm.running_var)
+
+    def test_batchnorm_shards_need_two_rows(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            forward(tiny_model(), np.zeros((3, 1, 5)), "train")
+
+    def test_four_axes_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            forward(tiny_model(), np.zeros((2, 2, 2, 5)), "eval")
 
 
 class TestLossPieces:

@@ -281,6 +281,23 @@ class TestBackgroundStream:
             # the stream stays aligned for the next caller
             assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
 
+    def test_repeated_blocked_indices_match_the_pool_loop(self):
+        cases = make_rng(22)
+        for case in range(200):
+            k = int(cases.integers(1, 6))
+            size = int(cases.integers(1, 8))
+            bank_n = int(cases.integers(k + size + 1, k + size + 30))
+            b = int(cases.integers(1, 9))
+            bidx = cases.integers(0, bank_n, size=b)
+            # neighbors may repeat and may name the row itself
+            neigh = cases.integers(0, bank_n, size=(b, k))
+            neigh[:, 0] = np.where(cases.random(b) < 0.3, bidx, neigh[:, 0])
+            got_rng, want_rng = make_rng(case), make_rng(case)
+            got = sample_backgrounds(bank_n, neigh, bidx, size, got_rng)
+            want = pool_loop_backgrounds(bank_n, neigh, bidx, size, want_rng)
+            np.testing.assert_array_equal(got, want)
+            assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
 
 class TestSharedNeighborTable:
     def test_nrc_given_table_is_bit_identical(self):
@@ -326,20 +343,65 @@ class TestSharedNeighborTable:
         (aad_adapt, AadConfig(epochs=2, batch_size=64, seed=0)),
     ], ids=["nrc", "aad"])
     def test_bank_ranked_once_per_step(self, monkeypatch, cell, adapt, cfg):
+        """Each step ranks only the table rows it reads, against the bank as
+        it stands before the step: one call for AAD's batch, at most two for
+        NRC's batch and its K neighbors, b * (1 + K) rows at most."""
         import sfuda.neighbors as neighbors
 
-        calls = []
+        steps_seen = []
+        real_step = neighbors.sharded_step
 
-        def counted(m, k, metric="cosine"):
-            calls.append(k)
-            return knn_indices(m, k, metric)
+        def counted(m, k, metric="cosine", rows=None, unit=None):
+            assert rows is not None and k == max(cfg.K, getattr(cfg, "KK", cfg.K))
+            steps_seen[-1].append(len(rows))
+            return knn_indices(m, k, metric, rows, unit)
+
+        def step(*args, **kwargs):
+            assert steps_seen[-1], "a step ran before ranking its rows"
+            steps_seen.append([])
+            return real_step(*args, **kwargs)
 
         monkeypatch.setattr(neighbors, "knn_indices", counted)
+        monkeypatch.setattr(neighbors, "sharded_step", step)
+        steps_seen.append([])
         _, tgt, first = TestAdaptationLoops().make_setup()
         adapt(first, tgt.features, cfg, dist=cell)
-        steps = cfg.epochs * (tgt.features.shape[0] // cfg.batch_size)
-        assert len(calls) == steps
-        assert set(calls) == {max(cfg.K, getattr(cfg, "KK", cfg.K))}
+        ranked = steps_seen[:-1]
+        b = cfg.batch_size
+        assert len(ranked) == cfg.epochs * (tgt.features.shape[0] // b)
+        for calls in ranked:
+            assert calls[0] == b
+            assert len(calls) <= (2 if adapt is nrc_adapt else 1)
+            assert sum(calls) <= b * (1 + cfg.K)
+        if adapt is nrc_adapt:
+            assert any(len(calls) == 2 for calls in ranked)
+
+    @pytest.mark.parametrize("cell", [DistConfig(1, 64), DistConfig(16, 4)],
+                             ids=lambda c: c.label)
+    @pytest.mark.parametrize("adapt, loss_name, cfg", [
+        (nrc_adapt, "nrc_loss", NrcConfig(K=2, KK=3, epochs=2, batch_size=64, seed=0)),
+        (aad_adapt, "aad_loss", AadConfig(epochs=2, batch_size=64, seed=0)),
+    ], ids=["nrc", "aad"])
+    def test_partial_table_adapts_like_the_full_table(self, monkeypatch, cell, adapt,
+                                                      loss_name, cfg):
+        """The table whose unread rows hold n gives the parameter bytes that
+        the bank's full table gives."""
+        import sfuda.neighbors as neighbors
+
+        _, tgt, first = TestAdaptationLoops().make_setup()
+        partial = adapt(first, tgt.features, cfg, dist=cell)
+        real = getattr(neighbors, loss_name)
+
+        def with_full_table(p, sh, bank, *args, knn, **kwargs):
+            table = knn_indices(bank.features, knn.shape[1])
+            ranked = knn[:, 0] < bank.n
+            np.testing.assert_array_equal(knn[ranked], table[ranked])
+            return real(p, sh, bank, *args, knn=table, **kwargs)
+
+        monkeypatch.setattr(neighbors, loss_name, with_full_table)
+        full = adapt(first, tgt.features, cfg, dist=cell)
+        for name in PARAM_NAMES:
+            assert partial.params()[name].tobytes() == full.params()[name].tobytes()
 
 
 class TestDecay:
