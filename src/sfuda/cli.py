@@ -78,6 +78,11 @@ def parse_seeds(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
+def _int_at_least(value, low: int) -> bool:
+    # JSON true and false are bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 def resolve_common(args, cfg: dict) -> dict:
     out_dir = args.out or cfg.get("out_dir") or os.environ.get("SFUDA_OUT_DIR") or "sfuda-out"
     fmt = args.format or cfg.get("format", "csv")
@@ -90,12 +95,17 @@ def resolve_common(args, cfg: dict) -> dict:
     elif args.seeds is not None:
         seeds = parse_seeds(args.seeds)
     else:
-        seeds = list(cfg.get("seeds", [0]))
+        seeds = cfg.get("seeds", [0])
+        if not isinstance(seeds, list):
+            raise CliError(f"seeds must be a list of integers, not {seeds!r}")
     if not seeds:
         raise CliError("no seeds selected")
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", 1))
-    if jobs < 1:
-        raise CliError("jobs must be positive")
+    for seed in seeds:
+        if not _int_at_least(seed, 0):
+            raise CliError(f"seeds must be nonnegative integers, not {seed!r}")
+    jobs = args.jobs if args.jobs is not None else cfg.get("jobs", 1)
+    if not _int_at_least(jobs, 1):
+        raise CliError(f"jobs must be a positive integer, not {jobs!r}")
     return {"out_dir": out_dir, "format": fmt, "seeds": seeds, "jobs": jobs}
 
 
@@ -424,7 +434,7 @@ def cmd_sweep(args) -> list[str]:
     head, train = _head_and_train(cfg, "layernorm")
     spec = TaskSpec(task=section.get("task", "SFUDA"), method=method, target=target,
                     source=source, train=train, **head)
-    grid = hyperparameter_grid(method, params, [spec], common["seeds"], common["jobs"])
+    grid = hyperparameter_grid(params, spec, common["seeds"], common["jobs"])
 
     names = grid["params"]
     rows = [{**{n: row["combo"][n] for n in names},
@@ -435,6 +445,11 @@ def cmd_sweep(args) -> list[str]:
     for row in rows:
         combo = ", ".join(f"{n}={row[n]}" for n in names)
         print(f"{combo:>32s}  mean {float(row['mean']):.2f}")
+    if grid["errors"]:
+        # the outputs are complete; the exit status still reports the errors
+        total = sum(row["n_total"] for row in rows)
+        raise CliError(f"{len(grid['errors'])} of {total} sweep records raised "
+                       f"(first: {grid['errors'][0]})")
     return paths
 
 
@@ -489,7 +504,7 @@ def _read_records(path: str) -> list[ExperimentRecord]:
                 accuracy=float(row["accuracy"]),
                 baseline_lp_odg=float(row["baseline_lp_odg"]),
                 delta=float(row["delta"]), failed=bool(int(row["failed"])),
-                wall_time=0.0, manifest={}, error=row["error"] or None))
+                wall_time=0.0, error=row["error"] or None))
     return out
 
 

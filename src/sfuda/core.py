@@ -69,15 +69,15 @@ def l2_normalize_rows(m: Array) -> Array:
 _RANK_GUARD = 1e-12
 
 
-def knn_indices(m: Array, k: int, metric: str = "cosine",
-                rows: Array | None = None, unit: Array | None = None) -> Array:
+def knn_indices(m: Array, k: int, *, rows: Array | None = None,
+                unit: Array | None = None) -> Array:
     """Exact k nearest cosine neighbors per row, self excluded.
 
     Returns an (n, k) int array ordered by decreasing similarity; ties break
     toward the lower index, so the result equals the first k columns of a
     stable descending argsort of each row, and the top-k table is a prefix of
     every larger one. Brute force over the full similarity matrix, no
-    approximate indexing. metric must be "cosine".
+    approximate indexing.
 
     Selection is partial: np.partition finds each row's k-th largest
     similarity, and only the candidates at or above it are stable-sorted, in
@@ -99,8 +99,6 @@ def knn_indices(m: Array, k: int, metric: str = "cosine",
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("knn_indices expects a matrix")
-    if metric != "cosine":
-        raise ValueError(f"unknown metric {metric!r}")
     n, d = m.shape
     if not 1 <= k < n:
         raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")

@@ -103,20 +103,6 @@ class ShiftSpec:
         y = y * self.per_feature_scale
         return y + self.mean_shift + self.per_feature_offset
 
-    def invert(self, y: np.ndarray) -> np.ndarray:
-        """Exact inverse of apply (label noise is not invertible and ignored)."""
-        y = np.asarray(y, dtype=np.float64)
-        self.validate(y.shape[1])
-        x = (y - self.mean_shift - self.per_feature_offset) / self.per_feature_scale
-        if self.rotation_angle != 0.0:
-            i, j = self.rotation_plane
-            c, s = np.cos(-self.rotation_angle), np.sin(-self.rotation_angle)
-            xi = c * x[:, i] - s * x[:, j]
-            xj = s * x[:, i] + c * x[:, j]
-            x = x.copy()
-            x[:, i], x[:, j] = xi, xj
-        return x
-
 
 def gen_gaussian_pair(num_classes: int, dim: int, n_per_class: int, class_sep: float,
                       shift: ShiftSpec, rng: np.random.Generator,

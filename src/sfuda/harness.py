@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
 from .core import derive_rng, derive_seed
 from .data import DomainDataset
 from .engine import DistConfig
@@ -96,7 +95,6 @@ class ExperimentRecord:
     delta: float
     failed: bool
     wall_time: float
-    manifest: dict
     error: str | None = None
 
 
@@ -211,14 +209,11 @@ def _transfer_plan(spec: TaskSpec, memo: TransferMemo) -> dict[str, tuple]:
     return plan
 
 
-def _dataset_fingerprint(ds: DomainDataset | None, memo: TransferMemo) -> dict | None:
-    """ds's manifest entry, hashed once per memo (the hash covers every
-    feature byte, and a suite shares its datasets across records)."""
-    if ds is None:
-        return None
-    return memo.get((ds,), ("fingerprint",), lambda: {
-        "name": ds.name, "n": ds.n, "d": ds.d, "num_classes": ds.num_classes,
-        "features_sha256": _features_hash(ds.features)})
+def _target_hash(target: DomainDataset, memo: TransferMemo) -> str:
+    """sha256 of target's features, once per memo: the value the transductive
+    check compares against, taken before any adapter of the memo's suite can
+    see the target (a suite shares its datasets across records)."""
+    return memo.get((target,), ("sha256",), lambda: _features_hash(target.features))
 
 
 def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentRecord:
@@ -228,10 +223,6 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
     t0 = time.perf_counter()
     memo = memo if memo is not None else TransferMemo()
     target = spec.target
-    method_cfg = None
-    # taken before any adapter of the memo's suite can see the target
-    fingerprints = {"source": _dataset_fingerprint(spec.source, memo),
-                    "target": _dataset_fingerprint(target, memo)}
     heads = {role: first_transfer(spec, scope, data, memo)
              for role, (scope, data) in _transfer_plan(spec, memo).items()}
     baseline = memo.get(*_baseline_entry(spec, memo)) if "lp" in heads else float("nan")
@@ -244,6 +235,7 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
     elif spec.task == "FT-ODG":
         accuracy = evaluate(heads["ft"], target.features, target.labels)
     else:
+        before = _target_hash(target, memo)
         first = heads.get("ft", heads["lp"])
         if spec.method == "SCA":
             # raw input space under classifier-only transfer, bottleneck after FT
@@ -257,30 +249,17 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
             adapted = adapt_fn(first, target.features, method_cfg, dist=spec.dist)
             accuracy = evaluate(adapted, target.features, target.labels)
         # transductive contract: we score exactly the matrix the adapter saw
-        if _features_hash(target.features) != fingerprints["target"]["features_sha256"]:
+        if _features_hash(target.features) != before:
             raise RuntimeError("adapter modified the target features")
 
     delta = accuracy - baseline
     failed = bool(accuracy < baseline)
-    manifest = {
-        "task": spec.task,
-        "method": spec.method,
-        "norm_kind": spec.norm_kind,
-        "activation": spec.activation,
-        "hidden_dim": spec.hidden_dim,
-        "seed": spec.seed,
-        "train": dataclasses.asdict(spec.train) if spec.train else dataclasses.asdict(TrainConfig()),
-        "method_config": dataclasses.asdict(method_cfg) if method_cfg is not None else None,
-        "dist": dataclasses.asdict(spec.dist) if spec.dist is not None else None,
-        **fingerprints,
-        "toolkit_version": __version__,
-    }
     return ExperimentRecord(
         task=spec.task, method=spec.method,
         source_name=spec.source.name if spec.source else "",
         target_name=target.name, norm_kind=spec.norm_kind, seed=spec.seed,
         accuracy=accuracy, baseline_lp_odg=baseline, delta=delta, failed=failed,
-        wall_time=time.perf_counter() - t0, manifest=manifest)
+        wall_time=time.perf_counter() - t0)
 
 
 def _error_record(spec: TaskSpec, error: str) -> ExperimentRecord:
@@ -290,7 +269,7 @@ def _error_record(spec: TaskSpec, error: str) -> ExperimentRecord:
         source_name=spec.source.name if spec.source else "",
         target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
         accuracy=nan, baseline_lp_odg=nan, delta=nan, failed=False,
-        wall_time=0.0, manifest={"error": error}, error=error)
+        wall_time=0.0, error=error)
 
 
 def _error_text(err: Exception) -> str:
@@ -412,7 +391,7 @@ def _pooled_record(i: int) -> ExperimentRecord:
 def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
                 ) -> list[ExperimentRecord]:
     """flat's records on `workers` forked processes, with what serial records
-    share computed once: dataset hashes and in-domain splits here, then each
+    share computed once: target hashes and in-domain splits here, then each
     distinct first transfer and baseline on a first pool, then the records
     on a second pool forked from the filled memo."""
     import multiprocessing
@@ -430,8 +409,7 @@ def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
 
     jobs, needs = {}, []  # memo key -> (first record, role); each record's keys
     for i, spec in enumerate(flat):
-        _dataset_fingerprint(spec.source, memo)
-        _dataset_fingerprint(spec.target, memo)
+        _target_hash(spec.target, memo)
         keys = []
         for role, (scope, data) in _transfer_plan(spec, memo).items():
             keys.append(memo.key(*_transfer_entry(spec, scope, data)[:2]))
@@ -539,11 +517,12 @@ def failure_report(records: list[ExperimentRecord], group_by: str,
     return rows, notes
 
 
-def hyperparameter_grid(method: str, param_grid: dict, specs: list[TaskSpec],
-                        seeds, jobs: int = 1) -> dict:
-    """Mean accuracy for every combination of the swept method parameters.
-    Every combination runs in one suite, so each first transfer trains once
-    per seed, not once per combination."""
+def hyperparameter_grid(param_grid: dict, spec: TaskSpec, seeds, jobs: int = 1) -> dict:
+    """Mean accuracy of spec for every combination of its method's swept
+    parameters, plus one line per record that raised. Every combination runs
+    in one suite, so each first transfer trains once per seed, not once per
+    combination."""
+    method = spec.method
     if method == "SCA":
         raise ValueError("SCA exposes no swept hyperparameters")
     if method not in ADAPT_METHODS:
@@ -555,23 +534,18 @@ def hyperparameter_grid(method: str, param_grid: dict, specs: list[TaskSpec],
             raise ValueError(f"{method} has no parameter {name!r}")
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"sweep parameter {name!r} needs a nonempty list of values")
-    for spec in specs:
-        if spec.method != method:
-            raise ValueError("every spec in a sweep must use the swept method")
 
     names = list(param_grid)
     combos = [dict(zip(names, combo))
               for combo in itertools.product(*(param_grid[n] for n in names))]
-    seeds = list(seeds)
-    swept = [replace(s, method_config=cfg_cls(**combo)) for combo in combos for s in specs]
-    records = run_suite(swept, seeds, jobs).records
-    per_combo = len(specs) * len(seeds)  # records are spec-major
-    rows = []
-    for i, combo in enumerate(combos):
-        group = records[i * per_combo:(i + 1) * per_combo]
-        vals = np.array([r.accuracy for r in group if np.isfinite(r.accuracy)])
-        rows.append({"combo": combo,
-                     "mean": float(vals.mean()) if vals.size else float("nan"),
-                     "n_ok": int(vals.size),
-                     "n_total": len(group)})
-    return {"method": method, "params": names, "rows": rows}
+    result = run_suite([replace(spec, method_config=cfg_cls(**combo)) for combo in combos],
+                       seeds, jobs)
+    records = iter(result.records)  # in spec order, seed-minor
+    rows, errors = [], []
+    for combo, agg in zip(combos, result.aggregates):
+        label = ", ".join(f"{n}={v}" for n, v in combo.items())
+        errors.extend(f"{label} seed {r.seed}: {r.error}"
+                      for r in itertools.islice(records, agg["n_seeds"]) if r.error)
+        rows.append({"combo": combo, "mean": agg["mean"], "n_ok": agg["n_ok"],
+                     "n_total": agg["n_seeds"]})
+    return {"params": names, "rows": rows, "errors": errors}

@@ -35,9 +35,6 @@ class HeadConfig:
     hidden_dim: int = 256
     norm_kind: str = "layernorm"
     activation: str = "relu"
-    bn_momentum: float = 0.1
-    eps: float | None = None    # None: 1e-5 for batchnorm, 1e-6 for layernorm
-
     seed: int = 0
 
     def __post_init__(self):
@@ -47,12 +44,6 @@ class HeadConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if min(self.in_dim, self.num_classes, self.hidden_dim) < 1:
             raise ValueError("dimensions must be positive")
-        if not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must lie in (0, 1]")
-        if self.eps is None:
-            self.eps = 1e-5 if self.norm_kind == "batchnorm" else 1e-6
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass
@@ -116,7 +107,9 @@ class HeadModel:
 
 
 def init_head(cfg: HeadConfig) -> HeadModel:
-    """He-style normal init for weights, zeros for biases, identity norm."""
+    """He-style normal init for weights, zeros for biases, identity norm
+    (running-statistic momentum 0.1; eps 1e-5 for batchnorm, 1e-6 for
+    layernorm)."""
     rng = make_rng(cfg.seed)
     d, h, c = cfg.in_dim, cfg.hidden_dim, cfg.num_classes
     w1 = rng.standard_normal((d, h)) * np.sqrt(2.0 / d)
@@ -125,7 +118,7 @@ def init_head(cfg: HeadConfig) -> HeadModel:
     norm = NormLayer(cfg.norm_kind, np.ones(h), np.zeros(h),
                      np.zeros(h) if bn else None,
                      np.ones(h) if bn else None,
-                     cfg.bn_momentum, cfg.eps)
+                     0.1, 1e-5 if bn else 1e-6)
     return HeadModel(w1, np.zeros(h), norm, cfg.activation, wc, np.zeros(c))
 
 
@@ -319,20 +312,14 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return min(total, max_norm)
 
 
-class SgdState:
-    """Per-tensor momentum buffers."""
-
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.buf = {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def sgd_step(model: HeadModel, grads: dict[str, np.ndarray], state: SgdState,
-             lr: float, momentum: float, weight_decay: float,
+def sgd_step(model: HeadModel, grads: dict[str, np.ndarray],
+             buffers: dict[str, np.ndarray], lr: float, momentum: float, weight_decay: float,
              lr_scale: dict[str, float] | None = None) -> None:
+    """One momentum step; buffers holds each trained tensor's momentum."""
     params = model.params()
     for name, g in grads.items():
         p = params[name]
-        buf = state.buf[name]
+        buf = buffers[name]
         buf *= momentum
         buf += g + weight_decay * p
         p -= lr * (lr_scale.get(name, 1.0) if lr_scale else 1.0) * buf
@@ -355,7 +342,7 @@ def run_epochs(model: HeadModel, n: int, batch_size: int, epochs: int, step_grad
     momentum step at the scheduled rate times lr_scale[name] (default 1).
     """
     params = model.params()
-    state = SgdState({k: params[k] for k in names})
+    buffers = {k: np.zeros_like(params[k]) for k in names}
     steps_per_epoch = n // batch_size
     total_steps = epochs * steps_per_epoch
     step = 0
@@ -370,7 +357,7 @@ def run_epochs(model: HeadModel, n: int, batch_size: int, epochs: int, step_grad
                 clip_global_norm(grads, grad_clip)
             if step_hook is not None:
                 step_hook(step, loss, grads)
-            sgd_step(model, grads, state,
+            sgd_step(model, grads, buffers,
                      scheduled_lr(learning_rate, schedule, step, total_steps),
                      momentum, weight_decay, lr_scale)
             step += 1

@@ -49,8 +49,12 @@ def class_prototypes(features: np.ndarray, labels: np.ndarray, num_classes: int,
     return Prototypes(centers)
 
 
+# spherical_kmeans stops after this many passes, or at a pass that raises
+# its objective by less than the tolerance
+_KMEANS_MAX_ITERS, _KMEANS_TOL = 100, 1e-6
+
+
 def spherical_kmeans(features: np.ndarray, init: Prototypes,
-                     max_iters: int = 100, tol: float = 1e-6,
                      ) -> tuple[Prototypes, np.ndarray, np.ndarray]:
     """Cosine K-Means initialized at the given centers.
 
@@ -62,21 +66,19 @@ def spherical_kmeans(features: np.ndarray, init: Prototypes,
     feats = l2_normalize_rows(np.asarray(features, dtype=np.float64))
     if feats.shape[1] != init.centers.shape[1]:
         raise ValueError("feature and center widths disagree")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
     centers = init.centers.copy()
     k = centers.shape[0]
     n = feats.shape[0]
     prev_assign = None
     trace: list[float] = []
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_MAX_ITERS):
         sims = feats @ centers.T
         assign = sims.argmax(axis=1).astype(np.int64)  # first max = lowest index
         trace.append(float(sims[np.arange(n), assign].sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+        if len(trace) >= 2 and trace[-1] - trace[-2] < _KMEANS_TOL:
             break
         for c in range(k):
             members = feats[assign == c]

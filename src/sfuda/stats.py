@@ -27,10 +27,6 @@ class RegressionFit:
     p: int
     residuals: np.ndarray
 
-    def predict_row(self, top1: float, pretrain: int = 0) -> float:
-        return (self.q + self.delta_q * pretrain
-                + (self.m + self.delta_m * pretrain) * top1)
-
 
 def adjusted_r2(r2: float, n: int, p: int) -> float:
     """1 - (1 - R^2)(n - 1)/(n - p - 1); penalizes added predictors."""

@@ -116,7 +116,7 @@ def test_01_loss_gradients_match_finite_differences():
             m = smooth.copy()
             bank = build_bank(m, bank_x)
             acfg = AadConfig(K=2)
-            neigh = knn_indices(bank.features, acfg.K, "cosine")[bidx]
+            neigh = knn_indices(bank.features, acfg.K)[bidx]
             bgs = sample_backgrounds(bank.n, neigh, bidx, acfg.background_size,
                                      make_rng(40 + t))
             lam = 0.6

@@ -279,6 +279,28 @@ class TestFailureHandling:
             assert rows[1][m] == "nan ± 0.00"
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"seeds": "0..2"}, [], "seeds must be a list of integers, not '0..2'"),
+        ({"seeds": [True]}, [], "seeds must be nonnegative integers, not True"),
+        ({"seeds": [0.5]}, [], "seeds must be nonnegative integers, not 0.5"),
+        ({"seeds": [-1]}, [], "seeds must be nonnegative integers, not -1"),
+        ({}, ["--seeds=-1"], "seeds must be nonnegative integers, not -1"),
+        ({}, ["--seeds=-1..1"], "seeds must be nonnegative integers, not -1"),
+        ({}, ["--seed=-1"], "seeds must be nonnegative integers, not -1"),
+        ({"jobs": 0}, [], "jobs must be a positive integer, not 0"),
+        ({"jobs": True}, [], "jobs must be a positive integer, not True"),
+        ({"jobs": "2"}, [], "jobs must be a positive integer, not '2'"),
+        ({"jobs": 1.5}, [], "jobs must be a positive integer, not 1.5"),
+        ({}, ["--jobs=0"], "jobs must be a positive integer, not 0"),
+    ])
+    def test_malformed_seeds_and_jobs_are_config_errors(self, tmp_path, capsys, config,
+                                                        flags, message):
+        cfg = write_config(tmp_path, {**base_config(), **config})
+        out = tmp_path / "out"
+        assert main(["suite", "--config", cfg, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("values", [[], 2])
     def test_sweep_parameter_needs_a_nonempty_list(self, tmp_path, capsys, values):
         cfg_dict = base_config()
@@ -372,6 +394,23 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--seeds", "0,1", "--jobs", "2",
                      "--out", str(b)]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+    def test_raised_records_set_the_exit_status(self, tmp_path, capsys):
+        # K must stay below the 36 target rows, so K=200 raises in every record
+        cfg_dict = base_config()
+        cfg_dict["sweep"] = {"method": "NRC", "params": {"K": [2, 200], "epochs": [1]}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg_dict),
+                     "--seeds", "0,1", "--out", str(out)]) == 1
+        err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(err) == 1
+        assert err[0].startswith("error: 2 of 4 sweep records raised "
+                                 "(first: K=200, epochs=1 seed 0: ValueError: ")
+        rows = read_rows(out / "sweep.csv")
+        assert [(r["K"], r["n_ok"], r["n_total"]) for r in rows] == \
+            [("2", "2", "2"), ("200", "0", "2")]
+        assert rows[0]["mean"] != "nan" and rows[1]["mean"] == "nan"
+        assert (out / "manifest.json").exists()
 
 
 class TestStatsCommand:

@@ -85,7 +85,7 @@ class TestReciprocalFlags:
         bank = random_bank(make_rng(11), 15, 3)
         full = reciprocal_flags(bank, 2)
         rows = np.array([9, 0, 4, 4])
-        wide = knn_indices(bank.features, 5, "cosine")
+        wide = knn_indices(bank.features, 5)
         np.testing.assert_array_equal(reciprocal_flags(bank, 2, rows), full[rows])
         np.testing.assert_array_equal(reciprocal_flags(bank, 2, rows, wide), full[rows])
 
@@ -200,7 +200,7 @@ class TestAadLoss:
         bg = np.array([[10, 11, 1, 2]] * 4)
         lam = 0.4
         value, grad = aad_loss(p, idx, bank, lam, cfg, backgrounds=bg)
-        neigh = knn_indices(bank.features, 2, "cosine")[idx]
+        neigh = knn_indices(bank.features, 2)[idx]
         s_close = bank.scores[neigh].sum(axis=1)
         s_far = bank.scores[bg].sum(axis=1)
         np.testing.assert_allclose(grad, (-s_close + lam * s_far) / 4.0,
@@ -229,7 +229,7 @@ class TestBackgroundSampling:
         rng = make_rng(6)
         feats = rng.normal(size=(20, 4)) + 0.2
         unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-        neigh = knn_indices(unit, 3, "cosine")
+        neigh = knn_indices(unit, 3)
         idx = np.arange(8)
         bg = sample_backgrounds(20, neigh[idx], idx, 6, make_rng(7))
         assert bg.shape == (8, 6)
@@ -309,7 +309,7 @@ class TestSharedNeighborTable:
             cfg = NrcConfig(K=K, KK=KK, r=0.1)
             own = nrc_loss(p, idx, bank, cfg)
             for width in (max(K, KK), 6):
-                table = knn_indices(bank.features, width, "cosine")
+                table = knn_indices(bank.features, width)
                 shared = nrc_loss(p, idx, bank, cfg, knn=table)
                 assert shared[0] == own[0]
                 np.testing.assert_array_equal(shared[1], own[1])
@@ -320,7 +320,7 @@ class TestSharedNeighborTable:
         p = rng.dirichlet(np.ones(4), size=5)
         idx = np.array([3, 17, 0, 8, 11])
         cfg = AadConfig(K=3)
-        table = knn_indices(bank.features, 5, "cosine")
+        table = knn_indices(bank.features, 5)
         own = aad_loss(p, idx, bank, 0.4, cfg, rng=make_rng(5))
         shared = aad_loss(p, idx, bank, 0.4, cfg, rng=make_rng(5), knn=table)
         assert shared[0] == own[0]
@@ -331,10 +331,10 @@ class TestSharedNeighborTable:
         p = bank.scores[:2]
         with pytest.raises(ValueError, match="neighbor table"):
             nrc_loss(p, np.arange(2), bank, NrcConfig(K=2, KK=3),
-                     knn=knn_indices(bank.features, 2, "cosine"))
+                     knn=knn_indices(bank.features, 2))
         with pytest.raises(ValueError, match="neighbor table"):
             aad_loss(p, np.arange(2), bank, 0.0, AadConfig(K=2), rng=make_rng(0),
-                     knn=knn_indices(bank.features[:8], 2, "cosine"))
+                     knn=knn_indices(bank.features[:8], 2))
 
     @pytest.mark.parametrize("cell", [DistConfig(1, 64), DistConfig(16, 4)],
                              ids=lambda c: c.label)
@@ -351,10 +351,10 @@ class TestSharedNeighborTable:
         steps_seen = []
         real_step = neighbors.sharded_step
 
-        def counted(m, k, metric="cosine", rows=None, unit=None):
+        def counted(m, k, *, rows=None, unit=None):
             assert rows is not None and k == max(cfg.K, getattr(cfg, "KK", cfg.K))
             steps_seen[-1].append(len(rows))
-            return knn_indices(m, k, metric, rows, unit)
+            return knn_indices(m, k, rows=rows, unit=unit)
 
         def step(*args, **kwargs):
             assert steps_seen[-1], "a step ran before ranking its rows"
