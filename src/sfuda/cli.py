@@ -10,12 +10,15 @@ command removes its partial outputs and exits nonzero with one error line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -41,6 +44,8 @@ class CliError(ValueError):
 
 
 def _check_keys(d: dict, allowed: set[str], ctx: str) -> None:
+    if not isinstance(d, dict):
+        raise CliError(f"{ctx} must be a JSON object")
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise CliError(f"{ctx}: unknown key(s) {', '.join(unknown)}")
@@ -100,9 +105,11 @@ def resolve_common(args, cfg: dict) -> dict:
             raise CliError(f"seeds must be a list of integers, not {seeds!r}")
     if not seeds:
         raise CliError("no seeds selected")
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         if not _int_at_least(seed, 0):
             raise CliError(f"seeds must be nonnegative integers, not {seed!r}")
+        if seed in seeds[:i]:
+            raise CliError(f"seed {seed} is given more than once")
     jobs = args.jobs if args.jobs is not None else cfg.get("jobs", 1)
     if not _int_at_least(jobs, 1):
         raise CliError(f"jobs must be a positive integer, not {jobs!r}")
@@ -170,11 +177,19 @@ def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
     return source, target
 
 
+def _strings(value, ctx: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise CliError(f"{ctx} must be a list of strings")
+    return value
+
+
 def _method_config(cfg: dict, method: str):
+    section = cfg.get("method_configs", {})
+    _check_keys(section, set(ADAPT_METHODS), "method_configs")
     if method not in ADAPT_METHODS:  # SCA has no config; runners reject unknown names
         return None
     cfg_cls, _ = ADAPT_METHODS[method]
-    overrides = cfg.get("method_configs", {}).get(method, {})
+    overrides = section.get(method, {})
     legal = {f.name for f in dataclasses.fields(cfg_cls)}
     _check_keys(overrides, legal, f"method_configs.{method}")
     return cfg_cls(**overrides)
@@ -196,12 +211,12 @@ def _head_and_train(cfg: dict, norm_kind: str) -> tuple[dict, TrainConfig | None
 
 def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
                 ) -> list[TaskSpec]:
-    tasks = cfg.get("tasks")
+    tasks = _strings(cfg.get("tasks", []), "tasks")
     if not tasks:
         raise CliError("config needs a nonempty 'tasks' list")
     head, train = _head_and_train(cfg, "layernorm")
     common = dict(target=target, source=source, train=train, **head)
-    methods = cfg.get("methods", [])
+    methods = _strings(cfg.get("methods", []), "methods")
 
     specs = []
     for task in tasks:
@@ -285,39 +300,56 @@ def _manifest(cfg: dict, common: dict, chash: str, command: str) -> str:
 
 
 def _emit(out_dir: str, files: dict[str, str | bytes]) -> list[str]:
+    """Writes files into out_dir, each under a temporary name, renamed into
+    place once all are written. On failure the temporaries go, and out_dir
+    too if this call made it; a failure before the renames (a write, or a
+    directory where a file goes) leaves earlier outputs as they were."""
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    paths, staged = [], []
     try:
         for name, content in files.items():
             path = os.path.join(out_dir, name)
-            with open(path, "wb" if isinstance(content, bytes) else "w") as fh:
+            if os.path.isdir(path):  # checked now, as os.replace would fail late
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            staged.append(os.path.join(out_dir, f".{name}.{os.getpid()}.tmp"))
+            with open(staged[-1], "wb" if isinstance(content, bytes) else "w") as fh:
                 fh.write(content)
-            written.append(path)
+            paths.append(path)
+        for tmp, path in zip(staged, paths):
+            os.replace(tmp, path)
     except BaseException:
-        for p in written:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if created:  # holds nothing but what this call wrote
+            shutil.rmtree(out_dir, ignore_errors=True)
         raise
-    return written
+    return paths
 
 
 def _write(cfg: dict, common: dict, command: str, tables: dict,
-           chash: str | None = None) -> list[str]:
+           chash: str | None = None, raised: tuple = ((), 0, "records")) -> list[str]:
     """Each table (name -> (rows, columns)) as name.FORMAT, stamped with
-    chash (default: cfg's config hash), then manifest.json for cfg."""
+    chash (default: cfg's config hash), then manifest.json for cfg. raised
+    is (one line per record that raised, records run, what they are); when
+    any raised, the outputs stay complete and a CliError still reports them,
+    pointing at the records table's error column or else quoting the first."""
     chash = chash or config_hash(cfg, common)
     fmt = common["format"]
     files = {f"{name}.{fmt}": _table(rows, columns, fmt, _stamp(chash))
              for name, (rows, columns) in tables.items()}
     files["manifest.json"] = _manifest(cfg, common, chash, command)
-    return _emit(common["out_dir"], files)
+    paths = _emit(common["out_dir"], files)
+    errors, total, noun = raised
+    if errors:
+        where = (f"see the error column of records.{fmt}" if "records" in tables
+                 else f"first: {errors[0]}")
+        raise CliError(f"{len(errors)} of {total} {noun} raised ({where})")
+    return paths
 
 
-def cmd_gen_data(args) -> list[str]:
-    cfg = load_config(args.config)
-    common = resolve_common(args, cfg)
+def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
     data = cfg.get("data", {})
     if "generate" not in data:
         raise CliError("gen-data needs a data.generate section")
@@ -347,9 +379,7 @@ def _suite_tables(result: SuiteResult) -> dict:
     return tables
 
 
-def cmd_run(args) -> list[str]:
-    cfg = load_config(args.config)
-    common = resolve_common(args, cfg)
+def cmd_run(args, cfg: dict, common: dict) -> list[str]:
     source, target = datasets_from_config(cfg)
     specs = build_specs(cfg, source, target)
     if len(specs) != 1:
@@ -364,31 +394,23 @@ def cmd_run(args) -> list[str]:
     return paths
 
 
-def cmd_suite(args) -> list[str]:
-    cfg = load_config(args.config)
-    common = resolve_common(args, cfg)
+def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
     source, target = datasets_from_config(cfg)
     specs = build_specs(cfg, source, target)
     result = run_suite(specs, common["seeds"], jobs=common["jobs"])
-    paths = _write(cfg, common, "suite", _suite_tables(result))
     for agg in result.aggregates:
         label = agg["task"] + (f"/{agg['method']}" if agg["method"] else "")
         print(f"{label:>16s}  {agg['summary']}")
-    errors = sum(r.error is not None for r in result.records)
-    if errors:
-        # the outputs are complete; the exit status still reports the errors
-        raise CliError(f"{errors} of {len(result.records)} records raised "
-                       f"(see the error column of records.{common['format']})")
-    return paths
+    errors = [r.error for r in result.records if r.error is not None]
+    return _write(cfg, common, "suite", _suite_tables(result),
+                  raised=(errors, len(result.records), "records"))
 
 
-def cmd_distgrid(args) -> list[str]:
-    cfg = load_config(args.config)
-    common = resolve_common(args, cfg)
+def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
     source, target = datasets_from_config(cfg)
     section = cfg.get("distgrid", {})
     _check_keys(section, {"methods", "cells", "sync_batchnorm"}, "distgrid")
-    methods = section.get("methods", list(ADAPT_METHODS))
+    methods = _strings(section.get("methods", list(ADAPT_METHODS)), "distgrid.methods")
     cells = [parse_cell(c) for c in section.get("cells", [])] or list(DEFAULT_GRID)
     if section.get("sync_batchnorm"):
         cells = [replace(c, sync_batchnorm=True) for c in cells]
@@ -406,20 +428,15 @@ def cmd_distgrid(args) -> list[str]:
             r = res.rows[i]
             row[res.method] = f"{r['mean']:.2f} ± {r['std']:.2f}"
         rows.append(row)
-    paths = _write(cfg, common, "distgrid",
-                   {"distgrid": (rows, ["cell", "workers", "local_batch"] + methods)})
     for row in rows:
         print("  ".join([f"{row['cell']:>6s}"] + [f"{row[m]:>16s}" for m in methods]))
-    if errors:
-        # the outputs are complete; the exit status still reports the errors
-        total = len(methods) * len(cells) * len(common["seeds"])
-        raise CliError(f"{len(errors)} of {total} grid records raised (first: {errors[0]})")
-    return paths
+    return _write(cfg, common, "distgrid",
+                  {"distgrid": (rows, ["cell", "workers", "local_batch"] + methods)},
+                  raised=(errors, len(methods) * len(cells) * len(common["seeds"]),
+                          "grid records"))
 
 
-def cmd_sweep(args) -> list[str]:
-    cfg = load_config(args.config)
-    common = resolve_common(args, cfg)
+def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
     section = cfg.get("sweep")
     if not section:
         raise CliError("sweep needs a 'sweep' config section")
@@ -440,22 +457,16 @@ def cmd_sweep(args) -> list[str]:
     rows = [{**{n: row["combo"][n] for n in names},
              "mean": _fmt_float(row["mean"]), "n_ok": row["n_ok"],
              "n_total": row["n_total"]} for row in grid["rows"]]
-    paths = _write(cfg, common, "sweep",
-                   {"sweep": (rows, names + ["mean", "n_ok", "n_total"])})
     for row in rows:
         combo = ", ".join(f"{n}={row[n]}" for n in names)
         print(f"{combo:>32s}  mean {float(row['mean']):.2f}")
-    if grid["errors"]:
-        # the outputs are complete; the exit status still reports the errors
-        total = sum(row["n_total"] for row in rows)
-        raise CliError(f"{len(grid['errors'])} of {total} sweep records raised "
-                       f"(first: {grid['errors'][0]})")
-    return paths
+    return _write(cfg, common, "sweep",
+                  {"sweep": (rows, names + ["mean", "n_ok", "n_total"])},
+                  raised=(grid["errors"], sum(row["n_total"] for row in rows),
+                          "sweep records"))
 
 
-def cmd_stats(args) -> list[str]:
-    cfg = load_config(args.config)
-    common = resolve_common(args, cfg)
+def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
     table_path = args.table or cfg.get("results_table")
     if not table_path:
         raise CliError("stats needs a results table (positional argument or config)")
@@ -488,15 +499,19 @@ def cmd_stats(args) -> list[str]:
 
 def _read_records(path: str) -> list[ExperimentRecord]:
     with open(path, newline="") as fh:
-        first = fh.readline()
-        delim = "\t" if "\t" in first else ","
-        fh.seek(0)
-        reader = csv.DictReader((ln for ln in fh if not ln.startswith("#")),
-                                delimiter=delim)
-        if reader.fieldnames is None or list(reader.fieldnames) != RECORD_COLUMNS:
-            raise CliError(f"{path}: not a records table")
-        out = []
-        for row in reader:
+        kept = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    delim = "\t" if kept and "\t" in kept[0][1] else ","
+    reader = csv.reader((line for _, line in kept), delimiter=delim)
+    if next(reader, None) != RECORD_COLUMNS:
+        raise CliError(f"{path}: not a records table")
+    out = []
+    for fields in reader:
+        if not fields:
+            continue
+        try:
+            if len(fields) != len(RECORD_COLUMNS):
+                raise ValueError(f"expected {len(RECORD_COLUMNS)} fields, not {len(fields)}")
+            row = dict(zip(RECORD_COLUMNS, fields))
             out.append(ExperimentRecord(
                 task=row["task"], method=row["method"] or None,
                 source_name=row["source"], target_name=row["target"],
@@ -505,12 +520,12 @@ def _read_records(path: str) -> list[ExperimentRecord]:
                 baseline_lp_odg=float(row["baseline_lp_odg"]),
                 delta=float(row["delta"]), failed=bool(int(row["failed"])),
                 wall_time=0.0, error=row["error"] or None))
+        except ValueError as e:
+            raise CliError(f"{path}: line {kept[reader.line_num - 1][0]}: {e}") from None
     return out
 
 
-def cmd_report(args) -> list[str]:
-    cfg = load_config(args.config)
-    common = resolve_common(args, cfg)
+def cmd_report(args, cfg: dict, common: dict) -> list[str]:
     if not args.records:
         raise CliError("report needs at least one records file")
     records, digests = [], []
@@ -551,51 +566,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sfuda {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_flags(p):
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="single seed")
         p.add_argument("--seeds", help="seed range A..B or comma list")
         p.add_argument("--jobs", type=int, help="worker processes for the records")
         p.add_argument("--out", help="output directory (default $SFUDA_OUT_DIR)")
         p.add_argument("--format", choices=("csv", "tsv"), help="table format")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic domain pair")
-    common_flags(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("run", help="run one experiment")
-    common_flags(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("suite", help="run a task suite over seeds")
-    common_flags(p)
-    p.set_defaults(func=cmd_suite)
-
-    p = sub.add_parser("distgrid", help="sharded-gradient degradation grid")
-    common_flags(p)
-    p.set_defaults(func=cmd_distgrid)
-
-    p = sub.add_parser("sweep", help="hyperparameter grid for one method")
-    common_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("stats", help="fit accuracy-transfer regressions on a table")
-    common_flags(p)
-    p.add_argument("table", nargs="?", help="results table (backbone,top1,...)")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("report", help="delta/failure tables from records files")
-    common_flags(p)
-    p.add_argument("records", nargs="*", help="records.csv files")
-    p.set_defaults(func=cmd_report)
-
+    command("gen-data", cmd_gen_data, "generate a synthetic domain pair")
+    command("run", cmd_run, "run one experiment")
+    command("suite", cmd_suite, "run a task suite over seeds")
+    command("distgrid", cmd_distgrid, "sharded-gradient degradation grid")
+    command("sweep", cmd_sweep, "hyperparameter grid for one method")
+    command("stats", cmd_stats, "fit accuracy-transfer regressions on a table").add_argument(
+        "table", nargs="?", help="results table (backbone,top1,...)")
+    command("report", cmd_report, "delta/failure tables from records files").add_argument(
+        "records", nargs="*", help="records.csv files")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        cfg = load_config(args.config)
+        args.func(args, cfg, resolve_common(args, cfg))
     except BrokenPipeError:
         return 1
     except Exception as e:

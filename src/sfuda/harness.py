@@ -131,13 +131,14 @@ def _train_cfg(spec: TaskSpec) -> TrainConfig:
 
 
 class TransferMemo:
-    """Values computed once per key and shared while the memo lives: one
+    """Outcomes computed once per key and shared while the memo lives: one
     `run_suite` call or one standalone `run_task`. A key is a tuple of
     objects, taken by identity, plus hashable parameters; the memo keeps those
-    objects alive, so no other object can take over their ids. A computation
-    that raises stores nothing: the next caller tries again and gets its own
-    error. A pooled suite forks its workers, so each works on its own copy,
-    under the same ids."""
+    objects alive, so no other object can take over their ids. An outcome is
+    a deterministic function of its key, so an Exception the computation
+    raises is stored, its traceback cleared, and raised for every later
+    caller; a BaseException stores nothing. A pooled suite forks its
+    workers, so each works on its own copy, under the same ids."""
 
     def __init__(self):
         self._slots: dict[tuple, tuple] = {}
@@ -146,11 +147,22 @@ class TransferMemo:
     def key(objects: tuple, params: tuple) -> tuple:
         return tuple(map(id, objects)), params
 
-    def get(self, objects: tuple, params: tuple, make):
+    def outcome(self, objects: tuple, params: tuple, make):
+        """The key's value, or the Exception make raised, computed once."""
         key = self.key(objects, params)
         if key not in self._slots:
-            self._slots[key] = (objects, make())
+            try:
+                value = make()
+            except Exception as err:
+                value = err.with_traceback(None)
+            self._slots[key] = (objects, value)
         return self._slots[key][1]
+
+    def get(self, objects: tuple, params: tuple, make):
+        value = self.outcome(objects, params, make)
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)  # a fresh traceback, not a growing one
+        return value
 
 
 def _transfer_entry(spec: TaskSpec, scope: str, data: DomainDataset) -> tuple:
@@ -262,20 +274,6 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
         wall_time=time.perf_counter() - t0)
 
 
-def _error_record(spec: TaskSpec, error: str) -> ExperimentRecord:
-    nan = float("nan")
-    return ExperimentRecord(
-        task=spec.task, method=spec.method,
-        source_name=spec.source.name if spec.source else "",
-        target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
-        accuracy=nan, baseline_lp_odg=nan, delta=nan, failed=False,
-        wall_time=0.0, error=error)
-
-
-def _error_text(err: Exception) -> str:
-    return f"{type(err).__name__}: {err}"
-
-
 def format_mean_std(mean: float, std: float, n: int) -> str:
     s = f"{mean:.1f} ± {std:.1f}"
     return s + " (n=1)" if n == 1 else s
@@ -291,7 +289,13 @@ def _run_one(spec: TaskSpec, memo: TransferMemo) -> ExperimentRecord:
     try:
         return run_task(spec, memo)
     except Exception as err:  # isolate and record
-        return _error_record(spec, _error_text(err))
+        nan = float("nan")
+        return ExperimentRecord(
+            task=spec.task, method=spec.method,
+            source_name=spec.source.name if spec.source else "",
+            target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
+            accuracy=nan, baseline_lp_odg=nan, delta=nan, failed=False,
+            wall_time=0.0, error=f"{type(err).__name__}: {err}")
 
 
 def _openblas_libraries() -> list[str]:
@@ -371,16 +375,18 @@ def _start_worker(flat: list[TaskSpec], memo: TransferMemo, parent: int) -> None
         os._exit(1)
 
 
-def _pooled_transfer(i: int, role: str) -> tuple:
-    """Stage one, in a worker: (head, its LP-ODG baseline or None, None) for
-    record i's first transfer in that role, or (None, None, error)."""
+def _stage_one_entries(spec: TaskSpec, role: str, memo: TransferMemo) -> list[tuple]:
+    """The memo entries of spec's first transfer in role and, for "lp", of
+    the LP-ODG baseline it scores."""
+    entries = [_transfer_entry(spec, *_transfer_plan(spec, memo)[role])]
+    return entries + [_baseline_entry(spec, memo)] if role == "lp" else entries
+
+
+def _pooled_transfer(i: int, role: str) -> list:
+    """Stage one, in a worker: the memo outcome, a value or an exception, of
+    each of record i's stage-one entries in role."""
     flat, memo = _worker_suite
-    spec = flat[i]
-    try:
-        head = first_transfer(spec, *_transfer_plan(spec, memo)[role], memo)
-        return head, memo.get(*_baseline_entry(spec, memo)) if role == "lp" else None, None
-    except Exception as err:  # carried by the records that need this transfer
-        return None, None, _error_text(err)
+    return [memo.outcome(*entry) for entry in _stage_one_entries(flat[i], role, memo)]
 
 
 def _pooled_record(i: int) -> ExperimentRecord:
@@ -407,46 +413,27 @@ def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
         finally:  # after an exception (Ctrl-C too), start no further record
             executor.shutdown(cancel_futures=True)
 
-    jobs, needs = {}, []  # memo key -> (first record, role); each record's keys
+    jobs = {}  # memo key -> (first record, role)
     for i, spec in enumerate(flat):
         _target_hash(spec.target, memo)
-        keys = []
         for role, (scope, data) in _transfer_plan(spec, memo).items():
-            keys.append(memo.key(*_transfer_entry(spec, scope, data)[:2]))
-            jobs.setdefault(keys[-1], (i, role))
-        needs.append(keys)
+            jobs.setdefault(memo.key(*_transfer_entry(spec, scope, data)[:2]), (i, role))
 
     with pool() as executor:
         done = list(executor.map(_pooled_transfer, *zip(*jobs.values())))
-    errors = {}
-    for key, (i, role), (head, baseline, error) in zip(jobs, jobs.values(), done):
-        if error is not None:
-            errors[key] = error
-            continue
-        spec = flat[i]
-        memo.get(*_transfer_entry(spec, *_transfer_plan(spec, memo)[role])[:2], lambda: head)
-        if baseline is not None:
-            memo.get(*_baseline_entry(spec, memo)[:2], lambda: baseline)
-    # as in a serial suite, a transfer that raised stores nothing: the first
-    # record to reach it carries its error, and every later one tries again
-    reached = {}
-    for i, keys in enumerate(needs):
-        key = next((k for k in keys if k in errors), None)
-        if key is not None:
-            reached.setdefault(key, i)
-    carried = {i: errors[key] for key, i in reached.items()}
-
-    todo = [i for i in range(len(flat)) if i not in carried]
+    for (i, role), outcomes in zip(jobs.values(), done):
+        for (objects, params, _), outcome in zip(
+                _stage_one_entries(flat[i], role, memo), outcomes):
+            memo.outcome(objects, params, lambda: outcome)
     with pool() as executor:
-        ran = dict(zip(todo, executor.map(_pooled_record, todo)))
-    return [ran[i] if i in ran else _error_record(flat[i], carried[i])
-            for i in range(len(flat))]
+        return list(executor.map(_pooled_record, range(len(flat))))
 
 
 def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> SuiteResult:
-    """Every spec at every seed. A run that raises is recorded as a failure
-    with its reason; the suite never aborts. Each distinct first transfer
-    trains once per suite. jobs > 1 runs the records on that many forked
+    """Every spec at every seed. A run that raises is recorded as an error,
+    not a failure; the suite never aborts. Each distinct first transfer
+    trains once per suite, and one that raises fails every record that
+    needs it with the same error. jobs > 1 runs the records on that many forked
     worker processes (serially where the platform cannot fork), with BLAS
     threads capped for the pool's lifetime; results do not depend on either
     and keep their spec-order positions. A worker that dies raises

@@ -292,12 +292,36 @@ class TestFailureHandling:
         ({"jobs": "2"}, [], "jobs must be a positive integer, not '2'"),
         ({"jobs": 1.5}, [], "jobs must be a positive integer, not 1.5"),
         ({}, ["--jobs=0"], "jobs must be a positive integer, not 0"),
+        ({"seeds": [0, 0, 1]}, [], "seed 0 is given more than once"),
+        ({}, ["--seeds=3,1,3"], "seed 3 is given more than once"),
     ])
     def test_malformed_seeds_and_jobs_are_config_errors(self, tmp_path, capsys, config,
                                                         flags, message):
         cfg = write_config(tmp_path, {**base_config(), **config})
         out = tmp_path / "out"
         assert main(["suite", "--config", cfg, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("suite", "head", 5, "head must be a JSON object"),
+        ("suite", "train", [1], "train must be a JSON object"),
+        ("suite", "data", [1], "data must be a JSON object"),
+        ("suite", "data", {"generate": 5}, "data.generate must be a JSON object"),
+        ("suite", "method_configs", [], "method_configs must be a JSON object"),
+        ("suite", "method_configs", {"SHOTT": {}}, "method_configs: unknown key(s) SHOTT"),
+        ("suite", "tasks", "LP-ODG", "tasks must be a list of strings"),
+        ("suite", "methods", "SHOT", "methods must be a list of strings"),
+        ("sweep", "sweep", ["SHOT"], "sweep must be a JSON object"),
+        ("distgrid", "distgrid", {"methods": "SHOT"},
+         "distgrid.methods must be a list of strings"),
+    ])
+    def test_a_section_of_the_wrong_type_is_named(self, tmp_path, capsys, command, key,
+                                                  value, message):
+        cfg = {**base_config(), "tasks": ["SFUDA"], "methods": ["SHOT"], key: value}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -356,6 +380,34 @@ class TestFailureHandling:
                     os.kill(pid, signal.SIGKILL)
             proc.kill()
             proc.communicate(timeout=60)
+
+    def test_a_failed_write_keeps_the_previous_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["suite", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ("records.csv",
+                                                                "aggregates.csv")}
+        (out / "manifest.json").unlink()
+        (out / "manifest.json").mkdir()
+        assert main(["suite", "--config", cfg, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert sorted(os.listdir(out)) == ["aggregates.csv", "manifest.json", "records.csv"]
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_a_failed_write_removes_the_directory_it_made(self, tmp_path, monkeypatch):
+        real, calls = os.replace, []
+
+        def replace_once(src, dst):
+            calls.append(dst)
+            if len(calls) > 1:
+                raise OSError("disk full")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        out = tmp_path / "out"
+        assert main(["suite", "--config", write_config(tmp_path, base_config()),
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert len(calls) == 2 and not out.exists()
 
     def test_partial_outputs_are_removed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
@@ -489,6 +541,34 @@ class TestReportCommand:
         rows = {r["group"]: r for r in read_rows(rep_out / "by_method.csv")}
         assert (rows["SHOT"]["error_rate"], rows["SHOT"]["failure_rate"]) == ("100.0", "nan")
         assert (rows[""]["error_rate"], rows[""]["failure_rate"]) == ("0.0", "0.0")
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("accuracy", "abc", "could not convert string to float: 'abc'"),
+        ("seed", "x", "invalid literal for int() with base 10: 'x'"),
+        (None, None, "expected 11 fields, not 10"),
+    ])
+    def test_a_bad_row_names_its_file_and_line(self, tmp_path, capsys, fmt, field,
+                                              value, message):
+        suite_out = tmp_path / "suite"
+        assert main(["suite", "--config", write_config(tmp_path, base_config()),
+                     "--seeds", "0,1", "--format", fmt, "--out", str(suite_out)]) == 0
+        records = suite_out / f"records.{fmt}"
+        assert main(["report", str(records), "--out", str(tmp_path / "ok")]) == 0
+        delim = "," if fmt == "csv" else "\t"
+        lines = records.read_text().splitlines()
+        header, fields = lines[1].split(delim), lines[3].split(delim)
+        if field is None:
+            fields.pop()
+        else:
+            fields[header.index(field)] = value
+        lines[3] = delim.join(fields)
+        records.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert main(["report", str(records), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {records}: line 4: {message}\n"
+        assert not out.exists()
 
     def test_rejects_a_non_records_file(self, tmp_path, capsys):
         assert main(["report", ASSET_TABLE, "--out", str(tmp_path / "o")]) == 1

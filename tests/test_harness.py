@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -343,12 +344,35 @@ class TestSharedFirstTransfer:
         kept, *broken = result.records
         assert [r.error for r in broken] == \
             ["RuntimeError: first transfer broke"] * len(needs_lp)
-        # a failure is not stored: each record retried and got its own error
+        # the failure is stored: trained once, its error shared by every record
         assert sum(scope == "classifier_only" and digest == data_digest(src)
-                   for scope, digest, _ in spy.calls) == len(needs_lp)
+                   for scope, digest, _ in spy.calls) == 1
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy.real)
         assert kept.error is None
         assert scores(kept) == scores(run_task(no_source))
+
+    def test_the_memo_stores_an_exception_and_not_a_base_exception(self):
+        memo, calls = sfuda.harness.TransferMemo(), []
+
+        def make(error):
+            def raising():
+                calls.append(error)
+                raise error
+            return raising
+
+        stored = memo.outcome((), ("k",), make(RuntimeError("broke")))
+        assert stored.__traceback__ is None  # no frame of make outlives it
+        depths = []
+        for _ in range(3):
+            with pytest.raises(RuntimeError) as raised:
+                memo.get((), ("k",), make(RuntimeError("other")))
+            assert raised.value is stored
+            depths.append(len(traceback.extract_tb(raised.tb)))
+        assert len(calls) == 1 and len(set(depths)) == 1
+        for _ in range(2):
+            with pytest.raises(Abort):
+                memo.get((), ("a",), make(Abort()))
+        assert len(calls) == 3
 
 
 BLAS = sfuda.harness._blas_thread_controls()
@@ -474,6 +498,20 @@ class TestBlasThreadCap:
         pooled = run_suite(specs, [0, 1], jobs=2)
         assert all(r.error is None for r in serial.records)
         assert [scores(r) for r in serial.records] == [scores(r) for r in pooled.records]
+        if not BLAS or usable_cpus() < 2:
+            pytest.skip("comparing BLAS thread counts needs OpenBLAS and two usable cores")
+        before = blas_counts()
+        try:
+            for threads in (1, usable_cpus()):
+                for setter, _ in BLAS:
+                    setter(threads)
+                assert blas_counts() == [threads] * len(BLAS)
+                rerun = run_suite(specs, [0, 1], jobs=1)
+                assert [scores(r) for r in rerun.records] == \
+                    [scores(r) for r in serial.records], threads
+        finally:
+            for (setter, _), n in zip(BLAS, before):
+                setter(n)
 
 
 class TestFormatting:
