@@ -183,30 +183,33 @@ def _strings(value, ctx: str) -> list[str]:
     return value
 
 
-def _method_config(cfg: dict, method: str):
+def _section(cls, raw, ctx: str):
+    """cls built from the config section raw, its keys checked against cls's
+    fields; an error names ctx first."""
+    _check_keys(raw, {f.name for f in dataclasses.fields(cls)}, ctx)
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as e:
+        raise CliError(f"{ctx}: {e}") from None
+
+
+def _method_configs(cfg: dict) -> dict:
+    """Every adapter's config, from its method_configs entry (all entries are
+    checked, whichever methods run)."""
     section = cfg.get("method_configs", {})
     _check_keys(section, set(ADAPT_METHODS), "method_configs")
-    if method not in ADAPT_METHODS:  # SCA has no config; runners reject unknown names
-        return None
-    cfg_cls, _ = ADAPT_METHODS[method]
-    overrides = section.get(method, {})
-    legal = {f.name for f in dataclasses.fields(cfg_cls)}
-    _check_keys(overrides, legal, f"method_configs.{method}")
-    return cfg_cls(**overrides)
+    return {m: _section(cls, section.get(m, {}), f"method_configs.{m}")
+            for m, (cls, _) in ADAPT_METHODS.items()}
 
 
-def _head_and_train(cfg: dict, norm_kind: str) -> tuple[dict, TrainConfig | None]:
-    """The validated head section as norm_kind/activation/hidden_dim keywords,
-    norm_kind defaulting per command, and the first-transfer TrainConfig
-    (None when the train section is absent or empty)."""
+def _head_and_train(cfg: dict, norm_kind: str) -> tuple[dict, TrainConfig]:
+    """The head section as TaskSpec keywords, norm_kind defaulting per
+    command (TaskSpec checks their values), and the first-transfer
+    TrainConfig."""
     head = cfg.get("head", {})
     _check_keys(head, {"hidden_dim", "norm_kind", "activation"}, "head")
-    train_raw = cfg.get("train", {})
-    _check_keys(train_raw, {f.name for f in dataclasses.fields(TrainConfig)}, "train")
-    return ({"norm_kind": head.get("norm_kind", norm_kind),
-             "activation": head.get("activation", "relu"),
-             "hidden_dim": int(head.get("hidden_dim", 256))},
-            TrainConfig(**train_raw) if train_raw else None)
+    train = _section(TrainConfig, cfg.get("train", {}), "train")
+    return {"norm_kind": norm_kind, **head}, train
 
 
 def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
@@ -217,6 +220,7 @@ def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
     head, train = _head_and_train(cfg, "layernorm")
     common = dict(target=target, source=source, train=train, **head)
     methods = _strings(cfg.get("methods", []), "methods")
+    method_configs = _method_configs(cfg)
 
     specs = []
     for task in tasks:
@@ -225,7 +229,7 @@ def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
                 raise CliError(f"task {task} needs a 'methods' list")
             for method in methods:
                 specs.append(TaskSpec(task=task, method=method,
-                                      method_config=_method_config(cfg, method),
+                                      method_config=method_configs.get(method),
                                       **common))
         else:
             specs.append(TaskSpec(task=task, **common))
@@ -417,7 +421,7 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
     head, train = _head_and_train(cfg, "batchnorm")
     results, errors = run_distributed_grids(
         methods, source, target, cells, common["seeds"], train_cfg=train,
-        method_cfgs={m: _method_config(cfg, m) for m in methods},
+        method_cfgs=_method_configs(cfg),
         jobs=common["jobs"], **head)
 
     rows = []
@@ -547,12 +551,9 @@ def cmd_report(args, cfg: dict, common: dict) -> list[str]:
                   f"failures {r['failure_rate']:.1f}%  errors {r['error_rate']:.1f}%")
         for note in notes:
             print(f"  note: {note}")
-    point_rows = [{"task": r.task, "method": r.method or "", "norm_kind": r.norm_kind,
-                   "seed": r.seed, "baseline_lp_odg": _fmt_float(r.baseline_lp_odg),
-                   "accuracy": _fmt_float(r.accuracy), "delta": _fmt_float(r.delta),
-                   "failed": int(r.failed)} for r in records]
-    tables["points"] = (point_rows, ["task", "method", "norm_kind", "seed",
-                                     "baseline_lp_odg", "accuracy", "delta", "failed"])
+    tables["points"] = (_record_rows(records), ["task", "method", "norm_kind", "seed",
+                                                "baseline_lp_odg", "accuracy", "delta",
+                                                "failed"])
     # provenance covers what the records say, not where they were read from
     return _write({"records": sorted(args.records)}, common, "report", tables,
                   config_hash({"records_sha256": digests}, common))

@@ -55,6 +55,7 @@ class TaskSpec:
     train: TrainConfig | None = None
     method_config: object | None = None
     dist: DistConfig | None = None
+    head_config: HeadConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -80,6 +81,10 @@ class TaskSpec:
                 raise ValueError("source and target class counts differ")
         if self.target.labels is None:
             raise ValueError("target labels are required for scoring")
+        # every first transfer of the spec starts from this head
+        self.head_config = HeadConfig(self.target.d, self.target.num_classes,
+                                      self.hidden_dim, self.norm_kind, self.activation,
+                                      seed=derive_seed(self.seed, "head-init"))
 
 
 @dataclass
@@ -118,11 +123,6 @@ def stratified_split(labels: np.ndarray, train_frac: float,
 
 def _features_hash(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
-
-
-def _head_config(spec: TaskSpec, d: int, c: int) -> HeadConfig:
-    return HeadConfig(d, c, spec.hidden_dim, spec.norm_kind, spec.activation,
-                      seed=derive_seed(spec.seed, "head-init"))
 
 
 def _train_cfg(spec: TaskSpec) -> TrainConfig:
@@ -168,7 +168,7 @@ class TransferMemo:
 def _transfer_entry(spec: TaskSpec, scope: str, data: DomainDataset) -> tuple:
     """first_transfer's memo key (objects, params) and computation; the key
     holds everything the head depends on."""
-    head_cfg = _head_config(spec, data.d, data.num_classes)
+    head_cfg = spec.head_config
     train_cfg = _train_cfg(spec)
     return ((data,), (scope, dataclasses.astuple(head_cfg), dataclasses.astuple(train_cfg)),
             lambda: train_supervised(init_head(head_cfg), data, scope, train_cfg))

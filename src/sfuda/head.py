@@ -9,7 +9,8 @@ pin every formula here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +29,22 @@ class StaleCacheError(RuntimeError):
     pass
 
 
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _check_field_types(cfg) -> None:
+    """Raises TypeError naming the first field of dataclass cfg whose value
+    is not of its declared type: int, float (an int passes) or str, each
+    optionally "| None". A bool is not a number."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+            raise TypeError(f"{f.name} must be {kind}, not {value!r}")
+
+
 @dataclass
 class HeadConfig:
     in_dim: int
@@ -38,12 +55,14 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if min(self.in_dim, self.num_classes, self.hidden_dim) < 1:
-            raise ValueError("dimensions must be positive")
+        for name in ("in_dim", "num_classes", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -86,15 +105,9 @@ class HeadModel:
         return self.classifier_weight.shape[1]
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live references to the trainable tensors, in declaration order."""
-        return {
-            "bottleneck_weight": self.bottleneck_weight,
-            "bottleneck_bias": self.bottleneck_bias,
-            "gamma": self.norm.gamma,
-            "beta": self.norm.beta,
-            "classifier_weight": self.classifier_weight,
-            "classifier_bias": self.classifier_bias,
-        }
+        """Live references to the trainable tensors, in PARAM_NAMES order."""
+        return {k: getattr(self.norm if k in ("gamma", "beta") else self, k)
+                for k in PARAM_NAMES}
 
     def copy(self) -> "HeadModel":
         return HeadModel(self.bottleneck_weight.copy(), self.bottleneck_bias.copy(),
@@ -263,31 +276,43 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray,
 
 
 def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float) -> np.ndarray:
-    if not 0.0 <= smoothing < 1.0:
-        raise ValueError("label smoothing must lie in [0, 1)")
     hot = one_hot(labels, num_classes)
     return hot * (1.0 - smoothing) + smoothing / num_classes
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 30
+class LoopConfig:
+    """The SGD settings of run_epochs, shared by first transfer and every
+    adapter's config, with their checks; subclasses add their own fields."""
+
+    epochs: int = 15
     batch_size: int = 64
     learning_rate: float = 1e-2
     momentum: float = 0.9
     weight_decay: float = 1e-3
-    label_smoothing: float = 0.1
-    lr_schedule: str = "inverse-decay"
-    grad_clip: float | None = None
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("learning_rate and weight_decay must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+
+
+@dataclass
+class TrainConfig(LoopConfig):
+    epochs: int = 30
+    label_smoothing: float = 0.1
+    lr_schedule: str = "inverse-decay"
+    grad_clip: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ValueError("label_smoothing must lie in [0, 1)")
         if self.lr_schedule not in ("constant", "inverse-decay"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.grad_clip is not None and self.grad_clip <= 0:
@@ -326,13 +351,13 @@ def sgd_step(model: HeadModel, grads: dict[str, np.ndarray],
     model.bump_version()
 
 
-def run_epochs(model: HeadModel, n: int, batch_size: int, epochs: int, step_grads, *,
-               names: tuple[str, ...], rng: np.random.Generator, learning_rate: float,
-               momentum: float, weight_decay: float, schedule: str = "inverse-decay",
-               grad_clip: float | None = None, lr_scale: dict[str, float] | None = None,
+def run_epochs(model: HeadModel, n: int, batch_size: int, cfg: LoopConfig, step_grads, *,
+               names: tuple[str, ...], rng: np.random.Generator,
+               schedule: str = "inverse-decay", grad_clip: float | None = None,
+               lr_scale: dict[str, float] | None = None,
                epoch_hook=None, step_hook=None) -> None:
     """The one SGD loop behind first transfer and every adapter; trains model
-    in place.
+    in place for cfg.epochs at cfg's learning rate, momentum and weight decay.
 
     Each epoch calls epoch_hook(), then cuts a seeded shuffle of the n
     rows into contiguous batches, dropping the trailing partial batch. Per
@@ -344,9 +369,9 @@ def run_epochs(model: HeadModel, n: int, batch_size: int, epochs: int, step_grad
     params = model.params()
     buffers = {k: np.zeros_like(params[k]) for k in names}
     steps_per_epoch = n // batch_size
-    total_steps = epochs * steps_per_epoch
+    total_steps = cfg.epochs * steps_per_epoch
     step = 0
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         if epoch_hook is not None:
             epoch_hook()
         order = rng.permutation(n)
@@ -358,8 +383,8 @@ def run_epochs(model: HeadModel, n: int, batch_size: int, epochs: int, step_grad
             if step_hook is not None:
                 step_hook(step, loss, grads)
             sgd_step(model, grads, buffers,
-                     scheduled_lr(learning_rate, schedule, step, total_steps),
-                     momentum, weight_decay, lr_scale)
+                     scheduled_lr(cfg.learning_rate, schedule, step, total_steps),
+                     cfg.momentum, cfg.weight_decay, lr_scale)
             step += 1
 
 
@@ -393,12 +418,10 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
             return loss, backward(model, cache, dlogits)
         return loss, _classifier_grads(feats, dlogits)
 
-    run_epochs(model, data.n, bs, cfg.epochs, step_grads,
+    run_epochs(model, data.n, bs, cfg, step_grads,
                names=PARAM_NAMES if full else CLASSIFIER_PARAMS,
                rng=derive_rng(cfg.seed, "train-shuffle"),
-               learning_rate=cfg.learning_rate, momentum=cfg.momentum,
-               weight_decay=cfg.weight_decay, schedule=cfg.lr_schedule,
-               grad_clip=cfg.grad_clip,
+               schedule=cfg.lr_schedule, grad_clip=cfg.grad_clip,
                # bottleneck-side tensors move slower than the freshly seeded classifier
                lr_scale={k: 0.1 for k in BOTTLENECK_PARAMS} if full else None,
                step_hook=step_hook)

@@ -10,48 +10,34 @@ import numpy as np
 
 from .core import derive_rng, knn_indices, l2_normalize_rows, softmax
 from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
-from .head import PARAM_NAMES, HeadModel, forward, run_epochs
+from .head import PARAM_NAMES, HeadModel, LoopConfig, forward, run_epochs
 
 
 @dataclass
-class NrcConfig:
+class NrcConfig(LoopConfig):
     K: int = 3
     KK: int = 3
     r: float = 0.1
-    epochs: int = 15
-    batch_size: int = 64
-    learning_rate: float = 1e-2
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.K < 1 or self.KK < 1:
             raise ValueError("K and KK must be positive")
         if self.r < 0:
             raise ValueError("reduced affinity r must be nonnegative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
 
 
 @dataclass
-class AadConfig:
+class AadConfig(LoopConfig):
     K: int = 3
     beta: float = 0.75
-    epochs: int = 15
-    batch_size: int = 64
-    learning_rate: float = 1e-2
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.K < 1:
             raise ValueError("K must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
 
     @property
     def background_size(self) -> int:
@@ -277,9 +263,8 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
             bank.refresh(sh, feats, softmax(logits))
         return loss, grads
 
-    run_epochs(model, n, bs, cfg.epochs, step_grads, names=PARAM_NAMES,
-               rng=derive_rng(cfg.seed, "adapt-shuffle"), learning_rate=cfg.learning_rate,
-               momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    run_epochs(model, n, bs, cfg, step_grads, names=PARAM_NAMES,
+               rng=derive_rng(cfg.seed, "adapt-shuffle"))
     return model
 
 

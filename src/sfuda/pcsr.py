@@ -10,34 +10,27 @@ import numpy as np
 
 from .core import derive_rng, l2_normalize_rows
 from .engine import DistConfig
-from .head import HeadModel
+from .head import HeadModel, LoopConfig
 from .sca import Prototypes, spherical_kmeans
 from .shot import _label_pass, run_im_ce_loop
 
 
 @dataclass
-class PcsrConfig:
+class PcsrConfig(LoopConfig):
     M: int = 2
     mixup_alpha: float = 0.3
     mixup_weight: float = 1.0
     ce_weight: float = 0.3
     kmeans_rounds: int = 1
-    epochs: int = 15
-    batch_size: int = 64
-    learning_rate: float = 1e-2
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.M < 1:
             raise ValueError("M must be positive")
         if self.mixup_alpha <= 0:
             raise ValueError("mixup_alpha must be positive")
         if self.mixup_weight < 0 or self.ce_weight < 0:
             raise ValueError("loss weights must be nonnegative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
 
 
 def mixup_batch(x: np.ndarray, targets: np.ndarray, alpha: float,

@@ -10,26 +10,20 @@ import numpy as np
 
 from .core import derive_rng, l2_normalize_rows, log_softmax, one_hot
 from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
-from .head import BOTTLENECK_PARAMS, HeadModel, cross_entropy, forward, run_epochs
+from .head import (BOTTLENECK_PARAMS, HeadModel, LoopConfig, cross_entropy, forward,
+                   run_epochs)
 from .sca import Prototypes, spherical_kmeans
 
 
 @dataclass
-class ShotConfig:
-    epochs: int = 15
-    batch_size: int = 64
-    learning_rate: float = 1e-2
+class ShotConfig(LoopConfig):
     ce_weight: float = 0.3
     kmeans_rounds: int = 1
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0 or self.ce_weight < 0:
-            raise ValueError("learning_rate and ce_weight must be nonnegative")
+        super().__post_init__()
+        if self.ce_weight < 0:
+            raise ValueError("ce_weight must be nonnegative")
         if self.kmeans_rounds < 0:
             raise ValueError("kmeans_rounds must be nonnegative")
 
@@ -178,9 +172,8 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
                 grads[k] += mixup_weight * gm[k]
         return loss, grads
 
-    run_epochs(model, x.shape[0], bs, cfg.epochs, step_grads, names=BOTTLENECK_PARAMS,
-               rng=derive_rng(cfg.seed, "adapt-shuffle"), learning_rate=cfg.learning_rate,
-               momentum=cfg.momentum, weight_decay=cfg.weight_decay, epoch_hook=epoch_hook)
+    run_epochs(model, x.shape[0], bs, cfg, step_grads, names=BOTTLENECK_PARAMS,
+               rng=derive_rng(cfg.seed, "adapt-shuffle"), epoch_hook=epoch_hook)
     return model
 
 

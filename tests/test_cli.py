@@ -315,6 +315,25 @@ class TestFailureHandling:
         ("sweep", "sweep", ["SHOT"], "sweep must be a JSON object"),
         ("distgrid", "distgrid", {"methods": "SHOT"},
          "distgrid.methods must be a list of strings"),
+        # a value of the wrong type or out of range, checked before any record runs
+        ("suite", "head", {"hidden_dim": "a"}, "hidden_dim must be int, not 'a'"),
+        ("suite", "train", {"epochs": "x"}, "train: epochs must be int, not 'x'"),
+        ("suite", "train", {"learning_rate": "x"},
+         "train: learning_rate must be float, not 'x'"),
+        ("suite", "method_configs", {"SHOT": {"epochs": "x"}},
+         "method_configs.SHOT: epochs must be int, not 'x'"),
+        ("suite", "head", {"norm_kind": "groupnorm"}, "unknown norm_kind 'groupnorm'"),
+        ("suite", "head", {"hidden_dim": 2.5}, "hidden_dim must be int, not 2.5"),
+        ("suite", "head", {"hidden_dim": 0}, "hidden_dim must be positive"),
+        ("distgrid", "head", {"hidden_dim": 2.5}, "hidden_dim must be int, not 2.5"),
+        ("suite", "method_configs", {"SHOT": {"momentum": 1.5}},
+         "method_configs.SHOT: momentum must lie in [0, 1)"),
+        ("suite", "method_configs", {"NRC": {"learning_rate": -1}},  # NRC does not run
+         "method_configs.NRC: learning_rate and weight_decay must be nonnegative"),
+        ("distgrid", "method_configs", {"AAD": {"batch_size": True}},
+         "method_configs.AAD: batch_size must be int, not True"),
+        ("suite", "train", {"label_smoothing": 1.5},
+         "train: label_smoothing must lie in [0, 1)"),
     ])
     def test_a_section_of_the_wrong_type_is_named(self, tmp_path, capsys, command, key,
                                                   value, message):

@@ -16,7 +16,8 @@ from sfuda.head import (BOTTLENECK_PARAMS, CLASSIFIER_PARAMS, PARAM_NAMES,
                         clip_global_norm, cross_entropy, evaluate, forward,
                         init_head, scheduled_lr, sgd_step, smoothed_targets,
                         train_supervised)
-from sfuda.neighbors import NrcConfig, nrc_adapt
+from sfuda.neighbors import AadConfig, NrcConfig, nrc_adapt
+from sfuda.pcsr import PcsrConfig
 from sfuda.shot import ShotConfig, shot_adapt
 
 
@@ -540,6 +541,34 @@ class TestConfigValidation:
             TrainConfig(lr_schedule="cosine")
         with pytest.raises(ValueError):
             TrainConfig(grad_clip=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(label_smoothing=1.0)
+
+    @pytest.mark.parametrize("cls", [TrainConfig, ShotConfig, NrcConfig, AadConfig,
+                                     PcsrConfig])
+    @pytest.mark.parametrize("bad, error", [
+        ({"momentum": 1.0}, ValueError), ({"learning_rate": -1.0}, ValueError),
+        ({"weight_decay": -1.0}, ValueError), ({"epochs": 0}, ValueError),
+        ({"epochs": "x"}, TypeError), ({"batch_size": True}, TypeError),
+        ({"epochs": 2.5}, TypeError), ({"learning_rate": "x"}, TypeError),
+        ({"seed": None}, TypeError),
+    ])
+    def test_every_config_checks_the_loop_settings(self, cls, bad, error):
+        with pytest.raises(error):
+            cls(**bad)
+
+    def test_value_types_are_checked(self):
+        assert TrainConfig(learning_rate=1, grad_clip=None).learning_rate == 1
+        with pytest.raises(TypeError, match="grad_clip must be float, not 'x'"):
+            TrainConfig(grad_clip="x")
+        with pytest.raises(TypeError, match="lr_schedule must be str, not 1"):
+            TrainConfig(lr_schedule=1)
+        with pytest.raises(TypeError, match="K must be int, not 3.0"):
+            NrcConfig(K=3.0)
+        with pytest.raises(TypeError, match="hidden_dim must be int, not 2.5"):
+            HeadConfig(4, 2, hidden_dim=2.5)
+        with pytest.raises(TypeError, match="in_dim must be int, not True"):
+            HeadConfig(True, 2)
 
     def test_init_is_seeded(self):
         a = init_head(HeadConfig(6, 3, hidden_dim=8, seed=4))
