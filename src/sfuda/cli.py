@@ -33,7 +33,7 @@ from .distsim import parse_cell, run_distributed_grids
 from .engine import DEFAULT_GRID
 from .harness import (ADAPT_METHODS, ExperimentRecord, SuiteResult, TaskSpec,
                       failure_report, hyperparameter_grid, run_suite, run_task)
-from .head import TrainConfig
+from .head import HeadConfig, TrainConfig
 from .stats import fit_linear, fit_multilinear
 
 SFUDA_TASKS = ("SFUDA", "FT-SFUDA")
@@ -204,12 +204,17 @@ def _method_configs(cfg: dict) -> dict:
 
 def _head_and_train(cfg: dict, norm_kind: str) -> tuple[dict, TrainConfig]:
     """The head section as TaskSpec keywords, norm_kind defaulting per
-    command (TaskSpec checks their values), and the first-transfer
-    TrainConfig."""
+    command, and the first-transfer TrainConfig. Every command checks its
+    head values here, so an error names the head section the same way."""
     head = cfg.get("head", {})
     _check_keys(head, {"hidden_dim", "norm_kind", "activation"}, "head")
+    head = {"norm_kind": norm_kind, **head}
+    try:
+        HeadConfig(1, 1, **head)
+    except (TypeError, ValueError) as e:
+        raise CliError(f"head: {e}") from None
     train = _section(TrainConfig, cfg.get("train", {}), "train")
-    return {"norm_kind": norm_kind, **head}, train
+    return head, train
 
 
 def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
@@ -453,8 +458,10 @@ def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
         raise CliError("sweep.params must map parameter names to lists of values")
     source, target = datasets_from_config(cfg)
     head, train = _head_and_train(cfg, "layernorm")
+    # method_configs gives the settings the sweep does not vary
     spec = TaskSpec(task=section.get("task", "SFUDA"), method=method, target=target,
-                    source=source, train=train, **head)
+                    source=source, train=train,
+                    method_config=_method_configs(cfg).get(method), **head)
     grid = hyperparameter_grid(params, spec, common["seeds"], common["jobs"])
 
     names = grid["params"]

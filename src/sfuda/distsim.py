@@ -48,16 +48,21 @@ def sharded_gradient(model: HeadModel, batch: np.ndarray, objective,
                      cfg: DistConfig) -> dict[str, np.ndarray]:
     """Average of per-shard gradients under cfg.workers contiguous shards.
 
-    Each shard evaluates objective on its own rows, so batch-coupled terms
-    (the diversity penalty, batchnorm statistics) become shard-local.
+    objective(rows, logits) -> (value, dlogits), as in centralized_gradient,
+    is called once per shard on that shard's (m,) rows and (m, C) logits, so
+    batch-coupled terms (the diversity penalty, batchnorm statistics) become
+    shard-local.
     """
     work = model.copy()
     batch = np.asarray(batch, dtype=np.float64)
-    rows = np.arange(batch.shape[0])
-    shards = shard_rows(rows, cfg.workers)
-    _, grads, _ = sharded_step(work, batch, shards,
-                               lambda _w, sh, logits: objective(sh, logits),
-                               cfg.sync_batchnorm)
+    shards = shard_rows(np.arange(batch.shape[0]), cfg.workers)
+
+    def stacked(rows, logits):
+        # objective sees one (m, C) shard at a time, in shard order
+        parts = [objective(r, lg) for r, lg in zip(rows, logits)]
+        return np.array([v for v, _ in parts]), np.stack([dl for _, dl in parts])
+
+    _, grads, _ = sharded_step(work, batch, shards, stacked, cfg.sync_batchnorm)
     return grads
 
 

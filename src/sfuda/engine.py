@@ -1,6 +1,7 @@
 """Simulated data parallelism for the gradient-based adaptation loops:
-contiguous worker shards of each batch and shard-averaged gradients. The W=1
-path is the plain single-worker step; the loop itself is head.run_epochs."""
+contiguous worker shards of each batch, one stacked objective call for all
+of them, and shard-averaged gradients. The W=1 path is the plain
+single-worker step; the loop itself is head.run_epochs."""
 
 from __future__ import annotations
 
@@ -47,41 +48,39 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
                  objective, sync_batchnorm: bool = False):
     """One simulated data-parallel step.
 
-    objective(worker, rows, logits) -> (value, dlogits) sees only its shard,
-    so any batch-level statistic inside it is shard-local; it is called once
-    per shard, in shard order. Each worker normalizes with its own shard's
-    batch statistics unless sync_batchnorm pools them; gradients are averaged
-    unweighted.
+    The shards (equal in size, as shard_rows cuts them) are stacked: rows is
+    (W, m) and logits (W, m, C), and objective(rows, logits) -> (values,
+    dlogits) is called once for all workers. It must treat each leading index
+    as its own batch, so any batch-level statistic inside it is shard-local,
+    and return per-shard values (W,) and dlogits (W, m, C). Each worker
+    normalizes with its own shard's batch statistics unless sync_batchnorm
+    pools them; gradients are averaged unweighted.
 
-    The workers share one train-mode forward and one backward: the shards
-    (equal in size, as shard_rows cuts them) are stacked as (W, m, d), which
-    head.forward and head.backward treat as W separate batches, so the step
-    equals W per-shard forwards and backwards bit for bit. One worker, or
-    pooled batchnorm statistics, take one plain (W*m, d) batch instead.
+    The workers share one train-mode forward and one backward over the
+    stacked (W, m, d) input, which head.forward and head.backward treat as W
+    separate batches, so the step equals W per-shard forwards, objective
+    calls and backwards bit for bit. One worker, or pooled batchnorm
+    statistics, take one plain (W*m, d) batch instead.
 
-    Returns (mean objective value, averaged gradient dict, per-shard outputs)
-    where outputs is a list of (rows, logits, feats) from the forward.
+    Returns (mean objective value, averaged gradient dict, (rows, logits,
+    feats)), the forward's outputs stacked as (W, m), (W, m, C), (W, m, h).
     """
     w = len(shards)
     m = len(shards[0])
     if any(len(sh) != m for sh in shards):
         raise ValueError("shards must have equal sizes")
     pooled = w == 1 or (sync_batchnorm and model.norm.kind == "batchnorm")
-    xb = x[np.concatenate(shards)]
+    rows = np.stack(shards)
+    xb = x[rows.ravel()]
     logits, feats, cache = forward(model, xb if pooled else xb.reshape(w, m, -1), "train")
     logits, feats = logits.reshape(w, m, -1), feats.reshape(w, m, -1)
-    dl = np.empty_like(logits)
-    values = []
-    for wi, sh in enumerate(shards):
-        v, dl[wi] = objective(wi, sh, logits[wi])
-        values.append(v)
-    outputs = [(sh, logits[wi], feats[wi]) for wi, sh in enumerate(shards)]
+    values, dl = objective(rows, logits)
     if pooled:
         # backward is linear in dlogits, so one pass gives the shard average
         grads = backward(model, cache, dl.reshape(w * m, -1) / w)
     else:
         grads = {k: g / w for k, g in backward(model, cache, dl).items()}
-    return float(np.mean(values)), grads, outputs
+    return float(np.mean(values)), grads, (rows, logits, feats)
 
 
 def effective_batch(n: int, batch_size: int, workers: int) -> int:

@@ -256,7 +256,7 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
             accuracy = float((labels == target.labels).mean() * 100.0)
         else:
             cfg_cls, adapt_fn = ADAPT_METHODS[spec.method]
-            base = spec.method_config if spec.method_config is not None else cfg_cls()
+            base = spec.method_config or cfg_cls()
             method_cfg = replace(base, seed=derive_seed(spec.seed, "adapt"))
             adapted = adapt_fn(first, target.features, method_cfg, dist=spec.dist)
             accuracy = evaluate(adapted, target.features, target.labels)
@@ -506,9 +506,11 @@ def failure_report(records: list[ExperimentRecord], group_by: str,
 
 def hyperparameter_grid(param_grid: dict, spec: TaskSpec, seeds, jobs: int = 1) -> dict:
     """Mean accuracy of spec for every combination of its method's swept
-    parameters, plus one line per record that raised. Every combination runs
-    in one suite, so each first transfer trains once per seed, not once per
-    combination."""
+    parameters, plus one line per record that raised. A combination replaces
+    its parameters in spec.method_config (the method's defaults when None);
+    a value its config rejects raises before anything runs. Every
+    combination runs in one suite, so each first transfer trains once per
+    seed, not once per combination."""
     method = spec.method
     if method == "SCA":
         raise ValueError("SCA exposes no swept hyperparameters")
@@ -525,8 +527,12 @@ def hyperparameter_grid(param_grid: dict, spec: TaskSpec, seeds, jobs: int = 1) 
     names = list(param_grid)
     combos = [dict(zip(names, combo))
               for combo in itertools.product(*(param_grid[n] for n in names))]
-    result = run_suite([replace(spec, method_config=cfg_cls(**combo)) for combo in combos],
-                       seeds, jobs)
+    base = spec.method_config or cfg_cls()
+    try:
+        configs = [replace(base, **combo) for combo in combos]
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"sweep.params: {e}") from None
+    result = run_suite([replace(spec, method_config=c) for c in configs], seeds, jobs)
     records = iter(result.records)  # in spec order, seed-minor
     rows, errors = [], []
     for combo, agg in zip(combos, result.aggregates):

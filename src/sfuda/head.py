@@ -265,12 +265,14 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray,
-                  ) -> tuple[float, np.ndarray]:
-    """Mean soft-target cross entropy and its logit gradient."""
+                  ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean soft-target cross entropy and its logit gradient. logits and
+    targets are (..., m, C), one batch of m rows per leading index, and the
+    value has the leading shape (a float for one (m, C) batch)."""
     targets = np.asarray(targets, dtype=np.float64)
-    b = logits.shape[0]
+    b = logits.shape[-2]
     logp = log_softmax(logits)
-    value = float(-(targets * logp).sum() / b)
+    value = -(targets * logp).sum(axis=(-2, -1)) / b
     dlogits = (softmax(logits) - targets) / b
     return value, dlogits
 

@@ -93,22 +93,24 @@ def _bank_knn(bank: MemoryBank, k: int, knn: np.ndarray | None = None) -> np.nda
 
 def reciprocal_flags(bank: MemoryBank, k: int, rows: np.ndarray | None = None,
                      knn: np.ndarray | None = None) -> np.ndarray:
-    """flags[i, j] is True when rows[i] is also among the k neighbors of its
-    j-th neighbor (mutual nearness). rows defaults to the whole bank; knn is
-    an optional precomputed neighbor table of the bank (see _bank_knn)."""
+    """flags[..., i, j] is True when rows[..., i] is also among the k
+    neighbors of its j-th neighbor (mutual nearness). rows, of any shape,
+    defaults to the whole bank; knn is an optional precomputed neighbor
+    table of the bank (see _bank_knn)."""
     nn = _bank_knn(bank, k, knn)
     rows = np.arange(bank.n) if rows is None else np.asarray(rows, dtype=np.int64)
-    return (nn[nn[rows]] == rows[:, None, None]).any(axis=-1)
+    return (nn[nn[rows]] == rows[..., None, None]).any(axis=-1)
 
 
-def _simplex_nll_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
-    # batch-marginal negative entropy, the diversity penalty on raw scores
-    b = scores.shape[0]
-    pbar = scores.mean(axis=0)
+def _simplex_nll_grad(scores: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    # batch-marginal negative entropy, the diversity penalty on raw scores;
+    # scores is (..., m, C), one batch marginal per leading index
+    b = scores.shape[-2]
+    pbar = scores.mean(axis=-2, keepdims=True)
     if np.any(pbar <= 0.0):
         raise ValueError("batch marginal has a zero class")
     log_pbar = np.log(pbar)
-    value = float((pbar * log_pbar).sum())
+    value = (pbar * log_pbar).sum(axis=(-2, -1))
     grad = np.broadcast_to((log_pbar + 1.0) / b, scores.shape).copy()
     return value, grad
 
@@ -116,17 +118,21 @@ def _simplex_nll_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
 def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBank,
              cfg: NrcConfig, self_anchor: np.ndarray | None = None,
              reciprocal_override: np.ndarray | None = None,
-             knn: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+             knn: np.ndarray | None = None) -> tuple[float | np.ndarray, np.ndarray]:
     """Reciprocal-weighted affinity to bank neighbors, expanded-neighborhood
     affinity scaled by r, a stop-gradient self term, and the batch diversity
     penalty. Gradient is with respect to batch_scores; bank entries and the
     self anchor are constants. knn is the bank's neighbor table with at least
     max(K, KK) columns; it is computed here when absent.
+
+    batch_scores is (..., m, C) and batch_indices (..., m): each leading
+    index is one batch of m rows with its own diversity penalty, and the
+    value has the leading shape (a float for one (m, C) batch).
     """
     p = np.asarray(batch_scores, dtype=np.float64)
     bidx = np.asarray(batch_indices, dtype=np.int64)
-    b = p.shape[0]
-    if bidx.shape != (b,):
+    b = p.shape[-2]
+    if bidx.shape != p.shape[:-1]:
         raise ValueError("batch_indices must match batch_scores rows")
     if bidx.size and (bidx.min() < 0 or bidx.max() >= bank.n):
         raise ValueError("batch index outside the bank")
@@ -136,19 +142,19 @@ def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
 
     table = _bank_knn(bank, max(cfg.K, cfg.KK), knn)
     nn_kk = table[:, :cfg.KK]
-    neigh = table[bidx, :cfg.K]                          # (b, K)
+    neigh = table[bidx, :cfg.K]                          # (..., b, K)
     if reciprocal_override is None:
         recip = reciprocal_flags(bank, cfg.K, bidx, table)
     else:
         recip = np.asarray(reciprocal_override, dtype=bool)
-    aff = np.where(recip, 1.0, cfg.r)                    # (b, K)
+    aff = np.where(recip, 1.0, cfg.r)                    # (..., b, K)
 
-    s_neigh = bank.scores[neigh]                         # (b, K, C)
-    s_aff = (aff[:, :, None] * s_neigh).sum(axis=1)      # (b, C)
-    s_exp = bank.scores[nn_kk[neigh]].sum(axis=(1, 2))   # (b, C)
+    s_neigh = bank.scores[neigh]                         # (..., b, K, C)
+    s_aff = (aff[..., None] * s_neigh).sum(axis=-2)      # (..., b, C)
+    s_exp = bank.scores[nn_kk[neigh]].sum(axis=(-3, -2))  # (..., b, C)
 
     pulled = s_aff + cfg.r * s_exp + anchor
-    value = float(-(p * pulled).sum() / b)
+    value = -(p * pulled).sum(axis=(-2, -1)) / b
     v_div, g_div = _simplex_nll_grad(p)
     return value + v_div, -pulled / b + g_div
 
@@ -166,7 +172,8 @@ def decay_lambda(step: int, max_step: int, beta: float) -> float:
 
 def sample_backgrounds(bank_n: int, neigh: np.ndarray, batch_indices: np.ndarray,
                        size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform non-neighbor sample per batch row, without replacement.
+    """Uniform non-neighbor sample per batch row, without replacement; neigh
+    is (b, K) and batch_indices (b,).
 
     Each row draws positions in its ascending pool of allowed bank indices
     (one rng.choice per row, the draw rng.choice(pool, ...) would make) and
@@ -192,35 +199,43 @@ def sample_backgrounds(bank_n: int, neigh: np.ndarray, batch_indices: np.ndarray
 def aad_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBank,
              lambda_t: float, cfg: AadConfig, rng: np.random.Generator | None = None,
              backgrounds: np.ndarray | None = None,
-             knn: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+             knn: np.ndarray | None = None) -> tuple[float | np.ndarray, np.ndarray]:
     """Attract each prediction toward its close bank neighbors, disperse it
     from a resampled background set weighted by lambda_t. Gradient is with
     respect to batch_scores; bank entries are constants. knn is the bank's
-    neighbor table with at least K columns; it is computed here when absent."""
+    neighbor table with at least K columns; it is computed here when absent.
+
+    batch_scores is (..., m, C) and batch_indices (..., m), one batch of m
+    rows per leading index; the value has the leading shape (a float for
+    one (m, C) batch). All rows draw their backgrounds in one call, in
+    row-major order, so a stack draws what its batches would in turn."""
     p = np.asarray(batch_scores, dtype=np.float64)
     bidx = np.asarray(batch_indices, dtype=np.int64)
-    b = p.shape[0]
-    if bidx.shape != (b,):
+    b = p.shape[-2]
+    if bidx.shape != p.shape[:-1]:
         raise ValueError("batch_indices must match batch_scores rows")
     if bidx.size and (bidx.min() < 0 or bidx.max() >= bank.n):
         raise ValueError("batch index outside the bank")
 
-    neigh = _bank_knn(bank, cfg.K, knn)[bidx]
+    neigh = _bank_knn(bank, cfg.K, knn)[bidx]        # (..., b, K)
     if backgrounds is None:
         if rng is None:
             raise ValueError("aad_loss needs an rng when backgrounds are not given")
-        backgrounds = sample_backgrounds(bank.n, neigh, bidx, cfg.background_size, rng)
+        backgrounds = sample_backgrounds(bank.n, neigh.reshape(-1, cfg.K), bidx.ravel(),
+                                         cfg.background_size, rng
+                                         ).reshape(*bidx.shape, cfg.background_size)
 
-    s_close = bank.scores[neigh].sum(axis=1)         # (b, C)
-    s_far = bank.scores[backgrounds].sum(axis=1)     # (b, C)
-    value = float((-(p * s_close).sum() + lambda_t * (p * s_far).sum()) / b)
+    s_close = bank.scores[neigh].sum(axis=-2)        # (..., b, C)
+    s_far = bank.scores[backgrounds].sum(axis=-2)    # (..., b, C)
+    value = (-(p * s_close).sum(axis=(-2, -1))
+             + lambda_t * (p * s_far).sum(axis=(-2, -1))) / b
     grad = (-s_close + lambda_t * s_far) / b
     return value, grad
 
 
 def softmax_score_grad(p: np.ndarray, dscores: np.ndarray) -> np.ndarray:
-    """Pull a gradient on softmax outputs back to the logits."""
-    return p * (dscores - (p * dscores).sum(axis=1, keepdims=True))
+    """Pull a gradient on softmax outputs (..., C) back to the logits."""
+    return p * (dscores - (p * dscores).sum(axis=-1, keepdims=True))
 
 
 def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
@@ -248,19 +263,20 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
             if extra.size:
                 knn[extra] = knn_indices(bank.features, table_k, rows=extra, unit=unit)
 
-        def objective(_w, sh, logits):
+        def objective(shards, logits):
             p = softmax(logits)
             if kind == "nrc":
-                v, dscores = nrc_loss(p, sh, bank, cfg, knn=knn)
+                v, dscores = nrc_loss(p, shards, bank, cfg, knn=knn)
             else:
-                v, dscores = aad_loss(p, sh, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
+                v, dscores = aad_loss(p, shards, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
             return v, softmax_score_grad(p, dscores)
 
-        loss, grads, outputs = sharded_step(model, x, shard_rows(rows, dist.workers),
-                                            objective, dist.sync_batchnorm)
-        # pre-update outputs, as the optimizer step that follows never reads the bank
-        for sh, logits, feats in outputs:
-            bank.refresh(sh, feats, softmax(logits))
+        loss, grads, (_, logits, feats) = sharded_step(
+            model, x, shard_rows(rows, dist.workers), objective, dist.sync_batchnorm)
+        # pre-update outputs, as the optimizer step that follows never reads
+        # the bank; the stacked shards hold the batch rows in order
+        bank.refresh(rows, feats.reshape(len(rows), -1),
+                     softmax(logits).reshape(len(rows), -1))
         return loss, grads
 
     run_epochs(model, n, bs, cfg, step_grads, names=PARAM_NAMES,

@@ -87,42 +87,46 @@ def shot_pseudo_labels(model: HeadModel, target_features: np.ndarray,
     return labels, protos
 
 
-def entropy_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean per-row prediction entropy and its logit gradient."""
-    b = logits.shape[0]
+def entropy_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean per-row prediction entropy and its logit gradient.
+
+    logits is (..., m, C): each leading index is one batch of m rows, and
+    the value has the leading shape (a float for one (m, C) batch)."""
+    b = logits.shape[-2]
     logp = log_softmax(logits)
     p = np.exp(logp)
     plogp = np.where(p > 0.0, p * logp, 0.0)
-    h_rows = -plogp.sum(axis=1)
-    value = float(h_rows.mean())
-    grad = np.where(p > 0.0, -p * (logp + h_rows[:, None]), 0.0) / b
-    return value, grad
+    h_rows = -plogp.sum(axis=-1)
+    grad = np.where(p > 0.0, -p * (logp + h_rows[..., None]), 0.0) / b
+    return h_rows.mean(axis=-1), grad
 
 
-def diversity_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
+def diversity_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Negative entropy of the batch-mean prediction, sum_k pbar_k ln pbar_k.
 
     This is the term that depends on who shares your batch: its minimum -ln C
-    is reached when the batch marginal is uniform.
+    is reached when the batch marginal is uniform. logits is (..., m, C), and
+    each leading index is a batch with its own marginal.
     """
-    b = logits.shape[0]
+    b = logits.shape[-2]
     logp = log_softmax(logits)
     p = np.exp(logp)
     # log pbar_k = logsumexp_i logp_ik - log b, stable even under underflow
-    m = logp.max(axis=0)
+    m = logp.max(axis=-2, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    log_pbar = np.log(np.exp(logp - m).sum(axis=0)) + m - np.log(b)
+    log_pbar = np.log(np.exp(logp - m).sum(axis=-2, keepdims=True)) + m - np.log(b)
     pbar = np.exp(log_pbar)
-    value = float(np.where(pbar > 0.0, pbar * log_pbar, 0.0).sum())
-    inner = np.where(p > 0.0, p * log_pbar[None, :], 0.0)
-    grad = (inner - p * inner.sum(axis=1, keepdims=True)) / b
+    value = np.where(pbar > 0.0, pbar * log_pbar, 0.0).sum(axis=(-2, -1))
+    inner = np.where(p > 0.0, p * log_pbar, 0.0)
+    grad = (inner - p * inner.sum(axis=-1, keepdims=True)) / b
     return value, grad
 
 
-def im_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
+def im_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Information-maximization objective: confident rows, diverse marginal.
 
     Lower bound is -ln C, attained by one-hot rows spread evenly over classes.
+    logits is (..., m, C), one value per leading index.
     """
     ve, ge = entropy_loss(logits)
     vd, gd = diversity_loss(logits)
@@ -149,9 +153,9 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
         labels, protos = relabel(model, protos)
         targets = one_hot(labels, model.num_classes)
 
-    def objective(_w, sh, logits):
+    def objective(rows, logits):
         v_im, d_im = im_loss(logits)
-        v_ce, d_ce = cross_entropy(logits, targets[sh])
+        v_ce, d_ce = cross_entropy(logits, targets[rows])
         return v_im + cfg.ce_weight * v_ce, d_im + cfg.ce_weight * d_ce
 
     def step_grads(rows, _step):
@@ -163,8 +167,8 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
             tm = np.concatenate([m[1] for m in mixed])
             pos = np.arange(len(xm))
 
-            def mix_objective(_w, sh, logits):
-                return cross_entropy(logits, tm[sh])
+            def mix_objective(mixed_rows, logits):
+                return cross_entropy(logits, tm[mixed_rows])
 
             _, gm, _ = sharded_step(model, xm, shard_rows(pos, dist.workers),
                                     mix_objective, dist.sync_batchnorm)

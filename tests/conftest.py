@@ -1,7 +1,7 @@
 """Shared helpers: finite-difference oracles and tiny model builders."""
 import numpy as np
 
-from sfuda.head import HeadConfig, init_head
+from sfuda.head import HeadConfig, backward, forward, init_head
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -59,3 +59,32 @@ def grad_gap(analytic, numeric, names=None):
     if names is None:
         names = list(numeric)
     return max(max_rel_err(analytic[k], numeric[k]) for k in names)
+
+
+def shard_loop_step(model, x, shards, objective, sync_batchnorm):
+    """Reference data-parallel step: one forward and backward per shard (one
+    pooled pass when batchnorm statistics are synced), gradients added in
+    shard order and averaged."""
+    w = len(shards)
+    if sync_batchnorm and w > 1 and model.norm.kind == "batchnorm":
+        logits, feats, cache = forward(model, x[np.concatenate(shards)], "train")
+        dl, values, outputs, ofs = np.empty_like(logits), [], [], 0
+        for wi, sh in enumerate(shards):
+            v, dl[ofs:ofs + len(sh)] = objective(wi, sh, logits[ofs:ofs + len(sh)])
+            values.append(v)
+            outputs.append((sh, logits[ofs:ofs + len(sh)], feats[ofs:ofs + len(sh)]))
+            ofs += len(sh)
+        return float(np.mean(values)), backward(model, cache, dl / w), outputs
+    gsum, values, outputs = None, [], []
+    for wi, sh in enumerate(shards):
+        logits, feats, cache = forward(model, x[sh], "train")
+        v, dl = objective(wi, sh, logits)
+        g = backward(model, cache, dl)
+        values.append(v)
+        outputs.append((sh, logits, feats))
+        if gsum is None:
+            gsum = g
+        else:
+            for k in gsum:
+                gsum[k] += g[k]
+    return float(np.mean(values)), {k: v / w for k, v in gsum.items()}, outputs

@@ -341,6 +341,24 @@ class TestFailureHandling:
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 1
+        # the line names the section first; a head value's message follows "head: "
+        line = message if message.startswith(key) else f"{key}: {message}"
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["suite", "sweep", "distgrid"])
+    @pytest.mark.parametrize("value, message", [
+        ({"norm_kind": "groupnorm"}, "head: unknown norm_kind 'groupnorm'"),
+        ({"hidden_dim": 2.5}, "head: hidden_dim must be int, not 2.5"),
+        ({"activation": "tanh"}, "head: unknown activation 'tanh'"),
+    ])
+    def test_a_bad_head_value_names_its_section(self, tmp_path, capsys, command, value,
+                                                message):
+        cfg = {**distgrid_config(), "tasks": ["SFUDA"], "methods": ["SHOT"],
+               "sweep": {"method": "SHOT", "params": {"epochs": [1]}}, "head": value}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -454,6 +472,36 @@ class TestSweepCommand:
         assert all(np.isfinite(float(r["mean"])) for r in rows)
         assert [r["epochs"] for r in rows] == ["1", "1", "2", "2"]
 
+
+    def test_method_configs_set_what_the_sweep_does_not_vary(self, tmp_path):
+        def sweep_rows(epochs):
+            cfg_dict = base_config()
+            cfg_dict["data"]["generate"].update(num_classes=4, n_per_class=20, class_sep=2.0,
+                                                shift={"mean_shift": 1.0})
+            cfg_dict["sweep"] = {"method": "SHOT", "params": {"learning_rate": [0.05, 0.2]}}
+            cfg_dict["method_configs"] = {"SHOT": {"epochs": epochs}}
+            out = tmp_path / f"epochs{epochs}"
+            assert main(["sweep", "--config", write_config(tmp_path, cfg_dict),
+                         "--seed", "0", "--out", str(out)]) == 0
+            return read_rows(out / "sweep.csv")
+
+        one, three = sweep_rows(1), sweep_rows(3)
+        assert [r["learning_rate"] for r in one] == [r["learning_rate"] for r in three]
+        assert [r["mean"] for r in one] != [r["mean"] for r in three]
+
+    @pytest.mark.parametrize("params, message", [
+        ({"epochs": ["x"]}, "sweep.params: epochs must be int, not 'x'"),
+        ({"epochs": [1], "momentum": [0.5, 1.5]},
+         "sweep.params: momentum must lie in [0, 1)"),
+    ])
+    def test_a_bad_sweep_value_names_its_section(self, tmp_path, capsys, params, message):
+        cfg_dict = base_config()
+        cfg_dict["sweep"] = {"method": "SHOT", "params": params}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg_dict),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_jobs_flag_does_not_change_the_sweep(self, tmp_path):
         cfg_dict = base_config()

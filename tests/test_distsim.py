@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfuda.harness
-from conftest import max_rel_err, tiny_model
+from conftest import max_rel_err, shard_loop_step, tiny_model
 from sfuda.core import make_rng
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.distsim import (ADAPT_METHODS, GridResult, centralized_gradient,
@@ -14,9 +14,7 @@ from sfuda.distsim import (ADAPT_METHODS, GridResult, centralized_gradient,
                            sharded_gradient)
 from sfuda.engine import (DEFAULT_GRID, DistConfig, effective_batch, shard_rows,
                           sharded_step)
-from sfuda.head import (PARAM_NAMES, HeadConfig, TrainConfig, backward, forward,
-                        init_head,
-                        train_supervised)
+from sfuda.head import PARAM_NAMES, HeadConfig, TrainConfig, init_head, train_supervised
 from sfuda.neighbors import AadConfig
 from sfuda.shot import ShotConfig, diversity_loss, entropy_loss, im_loss
 
@@ -69,35 +67,6 @@ class TestShardMachinery:
         assert [c.label for c in DEFAULT_GRID][0] == "1x64"
 
 
-def shard_loop_step(model, x, shards, objective, sync_batchnorm):
-    """Reference data-parallel step: one forward and backward per shard (one
-    pooled pass when batchnorm statistics are synced), gradients added in
-    shard order and averaged."""
-    w = len(shards)
-    if sync_batchnorm and w > 1 and model.norm.kind == "batchnorm":
-        logits, feats, cache = forward(model, x[np.concatenate(shards)], "train")
-        dl, values, outputs, ofs = np.empty_like(logits), [], [], 0
-        for wi, sh in enumerate(shards):
-            v, dl[ofs:ofs + len(sh)] = objective(wi, sh, logits[ofs:ofs + len(sh)])
-            values.append(v)
-            outputs.append((sh, logits[ofs:ofs + len(sh)], feats[ofs:ofs + len(sh)]))
-            ofs += len(sh)
-        return float(np.mean(values)), backward(model, cache, dl / w), outputs
-    gsum, values, outputs = None, [], []
-    for wi, sh in enumerate(shards):
-        logits, feats, cache = forward(model, x[sh], "train")
-        v, dl = objective(wi, sh, logits)
-        g = backward(model, cache, dl)
-        values.append(v)
-        outputs.append((sh, logits, feats))
-        if gsum is None:
-            gsum = g
-        else:
-            for k in gsum:
-                gsum[k] += g[k]
-    return float(np.mean(values)), {k: v / w for k, v in gsum.items()}, outputs
-
-
 class TestStackedStep:
     @given(st.sampled_from(["batchnorm", "layernorm"]), st.sampled_from(["relu", "gelu"]),
            st.booleans(), st.integers(1, 16), st.integers(1, 6), st.integers(0, 10 ** 6))
@@ -113,21 +82,29 @@ class TestStackedStep:
         shards = shard_rows(rng.permutation(len(x))[:w * m], w)
         targets = rng.dirichlet(np.ones(c), size=len(x))
 
-        def objective(wi, sh, logits):
-            # a shard-coupled term and a per-row term
+        def shard_objective(wi, sh, logits):
+            # a shard-coupled term and a per-row term, on one (m, C) shard
             v_im, d_im = im_loss(logits)
             return v_im + wi * float(targets[sh].sum()), d_im + targets[sh] * (wi + 1)
 
+        def objective(rows, logits):
+            # the same terms on the stacked (W, m, C) shards
+            wi = np.arange(len(rows))
+            v_im, d_im = im_loss(logits)
+            return (v_im + wi * targets[rows].sum(axis=(-2, -1)),
+                    d_im + targets[rows] * (wi + 1)[:, None, None])
+
         ref_model, new_model = model.copy(), model.copy()
-        want = shard_loop_step(ref_model, x, shards, objective, sync)
+        want = shard_loop_step(ref_model, x, shards, shard_objective, sync)
         got = sharded_step(new_model, x, shards, objective, sync)
         assert got[0] == want[0]
         assert list(got[1]) == list(want[1])
         for k in want[1]:
             assert got[1][k].tobytes() == want[1][k].tobytes()
-        for (gs, gl, gf), (ws, wl, wf) in zip(got[2], want[2], strict=True):
-            np.testing.assert_array_equal(gs, ws)
-            assert gl.tobytes() == wl.tobytes() and gf.tobytes() == wf.tobytes()
+        rows, logits, feats = got[2]
+        np.testing.assert_array_equal(rows, np.stack([ws for ws, _, _ in want[2]]))
+        assert logits.tobytes() == np.stack([wl for _, wl, _ in want[2]]).tobytes()
+        assert feats.tobytes() == np.stack([wf for _, _, wf in want[2]]).tobytes()
         if norm == "batchnorm":
             assert new_model.norm.running_mean.tobytes() == ref_model.norm.running_mean.tobytes()
             assert new_model.norm.running_var.tobytes() == ref_model.norm.running_var.tobytes()
@@ -135,7 +112,7 @@ class TestStackedStep:
     def test_unequal_shards_rejected(self):
         with pytest.raises(ValueError, match="equal sizes"):
             sharded_step(tiny_model(), np.zeros((5, 5)), [np.arange(3), np.arange(3, 5)],
-                         lambda _w, sh, logits: (0.0, np.zeros_like(logits)))
+                         lambda rows, logits: (np.zeros(len(rows)), np.zeros_like(logits)))
 
 
 class TestGradientDecomposition:
