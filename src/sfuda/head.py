@@ -394,9 +394,13 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
                      cfg: TrainConfig, step_hook=None) -> HeadModel:
     """Label-smoothed cross-entropy training with SGD momentum.
 
-    scope="classifier_only" runs eval-mode forwards and computes only the
-    classifier gradients, so the bottleneck, the norm parameters, and the
-    batchnorm running statistics stay untouched. scope="full" trains
+    scope="classifier_only" computes only the classifier gradients, so the
+    bottleneck, the norm parameters, and the batchnorm running statistics
+    stay untouched. Since the bottleneck never moves, its eval-mode features
+    are computed once, by one forward over the whole set, and each step reads
+    the rows of its batch. That equals a forward per batch bit for bit when
+    a batch has at least 2 rows; a 1-row product goes through a different
+    BLAS kernel and may differ in the last bits. scope="full" trains
     everything with the bottleneck at a tenth of the rate.
     """
     if data.labels is None:
@@ -411,13 +415,16 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
     if full and model.norm.kind == "batchnorm" and bs < 2:
         raise ValueError("batch_size < 2 is invalid with a batchnorm head")
     targets = smoothed_targets(data.labels, data.num_classes, cfg.label_smoothing)
-    mode = "train" if full else "eval"
+    frozen = None if full else forward(model, data.features, "eval")[1]
 
     def step_grads(rows, _step):
-        logits, feats, cache = forward(model, data.features[rows], mode)
-        loss, dlogits = cross_entropy(logits, targets[rows])
         if full:
+            logits, _, cache = forward(model, data.features[rows], "train")
+            loss, dlogits = cross_entropy(logits, targets[rows])
             return loss, backward(model, cache, dlogits)
+        feats = frozen[rows]
+        logits = feats @ model.classifier_weight + model.classifier_bias
+        loss, dlogits = cross_entropy(logits, targets[rows])
         return loss, _classifier_grads(feats, dlogits)
 
     run_epochs(model, data.n, bs, cfg, step_grads,

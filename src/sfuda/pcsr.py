@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_rng, l2_normalize_rows
+from .core import derive_rng
 from .engine import DistConfig
 from .head import HeadModel, LoopConfig
 from .sca import Prototypes, spherical_kmeans
@@ -90,9 +90,8 @@ def polycentric_pseudo_labels(model: HeadModel, target_features: np.ndarray,
     if m_centers < 1:
         raise ValueError("m_centers must be positive")
     x = np.asarray(target_features, dtype=np.float64)
-    labels, protos, feats = _label_pass(model, x, kmeans_rounds, prev_prototypes)
-    return _polycentric_refine(l2_normalize_rows(feats), labels, protos,
-                               m_centers, rng), protos
+    labels, protos, feats_n = _label_pass(model, x, kmeans_rounds, prev_prototypes)
+    return _polycentric_refine(feats_n, labels, protos, m_centers, rng), protos
 
 
 def pcsr_adapt(model: HeadModel, target_features: np.ndarray, cfg: PcsrConfig,

@@ -54,16 +54,26 @@ def class_prototypes(features: np.ndarray, labels: np.ndarray, num_classes: int,
 _KMEANS_MAX_ITERS, _KMEANS_TOL = 100, 1e-6
 
 
-def spherical_kmeans(features: np.ndarray, init: Prototypes,
+def spherical_kmeans(features: np.ndarray, init: Prototypes, *,
+                     unit: np.ndarray | None = None,
                      ) -> tuple[Prototypes, np.ndarray, np.ndarray]:
     """Cosine K-Means initialized at the given centers.
 
     Assignment maximizes cosine similarity (ties to the lower center index);
     recentering takes the normalized member mean, keeping the previous center
-    when a cluster empties. Returns (centers, assignments, objective trace);
-    the trace of sum-of-best-similarities never decreases.
+    when a cluster empties or its mean is the zero vector. A pass recenters
+    only the clusters whose member set changed: an unchanged set gives the
+    same mean bit for bit. Returns (centers, assignments, objective trace),
+    the assignments being to the returned centers also when the pass limit
+    ends the loop; the trace of sum-of-best-similarities never decreases.
+
+    unit, when given, must be l2_normalize_rows(features): a caller that
+    already holds the unit rows passes them instead of normalizing twice.
     """
-    feats = l2_normalize_rows(np.asarray(features, dtype=np.float64))
+    features = np.asarray(features, dtype=np.float64)
+    feats = l2_normalize_rows(features) if unit is None else np.asarray(unit, dtype=np.float64)
+    if feats.shape != features.shape:
+        raise ValueError(f"unit rows of shape {feats.shape} do not match features {features.shape}")
     if feats.shape[1] != init.centers.shape[1]:
         raise ValueError("feature and center widths disagree")
     centers = init.centers.copy()
@@ -71,16 +81,20 @@ def spherical_kmeans(features: np.ndarray, init: Prototypes,
     n = feats.shape[0]
     prev_assign = None
     trace: list[float] = []
-    assign = np.zeros(n, dtype=np.int64)
     for _ in range(_KMEANS_MAX_ITERS):
         sims = feats @ centers.T
         assign = sims.argmax(axis=1).astype(np.int64)  # first max = lowest index
         trace.append(float(sims[np.arange(n), assign].sum()))
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
+        if prev_assign is None:
+            moved = range(k)
+        else:
+            changed = assign != prev_assign
+            if not changed.any():
+                break
+            moved = np.union1d(assign[changed], prev_assign[changed])
         if len(trace) >= 2 and trace[-1] - trace[-2] < _KMEANS_TOL:
             break
-        for c in range(k):
+        for c in moved:
             members = feats[assign == c]
             if members.shape[0] == 0:
                 continue  # frozen center
@@ -89,6 +103,9 @@ def spherical_kmeans(features: np.ndarray, init: Prototypes,
             if norm > 0.0:
                 centers[c] = m / norm
         prev_assign = assign
+    else:
+        # the pass limit ended the loop after a recentering
+        assign = (feats @ centers.T).argmax(axis=1).astype(np.int64)
     return Prototypes(centers), assign, np.asarray(trace)
 
 

@@ -46,26 +46,27 @@ def _label_pass(model: HeadModel, x: np.ndarray, kmeans_rounds: int,
                 prev: Prototypes | None):
     """Full-set eval pass -> soft prototypes -> cosine K-Means refinement.
 
-    Fallback order for a class with zero soft mass: mean of the samples that
-    argmax to it, else the previous epoch's prototype, else the global mean.
+    The soft prototypes of the classes with positive mass come from one
+    weighted_prototypes product. Fallback order for a class with zero soft
+    mass: mean of the samples that argmax to it, else the previous epoch's
+    prototype, else the global mean. The features are normalized once, and
+    the labels are the last K-Means round's assignments (with no round, the
+    nearest soft prototype). Returns (labels, prototypes, unit features).
     """
     logits, feats, _ = forward(model, x, "eval")
     probs = np.exp(log_softmax(logits))
-    c_count = model.num_classes
-    mass = probs.sum(axis=0)
+    live = probs.sum(axis=0) > 0.0
+    centers = np.empty((model.num_classes, feats.shape[1]))
+    centers[live] = weighted_prototypes(probs[:, live], feats)
     hard = logits.argmax(axis=1)
-    centers = np.empty((c_count, feats.shape[1]))
-    for c in range(c_count):
-        if mass[c] > 0.0:
-            centers[c] = (probs[:, c] @ feats) / mass[c]
+    for c in np.flatnonzero(~live):
+        members = feats[hard == c]
+        if members.shape[0]:
+            centers[c] = members.mean(axis=0)
+        elif prev is not None:
+            centers[c] = prev.centers[c]
         else:
-            members = feats[hard == c]
-            if members.shape[0]:
-                centers[c] = members.mean(axis=0)
-            elif prev is not None:
-                centers[c] = prev.centers[c]
-            else:
-                centers[c] = feats.mean(axis=0)
+            centers[c] = feats.mean(axis=0)
     norms = np.linalg.norm(centers, axis=1)
     if np.any(norms == 0.0):
         c = int(np.flatnonzero(norms == 0.0)[0])
@@ -73,10 +74,12 @@ def _label_pass(model: HeadModel, x: np.ndarray, kmeans_rounds: int,
     protos = Prototypes(centers / norms[:, None])
 
     feats_n = l2_normalize_rows(feats)
+    labels = None
     for _ in range(kmeans_rounds):
-        protos, _, _ = spherical_kmeans(feats, protos)
-    labels = (feats_n @ protos.centers.T).argmax(axis=1).astype(np.int64)
-    return labels, protos, feats
+        protos, labels, _ = spherical_kmeans(feats, protos, unit=feats_n)
+    if labels is None:
+        labels = (feats_n @ protos.centers.T).argmax(axis=1).astype(np.int64)
+    return labels, protos, feats_n
 
 def shot_pseudo_labels(model: HeadModel, target_features: np.ndarray,
                        kmeans_rounds: int = 1,

@@ -1,7 +1,11 @@
-"""Shared helpers: finite-difference oracles and tiny model builders."""
+"""Shared helpers: finite-difference oracles, tiny model builders, and
+reference loops that the optimized pipeline is compared against."""
 import numpy as np
 
-from sfuda.head import HeadConfig, backward, forward, init_head
+import sfuda.sca
+from sfuda.core import derive_rng, l2_normalize_rows
+from sfuda.head import (CLASSIFIER_PARAMS, HeadConfig, _classifier_grads, backward,
+                        cross_entropy, forward, init_head, run_epochs, smoothed_targets)
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -88,3 +92,49 @@ def shard_loop_step(model, x, shards, objective, sync_batchnorm):
             for k in gsum:
                 gsum[k] += g[k]
     return float(np.mean(values)), {k: v / w for k, v in gsum.items()}, outputs
+
+
+def full_recentering_kmeans(features, init):
+    """Reference spherical K-Means: every pass recenters every cluster, and
+    an exit at the pass limit reassigns the rows to the final centers.
+    Returns (centers, assignments, trace) as arrays."""
+    feats = l2_normalize_rows(features)
+    centers = init.centers.copy()
+    n = feats.shape[0]
+    trace, prev = [], None
+    for _ in range(sfuda.sca._KMEANS_MAX_ITERS):
+        sims = feats @ centers.T
+        assign = sims.argmax(axis=1).astype(np.int64)
+        trace.append(float(sims[np.arange(n), assign].sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        if len(trace) >= 2 and trace[-1] - trace[-2] < sfuda.sca._KMEANS_TOL:
+            break
+        for c in range(centers.shape[0]):
+            members = feats[assign == c]
+            if members.shape[0]:
+                m = members.mean(axis=0)
+                norm = np.linalg.norm(m)
+                if norm > 0.0:
+                    centers[c] = m / norm
+        prev = assign
+    else:
+        assign = (feats @ centers.T).argmax(axis=1).astype(np.int64)
+    return centers, assign, np.asarray(trace)
+
+
+def per_batch_transfer(model, data, cfg):
+    """Reference classifier-only transfer: one eval-mode forward of each
+    batch, then the classifier gradients, in the one SGD loop."""
+    model = model.copy()
+    targets = smoothed_targets(data.labels, data.num_classes, cfg.label_smoothing)
+
+    def step_grads(rows, _step):
+        logits, feats, _ = forward(model, data.features[rows], "eval")
+        loss, dlogits = cross_entropy(logits, targets[rows])
+        return loss, _classifier_grads(feats, dlogits)
+
+    run_epochs(model, data.n, min(cfg.batch_size, data.n), cfg, step_grads,
+               names=CLASSIFIER_PARAMS, rng=derive_rng(cfg.seed, "train-shuffle"),
+               schedule=cfg.lr_schedule, grad_clip=cfg.grad_clip)
+    return model

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfuda.head
-from conftest import fd_param_grads, grad_gap, max_rel_err, tiny_model
+from conftest import fd_param_grads, grad_gap, max_rel_err, per_batch_transfer, tiny_model
 from sfuda.core import derive_rng, make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
@@ -454,12 +454,68 @@ class TestClassifierOnlyGradients:
                          step_hook=lambda _s, _l, grads: seen.append(grads))
         # the first step reads the untrained model: replay it through backward
         rows = derive_rng(cfg.seed, "train-shuffle").permutation(64)[:b]
-        logits, _, cache = forward(model, data.features[rows], "eval")
+        if b == 1:
+            # numpy sends a 1-row product to gemv, which rounds differently
+            # from the rows of the full-set forward that the step reads: the
+            # replay reads those rows too
+            _, _, full = forward(model, data.features, "eval")
+            cache = dataclasses.replace(full, **{
+                k: getattr(full, k)[rows] for k in ("x", "xhat", "inv_std", "y", "feats")
+                if getattr(full, k).ndim == 2})
+            logits = cache.feats @ model.classifier_weight + model.classifier_bias
+        else:
+            logits, _, cache = forward(model, data.features[rows], "eval")
         targets = smoothed_targets(data.labels, 7, cfg.label_smoothing)[rows]
         want = backward(model, cache, cross_entropy(logits, targets)[1])
         assert len(seen) == 64 // b and sorted(seen[0]) == sorted(CLASSIFIER_PARAMS)
         for name in CLASSIFIER_PARAMS:
             assert seen[0][name].tobytes() == want[name].tobytes()
+
+
+
+class TestFrozenFeatureTransfer:
+    """A classifier-only transfer reads its batches from one full-set eval
+    forward; a forward per batch gives the same parameters."""
+
+    @staticmethod
+    def transfer_pair(d, h, norm, act, b):
+        rng = make_rng(70 + d + h)
+        model = init_head(HeadConfig(d, 5, hidden_dim=h, norm_kind=norm,
+                                     activation=act, seed=3))
+        model.norm.gamma[:] = rng.uniform(0.5, 1.5, h)
+        model.norm.beta[:] = rng.normal(scale=0.3, size=h)
+        if norm == "batchnorm":
+            model.norm.running_mean = rng.normal(size=h)
+            model.norm.running_var = rng.uniform(0.5, 2.0, h)
+        data = DomainDataset("d", rng.normal(size=(128, d)), rng.integers(0, 5, 128), 5)
+        cfg = TrainConfig(epochs=2, batch_size=b, seed=4)
+        return (train_supervised(model, data, "classifier_only", cfg),
+                per_batch_transfer(model, data, cfg))
+
+    @pytest.mark.parametrize("d,h", [(256, 256), (12, 32), (10, 32), (6, 12)])
+    @pytest.mark.parametrize("b", [2, 64])
+    @pytest.mark.parametrize("norm", ["batchnorm", "layernorm"])
+    @pytest.mark.parametrize("act", ["relu", "gelu"])
+    def test_equals_per_batch_forwards_bitwise(self, d, h, b, norm, act):
+        got, want = self.transfer_pair(d, h, norm, act, b)
+        for name, value in want.params().items():
+            same_bytes(got.params()[name], value)
+        if norm == "batchnorm":
+            same_bytes(got.norm.running_mean, want.norm.running_mean)
+            same_bytes(got.norm.running_var, want.norm.running_var)
+
+    @pytest.mark.parametrize("d,h", [(256, 256), (12, 32), (10, 32), (6, 12)])
+    @pytest.mark.parametrize("norm", ["batchnorm", "layernorm"])
+    @pytest.mark.parametrize("act", ["relu", "gelu"])
+    def test_one_row_batches_agree_to_rounding(self, d, h, norm, act):
+        # numpy sends a 1-row product to gemv, which rounds differently from
+        # the same row of a many-row product, so a 1-row forward and the row
+        # of the full-set forward may differ in the last bits. At the default
+        # step size the loop is stable and the gap stays at rounding size; a
+        # step that makes it oscillate (0.05 at h=256) amplifies it to 1e-8
+        got, want = self.transfer_pair(d, h, norm, act, 1)
+        for name, value in want.params().items():
+            np.testing.assert_allclose(got.params()[name], value, rtol=0, atol=1e-12)
 
 
 class TestAdabn:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sfuda.core import make_rng
+import sfuda.sca
+from conftest import full_recentering_kmeans
+from sfuda.core import l2_normalize_rows, make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
 from sfuda.head import HeadConfig, TrainConfig, evaluate, init_head, train_supervised
 from sfuda.sca import (Prototypes, class_prototypes, nearest_prototype,
@@ -132,6 +136,61 @@ class TestSphericalKmeans:
         with pytest.raises(ValueError, match="widths"):
             spherical_kmeans(np.eye(3), Prototypes(np.array([[1.0, 0.0]])))
 
+    def test_unit_rows_of_another_shape_rejected(self):
+        init = Prototypes(np.eye(3))
+        with pytest.raises(ValueError, match="unit rows"):
+            spherical_kmeans(np.eye(3), init, unit=np.eye(3)[:2])
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_pass_limit_exit_assigns_to_the_returned_centers(self, monkeypatch, cap):
+        monkeypatch.setattr(sfuda.sca, "_KMEANS_MAX_ITERS", cap)
+        rng = make_rng(11)
+        feats = rng.normal(size=(200, 5))
+        init = Prototypes(l2_normalize_rows(rng.normal(size=(6, 5))))
+        protos, assign, trace = spherical_kmeans(feats, init)
+        assert len(trace) == cap  # the limit, not convergence, ended the loop
+        want = (l2_normalize_rows(feats) @ protos.centers.T).argmax(axis=1)
+        np.testing.assert_array_equal(assign, want)
+
+    @staticmethod
+    def assert_equals_reference(feats, init):
+        want = full_recentering_kmeans(feats, init)
+        for kwargs in ({}, {"unit": l2_normalize_rows(feats)}):
+            protos, assign, trace = spherical_kmeans(feats, init, **kwargs)
+            assert protos.centers.tobytes() == want[0].tobytes()
+            assert assign.dtype == np.int64 and assign.tobytes() == want[1].tobytes()
+            assert trace.tobytes() == want[2].tobytes()
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 40), st.integers(1, 12),
+           st.integers(2, 6), st.integers(0, 10), st.booleans(),
+           st.sampled_from([1, 2, 3, 100]))
+    @example(seed=0, n=3, k=9, d=4, dups=0, mirror=False, cap=100)
+    @example(seed=1, n=5, k=3, d=3, dups=10, mirror=False, cap=100)
+    @example(seed=2, n=6, k=1, d=3, dups=0, mirror=True, cap=100)
+    @settings(max_examples=150, deadline=None)
+    def test_recentering_moved_clusters_equals_full_recentering(
+            self, seed, n, k, d, dups, mirror, cap):
+        # k > n leaves clusters empty; duplicated rows tie; each row followed
+        # by its opposite makes a cluster holding all of them sum to exactly 0
+        rng = make_rng(seed)
+        feats = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
+        feats = np.concatenate([feats, feats[rng.integers(0, n, dups)]])
+        if mirror:
+            feats = np.stack([feats, -feats], axis=1).reshape(-1, d)
+        init = Prototypes(l2_normalize_rows(rng.normal(size=(k, d))))
+        original = sfuda.sca._KMEANS_MAX_ITERS
+        sfuda.sca._KMEANS_MAX_ITERS = cap
+        try:
+            self.assert_equals_reference(feats, init)
+        finally:
+            sfuda.sca._KMEANS_MAX_ITERS = original
+
+    def test_zero_mean_cluster_keeps_its_center(self):
+        feats = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 0.5], [-3.0, -0.5]])
+        init = Prototypes(np.array([[0.0, 1.0]]))
+        protos, assign, _ = spherical_kmeans(feats, init)
+        np.testing.assert_array_equal(protos.centers, init.centers)
+        assert np.all(assign == 0)
 
 class TestNearestPrototype:
     def test_ties_break_to_lower_class(self):

@@ -11,7 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sfuda"
 ALLOWED = {
     # oracles that the acceptance and unit tests compare the pipeline against
     "adabn": "AdaBN statistic transfer; acceptance and head tests score against it",
-    "weighted_prototypes": "soft-count centroids; an acceptance test checks them by brute force",
     "centralized_gradient": "one-batch reference gradient for the sharded step",
     "sharded_gradient": "the sharded step's gradient, compared with centralized_gradient",
     # the benchmark's tracer and launcher wrap it by name
