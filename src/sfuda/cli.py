@@ -33,7 +33,7 @@ from .distsim import parse_cell, run_distributed_grids
 from .engine import DEFAULT_GRID
 from .harness import (ADAPT_METHODS, ExperimentRecord, SuiteResult, TaskSpec,
                       failure_report, hyperparameter_grid, run_suite, run_task)
-from .head import HeadConfig, TrainConfig
+from .head import HeadConfig, TrainConfig, check_type
 from .stats import fit_linear, fit_multilinear
 
 SFUDA_TASKS = ("SFUDA", "FT-SFUDA")
@@ -117,30 +117,37 @@ def resolve_common(args, cfg: dict) -> dict:
 
 
 def _shift_vector(v, d: int, name: str) -> np.ndarray:
-    if isinstance(v, (int, float)):
-        return np.full(d, float(v))
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (d,):
-        raise CliError(f"{name} must be a scalar or a list of length {d}")
-    return arr
+    values = v if isinstance(v, list) else [v] * d
+    if len(values) != d:
+        raise ValueError(f"{name} must be a float or a list of {d} floats")
+    for x in values:
+        check_type(name, x, "float")
+    return np.array(values, dtype=np.float64)
 
 
-def _shift_from_config(d: int, raw: dict) -> ShiftSpec:
-    _check_keys(raw, {"mean_shift", "per_feature_scale", "per_feature_offset",
-                      "rotation_angle", "rotation_plane", "label_noise"},
-                "data.generate.shift")
-    spec = ShiftSpec(
-        mean_shift=_shift_vector(raw.get("mean_shift", 0.0), d, "mean_shift"),
-        per_feature_scale=_shift_vector(raw.get("per_feature_scale", 1.0), d,
-                                        "per_feature_scale"),
-        per_feature_offset=_shift_vector(raw.get("per_feature_offset", 0.0), d,
-                                         "per_feature_offset"),
-        rotation_angle=float(raw.get("rotation_angle", 0.0)),
-        rotation_plane=tuple(raw.get("rotation_plane", (0, 1))),
-        label_noise=float(raw.get("label_noise", 0.0)),
-    )
-    spec.validate(d)
-    return spec
+def _generated_pair(gen: dict, shift: dict) -> tuple[DomainDataset, DomainDataset]:
+    """The pair data.generate describes; a bad value raises naming its key."""
+    for key, kind in (("num_classes", "int"), ("dim", "int"), ("n_per_class", "int"),
+                      ("class_sep", "float"), ("seed", "int")):
+        check_type(key, gen.get(key, 0), kind)
+    for key in ("rotation_angle", "label_noise"):
+        check_type(f"shift.{key}", shift.get(key, 0.0), "float")
+    plane = shift.get("rotation_plane", [0, 1])
+    if not isinstance(plane, list) or len(plane) != 2:
+        raise ValueError(f"shift.rotation_plane must be a list of two ints, not {plane!r}")
+    for axis in plane:
+        check_type("shift.rotation_plane", axis, "int")
+    d, seed = gen["dim"], gen.get("seed", 0)
+    if d < 2:  # before the shift vectors take d entries
+        raise ValueError("dim must be at least 2")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
+    defaults = {"mean_shift": 0.0, "per_feature_scale": 1.0, "per_feature_offset": 0.0}
+    vectors = [_shift_vector(shift.get(k, v), d, f"shift.{k}") for k, v in defaults.items()]
+    spec = ShiftSpec(*vectors, float(shift.get("rotation_angle", 0.0)), tuple(plane),
+                     float(shift.get("label_noise", 0.0)))
+    return gen_gaussian_pair(gen["num_classes"], d, gen["n_per_class"],
+                             float(gen["class_sep"]), spec, make_rng(seed))
 
 
 def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
@@ -155,11 +162,14 @@ def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
         for key in ("num_classes", "dim", "n_per_class", "class_sep"):
             if key not in gen:
                 raise CliError(f"data.generate needs {key}")
-        d = int(gen["dim"])
-        shift = _shift_from_config(d, gen.get("shift", {}))
-        rng = make_rng(int(gen.get("seed", 0)))
-        return gen_gaussian_pair(int(gen["num_classes"]), d, int(gen["n_per_class"]),
-                                 float(gen["class_sep"]), shift, rng)
+        shift = gen.get("shift", {})
+        _check_keys(shift, {"mean_shift", "per_feature_scale", "per_feature_offset",
+                            "rotation_angle", "rotation_plane", "label_noise"},
+                    "data.generate.shift")
+        try:
+            return _generated_pair(gen, shift)
+        except (TypeError, ValueError) as e:
+            raise CliError(f"data.generate: {e}") from None
     for side in ("source", "target"):
         if side not in data:
             raise CliError(f"data needs either 'generate' or both 'source' and 'target'")
@@ -185,8 +195,11 @@ def _strings(value, ctx: str) -> list[str]:
 
 def _section(cls, raw, ctx: str):
     """cls built from the config section raw, its keys checked against cls's
-    fields; an error names ctx first."""
+    fields; an error names ctx first. A record derives its loop seed from
+    its run seed, so the section may not set one."""
     _check_keys(raw, {f.name for f in dataclasses.fields(cls)}, ctx)
+    if "seed" in raw:
+        raise CliError(f"{ctx}: seed is derived from each record's seed")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as e:

@@ -15,7 +15,9 @@ EMBED_MAGIC = b"SFUD"
 
 @dataclass
 class DomainDataset:
-    """Feature matrix with optional integer labels for one domain."""
+    """Feature matrix with optional integer labels for one domain. The
+    features are read-only, so that an adapter sees the matrix it is scored
+    on: a float64 array is frozen in place, without a copy."""
 
     name: str
     features: np.ndarray
@@ -24,6 +26,7 @@ class DomainDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
+        self.features.flags.writeable = False
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         if not np.all(np.isfinite(self.features)):

@@ -6,13 +6,13 @@ objective that sharding inflicts on batch-coupled loss terms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DomainDataset
 from .engine import DEFAULT_GRID, DistConfig, shard_rows, sharded_step
-from .harness import ADAPT_METHODS, TaskSpec, run_suite
+from .harness import ADAPT_METHODS, TaskSpec, run_suite  # noqa: F401 (re-exported)
 from .head import HeadModel, TrainConfig, backward, forward
 
 __all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell",
@@ -79,28 +79,17 @@ def run_distributed_grids(methods, source: DomainDataset, target: DomainDataset,
                           method_cfgs: dict | None = None, jobs: int = 1,
                           ) -> tuple[list[GridResult], list[str]]:
     """One SFUDA record per (method, cell, seed), all in one `run_suite`, so
-    every method and cell of a seed starts from one classifier-only transfer.
-    Returns one GridResult per method (transductive accuracy per cell, nan
-    where a record raised) and one line per record that raised."""
-    for method in methods:
-        if method == "SCA":
-            raise ValueError("SCA has no gradient loop; its result is invariant to "
-                             "the simulated worker layout")
-        if method not in ADAPT_METHODS:
-            raise ValueError(f"unknown method {method!r}")
-    if target.labels is None:
-        raise ValueError("target labels are required to score the grid")
+    every method and cell of a seed starts from one classifier-only transfer;
+    a cell's global batch replaces the batch_size of method_cfgs. Returns one
+    GridResult per method (transductive accuracy per cell, nan where a record
+    raised) and one line per record that raised."""
     cells = list(grid)
     if len({c.global_batch for c in cells}) != 1:
         raise ValueError("grid cells must share one global batch size")
-    specs = []
-    for method in methods:
-        base = (method_cfgs or {}).get(method) or ADAPT_METHODS[method][0]()
-        specs.extend(TaskSpec("SFUDA", target, source, method, norm_kind=norm_kind,
-                              activation=activation, hidden_dim=hidden_dim,
-                              train=train_cfg, dist=cell,
-                              method_config=replace(base, batch_size=cell.global_batch))
-                     for cell in cells)
+    specs = [TaskSpec("SFUDA", target, source, method, norm_kind=norm_kind,
+                      activation=activation, hidden_dim=hidden_dim, train=train_cfg,
+                      method_config=(method_cfgs or {}).get(method), dist=cell)
+             for method in methods for cell in cells]
     seeds = list(seeds)
     records = iter(run_suite(specs, seeds, jobs).records)  # in spec order, seed-minor
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
-import hashlib
 import itertools
 import os
 import signal
@@ -71,7 +70,8 @@ class TaskSpec:
         elif self.method is not None:
             raise ValueError(f"{self.task} does not take a method")
         if self.dist is not None and self.method not in ADAPT_METHODS:
-            raise ValueError(f"{self.method or self.task} has no gradient loop to shard")
+            raise ValueError(f"{self.method or self.task} has no gradient loop to shard; "
+                             "its result is invariant to the worker layout")
         if self.source is not None:
             if self.source.labels is None:
                 raise ValueError("source dataset must be labeled")
@@ -81,10 +81,23 @@ class TaskSpec:
                 raise ValueError("source and target class counts differ")
         if self.target.labels is None:
             raise ValueError("target labels are required for scoring")
-        # every first transfer of the spec starts from this head
+        # every setting a record runs with, resolved once: seeds derive from
+        # the run seed, and a sharded adapter's batch is the cell's global one
         self.head_config = HeadConfig(self.target.d, self.target.num_classes,
                                       self.hidden_dim, self.norm_kind, self.activation,
                                       seed=derive_seed(self.seed, "head-init"))
+        self.train = replace(self.train or TrainConfig(),
+                             seed=derive_seed(self.seed, "first-transfer"))
+        if self.method in ADAPT_METHODS:
+            cfg_cls = ADAPT_METHODS[self.method][0]
+            cfg = self.method_config if self.method_config is not None else cfg_cls()
+            if type(cfg) is not cfg_cls:
+                raise TypeError(f"{self.method} takes a {cfg_cls.__name__}, "
+                                f"not a {type(cfg).__name__}")
+            batch = {} if self.dist is None else {"batch_size": self.dist.global_batch}
+            self.method_config = replace(cfg, seed=derive_seed(self.seed, "adapt"), **batch)
+        elif self.method_config is not None:
+            raise ValueError(f"{self.method or self.task} takes no method config")
 
 
 @dataclass
@@ -119,15 +132,6 @@ def stratified_split(labels: np.ndarray, train_frac: float,
         train_parts.append(idx[:n_tr])
         test_parts.append(idx[n_tr:])
     return np.concatenate(train_parts), np.concatenate(test_parts)
-
-
-def _features_hash(x: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
-
-
-def _train_cfg(spec: TaskSpec) -> TrainConfig:
-    base = spec.train if spec.train is not None else TrainConfig()
-    return replace(base, seed=derive_seed(spec.seed, "first-transfer"))
 
 
 class TransferMemo:
@@ -168,8 +172,7 @@ class TransferMemo:
 def _transfer_entry(spec: TaskSpec, scope: str, data: DomainDataset) -> tuple:
     """first_transfer's memo key (objects, params) and computation; the key
     holds everything the head depends on."""
-    head_cfg = spec.head_config
-    train_cfg = _train_cfg(spec)
+    head_cfg, train_cfg = spec.head_config, spec.train
     return ((data,), (scope, dataclasses.astuple(head_cfg), dataclasses.astuple(train_cfg)),
             lambda: train_supervised(init_head(head_cfg), data, scope, train_cfg))
 
@@ -221,13 +224,6 @@ def _transfer_plan(spec: TaskSpec, memo: TransferMemo) -> dict[str, tuple]:
     return plan
 
 
-def _target_hash(target: DomainDataset, memo: TransferMemo) -> str:
-    """sha256 of target's features, once per memo: the value the transductive
-    check compares against, taken before any adapter of the memo's suite can
-    see the target (a suite shares its datasets across records)."""
-    return memo.get((target,), ("sha256",), lambda: _features_hash(target.features))
-
-
 def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentRecord:
     """Execute one transfer task and score it against the shared baseline.
     First transfers and the baseline come from memo (a fresh one when None),
@@ -247,7 +243,7 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
     elif spec.task == "FT-ODG":
         accuracy = evaluate(heads["ft"], target.features, target.labels)
     else:
-        before = _target_hash(target, memo)
+        # transductive: the adapter sees the read-only matrix that is scored
         first = heads.get("ft", heads["lp"])
         if spec.method == "SCA":
             # raw input space under classifier-only transfer, bottleneck after FT
@@ -255,23 +251,22 @@ def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentReco
             labels, _ = sca_adapt(spec.source, target.features, space, model=first)
             accuracy = float((labels == target.labels).mean() * 100.0)
         else:
-            cfg_cls, adapt_fn = ADAPT_METHODS[spec.method]
-            base = spec.method_config or cfg_cls()
-            method_cfg = replace(base, seed=derive_seed(spec.seed, "adapt"))
-            adapted = adapt_fn(first, target.features, method_cfg, dist=spec.dist)
+            adapt_fn = ADAPT_METHODS[spec.method][1]
+            adapted = adapt_fn(first, target.features, spec.method_config, dist=spec.dist)
             accuracy = evaluate(adapted, target.features, target.labels)
-        # transductive contract: we score exactly the matrix the adapter saw
-        if _features_hash(target.features) != before:
-            raise RuntimeError("adapter modified the target features")
+    return _record(spec, accuracy, baseline, t0)
 
-    delta = accuracy - baseline
-    failed = bool(accuracy < baseline)
+
+def _record(spec: TaskSpec, accuracy: float, baseline: float, t0: float,
+            error: str | None = None) -> ExperimentRecord:
+    """spec's record, scored against baseline, timed from perf_counter t0. A
+    record that raised has nan scores, so it is no failure."""
     return ExperimentRecord(
         task=spec.task, method=spec.method,
         source_name=spec.source.name if spec.source else "",
-        target_name=target.name, norm_kind=spec.norm_kind, seed=spec.seed,
-        accuracy=accuracy, baseline_lp_odg=baseline, delta=delta, failed=failed,
-        wall_time=time.perf_counter() - t0)
+        target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
+        accuracy=accuracy, baseline_lp_odg=baseline, delta=accuracy - baseline,
+        failed=bool(accuracy < baseline), wall_time=time.perf_counter() - t0, error=error)
 
 
 def format_mean_std(mean: float, std: float, n: int) -> str:
@@ -286,16 +281,12 @@ class SuiteResult:
 
 
 def _run_one(spec: TaskSpec, memo: TransferMemo) -> ExperimentRecord:
+    t0 = time.perf_counter()
     try:
         return run_task(spec, memo)
     except Exception as err:  # isolate and record
         nan = float("nan")
-        return ExperimentRecord(
-            task=spec.task, method=spec.method,
-            source_name=spec.source.name if spec.source else "",
-            target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
-            accuracy=nan, baseline_lp_odg=nan, delta=nan, failed=False,
-            wall_time=0.0, error=f"{type(err).__name__}: {err}")
+        return _record(spec, nan, nan, t0, f"{type(err).__name__}: {err}")
 
 
 def _openblas_libraries() -> list[str]:
@@ -397,7 +388,7 @@ def _pooled_record(i: int) -> ExperimentRecord:
 def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
                 ) -> list[ExperimentRecord]:
     """flat's records on `workers` forked processes, with what serial records
-    share computed once: target hashes and in-domain splits here, then each
+    share computed once: in-domain splits here, then each
     distinct first transfer and baseline on a first pool, then the records
     on a second pool forked from the filled memo."""
     import multiprocessing
@@ -415,7 +406,6 @@ def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
 
     jobs = {}  # memo key -> (first record, role)
     for i, spec in enumerate(flat):
-        _target_hash(spec.target, memo)
         for role, (scope, data) in _transfer_plan(spec, memo).items():
             jobs.setdefault(memo.key(*_transfer_entry(spec, scope, data)[:2]), (i, role))
 
@@ -507,18 +497,17 @@ def failure_report(records: list[ExperimentRecord], group_by: str,
 def hyperparameter_grid(param_grid: dict, spec: TaskSpec, seeds, jobs: int = 1) -> dict:
     """Mean accuracy of spec for every combination of its method's swept
     parameters, plus one line per record that raised. A combination replaces
-    its parameters in spec.method_config (the method's defaults when None);
-    a value its config rejects raises before anything runs. Every
+    its parameters in spec.method_config; a value its config rejects, or a
+    seed, which each record derives, raises before anything runs. Every
     combination runs in one suite, so each first transfer trains once per
     seed, not once per combination."""
     method = spec.method
-    if method == "SCA":
-        raise ValueError("SCA exposes no swept hyperparameters")
     if method not in ADAPT_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    cfg_cls, _ = ADAPT_METHODS[method]
-    legal = {f.name for f in dataclasses.fields(cfg_cls)}
+        raise ValueError(f"{method or spec.task} exposes no swept hyperparameters")
+    legal = {f.name for f in dataclasses.fields(spec.method_config)}
     for name, values in param_grid.items():
+        if name == "seed":
+            raise ValueError("sweep.params: seed is derived from each record's seed")
         if name not in legal:
             raise ValueError(f"{method} has no parameter {name!r}")
         if not isinstance(values, (list, tuple)) or not values:
@@ -527,9 +516,8 @@ def hyperparameter_grid(param_grid: dict, spec: TaskSpec, seeds, jobs: int = 1) 
     names = list(param_grid)
     combos = [dict(zip(names, combo))
               for combo in itertools.product(*(param_grid[n] for n in names))]
-    base = spec.method_config or cfg_cls()
     try:
-        configs = [replace(base, **combo) for combo in combos]
+        configs = [replace(spec.method_config, **combo) for combo in combos]
     except (TypeError, ValueError) as e:
         raise ValueError(f"sweep.params: {e}") from None
     result = run_suite([replace(spec, method_config=c) for c in configs], seeds, jobs)

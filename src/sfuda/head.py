@@ -32,17 +32,21 @@ class StaleCacheError(RuntimeError):
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
+def check_type(name: str, value, kind: str) -> None:
+    """Raises TypeError naming name unless value is of kind: int, float (an
+    int passes) or str. A bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+        raise TypeError(f"{name} must be {kind}, not {value!r}")
+
+
 def _check_field_types(cfg) -> None:
-    """Raises TypeError naming the first field of dataclass cfg whose value
-    is not of its declared type: int, float (an int passes) or str, each
-    optionally "| None". A bool is not a number."""
+    """check_type on each field of dataclass cfg against its declared type,
+    which may be optional ("| None")."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         kind, _, optional = f.type.partition(" | ")
-        if value is None and optional == "None":
-            continue
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-            raise TypeError(f"{f.name} must be {kind}, not {value!r}")
+        if value is not None or optional != "None":
+            check_type(f.name, value, kind)
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,6 +17,9 @@ from sfuda.harness import ADAPT_METHODS
 
 ASSET_TABLE = os.path.join(os.path.dirname(__file__), "..", "assets",
                            "example_results.csv")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+# records.csv of the README's quick-start suite, seeds 0..2, at any --jobs
+QUICK_START_SHA256 = "737d3048b80f9af8a1405de4cc67da6a9c2b6cb69e0d9e4f4f2cf9179ea06767"
 
 
 def base_config():
@@ -162,6 +167,17 @@ class TestSuite:
         aggs = read_rows(out / "aggregates.csv")
         assert len(aggs) == 2
         assert all(int(a["n_ok"]) == 5 for a in aggs)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_the_quick_start_suite_writes_the_pinned_records(self, tmp_path, jobs):
+        with open(README) as fh:
+            config = re.search(r"cat > cfg.json <<'EOF'\n(.*?)\nEOF\n", fh.read(), re.S)[1]
+        (tmp_path / "cfg.json").write_text(config)
+        out = tmp_path / "suite"
+        assert main(["suite", "--config", str(tmp_path / "cfg.json"), "--seeds", "0..2",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        records = (out / "records.csv").read_bytes()
+        assert hashlib.sha256(records).hexdigest() == QUICK_START_SHA256
 
     def test_manifest_reruns_as_config(self, tmp_path):
         cfg = write_config(tmp_path, self.suite_config())
@@ -334,6 +350,12 @@ class TestFailureHandling:
          "method_configs.AAD: batch_size must be int, not True"),
         ("suite", "train", {"label_smoothing": 1.5},
          "train: label_smoothing must lie in [0, 1)"),
+        # a record's loop seeds derive from its run seed, so no section sets one
+        ("suite", "train", {"seed": 12345}, "train: seed is derived from each record's seed"),
+        ("suite", "method_configs", {"SHOT": {"seed": 999}},
+         "method_configs.SHOT: seed is derived from each record's seed"),
+        ("distgrid", "method_configs", {"AAD": {"seed": 1}},
+         "method_configs.AAD: seed is derived from each record's seed"),
     ])
     def test_a_section_of_the_wrong_type_is_named(self, tmp_path, capsys, command, key,
                                                   value, message):
@@ -344,6 +366,32 @@ class TestFailureHandling:
         # the line names the section first; a head value's message follows "head: "
         line = message if message.startswith(key) else f"{key}: {message}"
         assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_classes", 3.7, "num_classes must be int, not 3.7"),
+        ("n_per_class", True, "n_per_class must be int, not True"),
+        ("dim", "x", "dim must be int, not 'x'"),
+        ("class_sep", "x", "class_sep must be float, not 'x'"),
+        ("seed", -1, "seed must be nonnegative, not -1"),
+        ("shift.label_noise", "x", "shift.label_noise must be float, not 'x'"),
+        ("shift.mean_shift", [1, "a", 0, 0, 0], "shift.mean_shift must be float, not 'a'"),
+        ("shift.rotation_plane", [0],
+         "shift.rotation_plane must be a list of two ints, not [0]"),
+        ("shift.rotation_angle", None, "shift.rotation_angle must be float, not None"),
+    ])
+    def test_a_bad_generate_value_names_its_key(self, tmp_path, capsys, key, value,
+                                                 message):
+        cfg = base_config()
+        section = cfg["data"]["generate"]
+        *parents, name = key.split(".")
+        for parent in parents:
+            section = section[parent]
+        section[name] = value
+        out = tmp_path / "out"
+        assert main(["suite", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: data.generate: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["suite", "sweep", "distgrid"])
@@ -493,6 +541,7 @@ class TestSweepCommand:
         ({"epochs": ["x"]}, "sweep.params: epochs must be int, not 'x'"),
         ({"epochs": [1], "momentum": [0.5, 1.5]},
          "sweep.params: momentum must lie in [0, 1)"),
+        ({"seed": [1, 2, 3]}, "sweep.params: seed is derived from each record's seed"),
     ])
     def test_a_bad_sweep_value_names_its_section(self, tmp_path, capsys, params, message):
         cfg_dict = base_config()

@@ -149,6 +149,13 @@ class TestDatasetValidation:
         ds = DomainDataset("ok", np.zeros((3, 2)), None, 2)
         assert ds.labels is None and ds.n == 3 and ds.d == 2
 
+    def test_float64_features_are_frozen_in_place(self):
+        x = np.zeros((3, 2))
+        ds = DomainDataset("ok", x, None, 2)
+        assert ds.features is x and not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features += 1.0
+
 
 def save(dataset, fpath, lpath=None):
     """Writes dataset in the files `gen-data` writes."""

@@ -14,6 +14,7 @@ from sfuda.distsim import (ADAPT_METHODS, GridResult, centralized_gradient,
                            sharded_gradient)
 from sfuda.engine import (DEFAULT_GRID, DistConfig, effective_batch, shard_rows,
                           sharded_step)
+from sfuda.harness import TaskSpec, run_task
 from sfuda.head import PARAM_NAMES, HeadConfig, TrainConfig, init_head, train_supervised
 from sfuda.neighbors import AadConfig
 from sfuda.shot import ShotConfig, diversity_loss, entropy_loss, im_loss
@@ -208,6 +209,18 @@ class TestDistributedGrid:
             assert row["local_batch"] == cell.local_batch
             assert len(row["accuracies"]) == 1
             assert row["std"] == 0.0
+
+    def test_a_sharded_spec_equals_its_grid_cell(self):
+        src, tgt = self.grid_pair()
+        cell, cfg, train = DistConfig(4, 4), ShotConfig(epochs=2), TrainConfig(epochs=4)
+        grid = run_distributed_grid("SHOT", src, tgt, grid=(cell,), seeds=(1,),
+                                    hidden_dim=16, train_cfg=train, method_cfg=cfg)
+        # the default batch of 64 becomes the cell's 4x4 in the spec itself
+        rec = run_task(TaskSpec("SFUDA", tgt, src, "SHOT", norm_kind="batchnorm",
+                                hidden_dim=16, seed=1, train=train, method_config=cfg,
+                                dist=cell))
+        assert rec.error is None
+        assert grid.rows[0]["accuracies"] == [rec.accuracy]
 
     def test_methods_in_one_grid_train_one_transfer_per_seed(self, monkeypatch):
         src, tgt = self.grid_pair()

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import sfuda.harness
-from sfuda.core import make_rng
+from sfuda.core import derive_seed, make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
+from sfuda.engine import DistConfig
 from sfuda.harness import (ADAPT_METHODS, ExperimentRecord, SuiteResult, TaskSpec,
                            failure_report, format_mean_std,
                            hyperparameter_grid, run_suite, run_task,
@@ -99,6 +100,34 @@ class TestTaskSpecValidation:
         tri, _ = small_shifted_pair()
         with pytest.raises(ValueError, match="class counts"):
             TaskSpec(task="LP-ODG", target=tgt2, source=tri)
+
+    def test_resolves_train_and_method_settings_from_the_run_seed(self):
+        src, tgt = small_shifted_pair()
+        spec = TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT", seed=3)
+        assert spec.train == TrainConfig(seed=derive_seed(3, "first-transfer"))
+        assert spec.method_config == ShotConfig(seed=derive_seed(3, "adapt"))
+        moved = replace(spec, seed=4)
+        assert moved.train.seed == derive_seed(4, "first-transfer")
+        assert moved.method_config.seed == derive_seed(4, "adapt")
+
+    def test_a_sharded_adapter_runs_the_global_batch(self):
+        src, tgt = small_shifted_pair()
+        spec = TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
+                        dist=DistConfig(4, 4), method_config=ShotConfig(batch_size=64))
+        assert spec.method_config.batch_size == 16
+
+    def test_a_config_of_another_method_is_a_type_error(self):
+        src, tgt = small_shifted_pair()
+        with pytest.raises(TypeError, match="SHOT takes a ShotConfig, not a NrcConfig"):
+            TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
+                     method_config=NrcConfig())
+
+    @pytest.mark.parametrize("task, method", [("LP-ODG", None), ("SFUDA", "SCA")])
+    def test_a_method_config_without_an_adapter_is_rejected(self, task, method):
+        src, tgt = small_shifted_pair()
+        with pytest.raises(ValueError, match=f"{method or task} takes no method config"):
+            TaskSpec(task=task, target=tgt, source=src, method=method,
+                     method_config=ShotConfig())
 
     def test_unlabeled_targets_rejected(self):
         bare = DomainDataset("b", np.zeros((6, 3)), None, 2)
@@ -244,29 +273,28 @@ class TestSuite:
                         hidden_dim=16, method_config=ShotConfig(epochs=1))
         rec, = run_suite([spec], [0]).records
         assert rec.failed is False
-        assert "adapter modified the target features" in rec.error
+        assert rec.error == "ValueError: output array is read-only"
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_each_dataset_is_hashed_once_per_suite(self, monkeypatch, call_log, jobs):
+    def test_a_mutating_adapter_is_an_error_and_leaves_the_target(self, monkeypatch, jobs):
         src, tgt = small_shifted_pair()
-        real = sfuda.harness._features_hash
+        before = tgt.features.tobytes()
+        cfg_cls, adapt_fn = ADAPT_METHODS["SHOT"]
 
-        def spy(x):
-            digest = real(x)
-            call_log.add(digest)
-            return digest
+        def mutating(model, feats, cfg, dist=None):
+            feats[0, 0] = 0.0
+            return adapt_fn(model, feats, cfg, dist)
 
-        monkeypatch.setattr(sfuda.harness, "_features_hash", spy)
+        monkeypatch.setitem(ADAPT_METHODS, "SHOT", (cfg_cls, mutating))
         common = dict(target=tgt, source=src, hidden_dim=16, train=TrainConfig(epochs=2))
-        shot = ShotConfig(epochs=1)
-        specs = [TaskSpec(task="LP-IDG", **common), TaskSpec(task="LP-ODG", **common),
-                 TaskSpec(task="SFUDA", method="SCA", **common),
-                 TaskSpec(task="SFUDA", method="SHOT", method_config=shot, **common),
-                 TaskSpec(task="FT-SFUDA", method="SHOT", method_config=shot, **common)]
-        records = run_suite(specs, [0, 1], jobs=jobs).records
-        assert all(r.error is None for r in records)
-        # the target once, plus one "after" hash per adapted record; never the source
-        assert call_log.read() == [(real(tgt.features),)] * (1 + 3 * 2)
+        specs = [TaskSpec(task="LP-ODG", **common),
+                 TaskSpec(task="SFUDA", method="SHOT",
+                          method_config=ShotConfig(epochs=1), **common)]
+        lp, _, bad, _ = run_suite(specs, [0, 1], jobs=jobs).records
+        assert lp.error is None
+        assert bad.failed is False and np.isnan(bad.accuracy)
+        assert "read-only" in bad.error
+        assert tgt.features.tobytes() == before
 
 
 def data_digest(data):
