@@ -29,10 +29,11 @@ from . import __version__
 from .core import make_rng
 from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
                    labels_text, load_embeddings, load_results_table)
-from .distsim import parse_cell, run_distributed_grids
+from .distsim import cell_columns, grid_error, grid_specs, parse_cell
 from .engine import DEFAULT_GRID
-from .harness import (ADAPT_METHODS, ExperimentRecord, SuiteResult, TaskSpec,
-                      failure_report, hyperparameter_grid, run_suite, run_task)
+from .harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, failure_report,
+                      format_mean_std, hyperparameter_grid, mean_std, run_suite,
+                      spec_groups)
 from .head import HeadConfig, TrainConfig, check_type
 from .stats import fit_linear, fit_multilinear
 
@@ -49,6 +50,15 @@ def _check_keys(d: dict, allowed: set[str], ctx: str) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise CliError(f"{ctx}: unknown key(s) {', '.join(unknown)}")
+
+
+@contextlib.contextmanager
+def _named(ctx: str):
+    """A TypeError or ValueError raised inside becomes a CliError naming ctx first."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise CliError(f"{ctx}: {e}") from None
 
 
 def load_config(path: str | None) -> dict:
@@ -166,19 +176,20 @@ def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
         _check_keys(shift, {"mean_shift", "per_feature_scale", "per_feature_offset",
                             "rotation_angle", "rotation_plane", "label_noise"},
                     "data.generate.shift")
-        try:
+        with _named("data.generate"):
             return _generated_pair(gen, shift)
-        except (TypeError, ValueError) as e:
-            raise CliError(f"data.generate: {e}") from None
     for side in ("source", "target"):
         if side not in data:
             raise CliError(f"data needs either 'generate' or both 'source' and 'target'")
-        _check_keys(data[side], {"features", "labels", "num_classes", "name"},
-                    f"data.{side}")
-    src = data["source"]
-    tgt = data["target"]
-    if "labels" not in src:
-        raise CliError("data.source needs a labels file")
+        section = data[side]
+        _check_keys(section, {"features", "labels", "num_classes", "name"}, f"data.{side}")
+        required = ("features", "labels") if side == "source" else ("features",)
+        with _named(f"data.{side}"):  # before open(), which takes an int as a descriptor
+            for key, kind in (("features", "str"), ("labels", "str"),
+                              ("num_classes", "int"), ("name", "str")):
+                if key in required or section.get(key) is not None:
+                    check_type(key, section.get(key), kind)
+    src, tgt = data["source"], data["target"]
     source = load_embeddings(src["features"], src["labels"],
                              src.get("num_classes"), src.get("name", "source"))
     target = load_embeddings(tgt["features"], tgt.get("labels"),
@@ -200,10 +211,8 @@ def _section(cls, raw, ctx: str):
     _check_keys(raw, {f.name for f in dataclasses.fields(cls)}, ctx)
     if "seed" in raw:
         raise CliError(f"{ctx}: seed is derived from each record's seed")
-    try:
+    with _named(ctx):
         return cls(**raw)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"{ctx}: {e}") from None
 
 
 def _method_configs(cfg: dict) -> dict:
@@ -215,19 +224,16 @@ def _method_configs(cfg: dict) -> dict:
             for m, (cls, _) in ADAPT_METHODS.items()}
 
 
-def _head_and_train(cfg: dict, norm_kind: str) -> tuple[dict, TrainConfig]:
-    """The head section as TaskSpec keywords, norm_kind defaulting per
-    command, and the first-transfer TrainConfig. Every command checks its
-    head values here, so an error names the head section the same way."""
+def _head_and_train(cfg: dict, norm_kind: str) -> dict:
+    """The head section, norm_kind defaulting per command, and the
+    first-transfer TrainConfig, as TaskSpec keywords. Every command checks
+    its head values here, so an error names the head section the same way."""
     head = cfg.get("head", {})
     _check_keys(head, {"hidden_dim", "norm_kind", "activation"}, "head")
     head = {"norm_kind": norm_kind, **head}
-    try:
+    with _named("head"):
         HeadConfig(1, 1, **head)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"head: {e}") from None
-    train = _section(TrainConfig, cfg.get("train", {}), "train")
-    return head, train
+    return {**head, "train": _section(TrainConfig, cfg.get("train", {}), "train")}
 
 
 def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
@@ -235,8 +241,7 @@ def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
     tasks = _strings(cfg.get("tasks", []), "tasks")
     if not tasks:
         raise CliError("config needs a nonempty 'tasks' list")
-    head, train = _head_and_train(cfg, "layernorm")
-    common = dict(target=target, source=source, train=train, **head)
+    common = dict(target=target, source=source, **_head_and_train(cfg, "layernorm"))
     methods = _strings(cfg.get("methods", []), "methods")
     method_configs = _method_configs(cfg)
 
@@ -284,17 +289,12 @@ RECORD_COLUMNS = ["task", "method", "source", "target", "norm_kind", "seed",
 
 
 def _record_rows(records: list[ExperimentRecord]) -> list[dict]:
-    rows = []
-    for r in records:
-        rows.append({
-            "task": r.task, "method": r.method or "", "source": r.source_name,
-            "target": r.target_name, "norm_kind": r.norm_kind, "seed": r.seed,
-            "accuracy": _fmt_float(r.accuracy),
-            "baseline_lp_odg": _fmt_float(r.baseline_lp_odg),
-            "delta": _fmt_float(r.delta), "failed": int(r.failed),
-            "error": r.error or "",
-        })
-    return rows
+    return [{"task": r.task, "method": r.method or "", "source": r.source_name,
+             "target": r.target_name, "norm_kind": r.norm_kind, "seed": r.seed,
+             "accuracy": _fmt_float(r.accuracy),
+             "baseline_lp_odg": _fmt_float(r.baseline_lp_odg),
+             "delta": _fmt_float(r.delta), "failed": int(r.failed), "error": r.error or ""}
+            for r in records]
 
 
 def _stamp(chash: str) -> str:
@@ -323,12 +323,13 @@ def _manifest(cfg: dict, common: dict, chash: str, command: str) -> str:
 
 def _emit(out_dir: str, files: dict[str, str | bytes]) -> list[str]:
     """Writes files into out_dir, each under a temporary name, renamed into
-    place once all are written. On failure the temporaries go, and out_dir
-    too if this call made it; a failure before the renames (a write, or a
-    directory where a file goes) leaves earlier outputs as they were."""
+    place once all are written; a file a rename replaces is linked to a backup
+    name until every rename is done. On failure the temporaries go, each
+    renamed file is put back as it was (removed, where it is new), and
+    out_dir goes too if this call made it, so earlier outputs stay intact."""
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    paths, staged = [], []
+    paths, staged, moved = [], [], []  # moved: (path, its backup or None)
     try:
         for name, content in files.items():
             path = os.path.join(out_dir, name)
@@ -339,35 +340,62 @@ def _emit(out_dir: str, files: dict[str, str | bytes]) -> list[str]:
                 fh.write(content)
             paths.append(path)
         for tmp, path in zip(staged, paths):
+            backup = tmp + ".old" if os.path.lexists(path) else None
+            if backup:
+                _remove([backup])
+                os.link(path, backup, follow_symlinks=False)
+            moved.append((path, backup))
             os.replace(tmp, path)
     except BaseException:
-        for tmp in staged:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+        for path, backup in reversed(moved):
+            if backup:
+                with contextlib.suppress(OSError):
+                    os.replace(backup, path)
+                    _remove([backup])  # left by a no-op rename: path never replaced
+        _remove([path for path, backup in moved if not backup] + staged)
         if created:  # holds nothing but what this call wrote
             shutil.rmtree(out_dir, ignore_errors=True)
         raise
+    _remove([backup for _, backup in moved if backup])
     return paths
 
 
+def _remove(paths: list[str]) -> None:
+    for path in paths:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+
+
 def _write(cfg: dict, common: dict, command: str, tables: dict,
-           chash: str | None = None, raised: tuple = ((), 0, "records")) -> list[str]:
+           chash: str | None = None) -> list[str]:
     """Each table (name -> (rows, columns)) as name.FORMAT, stamped with
-    chash (default: cfg's config hash), then manifest.json for cfg. raised
-    is (one line per record that raised, records run, what they are); when
-    any raised, the outputs stay complete and a CliError still reports them,
-    pointing at the records table's error column or else quoting the first."""
+    chash (default: cfg's config hash), then manifest.json for cfg."""
     chash = chash or config_hash(cfg, common)
     fmt = common["format"]
     files = {f"{name}.{fmt}": _table(rows, columns, fmt, _stamp(chash))
              for name, (rows, columns) in tables.items()}
     files["manifest.json"] = _manifest(cfg, common, chash, command)
-    paths = _emit(common["out_dir"], files)
-    errors, total, noun = raised
-    if errors:
-        where = (f"see the error column of records.{fmt}" if "records" in tables
-                 else f"first: {errors[0]}")
-        raise CliError(f"{len(errors)} of {total} {noun} raised ({where})")
+    return _emit(common["out_dir"], files)
+
+
+def _write_records(cfg: dict, common: dict, command: str, records: list[ExperimentRecord],
+                   keys: list[dict], tables: dict | None = None, noun: str = "records",
+                   label=None) -> list[str]:
+    """records.FORMAT, with RECORD_COLUMNS and then the key columns (keys
+    holds one dict per spec, in run_suite's order), next to the command's
+    summary tables, written by _write. When records raised, the outputs
+    stay complete and a CliError says how many of the noun did, naming the
+    first as label(key, record) words it, or else pointing at the error column."""
+    per_record = [key for key in keys for _ in common["seeds"]]  # specs are seed-minor
+    rows = [{**row, **key} for row, key in zip(_record_rows(records), per_record)]
+    columns = RECORD_COLUMNS + list(keys[0] if keys else ())
+    paths = _write(cfg, common, command, {"records": (rows, columns), **(tables or {})})
+    raised = [(key, r) for key, r in zip(per_record, records) if r.error is not None]
+    if raised:
+        key, r = raised[0]
+        where = (f"first: {label(key, r)}" if label
+                 else f"see the error column of records.{common['format']}")
+        raise CliError(f"{len(raised)} of {len(records)} {noun} raised ({where})")
     return paths
 
 
@@ -390,42 +418,33 @@ def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
     return paths
 
 
-def _suite_tables(result: SuiteResult) -> dict:
-    tables = {"records": (_record_rows(result.records), RECORD_COLUMNS)}
-    if result.aggregates:
-        tables["aggregates"] = (
-            [{**a, "mean": _fmt_float(a["mean"]), "std": _fmt_float(a["std"])}
-             for a in result.aggregates],
-            ["task", "method", "source", "target", "norm_kind", "n_seeds", "n_ok",
-             "mean", "std", "summary"])
-    return tables
-
-
 def cmd_run(args, cfg: dict, common: dict) -> list[str]:
-    source, target = datasets_from_config(cfg)
-    specs = build_specs(cfg, source, target)
+    specs = build_specs(cfg, *datasets_from_config(cfg))
     if len(specs) != 1:
         raise CliError(f"run expects exactly one task/method, got {len(specs)}; use suite")
     if len(common["seeds"]) != 1:
         raise CliError("run expects exactly one seed; use suite for sweeps")
-    rec = run_task(replace(specs[0], seed=common["seeds"][0]))
-    paths = _write(cfg, common, "run", _suite_tables(SuiteResult([rec])))
+    rec, = records = run_suite(specs, common["seeds"])
+    status = "raised" if rec.error else "FAILED" if rec.failed else "ok"
     print(f"{rec.task}{'/' + rec.method if rec.method else ''} seed {rec.seed}: "
-          f"accuracy {rec.accuracy:.2f} (baseline {rec.baseline_lp_odg:.2f}, "
-          f"{'FAILED' if rec.failed else 'ok'})")
-    return paths
+          f"accuracy {rec.accuracy:.2f} (baseline {rec.baseline_lp_odg:.2f}, {status})")
+    return _write_records(cfg, common, "run", records, [{}])
 
 
 def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
-    source, target = datasets_from_config(cfg)
-    specs = build_specs(cfg, source, target)
-    result = run_suite(specs, common["seeds"], jobs=common["jobs"])
-    for agg in result.aggregates:
-        label = agg["task"] + (f"/{agg['method']}" if agg["method"] else "")
-        print(f"{label:>16s}  {agg['summary']}")
-    errors = [r.error for r in result.records if r.error is not None]
-    return _write(cfg, common, "suite", _suite_tables(result),
-                  raised=(errors, len(result.records), "records"))
+    specs = build_specs(cfg, *datasets_from_config(cfg))
+    records = run_suite(specs, common["seeds"], jobs=common["jobs"])
+    rows = []
+    for group in spec_groups(records, len(common["seeds"])):
+        mean, std, n = mean_std(group)
+        summary = format_mean_std(mean, std, n) if n else "no successful runs"
+        rows.append({**_record_rows(group[:1])[0], "n_seeds": len(group), "n_ok": n,
+                     "mean": _fmt_float(mean), "std": _fmt_float(std), "summary": summary})
+        label = group[0].task + (f"/{group[0].method}" if group[0].method else "")
+        print(f"{label:>16s}  {summary}")
+    return _write_records(cfg, common, "suite", records, [{}] * len(specs), {"aggregates": (
+        rows, ["task", "method", "source", "target", "norm_kind", "n_seeds", "n_ok", "mean",
+               "std", "summary"])})
 
 
 def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
@@ -434,28 +453,25 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
     _check_keys(section, {"methods", "cells", "sync_batchnorm"}, "distgrid")
     methods = _strings(section.get("methods", list(ADAPT_METHODS)), "distgrid.methods")
     cells = [parse_cell(c) for c in section.get("cells", [])] or list(DEFAULT_GRID)
-    if section.get("sync_batchnorm"):
-        cells = [replace(c, sync_batchnorm=True) for c in cells]
-    head, train = _head_and_train(cfg, "batchnorm")
-    results, errors = run_distributed_grids(
-        methods, source, target, cells, common["seeds"], train_cfg=train,
-        method_cfgs=_method_configs(cfg),
-        jobs=common["jobs"], **head)
+    sync = section.get("sync_batchnorm", False)
+    with _named("distgrid"):
+        check_type("sync_batchnorm", sync, "bool")
+    cells = [replace(c, sync_batchnorm=sync) for c in cells]
+    settings = _head_and_train(cfg, "batchnorm")
+    specs = grid_specs(methods, source, target, cells, _method_configs(cfg), **settings)
+    records = run_suite(specs, common["seeds"], jobs=common["jobs"])
 
-    rows = []
-    for i, cell in enumerate(cells):
-        row = {"cell": cell.label, "workers": cell.workers,
-               "local_batch": cell.local_batch}
-        for res in results:
-            r = res.rows[i]
-            row[res.method] = f"{r['mean']:.2f} ± {r['std']:.2f}"
-        rows.append(row)
+    # one row per cell, one column per method; specs are method-major
+    rows = [cell_columns(c) for c in cells]
+    for i, group in enumerate(spec_groups(records, len(common["seeds"]))):
+        mean, std, _ = mean_std(group, skip_raised=False)
+        rows[i % len(cells)][specs[i].method] = f"{mean:.2f} ± {std:.2f}"
     for row in rows:
         print("  ".join([f"{row['cell']:>6s}"] + [f"{row[m]:>16s}" for m in methods]))
-    return _write(cfg, common, "distgrid",
-                  {"distgrid": (rows, ["cell", "workers", "local_batch"] + methods)},
-                  raised=(errors, len(methods) * len(cells) * len(common["seeds"]),
-                          "grid records"))
+    return _write_records(cfg, common, "distgrid", records,
+                          [cell_columns(s.dist) for s in specs],
+                          {"distgrid": (rows, ["cell", "workers", "local_batch"] + methods)},
+                          "grid records", grid_error)
 
 
 def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
@@ -463,31 +479,30 @@ def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
     if not section:
         raise CliError("sweep needs a 'sweep' config section")
     _check_keys(section, {"method", "params", "task"}, "sweep")
-    method = section.get("method")
-    params = section.get("params")
+    method, params = section.get("method"), section.get("params")
     if not method or not params:
         raise CliError("sweep needs 'method' and 'params'")
     if not isinstance(params, dict):
         raise CliError("sweep.params must map parameter names to lists of values")
     source, target = datasets_from_config(cfg)
-    head, train = _head_and_train(cfg, "layernorm")
+    settings = _head_and_train(cfg, "layernorm")
     # method_configs gives the settings the sweep does not vary
     spec = TaskSpec(task=section.get("task", "SFUDA"), method=method, target=target,
-                    source=source, train=train,
-                    method_config=_method_configs(cfg).get(method), **head)
-    grid = hyperparameter_grid(params, spec, common["seeds"], common["jobs"])
+                    source=source, method_config=_method_configs(cfg).get(method), **settings)
+    specs, keys = hyperparameter_grid(params, spec)
+    records = run_suite(specs, common["seeds"], jobs=common["jobs"])
 
-    names = grid["params"]
-    rows = [{**{n: row["combo"][n] for n in names},
-             "mean": _fmt_float(row["mean"]), "n_ok": row["n_ok"],
-             "n_total": row["n_total"]} for row in grid["rows"]]
-    for row in rows:
-        combo = ", ".join(f"{n}={row[n]}" for n in names)
-        print(f"{combo:>32s}  mean {float(row['mean']):.2f}")
-    return _write(cfg, common, "sweep",
-                  {"sweep": (rows, names + ["mean", "n_ok", "n_total"])},
-                  raised=(grid["errors"], sum(row["n_total"] for row in rows),
-                          "sweep records"))
+    def combo(key):
+        return ", ".join(f"{n}={v}" for n, v in key.items())
+
+    rows = []
+    for key, group in zip(keys, spec_groups(records, len(common["seeds"]))):
+        mean, _, n = mean_std(group)
+        rows.append({**key, "mean": _fmt_float(mean), "n_ok": n, "n_total": len(group)})
+        print(f"{combo(key):>32s}  mean {mean:.2f}")
+    return _write_records(cfg, common, "sweep", records, keys,
+                          {"sweep": (rows, list(params) + ["mean", "n_ok", "n_total"])},
+                          "sweep records", lambda key, r: f"{combo(key)} seed {r.seed}: {r.error}")
 
 
 def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
@@ -521,22 +536,28 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
                                     "lin_adj_r2", "mlin_adj_r2"])})
 
 
-def _read_records(path: str) -> list[ExperimentRecord]:
+def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[dict]]:
+    """A records table's columns (RECORD_COLUMNS, then any key columns),
+    its records, and each row's fields by column."""
     with open(path, newline="") as fh:
         kept = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
     delim = "\t" if kept and "\t" in kept[0][1] else ","
     reader = csv.reader((line for _, line in kept), delimiter=delim)
-    if next(reader, None) != RECORD_COLUMNS:
+    columns = next(reader, None) or []
+    keys = columns[len(RECORD_COLUMNS):]
+    # a key column names a by_KEY table, so it must be a distinct identifier
+    if (columns[:len(RECORD_COLUMNS)] != RECORD_COLUMNS or len(set(columns)) != len(columns)
+            or not all(k.isidentifier() for k in keys)):
         raise CliError(f"{path}: not a records table")
-    out = []
+    records, rows = [], []
     for fields in reader:
         if not fields:
             continue
         try:
-            if len(fields) != len(RECORD_COLUMNS):
-                raise ValueError(f"expected {len(RECORD_COLUMNS)} fields, not {len(fields)}")
-            row = dict(zip(RECORD_COLUMNS, fields))
-            out.append(ExperimentRecord(
+            if len(fields) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, not {len(fields)}")
+            row = dict(zip(columns, fields))
+            records.append(ExperimentRecord(
                 task=row["task"], method=row["method"] or None,
                 source_name=row["source"], target_name=row["target"],
                 norm_kind=row["norm_kind"], seed=int(row["seed"]),
@@ -546,34 +567,41 @@ def _read_records(path: str) -> list[ExperimentRecord]:
                 wall_time=0.0, error=row["error"] or None))
         except ValueError as e:
             raise CliError(f"{path}: line {kept[reader.line_num - 1][0]}: {e}") from None
-    return out
+        rows.append(row)
+    return columns, records, rows
 
 
 def cmd_report(args, cfg: dict, common: dict) -> list[str]:
     if not args.records:
         raise CliError("report needs at least one records file")
-    records, digests = [], []
+    columns, records, rows, digests = None, [], [], []
     for path in args.records:
-        records.extend(_read_records(path))
+        file_columns, file_records, file_rows = _read_records(path)
+        if columns not in (None, file_columns):
+            raise CliError(f"{path}: its columns differ from those of {args.records[0]}")
+        columns = file_columns
+        records.extend(file_records)
+        rows.extend(file_rows)
         with open(path, "rb") as fh:
             digests.append(hashlib.sha256(fh.read()).hexdigest())
 
+    keys = columns[len(RECORD_COLUMNS):]
     tables = {}
-    for group_by in ("norm_kind", "method", "task"):
-        rows, notes = failure_report(records, group_by)
+    for group_by in ("norm_kind", "method", "task", *keys):
+        groups, notes = failure_report(records, [row[group_by] for row in rows])
         floats = ("delta_mean", "delta_std", "failure_rate", "error_rate")
-        tables[f"by_{group_by}"] = ([{**r, **{k: _fmt_float(r[k]) for k in floats}}
-                                     for r in rows], ["group", "n", *floats])
+        tables[f"by_{group_by}"] = ([{**g, **{k: _fmt_float(g[k]) for k in floats}}
+                                     for g in groups], ["group", "n", *floats])
         print(f"-- grouped by {group_by}")
-        for r in rows:
-            print(f"  {str(r['group']) or '(none)':>12s}  n={r['n']:<3d} "
-                  f"delta {r['delta_mean']:+.2f} ± {r['delta_std']:.2f}  "
-                  f"failures {r['failure_rate']:.1f}%  errors {r['error_rate']:.1f}%")
+        for g in groups:
+            print(f"  {str(g['group']) or '(none)':>12s}  n={g['n']:<3d} "
+                  f"delta {g['delta_mean']:+.2f} ± {g['delta_std']:.2f}  "
+                  f"failures {g['failure_rate']:.1f}%  errors {g['error_rate']:.1f}%")
         for note in notes:
             print(f"  note: {note}")
-    tables["points"] = (_record_rows(records), ["task", "method", "norm_kind", "seed",
-                                                "baseline_lp_odg", "accuracy", "delta",
-                                                "failed"])
+    tables["points"] = ([{**row, **fmt} for row, fmt in zip(rows, _record_rows(records))],
+                        ["task", "method", "norm_kind", "seed", "baseline_lp_odg",
+                         "accuracy", "delta", "failed", *keys])
     # provenance covers what the records say, not where they were read from
     return _write({"records": sorted(args.records)}, common, "report", tables,
                   config_hash({"records_sha256": digests}, common))

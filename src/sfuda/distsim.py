@@ -12,12 +12,13 @@ import numpy as np
 
 from .data import DomainDataset
 from .engine import DEFAULT_GRID, DistConfig, shard_rows, sharded_step
-from .harness import ADAPT_METHODS, TaskSpec, run_suite  # noqa: F401 (re-exported)
+from .harness import (ADAPT_METHODS, TaskSpec, mean_std,  # noqa: F401 (re-exported)
+                      run_suite, spec_groups)
 from .head import HeadModel, TrainConfig, backward, forward
 
-__all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell",
-           "centralized_gradient", "sharded_gradient", "run_distributed_grid",
-           "run_distributed_grids", "GridResult"]
+__all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell", "cell_columns", "grid_error",
+           "grid_specs", "centralized_gradient", "sharded_gradient", "run_distributed_grid",
+           "GridResult"]
 
 
 def parse_cell(label: str) -> DistConfig:
@@ -27,6 +28,16 @@ def parse_cell(label: str) -> DistConfig:
         return DistConfig(int(w), int(b))
     except (ValueError, TypeError):
         raise ValueError(f"bad grid cell {label!r}, expected WxB like 16x4") from None
+
+
+def cell_columns(cell: DistConfig) -> dict:
+    """A grid cell's key columns in the distgrid tables."""
+    return {"cell": cell.label, "workers": cell.workers, "local_batch": cell.local_batch}
+
+
+def grid_error(key: dict, record) -> str:
+    """How an error line names a raised grid record, by its cell columns."""
+    return f"{record.method} {key['cell']} seed {record.seed}: {record.error}"
 
 
 def centralized_gradient(model: HeadModel, batch: np.ndarray, objective,
@@ -72,41 +83,17 @@ class GridResult:
     rows: list[dict]
 
 
-def run_distributed_grids(methods, source: DomainDataset, target: DomainDataset,
-                          grid=DEFAULT_GRID, seeds=(0,), norm_kind: str = "batchnorm",
-                          activation: str = "relu", hidden_dim: int = 256,
-                          train_cfg: TrainConfig | None = None,
-                          method_cfgs: dict | None = None, jobs: int = 1,
-                          ) -> tuple[list[GridResult], list[str]]:
-    """One SFUDA record per (method, cell, seed), all in one `run_suite`, so
-    every method and cell of a seed starts from one classifier-only transfer;
-    a cell's global batch replaces the batch_size of method_cfgs. Returns one
-    GridResult per method (transductive accuracy per cell, nan where a record
-    raised) and one line per record that raised."""
-    cells = list(grid)
+def grid_specs(methods, source: DomainDataset, target: DomainDataset, cells,
+               method_cfgs: dict | None = None, **spec_kw) -> list[TaskSpec]:
+    """One SFUDA spec per (method, cell), method-major; a cell's global batch
+    replaces the batch_size of method_cfgs, and spec_kw holds the other
+    TaskSpec settings. Run in one suite, every method and cell of a seed
+    starts from one classifier-only transfer."""
     if len({c.global_batch for c in cells}) != 1:
         raise ValueError("grid cells must share one global batch size")
-    specs = [TaskSpec("SFUDA", target, source, method, norm_kind=norm_kind,
-                      activation=activation, hidden_dim=hidden_dim, train=train_cfg,
-                      method_config=(method_cfgs or {}).get(method), dist=cell)
-             for method in methods for cell in cells]
-    seeds = list(seeds)
-    records = iter(run_suite(specs, seeds, jobs).records)  # in spec order, seed-minor
-
-    results, errors = [], []
-    for method in methods:
-        rows = []
-        for cell in cells:
-            group = [next(records) for _ in seeds]
-            errors.extend(f"{method} {cell.label} seed {r.seed}: {r.error}"
-                          for r in group if r.error is not None)
-            vals = np.array([r.accuracy for r in group])
-            rows.append({"cell": cell.label, "workers": cell.workers,
-                         "local_batch": cell.local_batch, "mean": float(vals.mean()),
-                         "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                         "accuracies": vals.tolist()})
-        results.append(GridResult(method, rows))
-    return results, errors
+    return [TaskSpec("SFUDA", target, source, method, dist=cell,
+                     method_config=(method_cfgs or {}).get(method), **spec_kw)
+            for method in methods for cell in cells]
 
 
 def run_distributed_grid(method: str, source: DomainDataset, target: DomainDataset,
@@ -114,10 +101,18 @@ def run_distributed_grid(method: str, source: DomainDataset, target: DomainDatas
                          activation: str = "relu", hidden_dim: int = 256,
                          train_cfg: TrainConfig | None = None,
                          method_cfg=None) -> GridResult:
-    """The grid of one method; raises when any of its records raised."""
-    results, errors = run_distributed_grids(
-        [method], source, target, grid, seeds, norm_kind, activation, hidden_dim,
-        train_cfg, {method: method_cfg})
+    """The grid of one method: per cell, its key columns, the transductive
+    accuracy of each seed, their mean and sample std. Raises when any of its
+    records raised."""
+    cells, seeds = list(grid), list(seeds)
+    specs = grid_specs([method], source, target, cells, {method: method_cfg},
+                       norm_kind=norm_kind, activation=activation,
+                       hidden_dim=hidden_dim, train=train_cfg)
+    groups = spec_groups(run_suite(specs, seeds), len(seeds))
+    keys = [cell_columns(cell) for cell in cells]
+    errors = [grid_error(key, r) for key, group in zip(keys, groups) for r in group if r.error]
     if errors:
         raise RuntimeError(f"{len(errors)} grid record(s) raised; first: {errors[0]}")
-    return results[0]
+    return GridResult(method, [{**key, "mean": m, "std": s,
+                                "accuracies": [r.accuracy for r in g]}
+                               for key, g, (m, s, _) in zip(keys, groups, map(mean_std, groups))])

@@ -1,5 +1,5 @@
-"""Benchmark orchestration: the six transfer tasks, multi-seed suites,
-delta-accuracy and failure-rate reporting, and hyperparameter grids.
+"""Benchmark orchestration: the six transfer tasks, multi-seed suites and
+their per-spec statistics, failure-rate reports, and sweep expansion.
 
 Every record carries the classifier-only out-of-domain baseline for its
 (source, target, seed); an adaptation that lands strictly below it is a
@@ -274,12 +274,6 @@ def format_mean_std(mean: float, std: float, n: int) -> str:
     return s + " (n=1)" if n == 1 else s
 
 
-@dataclass
-class SuiteResult:
-    records: list[ExperimentRecord]
-    aggregates: list[dict] = field(default_factory=list)
-
-
 def _run_one(spec: TaskSpec, memo: TransferMemo) -> ExperimentRecord:
     t0 = time.perf_counter()
     try:
@@ -419,67 +413,59 @@ def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
         return list(executor.map(_pooled_record, range(len(flat))))
 
 
-def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> SuiteResult:
-    """Every spec at every seed. A run that raises is recorded as an error,
-    not a failure; the suite never aborts. Each distinct first transfer
-    trains once per suite, and one that raises fails every record that
-    needs it with the same error. jobs > 1 runs the records on that many forked
+def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> list[ExperimentRecord]:
+    """Every spec at every seed, spec-major: spec i's records are the i-th
+    run of len(seeds). A run that raises is recorded as an error, not a
+    failure; the suite never aborts. Each distinct first transfer trains
+    once per suite, and one that raises fails every record that needs it
+    with the same error. jobs > 1 runs the records on that many forked
     worker processes (serially where the platform cannot fork), with BLAS
     threads capped for the pool's lifetime; results do not depend on either
-    and keep their spec-order positions. A worker that dies raises
-    BrokenProcessPool."""
+    and keep their positions. A worker that dies raises BrokenProcessPool."""
     seeds = list(seeds)
     flat = [replace(spec, seed=seed) for spec in specs for seed in seeds]
     memo = TransferMemo()
     workers = min(jobs, len(flat))
     if workers > 1 and hasattr(os, "fork"):
         with _blas_thread_cap(workers):
-            records = _run_pooled(flat, memo, workers)
-    else:
-        records = [_run_one(s, memo) for s in flat]
-    k = len(seeds)
-    by_spec = [records[i * k:(i + 1) * k] for i in range(len(specs))]
-
-    aggregates = []
-    for spec, group in zip(specs, by_spec):
-        vals = np.array([r.accuracy for r in group if np.isfinite(r.accuracy)])
-        n = int(vals.size)
-        mean = float(vals.mean()) if n else float("nan")
-        std = float(vals.std(ddof=1)) if n > 1 else 0.0
-        aggregates.append({
-            "task": spec.task, "method": spec.method or "",
-            "source": spec.source.name if spec.source else "",
-            "target": spec.target.name, "norm_kind": spec.norm_kind,
-            "n_seeds": len(group), "n_ok": n, "mean": mean, "std": std,
-            "summary": format_mean_std(mean, std, n) if n else "no successful runs",
-        })
-    return SuiteResult(records, aggregates)
+            return _run_pooled(flat, memo, workers)
+    return [_run_one(s, memo) for s in flat]
 
 
-GROUP_KEYS = {"norm_kind": lambda r: r.norm_kind,
-              "method": lambda r: r.method or "",
-              "task": lambda r: r.task}
+def spec_groups(records: list[ExperimentRecord], n_seeds: int) -> list[list]:
+    """run_suite's records cut into one list per spec, by position: a spec
+    listed twice keeps two groups."""
+    return [records[i:i + n_seeds] for i in range(0, len(records), n_seeds)]
 
 
-def failure_report(records: list[ExperimentRecord], group_by: str,
+def mean_std(group: list[ExperimentRecord], skip_raised: bool = True) -> tuple[float, float, int]:
+    """Mean, sample std (0.0 below two values) and count of group's
+    accuracies. A record that raised has a nan accuracy: it is skipped, or
+    with skip_raised False makes the mean nan."""
+    vals = np.array([r.accuracy for r in group if not skip_raised or np.isfinite(r.accuracy)])
+    n = int(vals.size)
+    return (float(vals.mean()) if n else float("nan"),
+            float(vals.std(ddof=1)) if n > 1 else 0.0, n)
+
+
+def failure_report(records: list[ExperimentRecord], labels: list,
                    ) -> tuple[list[dict], list[str]]:
-    """Delta-accuracy mean/std, failure rate and error rate per group, in
-    percent. A record that raised has no accuracy: it counts in `error_rate`
-    and stays out of `failure_rate`, which is nan for a group where every
-    record raised. Records without a finite baseline that did not raise
-    cannot be scored against it and are skipped with a note."""
-    if group_by not in GROUP_KEYS:
-        raise ValueError(f"group_by must be one of {sorted(GROUP_KEYS)}")
-    key = GROUP_KEYS[group_by]
-    scored = [r for r in records if np.isfinite(r.baseline_lp_odg) or r.error]
+    """Delta-accuracy mean/std, failure rate and error rate, in percent, per
+    group of records with one label (labels holds one per record), groups
+    in sorted label order. A record that raised has no accuracy: it counts
+    in `error_rate` and stays out of `failure_rate`, which is nan for a
+    group where every record raised. Records without a finite baseline that
+    did not raise cannot be scored against it and are skipped with a note."""
+    scored = [(label, r) for label, r in zip(labels, records, strict=True)
+              if np.isfinite(r.baseline_lp_odg) or r.error]
     notes = []
     skipped = len(records) - len(scored)
     if skipped:
         notes.append(f"{skipped} record(s) without a baseline omitted")
 
     rows = []
-    for name in sorted({key(r) for r in scored}):
-        group = [r for r in scored if key(r) == name]
+    for name in sorted({label for label, _ in scored}):
+        group = [r for label, r in scored if label == name]
         ran = [r for r in group if not r.error]
         deltas = np.array([r.delta for r in group if np.isfinite(r.delta)])
         rows.append({
@@ -494,12 +480,12 @@ def failure_report(records: list[ExperimentRecord], group_by: str,
     return rows, notes
 
 
-def hyperparameter_grid(param_grid: dict, spec: TaskSpec, seeds, jobs: int = 1) -> dict:
-    """Mean accuracy of spec for every combination of its method's swept
-    parameters, plus one line per record that raised. A combination replaces
-    its parameters in spec.method_config; a value its config rejects, or a
-    seed, which each record derives, raises before anything runs. Every
-    combination runs in one suite, so each first transfer trains once per
+def hyperparameter_grid(param_grid: dict, spec: TaskSpec) -> tuple[list[TaskSpec], list[dict]]:
+    """One spec per combination of the swept parameters of spec's method,
+    with that combination (parameter name -> value) as its key columns. A
+    combination replaces its parameters in spec.method_config; a value its
+    config rejects, or a seed, which each record derives, raises here.
+    Running all the specs in one suite trains each first transfer once per
     seed, not once per combination."""
     method = spec.method
     if method not in ADAPT_METHODS:
@@ -513,20 +499,9 @@ def hyperparameter_grid(param_grid: dict, spec: TaskSpec, seeds, jobs: int = 1) 
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"sweep parameter {name!r} needs a nonempty list of values")
 
-    names = list(param_grid)
-    combos = [dict(zip(names, combo))
-              for combo in itertools.product(*(param_grid[n] for n in names))]
+    combos = [dict(zip(param_grid, combo)) for combo in itertools.product(*param_grid.values())]
     try:
         configs = [replace(spec.method_config, **combo) for combo in combos]
     except (TypeError, ValueError) as e:
         raise ValueError(f"sweep.params: {e}") from None
-    result = run_suite([replace(spec, method_config=c) for c in configs], seeds, jobs)
-    records = iter(result.records)  # in spec order, seed-minor
-    rows, errors = [], []
-    for combo, agg in zip(combos, result.aggregates):
-        label = ", ".join(f"{n}={v}" for n, v in combo.items())
-        errors.extend(f"{label} seed {r.seed}: {r.error}"
-                      for r in itertools.islice(records, agg["n_seeds"]) if r.error)
-        rows.append({"combo": combo, "mean": agg["mean"], "n_ok": agg["n_ok"],
-                     "n_total": agg["n_seeds"]})
-    return {"params": names, "rows": rows, "errors": errors}
+    return [replace(spec, method_config=c) for c in configs], combos

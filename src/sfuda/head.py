@@ -29,13 +29,13 @@ class StaleCacheError(RuntimeError):
     pass
 
 
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
 def check_type(name: str, value, kind: str) -> None:
     """Raises TypeError naming name unless value is of kind: int, float (an
-    int passes) or str. A bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+    int passes), str or bool. A bool is not a number."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
         raise TypeError(f"{name} must be {kind}, not {value!r}")
 
 

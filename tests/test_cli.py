@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sfuda
-from sfuda.cli import main, parse_seeds
+from sfuda.cli import RECORD_COLUMNS, main, parse_seeds
 from sfuda.data import load_embeddings
 from sfuda.harness import ADAPT_METHODS
 
@@ -20,6 +20,11 @@ ASSET_TABLE = os.path.join(os.path.dirname(__file__), "..", "assets",
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 # records.csv of the README's quick-start suite, seeds 0..2, at any --jobs
 QUICK_START_SHA256 = "737d3048b80f9af8a1405de4cc67da6a9c2b6cb69e0d9e4f4f2cf9179ea06767"
+# its aggregates.csv, and the summary tables of sweep_config() and
+# distgrid_config() at seeds 0,1, at any --jobs
+QUICK_START_AGGREGATES_SHA256 = "5d1aa520e404a9d31f3e679c6b74e61c9fc4164f96ae4f613ee5beeb5b98fa74"
+SWEEP_SHA256 = "6f42464e94893eb4cd958f24fd77904c4d4b98cabfa211485ba9ad32a58b6054"
+DISTGRID_SHA256 = "76e4f5437abe45697132c7e02f69a058ab24ec0bfb3be888d93fb879e5acc88e"
 
 
 def base_config():
@@ -39,6 +44,16 @@ def distgrid_config(cells=("1x8", "2x4")):
     cfg["distgrid"] = {"methods": ["SHOT", "NRC", "AAD"], "cells": list(cells)}
     cfg["method_configs"] = {m: {"epochs": 1} for m in ("SHOT", "NRC", "AAD")}
     return cfg
+
+
+def sweep_config():
+    cfg = base_config()
+    cfg["sweep"] = {"method": "SHOT", "params": {"epochs": [1, 2], "ce_weight": [0.0, 0.3]}}
+    return cfg
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -139,6 +154,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "use suite" in err
 
+    def test_a_raising_record_is_written_and_sets_the_exit_status(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cfg_cls, _ = ADAPT_METHODS["SHOT"]
+
+        def raising(model, feats, cfg, dist=None):
+            raise RuntimeError("adapter broke")
+
+        monkeypatch.setitem(ADAPT_METHODS, "SHOT", (cfg_cls, raising))
+        cfg = {**base_config(), "tasks": ["SFUDA"], "methods": ["SHOT"]}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--seed", "0",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "SFUDA/SHOT seed 0: accuracy nan (baseline nan, raised)\n"
+        assert captured.err == ("error: 1 of 1 records raised "
+                                "(see the error column of records.csv)\n")
+        assert [r["error"] for r in read_rows(out / "records.csv")] == \
+            ["RuntimeError: adapter broke"]
+        assert sorted(os.listdir(out)) == ["manifest.json", "records.csv"]
+
     def test_rejects_seed_sweeps(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         code = main(["run", "--config", cfg, "--seeds", "0..2",
@@ -176,8 +211,30 @@ class TestSuite:
         out = tmp_path / "suite"
         assert main(["suite", "--config", str(tmp_path / "cfg.json"), "--seeds", "0..2",
                      "--jobs", jobs, "--out", str(out)]) == 0
-        records = (out / "records.csv").read_bytes()
-        assert hashlib.sha256(records).hexdigest() == QUICK_START_SHA256
+        assert sha256(out / "records.csv") == QUICK_START_SHA256
+        assert sha256(out / "aggregates.csv") == QUICK_START_AGGREGATES_SHA256
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command, table, digest", [
+        ("sweep", "sweep.csv", SWEEP_SHA256),
+        ("distgrid", "distgrid.csv", DISTGRID_SHA256),
+    ])
+    def test_sweep_and_distgrid_write_the_pinned_tables(self, tmp_path, jobs, command,
+                                                        table, digest):
+        cfg = sweep_config() if command == "sweep" else distgrid_config()
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--seeds", "0,1",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        assert sha256(out / table) == digest
+
+    def test_a_task_listed_twice_keeps_two_aggregate_rows(self, tmp_path):
+        cfg = {**base_config(), "tasks": ["LP-ODG", "LP-ODG"]}
+        out = tmp_path / "out"
+        assert main(["suite", "--config", write_config(tmp_path, cfg), "--seeds", "0,1",
+                     "--out", str(out)]) == 0
+        aggs = read_rows(out / "aggregates.csv")
+        assert [(a["task"], a["n_seeds"]) for a in aggs] == [("LP-ODG", "2")] * 2
+        assert aggs[0] == aggs[1]
 
     def test_manifest_reruns_as_config(self, tmp_path):
         cfg = write_config(tmp_path, self.suite_config())
@@ -276,7 +333,11 @@ class TestFailureHandling:
         assert [r["error"] for r in rows] == ["", "RuntimeError: adapter broke"]
         # the record that raised is an error, not an adaptation failure
         assert (rows[1]["failed"], rows[1]["accuracy"]) == ("0", "nan")
-        assert (out / "manifest.json").exists() and (out / "aggregates.csv").exists()
+        assert (out / "manifest.json").exists()
+        ok, raised = read_rows(out / "aggregates.csv")
+        assert ok["summary"].endswith("(n=1)")
+        assert (raised["n_seeds"], raised["n_ok"], raised["mean"], raised["summary"]) == \
+            ("1", "0", "nan", "no successful runs")
 
     def test_raising_grid_cell_sets_the_exit_status(self, tmp_path, capsys):
         # a batchnorm head cannot take one-row shards, so 64x1 raises
@@ -331,6 +392,10 @@ class TestFailureHandling:
         ("sweep", "sweep", ["SHOT"], "sweep must be a JSON object"),
         ("distgrid", "distgrid", {"methods": "SHOT"},
          "distgrid.methods must be a list of strings"),
+        ("distgrid", "distgrid", {"sync_batchnorm": "no"},
+         "distgrid: sync_batchnorm must be bool, not 'no'"),
+        ("distgrid", "distgrid", {"sync_batchnorm": 0},
+         "distgrid: sync_batchnorm must be bool, not 0"),
         # a value of the wrong type or out of range, checked before any record runs
         ("suite", "head", {"hidden_dim": "a"}, "hidden_dim must be int, not 'a'"),
         ("suite", "train", {"epochs": "x"}, "train: epochs must be int, not 'x'"),
@@ -392,6 +457,34 @@ class TestFailureHandling:
         assert main(["suite", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: data.generate: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side, key, value, message", [
+        # open() would take an int as a file descriptor: 0 reads stdin
+        ("source", "features", 0, "data.source: features must be str, not 0"),
+        ("source", "labels", 1, "data.source: labels must be str, not 1"),
+        ("target", "features", 2, "data.target: features must be str, not 2"),
+        ("source", "num_classes", "x", "data.source: num_classes must be int, not 'x'"),
+        ("target", "num_classes", True, "data.target: num_classes must be int, not True"),
+        ("source", "name", 5, "data.source: name must be str, not 5"),
+        ("target", "features", None, "data.target: features must be str, not None"),
+        ("source", "labels", None, "data.source: labels must be str, not None"),
+    ])
+    def test_a_bad_data_file_value_names_its_side(self, tmp_path, capsys, side, key,
+                                                  value, message):
+        pair = tmp_path / "pair"
+        assert main(["gen-data", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(pair)]) == 0
+        cfg = base_config()
+        cfg["data"] = {s: {"features": str(pair / f"{s}_features.bin"),
+                           "labels": str(pair / f"{s}_labels.txt")}
+                       for s in ("source", "target")}
+        cfg["data"][side][key] = value
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["suite", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["suite", "sweep", "distgrid"])
@@ -494,6 +587,46 @@ class TestFailureHandling:
                      "--seed", "0", "--out", str(out)]) == 1
         assert len(calls) == 2 and not out.exists()
 
+    # three files each replace an old one: one rename per file
+    @pytest.mark.parametrize("fail_at", range(1, 4))
+    def test_a_failed_rename_puts_the_previous_outputs_back(self, tmp_path, capsys,
+                                                            monkeypatch, fail_at):
+        cfg = write_config(tmp_path, sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        real, calls = os.replace, []
+
+        def replace_fails_once(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_at:
+                raise OSError("disk full")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_fails_once)
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_a_failed_rename_removes_the_files_that_are_new(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sweep.csv").write_text("old\n")
+        real, calls = os.replace, []
+
+        def replace_fails_last(src, dst):
+            calls.append(dst)
+            if dst.endswith("manifest.json"):
+                raise OSError("disk full")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_fails_last)
+        assert main(["sweep", "--config", write_config(tmp_path, sweep_config()),
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert os.listdir(out) == ["sweep.csv"]
+        assert (out / "sweep.csv").read_text() == "old\n"
+
     def test_partial_outputs_are_removed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "out"
@@ -507,11 +640,7 @@ class TestFailureHandling:
 
 class TestSweepCommand:
     def test_grid_rows_and_mean_column(self, tmp_path):
-        cfg_dict = base_config()
-        cfg_dict["tasks"] = ["SFUDA"]
-        cfg_dict["sweep"] = {"method": "SHOT",
-                             "params": {"epochs": [1, 2], "ce_weight": [0.0, 0.3]}}
-        cfg = write_config(tmp_path, cfg_dict)
+        cfg = write_config(tmp_path, sweep_config())
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--seed", "0",
                      "--out", str(out)]) == 0
@@ -520,6 +649,37 @@ class TestSweepCommand:
         assert all(np.isfinite(float(r["mean"])) for r in rows)
         assert [r["epochs"] for r in rows] == ["1", "1", "2", "2"]
 
+
+    @pytest.mark.parametrize("command, keys", [
+        ("sweep", ["epochs", "ce_weight"]),
+        ("distgrid", ["cell", "workers", "local_batch"]),
+    ])
+    def test_records_carry_the_key_columns(self, tmp_path, command, keys):
+        cfg = sweep_config() if command == "sweep" else distgrid_config()
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--seeds", "0,1",
+                     "--out", str(out)]) == 0
+        with open(out / "records.csv") as fh:
+            assert fh.read().splitlines()[1].split(",") == RECORD_COLUMNS + keys
+        rows = read_rows(out / "records.csv")
+        assert len(rows) == (4 * 2 if command == "sweep" else 3 * 2 * 2)
+        if command == "sweep":  # combination-major, seed-minor
+            assert [(r["epochs"], r["ce_weight"], r["seed"]) for r in rows[:4]] == \
+                [("1", "0.0", "0"), ("1", "0.0", "1"), ("1", "0.3", "0"), ("1", "0.3", "1")]
+        else:  # method-major, then cell, then seed
+            assert [(r["method"], r["cell"], r["workers"], r["local_batch"], r["seed"])
+                    for r in rows[:4]] == [("SHOT", "1x8", "1", "8", "0"),
+                                           ("SHOT", "1x8", "1", "8", "1"),
+                                           ("SHOT", "2x4", "2", "4", "0"),
+                                           ("SHOT", "2x4", "2", "4", "1")]
+        # each summary row is the mean of its records
+        table = read_rows(out / f"{command}.csv")
+        if command == "sweep":
+            accs = [float(r["accuracy"]) for r in rows[:2]]
+            assert float(table[0]["mean"]) == np.mean(accs)
+        else:
+            accs = [float(r["accuracy"]) for r in rows[2:4]]
+            assert table[1]["SHOT"] == f"{np.mean(accs):.2f} ± {np.std(accs, ddof=1):.2f}"
 
     def test_method_configs_set_what_the_sweep_does_not_vary(self, tmp_path):
         def sweep_rows(epochs):
@@ -553,10 +713,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_jobs_flag_does_not_change_the_sweep(self, tmp_path):
-        cfg_dict = base_config()
-        cfg_dict["sweep"] = {"method": "SHOT",
-                             "params": {"epochs": [1, 2], "ce_weight": [0.0, 0.3]}}
-        cfg = write_config(tmp_path, cfg_dict)
+        cfg = write_config(tmp_path, sweep_config())
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["sweep", "--config", cfg, "--seeds", "0,1", "--out", str(a)]) == 0
         assert main(["sweep", "--config", cfg, "--seeds", "0,1", "--jobs", "2",
@@ -684,6 +841,65 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", str(records), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {records}: line 4: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("sweep", ["epochs", "ce_weight"]),
+        ("distgrid", ["cell", "workers", "local_batch"]),
+    ])
+    def test_key_columns_get_their_own_tables(self, tmp_path, capsys, command, keys):
+        cfg = sweep_config() if command == "sweep" else distgrid_config()
+        runs, rep_out = tmp_path / "runs", tmp_path / "report"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--seeds", "0,1",
+                     "--out", str(runs)]) == 0
+        records = read_rows(runs / "records.csv")
+        capsys.readouterr()
+        assert main(["report", str(runs / "records.csv"), "--out", str(rep_out)]) == 0
+        printed = capsys.readouterr().out
+        assert sorted(os.listdir(rep_out)) == sorted(
+            ["manifest.json", "points.csv"] +
+            [f"by_{k}.csv" for k in ["norm_kind", "method", "task", *keys]])
+        for key in keys:
+            assert f"-- grouped by {key}\n" in printed
+            rows = read_rows(rep_out / f"by_{key}.csv")
+            assert [r["group"] for r in rows] == sorted({r[key] for r in records})
+            for row in rows:
+                group = [r for r in records if r[key] == row["group"]]
+                assert int(row["n"]) == len(group)
+                failed = sum(r["failed"] == "1" for r in group)
+                assert float(row["failure_rate"]) == 100.0 * failed / len(group)
+        points = read_rows(rep_out / "points.csv")
+        assert [[p[k] for k in keys] for p in points] == [[r[k] for k in keys]
+                                                          for r in records]
+
+    def test_records_with_different_columns_are_one_error(self, tmp_path, capsys):
+        suite, sweep = tmp_path / "suite", tmp_path / "sweep"
+        assert main(["suite", "--config", write_config(tmp_path, base_config()),
+                     "--seed", "0", "--out", str(suite)]) == 0
+        assert main(["sweep", "--config", write_config(tmp_path, sweep_config()),
+                     "--seed", "0", "--out", str(sweep)]) == 0
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert main(["report", str(suite / "records.csv"), str(sweep / "records.csv"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {sweep / 'records.csv'}: its columns "
+                                           f"differ from those of {suite / 'records.csv'}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [",../x", ",", ",task", ",a,a"])
+    def test_a_key_column_must_be_a_distinct_name(self, tmp_path, capsys, extra):
+        suite = tmp_path / "suite"
+        assert main(["suite", "--config", write_config(tmp_path, base_config()),
+                     "--seed", "0", "--out", str(suite)]) == 0
+        lines = (suite / "records.csv").read_text().splitlines()
+        lines[1] += extra
+        lines[2] += "," * extra.count(",")
+        (suite / "records.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert main(["report", str(suite / "records.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {suite / 'records.csv'}: not a records table\n"
         assert not out.exists()
 
     def test_rejects_a_non_records_file(self, tmp_path, capsys):

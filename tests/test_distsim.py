@@ -9,12 +9,11 @@ import sfuda.harness
 from conftest import max_rel_err, shard_loop_step, tiny_model
 from sfuda.core import make_rng
 from sfuda.data import ShiftSpec, gen_gaussian_pair
-from sfuda.distsim import (ADAPT_METHODS, GridResult, centralized_gradient,
-                           parse_cell, run_distributed_grid, run_distributed_grids,
-                           sharded_gradient)
+from sfuda.distsim import (ADAPT_METHODS, GridResult, cell_columns, centralized_gradient,
+                           grid_specs, parse_cell, run_distributed_grid, sharded_gradient)
 from sfuda.engine import (DEFAULT_GRID, DistConfig, effective_batch, shard_rows,
                           sharded_step)
-from sfuda.harness import TaskSpec, run_task
+from sfuda.harness import TaskSpec, mean_std, run_suite, run_task, spec_groups
 from sfuda.head import PARAM_NAMES, HeadConfig, TrainConfig, init_head, train_supervised
 from sfuda.neighbors import AadConfig
 from sfuda.shot import ShotConfig, diversity_loss, entropy_loss, im_loss
@@ -238,24 +237,29 @@ class TestDistributedGrid:
             return real(model, data, scope, cfg, step_hook)
 
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
-        results, errors = run_distributed_grids(list(cfgs), src, tgt,
-                                                method_cfgs=cfgs, **kw)
+        specs = grid_specs(list(cfgs), src, tgt, kw["grid"], cfgs, norm_kind="batchnorm",
+                           hidden_dim=16, train=kw["train_cfg"])
+        records = run_suite(specs, kw["seeds"])
         assert len(calls) == len(set(calls)) == 2
-        assert errors == []
-        assert {r.method: r.rows for r in results} == alone
+        assert all(r.error is None for r in records)
+        # method-major: each method's cells in grid order, each cell its seeds
+        together = [[r.accuracy for r in g] for g in spec_groups(records, 2)]
+        assert together == [row["accuracies"] for m in cfgs for row in alone[m]]
 
     def test_raising_cell_reads_nan_and_the_one_method_grid_raises(self):
         src, tgt = self.grid_pair()
         grid = (DistConfig(1, 64), DistConfig(64, 1))  # one-row batchnorm shards
         kw = dict(grid=grid, seeds=(0,), hidden_dim=16,
                   train_cfg=TrainConfig(epochs=2))
-        results, errors = run_distributed_grids(
-            ["SHOT"], src, tgt, method_cfgs={"SHOT": ShotConfig(epochs=1)}, **kw)
-        assert errors == ["SHOT 64x1 seed 0: ValueError: shard size < 2 is invalid "
-                          "with a batchnorm head"]
-        first, broken = results[0].rows
-        assert np.isfinite(first["mean"]) and np.isnan(broken["mean"])
-        with pytest.raises(RuntimeError, match="1 grid record"):
+        specs = grid_specs(["SHOT"], src, tgt, grid, {"SHOT": ShotConfig(epochs=1)},
+                           norm_kind="batchnorm", hidden_dim=16, train=kw["train_cfg"])
+        first, broken = run_suite(specs, kw["seeds"])
+        assert first.error is None
+        assert broken.error == ("ValueError: shard size < 2 is invalid with a batchnorm "
+                                "head")
+        assert np.isfinite(mean_std([first], skip_raised=False)[0])
+        assert np.isnan(mean_std([broken], skip_raised=False)[0])
+        with pytest.raises(RuntimeError, match="1 grid record.*SHOT 64x1 seed 0"):
             run_distributed_grid("SHOT", src, tgt, method_cfg=ShotConfig(epochs=1), **kw)
 
     def test_prototype_transport_is_rejected_as_layout_invariant(self):
@@ -267,6 +271,15 @@ class TestDistributedGrid:
         src, tgt = self.grid_pair()
         with pytest.raises(ValueError, match="unknown method"):
             run_distributed_grid("DANN", src, tgt)
+
+    def test_grid_specs_are_method_major_with_the_cell_columns(self):
+        src, tgt = self.grid_pair()
+        cells = (DistConfig(1, 16), DistConfig(4, 4))
+        specs = grid_specs(["SHOT", "AAD"], src, tgt, cells)
+        assert [(s.method, s.dist) for s in specs] == \
+            [("SHOT", cells[0]), ("SHOT", cells[1]), ("AAD", cells[0]), ("AAD", cells[1])]
+        assert [s.method_config.batch_size for s in specs] == [16] * 4
+        assert cell_columns(cells[1]) == {"cell": "4x4", "workers": 4, "local_batch": 4}
 
     def test_mismatched_global_batches_rejected(self):
         src, tgt = self.grid_pair()

@@ -11,10 +11,9 @@ import sfuda.harness
 from sfuda.core import derive_seed, make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
-from sfuda.harness import (ADAPT_METHODS, ExperimentRecord, SuiteResult, TaskSpec,
-                           failure_report, format_mean_std,
-                           hyperparameter_grid, run_suite, run_task,
-                           stratified_split)
+from sfuda.harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, failure_report,
+                           format_mean_std, hyperparameter_grid, mean_std, run_suite,
+                           run_task, spec_groups, stratified_split)
 from sfuda.head import TrainConfig
 from sfuda.neighbors import NrcConfig
 from sfuda.pcsr import PcsrConfig
@@ -54,6 +53,10 @@ class CallLog:
 @pytest.fixture
 def call_log(tmp_path):
     return CallLog(tmp_path / "calls.jsonl")
+
+
+def by_method(records):
+    return [r.method or "" for r in records]
 
 
 def fake_record(group, delta, failed, task="SFUDA", baseline=70.0, error=None):
@@ -192,30 +195,37 @@ class TestSuite:
     def test_single_seed_aggregate(self):
         src, tgt = small_shifted_pair()
         spec = TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16)
-        result = run_suite([spec], [0])
-        assert isinstance(result, SuiteResult)
-        agg = result.aggregates[0]
-        assert agg["n_seeds"] == 1 and agg["n_ok"] == 1
-        assert agg["std"] == 0.0
-        assert agg["summary"].endswith("(n=1)")
+        records = run_suite([spec], [0])
+        assert isinstance(records, list) and len(records) == 1
+        assert mean_std(records) == (records[0].accuracy, 0.0, 1)
 
     def test_two_seed_aggregate_uses_sample_std(self):
         src, tgt = small_shifted_pair()
         spec = TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16)
-        result = run_suite([spec], [0, 1])
-        accs = [r.accuracy for r in result.records]
-        agg = result.aggregates[0]
-        assert agg["mean"] == pytest.approx(np.mean(accs))
-        assert agg["std"] == pytest.approx(np.std(accs, ddof=1))
+        records = run_suite([spec], [0, 1])
+        accs = [r.accuracy for r in records]
+        mean, std, n = mean_std(records)
+        assert n == 2
+        assert mean == pytest.approx(np.mean(accs))
+        assert std == pytest.approx(np.std(accs, ddof=1))
 
     def test_flattening_order_is_spec_major(self):
         src, tgt = small_shifted_pair()
         specs = [TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16),
                  TaskSpec(task="FT-ODG", target=tgt, source=src, hidden_dim=16,
                           train=TrainConfig(epochs=5))]
-        result = run_suite(specs, [3, 4])
-        assert [(r.task, r.seed) for r in result.records] == \
+        records = run_suite(specs, [3, 4])
+        assert [(r.task, r.seed) for r in records] == \
             [("LP-ODG", 3), ("LP-ODG", 4), ("FT-ODG", 3), ("FT-ODG", 4)]
+
+    def test_spec_groups_go_by_position(self):
+        # a spec listed twice keeps two groups, though their records are equal
+        src, tgt = small_shifted_pair()
+        spec = TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16)
+        records = run_suite([spec, spec], [3, 4])
+        groups = spec_groups(records, 2)
+        assert groups == [records[:2], records[2:]]
+        assert [scores(r) for r in groups[0]] == [scores(r) for r in groups[1]]
 
     def test_bitwise_reproducible(self):
         src, tgt = small_shifted_pair()
@@ -223,7 +233,7 @@ class TestSuite:
                         hidden_dim=16, method_config=ShotConfig(epochs=3))
         a = run_suite([spec], [0, 1])
         b = run_suite([spec], [0, 1])
-        assert [r.accuracy for r in a.records] == [r.accuracy for r in b.records]
+        assert [r.accuracy for r in a] == [r.accuracy for r in b]
 
     def test_thread_pool_matches_serial(self):
         src, tgt = small_shifted_pair()
@@ -232,8 +242,7 @@ class TestSuite:
                           hidden_dim=16, method_config=ShotConfig(epochs=3))]
         serial = run_suite(specs, [0, 1], jobs=1)
         pooled = run_suite(specs, [0, 1], jobs=2)
-        assert [r.accuracy for r in serial.records] == \
-            [r.accuracy for r in pooled.records]
+        assert [r.accuracy for r in serial] == [r.accuracy for r in pooled]
 
     def test_without_fork_a_pooled_suite_runs_serially(self, monkeypatch):
         src, tgt = small_shifted_pair()
@@ -243,22 +252,23 @@ class TestSuite:
         pooled = run_suite(specs, [0, 1], jobs=2)
         monkeypatch.delattr(os, "fork")
         serial = run_suite(specs, [0, 1], jobs=2)
-        assert [scores(r) for r in serial.records] == [scores(r) for r in pooled.records]
+        assert [scores(r) for r in serial] == [scores(r) for r in pooled]
 
     def test_a_raising_run_is_isolated_and_recorded(self):
         src, tgt = small_shifted_pair()
         bad = TaskSpec(task="SFUDA", target=tgt, source=src, method="NRC",
                        hidden_dim=16, method_config=NrcConfig(K=200, epochs=1))
         good = TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16)
-        result = run_suite([bad, good], [0])
-        bad_rec, good_rec = result.records
+        bad_rec, good_rec = run_suite([bad, good], [0])
         # an error is not an adaptation failure
         assert bad_rec.failed is False
         assert np.isnan(bad_rec.accuracy)
         assert bad_rec.error.startswith("ValueError:")
-        assert result.aggregates[0]["summary"] == "no successful runs"
         assert np.isfinite(good_rec.accuracy)
-        assert result.aggregates[1]["n_ok"] == 1
+        # a raised record stays out of the mean, or makes it nan when kept
+        assert mean_std([bad_rec, good_rec]) == (good_rec.accuracy, 0.0, 1)
+        assert np.isnan(mean_std([bad_rec])[0]) and mean_std([bad_rec])[2] == 0
+        assert np.isnan(mean_std([bad_rec, good_rec], skip_raised=False)[0])
 
     def test_an_adapter_that_mutates_the_target_breaks_the_contract(self, monkeypatch):
         src, tgt = small_shifted_pair()
@@ -271,7 +281,7 @@ class TestSuite:
         monkeypatch.setitem(ADAPT_METHODS, "SHOT", (cfg_cls, mutating))
         spec = TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
                         hidden_dim=16, method_config=ShotConfig(epochs=1))
-        rec, = run_suite([spec], [0]).records
+        rec, = run_suite([spec], [0])
         assert rec.failed is False
         assert rec.error == "ValueError: output array is read-only"
 
@@ -290,7 +300,7 @@ class TestSuite:
         specs = [TaskSpec(task="LP-ODG", **common),
                  TaskSpec(task="SFUDA", method="SHOT",
                           method_config=ShotConfig(epochs=1), **common)]
-        lp, _, bad, _ = run_suite(specs, [0, 1], jobs=jobs).records
+        lp, _, bad, _ = run_suite(specs, [0, 1], jobs=jobs)
         assert lp.error is None
         assert bad.failed is False and np.isnan(bad.accuracy)
         assert "read-only" in bad.error
@@ -351,12 +361,12 @@ class TestSharedFirstTransfer:
         specs = self.specs(src, tgt)
         spy = TrainSpy(call_log)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
-        result = run_suite(specs, [0, 1], jobs=jobs)
+        records = run_suite(specs, [0, 1], jobs=jobs)
         # per seed: LP on the in-domain split, LP and FT on the source
         assert len(spy.calls) == len(set(spy.calls)) == 6
-        assert all(r.error is None for r in result.records)
+        assert all(r.error is None for r in records)
         alone = [run_task(replace(spec, seed=seed)) for spec in specs for seed in (0, 1)]
-        assert [scores(r) for r in result.records] == [scores(r) for r in alone]
+        assert [scores(r) for r in records] == [scores(r) for r in alone]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_raising_transfer_fails_every_record_that_needs_it(
@@ -368,8 +378,7 @@ class TestSharedFirstTransfer:
         spy = TrainSpy(call_log, fail=lambda scope, data: scope == "classifier_only"
                        and data is src)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
-        result = run_suite([no_source] + needs_lp, [0], jobs=jobs)
-        kept, *broken = result.records
+        kept, *broken = run_suite([no_source] + needs_lp, [0], jobs=jobs)
         assert [r.error for r in broken] == \
             ["RuntimeError: first transfer broke"] * len(needs_lp)
         # the failure is stored: trained once, its error shared by every record
@@ -463,16 +472,16 @@ class TestBlasThreadCap:
     def test_pool_workers_see_their_share_and_the_count_comes_back(
             self, monkeypatch, call_log, full_threads):
         self.spy_counts(monkeypatch, call_log)
-        result = run_suite(*self.two_records(), jobs=2)
-        assert all(r.error is None for r in result.records)
+        records = run_suite(*self.two_records(), jobs=2)
+        assert all(r.error is None for r in records)
         assert call_log.read() == [(min(full_threads, full_threads // 2),) * len(BLAS)] * 2
         assert blas_counts() == [full_threads] * len(BLAS)
 
     @needs_openblas
     def test_count_comes_back_when_records_raise(self, monkeypatch, call_log, full_threads):
         self.spy_counts(monkeypatch, call_log, raises=RuntimeError("boom"))
-        result = run_suite(*self.two_records(), jobs=2)
-        assert [r.error for r in result.records] == ["RuntimeError: boom"] * 2
+        records = run_suite(*self.two_records(), jobs=2)
+        assert [r.error for r in records] == ["RuntimeError: boom"] * 2
         assert blas_counts() == [full_threads] * len(BLAS)
         self.spy_counts(monkeypatch, call_log, raises=Abort())
         with pytest.raises(Abort):
@@ -524,8 +533,8 @@ class TestBlasThreadCap:
                           method_config=ShotConfig(epochs=1), **common)]
         serial = run_suite(specs, [0, 1], jobs=1)
         pooled = run_suite(specs, [0, 1], jobs=2)
-        assert all(r.error is None for r in serial.records)
-        assert [scores(r) for r in serial.records] == [scores(r) for r in pooled.records]
+        assert all(r.error is None for r in serial)
+        assert [scores(r) for r in serial] == [scores(r) for r in pooled]
         if not BLAS or usable_cpus() < 2:
             pytest.skip("comparing BLAS thread counts needs OpenBLAS and two usable cores")
         before = blas_counts()
@@ -535,8 +544,7 @@ class TestBlasThreadCap:
                     setter(threads)
                 assert blas_counts() == [threads] * len(BLAS)
                 rerun = run_suite(specs, [0, 1], jobs=1)
-                assert [scores(r) for r in rerun.records] == \
-                    [scores(r) for r in serial.records], threads
+                assert [scores(r) for r in rerun] == [scores(r) for r in serial], threads
         finally:
             for (setter, _), n in zip(BLAS, before):
                 setter(n)
@@ -554,7 +562,7 @@ class TestFailureReport:
         records = ([fake_record("AAD", -2.0, True)] +
                    [fake_record("AAD", 1.0, False)] * 3 +
                    [fake_record("SHOT", 2.0, False)] * 3)
-        rows, notes = failure_report(records, "method")
+        rows, notes = failure_report(records, by_method(records))
         by = {r["group"]: r for r in rows}
         assert by["AAD"]["failure_rate"] == 25.0
         assert by["SHOT"]["failure_rate"] == 0.0
@@ -570,16 +578,16 @@ class TestFailureReport:
                                target_name="t", norm_kind="layernorm", seed=0,
                                accuracy=97.0, baseline_lp_odg=nan, delta=nan,
                                failed=False, wall_time=0.0)
-        rows, notes = failure_report([idg, fake_record("SHOT", 1.0, False)],
-                                     "method")
+        records = [idg, fake_record("SHOT", 1.0, False)]
+        rows, notes = failure_report(records, by_method(records))
         assert len(rows) == 1
         assert notes == ["1 record(s) without a baseline omitted"]
 
     def test_errored_records_count_as_errors_not_failures(self):
         err = fake_record("SHOT", float("nan"), True, error="ValueError: x")
         err.baseline_lp_odg = float("nan")
-        rows, _ = failure_report([err, fake_record("SHOT", 1.0, False),
-                                  fake_record("SHOT", -1.0, True)], "method")
+        records = [err, fake_record("SHOT", 1.0, False), fake_record("SHOT", -1.0, True)]
+        rows, _ = failure_report(records, by_method(records))
         assert rows[0]["n"] == 3
         assert rows[0]["failure_rate"] == 50.0
         assert rows[0]["error_rate"] == pytest.approx(100.0 / 3)
@@ -587,13 +595,13 @@ class TestFailureReport:
 
     def test_a_group_where_every_record_raised_has_no_failure_rate(self):
         err = fake_record("SHOT", float("nan"), True, error="ValueError: x")
-        rows, _ = failure_report([err], "method")
+        rows, _ = failure_report([err], ["SHOT"])
         assert rows[0]["error_rate"] == 100.0
         assert np.isnan(rows[0]["failure_rate"])
 
-    def test_unknown_grouping_rejected(self):
-        with pytest.raises(ValueError, match="group_by"):
-            failure_report([], "seed")
+    def test_one_label_per_record(self):
+        with pytest.raises(ValueError, match="zip"):
+            failure_report([fake_record("SHOT", 1.0, False)], [])
 
 
 class TestHyperparameterGrid:
@@ -603,63 +611,65 @@ class TestHyperparameterGrid:
                         hidden_dim=16, train=TrainConfig(epochs=8))
         return src, tgt, spec
 
-    def test_two_by_five_sweep_has_ten_rows(self):
+    def test_two_by_five_sweep_has_ten_specs(self):
         src, tgt, _ = self.sweep_fixture()
         spec = TaskSpec(task="SFUDA", target=tgt, source=src, method="AAD",
                         hidden_dim=16, train=TrainConfig(epochs=8))
-        out = hyperparameter_grid({"K": [3, 5], "beta": [0.0, 0.75, 1.0, 2.0, 5.0]},
-                                  spec, [0])
-        assert out["params"] == ["K", "beta"]
-        assert len(out["rows"]) == 10
-        combos = [tuple(r["combo"].values()) for r in out["rows"]]
-        assert len(set(combos)) == 10
-        assert all(r["n_total"] == 1 for r in out["rows"])
+        specs, keys = hyperparameter_grid({"K": [3, 5], "beta": [0.0, 0.75, 1.0, 2.0, 5.0]},
+                                          spec)
+        assert len(specs) == len(keys) == 10
+        assert all(list(key) == ["K", "beta"] for key in keys)
+        assert len({tuple(key.values()) for key in keys}) == 10
+        # each spec's config carries its combination
+        assert [(s.method_config.K, s.method_config.beta) for s in specs] == \
+            [tuple(key.values()) for key in keys]
 
-    def test_four_by_four_sweep_has_sixteen_rows(self):
+    def test_four_by_four_sweep_has_sixteen_specs(self):
         _, _, spec = self.sweep_fixture()
-        out = hyperparameter_grid({"K": [2, 3, 4, 5], "KK": [2, 3, 4, 5]}, spec, [0])
-        assert len(out["rows"]) == 16
-        assert all(np.isfinite(r["mean"]) for r in out["rows"])
+        specs, _ = hyperparameter_grid({"K": [2, 3, 4, 5], "KK": [2, 3, 4, 5]}, spec)
+        records = run_suite(specs, [0])
+        assert len(records) == 16
+        assert all(np.isfinite(r.accuracy) for r in records)
 
     def test_single_cell_matches_plain_suite(self):
         _, tgt, spec = self.sweep_fixture()
-        out = hyperparameter_grid({"K": [3]}, spec, [0])
+        specs, keys = hyperparameter_grid({"K": [3]}, spec)
+        assert keys == [{"K": 3}]
         direct = run_suite([replace(spec, method_config=NrcConfig(K=3))], [0])
-        assert out["rows"][0]["mean"] == direct.records[0].accuracy
+        assert run_suite(specs, [0])[0].accuracy == direct[0].accuracy
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_first_transfer_per_seed_across_combinations(self, monkeypatch, call_log,
                                                               jobs):
         _, _, spec = self.sweep_fixture()
-        grid = {"K": [2, 3, 4], "KK": [2, 3]}
-        expected = hyperparameter_grid(grid, spec, [0, 1])
+        specs, _ = hyperparameter_grid({"K": [2, 3, 4], "KK": [2, 3]}, spec)
+        expected = run_suite(specs, [0, 1])
         spy = TrainSpy(call_log)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
-        out = hyperparameter_grid(grid, spec, [0, 1], jobs=jobs)
+        records = run_suite(specs, [0, 1], jobs=jobs)
         assert len(spy.calls) == len(set(spy.calls)) == 2
-        assert out == expected
-        assert [r["n_total"] for r in out["rows"]] == [2] * 6
+        assert len(records) == 12
+        assert [scores(r) for r in records] == [scores(r) for r in expected]
 
     def test_unknown_parameter_rejected(self):
         _, _, spec = self.sweep_fixture()
         with pytest.raises(ValueError, match="no parameter"):
-            hyperparameter_grid({"neighbors": [3]}, spec, [0])
+            hyperparameter_grid({"neighbors": [3]}, spec)
 
-    def test_raised_records_are_listed_and_left_out_of_the_mean(self):
+    def test_a_value_that_raises_fails_only_its_records(self):
         _, tgt, spec = self.sweep_fixture()
-        out = hyperparameter_grid({"K": [3, tgt.n], "epochs": [1]}, spec, [0, 1])
-        assert [(r["n_ok"], r["n_total"]) for r in out["rows"]] == [(2, 2), (0, 2)]
-        assert np.isfinite(out["rows"][0]["mean"]) and np.isnan(out["rows"][1]["mean"])
-        assert [e.split(": ")[0] for e in out["errors"]] == \
-            [f"K={tgt.n}, epochs=1 seed 0", f"K={tgt.n}, epochs=1 seed 1"]
-        assert all(e.split(": ")[1] == "ValueError" for e in out["errors"])
+        specs, keys = hyperparameter_grid({"K": [3, tgt.n], "epochs": [1]}, spec)
+        ok, bad = spec_groups(run_suite(specs, [0, 1]), 2)
+        assert keys[1] == {"K": tgt.n, "epochs": 1}
+        assert all(r.error is None for r in ok)
+        assert [r.error.split(": ")[0] for r in bad] == ["ValueError"] * 2
 
     def test_prototype_transport_rejected(self):
         src, tgt, _ = self.sweep_fixture()
         spec = TaskSpec(task="SFUDA", target=tgt, source=src, method="SCA",
                         hidden_dim=16)
         with pytest.raises(ValueError, match="no swept hyperparameters"):
-            hyperparameter_grid({"K": [3]}, spec, [0])
+            hyperparameter_grid({"K": [3]}, spec)
 
 
 class TestStratifiedSplit:

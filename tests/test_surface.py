@@ -14,7 +14,7 @@ ALLOWED = {
     "centralized_gradient": "one-batch reference gradient for the sharded step",
     "sharded_gradient": "the sharded step's gradient, compared with centralized_gradient",
     # the benchmark's tracer and launcher wrap it by name
-    "run_distributed_grid": "perfbench entry point",
+    "run_distributed_grid": "perfbench entry point; acceptance test_05 calls it",
 }
 
 
