@@ -20,13 +20,13 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .core import make_rng
+from .core import Section, check_type, make_rng
 from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
                    labels_text, load_embeddings, load_results_table)
 from .distsim import cell_columns, grid_error, grid_specs, parse_cell
@@ -34,7 +34,7 @@ from .engine import DEFAULT_GRID
 from .harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, failure_report,
                       format_mean_std, hyperparameter_grid, mean_std, run_suite,
                       spec_groups)
-from .head import HeadConfig, TrainConfig, check_type
+from .head import HeadConfig, LoopConfig, TrainConfig
 from .stats import fit_linear, fit_multilinear
 
 SFUDA_TASKS = ("SFUDA", "FT-SFUDA")
@@ -79,6 +79,11 @@ def load_config(path: str | None) -> dict:
     _check_keys(raw, {"out_dir", "format", "seeds", "jobs", "head", "train", "data",
                       "tasks", "methods", "method_configs", "distgrid", "sweep",
                       "results_table"}, "config")
+    with _named("config"):  # before a path in it is opened or made
+        for key, kind in (("out_dir", "str"), ("results_table", "str"),
+                          ("tasks", "list[str]"), ("methods", "list[str]")):
+            if key in raw:
+                check_type(key, raw[key], kind)
     return raw
 
 
@@ -126,93 +131,85 @@ def resolve_common(args, cfg: dict) -> dict:
     return {"out_dir": out_dir, "format": fmt, "seeds": seeds, "jobs": jobs}
 
 
-def _shift_vector(v, d: int, name: str) -> np.ndarray:
-    values = v if isinstance(v, list) else [v] * d
-    if len(values) != d:
-        raise ValueError(f"{name} must be a float or a list of {d} floats")
-    for x in values:
-        check_type(name, x, "float")
-    return np.array(values, dtype=np.float64)
+@dataclass
+class Generate(Section):
+    """data.generate: gen_gaussian_pair's arguments; shift is a ShiftSpec section."""
+
+    num_classes: int
+    dim: int
+    n_per_class: int
+    class_sep: float
+    seed: int = 0
+    shift: dict = field(default_factory=dict)
 
 
-def _generated_pair(gen: dict, shift: dict) -> tuple[DomainDataset, DomainDataset]:
-    """The pair data.generate describes; a bad value raises naming its key."""
-    for key, kind in (("num_classes", "int"), ("dim", "int"), ("n_per_class", "int"),
-                      ("class_sep", "float"), ("seed", "int")):
-        check_type(key, gen.get(key, 0), kind)
-    for key in ("rotation_angle", "label_noise"):
-        check_type(f"shift.{key}", shift.get(key, 0.0), "float")
-    plane = shift.get("rotation_plane", [0, 1])
-    if not isinstance(plane, list) or len(plane) != 2:
-        raise ValueError(f"shift.rotation_plane must be a list of two ints, not {plane!r}")
-    for axis in plane:
-        check_type("shift.rotation_plane", axis, "int")
-    d, seed = gen["dim"], gen.get("seed", 0)
-    if d < 2:  # before the shift vectors take d entries
-        raise ValueError("dim must be at least 2")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, not {seed}")
-    defaults = {"mean_shift": 0.0, "per_feature_scale": 1.0, "per_feature_offset": 0.0}
-    vectors = [_shift_vector(shift.get(k, v), d, f"shift.{k}") for k, v in defaults.items()]
-    spec = ShiftSpec(*vectors, float(shift.get("rotation_angle", 0.0)), tuple(plane),
-                     float(shift.get("label_noise", 0.0)))
-    return gen_gaussian_pair(gen["num_classes"], d, gen["n_per_class"],
-                             float(gen["class_sep"]), spec, make_rng(seed))
+@dataclass
+class TargetFile(Section):
+    """data.target: embeddings and labels files; num_classes defaults to the source's."""
+
+    features: str
+    labels: str | None = None
+    num_classes: int | None = None
+    name: str = "target"
 
 
-def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
-    data = cfg.get("data")
-    if not data:
-        raise CliError("config needs a 'data' section")
-    _check_keys(data, {"generate", "source", "target"}, "data")
-    if "generate" in data:
-        gen = data["generate"]
-        _check_keys(gen, {"num_classes", "dim", "n_per_class", "class_sep",
-                          "seed", "shift"}, "data.generate")
-        for key in ("num_classes", "dim", "n_per_class", "class_sep"):
-            if key not in gen:
-                raise CliError(f"data.generate needs {key}")
-        shift = gen.get("shift", {})
-        _check_keys(shift, {"mean_shift", "per_feature_scale", "per_feature_offset",
-                            "rotation_angle", "rotation_plane", "label_noise"},
-                    "data.generate.shift")
-        with _named("data.generate"):
-            return _generated_pair(gen, shift)
-    for side in ("source", "target"):
-        if side not in data:
-            raise CliError(f"data needs either 'generate' or both 'source' and 'target'")
-        section = data[side]
-        _check_keys(section, {"features", "labels", "num_classes", "name"}, f"data.{side}")
-        required = ("features", "labels") if side == "source" else ("features",)
-        with _named(f"data.{side}"):  # before open(), which takes an int as a descriptor
-            for key, kind in (("features", "str"), ("labels", "str"),
-                              ("num_classes", "int"), ("name", "str")):
-                if key in required or section.get(key) is not None:
-                    check_type(key, section.get(key), kind)
-    src, tgt = data["source"], data["target"]
-    source = load_embeddings(src["features"], src["labels"],
-                             src.get("num_classes"), src.get("name", "source"))
-    target = load_embeddings(tgt["features"], tgt.get("labels"),
-                             tgt.get("num_classes", source.num_classes),
-                             tgt.get("name", "target"))
-    return source, target
+@dataclass
+class SourceFile(TargetFile):
+    labels: str = field()  # required: field() drops TargetFile's default
+    name: str = "source"
 
 
-def _strings(value, ctx: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise CliError(f"{ctx} must be a list of strings")
-    return value
+@dataclass
+class Distgrid(Section):
+    """distgrid: methods run in each worker layout of cells ("WxB"; the default
+    grid when empty)."""
+
+    methods: list[str] = field(default_factory=lambda: list(ADAPT_METHODS))
+    cells: list[str] = field(default_factory=list)
+    sync_batchnorm: bool = False
+
+
+@dataclass
+class Sweep(Section):
+    """sweep: every combination of params (name -> values) of method's config."""
+
+    method: str
+    params: dict
+    task: str = "SFUDA"
 
 
 def _section(cls, raw, ctx: str):
-    """cls built from the config section raw, its keys checked against cls's
-    fields; an error names ctx first. A record derives its loop seed from
-    its run seed, so the section may not set one."""
-    _check_keys(raw, {f.name for f in dataclasses.fields(cls)}, ctx)
-    if "seed" in raw:
+    """cls (a Section) built from the config section raw, its keys checked
+    against cls's fields and every field without a default given; an error
+    names ctx first. A LoopConfig's seed derives from each record's seed."""
+    fields = dataclasses.fields(cls)
+    _check_keys(raw, {f.name for f in fields}, ctx)
+    for f in fields:
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise CliError(f"{ctx} needs {f.name}")
+    if issubclass(cls, LoopConfig) and "seed" in raw:
         raise CliError(f"{ctx}: seed is derived from each record's seed")
     with _named(ctx):
         return cls(**raw)
+
+
+def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
+    data = cfg.get("data", {})
+    _check_keys(data, {"generate", "source", "target"}, "data")
+    if set(data) not in ({"generate"}, {"source", "target"}):
+        raise CliError("data needs either 'generate' or both 'source' and 'target'")
+    if "generate" in data:
+        gen = _section(Generate, data["generate"], "data.generate")
+        shift = _section(ShiftSpec, gen.shift, "data.generate.shift")
+        with _named("data.generate"):
+            return gen_gaussian_pair(gen.num_classes, gen.dim, gen.n_per_class,
+                                     float(gen.class_sep), shift, make_rng(gen.seed))
+    # both sides typed before open(), which takes an int as a file descriptor
+    src = _section(SourceFile, data["source"], "data.source")
+    tgt = _section(TargetFile, data["target"], "data.target")
+    source = load_embeddings(src.features, src.labels, src.num_classes, src.name)
+    num_classes = source.num_classes if tgt.num_classes is None else tgt.num_classes
+    return source, load_embeddings(tgt.features, tgt.labels, num_classes, tgt.name)
 
 
 def _method_configs(cfg: dict) -> dict:
@@ -238,24 +235,18 @@ def _head_and_train(cfg: dict, norm_kind: str) -> dict:
 
 def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
                 ) -> list[TaskSpec]:
-    tasks = _strings(cfg.get("tasks", []), "tasks")
+    """One spec per task, and per method for an SFUDA task."""
+    tasks, methods = cfg.get("tasks", []), cfg.get("methods", [])
     if not tasks:
         raise CliError("config needs a nonempty 'tasks' list")
     common = dict(target=target, source=source, **_head_and_train(cfg, "layernorm"))
-    methods = _strings(cfg.get("methods", []), "methods")
     method_configs = _method_configs(cfg)
-
     specs = []
     for task in tasks:
-        if task in SFUDA_TASKS:
-            if not methods:
-                raise CliError(f"task {task} needs a 'methods' list")
-            for method in methods:
-                specs.append(TaskSpec(task=task, method=method,
-                                      method_config=method_configs.get(method),
-                                      **common))
-        else:
-            specs.append(TaskSpec(task=task, **common))
+        if task in SFUDA_TASKS and not methods:
+            raise CliError(f"task {task} needs a 'methods' list")
+        specs += [TaskSpec(task=task, method=m, method_config=method_configs.get(m), **common)
+                  for m in (methods if task in SFUDA_TASKS else [None])]
     return specs
 
 
@@ -400,10 +391,9 @@ def _write_records(cfg: dict, common: dict, command: str, records: list[Experime
 
 
 def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
-    data = cfg.get("data", {})
-    if "generate" not in data:
+    source, target = datasets_from_config(cfg)  # checks that data is an object
+    if "generate" not in cfg["data"]:
         raise CliError("gen-data needs a data.generate section")
-    source, target = datasets_from_config(cfg)
     chash = config_hash(cfg, common)
     files = {
         "source_features.bin": embeddings_bytes(source),
@@ -448,17 +438,15 @@ def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
 
 
 def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
-    source, target = datasets_from_config(cfg)
-    section = cfg.get("distgrid", {})
-    _check_keys(section, {"methods", "cells", "sync_batchnorm"}, "distgrid")
-    methods = _strings(section.get("methods", list(ADAPT_METHODS)), "distgrid.methods")
-    cells = [parse_cell(c) for c in section.get("cells", [])] or list(DEFAULT_GRID)
-    sync = section.get("sync_batchnorm", False)
+    grid = _section(Distgrid, cfg.get("distgrid", {}), "distgrid")
     with _named("distgrid"):
-        check_type("sync_batchnorm", sync, "bool")
-    cells = [replace(c, sync_batchnorm=sync) for c in cells]
+        cells = [replace(c, sync_batchnorm=grid.sync_batchnorm)
+                 for c in [parse_cell(c) for c in grid.cells] or DEFAULT_GRID]
+    if not grid.methods:
+        raise CliError("distgrid: methods must be a nonempty list")
+    source, target = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "batchnorm")
-    specs = grid_specs(methods, source, target, cells, _method_configs(cfg), **settings)
+    specs = grid_specs(grid.methods, source, target, cells, _method_configs(cfg), **settings)
     records = run_suite(specs, common["seeds"], jobs=common["jobs"])
 
     # one row per cell, one column per method; specs are method-major
@@ -467,29 +455,21 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
         mean, std, _ = mean_std(group, skip_raised=False)
         rows[i % len(cells)][specs[i].method] = f"{mean:.2f} ± {std:.2f}"
     for row in rows:
-        print("  ".join([f"{row['cell']:>6s}"] + [f"{row[m]:>16s}" for m in methods]))
+        print("  ".join([f"{row['cell']:>6s}"] + [f"{row[m]:>16s}" for m in grid.methods]))
     return _write_records(cfg, common, "distgrid", records,
                           [cell_columns(s.dist) for s in specs],
-                          {"distgrid": (rows, ["cell", "workers", "local_batch"] + methods)},
+                          {"distgrid": (rows, ["cell", "workers", "local_batch"] + grid.methods)},
                           "grid records", grid_error)
 
 
 def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
-    section = cfg.get("sweep")
-    if not section:
-        raise CliError("sweep needs a 'sweep' config section")
-    _check_keys(section, {"method", "params", "task"}, "sweep")
-    method, params = section.get("method"), section.get("params")
-    if not method or not params:
-        raise CliError("sweep needs 'method' and 'params'")
-    if not isinstance(params, dict):
-        raise CliError("sweep.params must map parameter names to lists of values")
+    sweep = _section(Sweep, cfg.get("sweep", {}), "sweep")
     source, target = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "layernorm")
     # method_configs gives the settings the sweep does not vary
-    spec = TaskSpec(task=section.get("task", "SFUDA"), method=method, target=target,
-                    source=source, method_config=_method_configs(cfg).get(method), **settings)
-    specs, keys = hyperparameter_grid(params, spec)
+    spec = TaskSpec(task=sweep.task, method=sweep.method, target=target, source=source,
+                    method_config=_method_configs(cfg).get(sweep.method), **settings)
+    specs, keys = hyperparameter_grid(sweep.params, spec)
     records = run_suite(specs, common["seeds"], jobs=common["jobs"])
 
     def combo(key):
@@ -501,7 +481,7 @@ def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
         rows.append({**key, "mean": _fmt_float(mean), "n_ok": n, "n_total": len(group)})
         print(f"{combo(key):>32s}  mean {mean:.2f}")
     return _write_records(cfg, common, "sweep", records, keys,
-                          {"sweep": (rows, list(params) + ["mean", "n_ok", "n_total"])},
+                          {"sweep": (rows, list(sweep.params) + ["mean", "n_ok", "n_total"])},
                           "sweep records", lambda key, r: f"{combo(key)} seed {r.seed}: {r.error}")
 
 

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: softmax, row normalization, exact k-NN,
-one-hot targets, and seeded randomness helpers.
+"""Shared numerical primitives (softmax, row normalization, exact k-NN,
+one-hot targets, seeded randomness) and the config dataclasses' type check.
 
 All arithmetic is float64. Ranking ties break toward the lower index so that
 repeated runs are bit-for-bit reproducible.
@@ -7,7 +7,9 @@ repeated runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import numbers
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -16,6 +18,8 @@ Array = np.ndarray
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator; identical seed gives an identical stream."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     return np.random.default_rng(seed)
 
 
@@ -149,3 +153,32 @@ def one_hot(labels: Array, num_classes: int) -> Array:
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
+
+
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool, "dict": dict}
+
+
+def check_type(name: str, value, kind: str) -> None:
+    """Raises TypeError naming name unless value is of kind: int, float (an int
+    passes; a bool is no number), str, bool, dict, list[KIND] (a list, tuple or
+    array of KIND), or kinds joined by " | ", such as float | list[float]."""
+    first, *rest = kind.split(" | ")
+    listed = [k[5:-1] for k in (first, *rest) if k.startswith("list[")]
+    if value is None and "None" in rest:
+        return
+    if listed and isinstance(value, (list, tuple, np.ndarray)):
+        for v in value:
+            check_type(name, v, listed[0])
+    elif first.startswith("list["):
+        raise TypeError(f"{name} must be a list, not {value!r}")
+    elif isinstance(value, bool) != (first == "bool") or not isinstance(value, _KINDS[first]):
+        raise TypeError(f"{name} must be {first}, not {value!r}")
+
+
+class Section:
+    """Base of the config dataclasses: building one runs check_type on each
+    field against its annotation. A subclass's __post_init__ calls this first."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)

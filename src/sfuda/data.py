@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import l2_normalize_rows
+from .core import Section, l2_normalize_rows
 
 EMBED_MAGIC = b"SFUD"
 
@@ -56,15 +56,16 @@ class DomainDataset:
 
 
 @dataclass
-class ShiftSpec:
+class ShiftSpec(Section):
     """Affine domain shift: rotate in one coordinate plane, scale per feature,
-    then translate. label_noise reassigns that fraction of target labels."""
+    then translate; label_noise reassigns that fraction of target labels. As
+    the data.generate.shift section, a vector given as one float repeats it."""
 
-    mean_shift: np.ndarray
-    per_feature_scale: np.ndarray
-    per_feature_offset: np.ndarray
+    mean_shift: float | list[float] = 0.0
+    per_feature_scale: float | list[float] = 1.0
+    per_feature_offset: float | list[float] = 0.0
     rotation_angle: float = 0.0
-    rotation_plane: tuple[int, int] = (0, 1)
+    rotation_plane: list[int] = (0, 1)
     label_noise: float = 0.0
 
     @classmethod
@@ -72,23 +73,22 @@ class ShiftSpec:
         return cls(np.zeros(d), np.ones(d), np.zeros(d))
 
     def validate(self, d: int) -> None:
-        self.mean_shift = np.asarray(self.mean_shift, dtype=np.float64)
-        self.per_feature_scale = np.asarray(self.per_feature_scale, dtype=np.float64)
-        self.per_feature_offset = np.asarray(self.per_feature_offset, dtype=np.float64)
-        for name, v in (("mean_shift", self.mean_shift),
-                        ("per_feature_scale", self.per_feature_scale),
-                        ("per_feature_offset", self.per_feature_offset)):
+        """Checks the shift for d features, each vector made d float64s first."""
+        for name in ("mean_shift", "per_feature_scale", "per_feature_offset"):
+            v = getattr(self, name)
+            v = np.asarray([v] * d if np.ndim(v) == 0 else v, dtype=np.float64)
             if v.shape != (d,):
-                raise ValueError(f"{name} must have shape ({d},)")
+                raise ValueError(f"{name} must be a float or have shape ({d},), not {v.shape}")
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be finite")
+            setattr(self, name, v)
         if np.any(self.per_feature_scale <= 0):
             raise ValueError("per_feature_scale entries must be positive")
         if not np.isfinite(self.rotation_angle):
             raise ValueError("rotation_angle must be finite")
-        i, j = self.rotation_plane
-        if i == j or not (0 <= i < d and 0 <= j < d):
-            raise ValueError("rotation_plane must name two distinct feature axes")
+        plane = self.rotation_plane
+        if len(plane) != 2 or plane[0] == plane[1] or not all(0 <= a < d for a in plane):
+            raise ValueError(f"rotation_plane must name two distinct feature axes, not {plane!r}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValueError("label_noise must lie in [0, 1)")
 
@@ -165,6 +165,8 @@ def load_embeddings(features_path: str, labels_path: str | None = None,
         magic, n, d, flags = struct.unpack("<4sIII", header)
         if magic != EMBED_MAGIC:
             raise ValueError(f"{features_path}: bad magic {magic!r}")
+        if not n * d:
+            raise ValueError(f"{features_path}: holds {n} rows of {d} features")
         payload = fh.read()
     expected = n * d * 4
     if len(payload) != expected:

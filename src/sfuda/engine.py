@@ -86,10 +86,9 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
 def effective_batch(n: int, batch_size: int, workers: int) -> int:
     """Largest usable batch: at most n, and an exact multiple of workers."""
     bs = min(batch_size, n)
-    bs -= bs % workers
     if bs < workers:
-        raise ValueError(f"cannot split batches of {bs} across {workers} workers")
-    return bs
+        raise ValueError(f"cannot split {bs} rows across {workers} workers")
+    return bs - bs % workers
 
 
 def adapt_layout(model: HeadModel, n: int, batch_size: int,

@@ -452,10 +452,11 @@ def failure_report(records: list[ExperimentRecord], labels: list,
                    ) -> tuple[list[dict], list[str]]:
     """Delta-accuracy mean/std, failure rate and error rate, in percent, per
     group of records with one label (labels holds one per record), groups
-    in sorted label order. A record that raised has no accuracy: it counts
-    in `error_rate` and stays out of `failure_rate`, which is nan for a
-    group where every record raised. Records without a finite baseline that
-    did not raise cannot be scored against it and are skipped with a note."""
+    ordered by label: by value when every label reads as a number, else as
+    text. A record that raised has no accuracy: it counts in `error_rate`
+    and stays out of `failure_rate`, which is nan for a group where every
+    record raised. Records without a finite baseline that did not raise
+    cannot be scored against it and are skipped with a note."""
     scored = [(label, r) for label, r in zip(labels, records, strict=True)
               if np.isfinite(r.baseline_lp_odg) or r.error]
     notes = []
@@ -463,8 +464,11 @@ def failure_report(records: list[ExperimentRecord], labels: list,
     if skipped:
         notes.append(f"{skipped} record(s) without a baseline omitted")
 
+    names = sorted({label for label, _ in scored})
+    with contextlib.suppress(TypeError, ValueError):  # labels that are numbers go by value
+        names = sorted(names, key=float)
     rows = []
-    for name in sorted({label for label, _ in scored}):
+    for name in names:
         group = [r for label, r in scored if label == name]
         ran = [r for r in group if not r.error]
         deltas = np.array([r.delta for r in group if np.isfinite(r.delta)])
@@ -490,6 +494,8 @@ def hyperparameter_grid(param_grid: dict, spec: TaskSpec) -> tuple[list[TaskSpec
     method = spec.method
     if method not in ADAPT_METHODS:
         raise ValueError(f"{method or spec.task} exposes no swept hyperparameters")
+    if not param_grid:
+        raise ValueError("sweep: params must name at least one parameter")
     legal = {f.name for f in dataclasses.fields(spec.method_config)}
     for name, values in param_grid.items():
         if name == "seed":

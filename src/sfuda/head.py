@@ -9,12 +9,11 @@ pin every formula here.
 from __future__ import annotations
 
 import functools
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_rng, log_softmax, make_rng, one_hot, softmax
+from .core import Section, derive_rng, log_softmax, make_rng, one_hot, softmax
 from .data import DomainDataset
 
 BOTTLENECK_PARAMS = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta")
@@ -29,28 +28,8 @@ class StaleCacheError(RuntimeError):
     pass
 
 
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
-
-
-def check_type(name: str, value, kind: str) -> None:
-    """Raises TypeError naming name unless value is of kind: int, float (an
-    int passes), str or bool. A bool is not a number."""
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
-        raise TypeError(f"{name} must be {kind}, not {value!r}")
-
-
-def _check_field_types(cfg) -> None:
-    """check_type on each field of dataclass cfg against its declared type,
-    which may be optional ("| None")."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        kind, _, optional = f.type.partition(" | ")
-        if value is not None or optional != "None":
-            check_type(f.name, value, kind)
-
-
 @dataclass
-class HeadConfig:
+class HeadConfig(Section):
     in_dim: int
     num_classes: int
     hidden_dim: int = 256
@@ -59,7 +38,7 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
+        super().__post_init__()
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
         if self.activation not in ACTIVATIONS:
@@ -287,7 +266,7 @@ def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float) -> 
 
 
 @dataclass
-class LoopConfig:
+class LoopConfig(Section):
     """The SGD settings of run_epochs, shared by first transfer and every
     adapter's config, with their checks; subclasses add their own fields."""
 
@@ -299,7 +278,7 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
+        super().__post_init__()
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate < 0 or self.weight_decay < 0:

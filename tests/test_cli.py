@@ -1,14 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import sfuda
 from sfuda.cli import RECORD_COLUMNS, main, parse_seeds
@@ -50,6 +57,12 @@ def sweep_config():
     cfg = base_config()
     cfg["sweep"] = {"method": "SHOT", "params": {"epochs": [1, 2], "ce_weight": [0.0, 0.3]}}
     return cfg
+
+
+def file_data(pair):
+    """A data section that reads the pair gen-data wrote into pair."""
+    return {s: {"features": str(pair / f"{s}_features.bin"),
+                "labels": str(pair / f"{s}_labels.txt")} for s in ("source", "target")}
 
 
 def sha256(path):
@@ -340,7 +353,7 @@ class TestFailureHandling:
             ("1", "0", "nan", "no successful runs")
 
     def test_raising_grid_cell_sets_the_exit_status(self, tmp_path, capsys):
-        # a batchnorm head cannot take one-row shards, so 64x1 raises
+        # 64 workers cannot share the 36 target rows, so 64x1 raises
         cfg = distgrid_config(cells=("1x64", "64x1"))
         cfg["head"]["norm_kind"] = "batchnorm"
         out = tmp_path / "out"
@@ -348,7 +361,8 @@ class TestFailureHandling:
                      "--out", str(out)]) == 1
         err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(err) == 1
-        assert err[0].startswith("error: 3 of 6 grid records raised (first: SHOT 64x1 seed 0")
+        assert err[0] == ("error: 3 of 6 grid records raised (first: SHOT 64x1 seed 0: "
+                          "ValueError: cannot split 36 rows across 64 workers)")
         rows = read_rows(out / "distgrid.csv")
         assert [r["cell"] for r in rows] == ["1x64", "64x1"]
         for m in ("SHOT", "NRC", "AAD"):
@@ -371,6 +385,9 @@ class TestFailureHandling:
         ({}, ["--jobs=0"], "jobs must be a positive integer, not 0"),
         ({"seeds": [0, 0, 1]}, [], "seed 0 is given more than once"),
         ({}, ["--seeds=3,1,3"], "seed 3 is given more than once"),
+        # a path is typed before it is opened (open() takes an int as a descriptor)
+        ({"out_dir": 5}, [], "config: out_dir must be str, not 5"),
+        ({"results_table": 5}, [], "config: results_table must be str, not 5"),
     ])
     def test_malformed_seeds_and_jobs_are_config_errors(self, tmp_path, capsys, config,
                                                         flags, message):
@@ -387,15 +404,35 @@ class TestFailureHandling:
         ("suite", "data", {"generate": 5}, "data.generate must be a JSON object"),
         ("suite", "method_configs", [], "method_configs must be a JSON object"),
         ("suite", "method_configs", {"SHOTT": {}}, "method_configs: unknown key(s) SHOTT"),
-        ("suite", "tasks", "LP-ODG", "tasks must be a list of strings"),
-        ("suite", "methods", "SHOT", "methods must be a list of strings"),
+        ("suite", "tasks", "LP-ODG", "config: tasks must be a list, not 'LP-ODG'"),
+        ("suite", "methods", "SHOT", "config: methods must be a list, not 'SHOT'"),
         ("sweep", "sweep", ["SHOT"], "sweep must be a JSON object"),
         ("distgrid", "distgrid", {"methods": "SHOT"},
-         "distgrid.methods must be a list of strings"),
+         "distgrid: methods must be a list, not 'SHOT'"),
         ("distgrid", "distgrid", {"sync_batchnorm": "no"},
          "distgrid: sync_batchnorm must be bool, not 'no'"),
         ("distgrid", "distgrid", {"sync_batchnorm": 0},
          "distgrid: sync_batchnorm must be bool, not 0"),
+        ("distgrid", "distgrid", {"cells": [16]}, "distgrid: cells must be str, not 16"),
+        ("distgrid", "distgrid", {"cells": "1x8"}, "distgrid: cells must be a list, not '1x8'"),
+        ("distgrid", "distgrid", {"cells": ["1y8"]},
+         "distgrid: bad grid cell '1y8', expected WxB like 16x4"),
+        ("distgrid", "distgrid", {"methods": []}, "distgrid: methods must be a nonempty list"),
+        ("sweep", "sweep", {"method": ["SHOT"], "params": {"epochs": [1]}},
+         "sweep: method must be str, not ['SHOT']"),
+        ("sweep", "sweep", {"params": {"epochs": [1]}}, "sweep needs method"),
+        ("sweep", "sweep", {"method": "SHOT", "params": [1]},
+         "sweep: params must be dict, not [1]"),
+        ("sweep", "sweep", {"method": "SHOT", "params": {}},
+         "sweep: params must name at least one parameter"),
+        ("stats", "results_table", 5, "config: results_table must be str, not 5"),
+        ("suite", "data", {"source": {"features": "a.bin"}, "target": {"features": "b.bin"}},
+         "data.source needs labels"),
+        # the files are not silently ignored
+        ("suite", "data", {"generate": base_config()["data"]["generate"],
+                           "source": {"features": "a.bin", "labels": "a.txt"},
+                           "target": {"features": "b.bin"}},
+         "data needs either 'generate' or both 'source' and 'target'"),
         # a value of the wrong type or out of range, checked before any record runs
         ("suite", "head", {"hidden_dim": "a"}, "hidden_dim must be int, not 'a'"),
         ("suite", "train", {"epochs": "x"}, "train: epochs must be int, not 'x'"),
@@ -428,22 +465,26 @@ class TestFailureHandling:
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 1
-        # the line names the section first; a head value's message follows "head: "
-        line = message if message.startswith(key) else f"{key}: {message}"
+        # the line names the section first (config for a top-level list); a head
+        # value's message follows "head: "
+        line = message if message.startswith((key, "config: ")) else f"{key}: {message}"
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("num_classes", 3.7, "num_classes must be int, not 3.7"),
-        ("n_per_class", True, "n_per_class must be int, not True"),
-        ("dim", "x", "dim must be int, not 'x'"),
-        ("class_sep", "x", "class_sep must be float, not 'x'"),
-        ("seed", -1, "seed must be nonnegative, not -1"),
-        ("shift.label_noise", "x", "shift.label_noise must be float, not 'x'"),
-        ("shift.mean_shift", [1, "a", 0, 0, 0], "shift.mean_shift must be float, not 'a'"),
+        ("num_classes", 3.7, "data.generate: num_classes must be int, not 3.7"),
+        ("n_per_class", True, "data.generate: n_per_class must be int, not True"),
+        ("dim", "x", "data.generate: dim must be int, not 'x'"),
+        ("class_sep", "x", "data.generate: class_sep must be float, not 'x'"),
+        ("seed", -1, "data.generate: seed must be nonnegative, not -1"),
+        ("shift.label_noise", "x", "data.generate.shift: label_noise must be float, not 'x'"),
+        ("shift.mean_shift", [1, "a", 0, 0, 0],
+         "data.generate.shift: mean_shift must be float, not 'a'"),
+        # checked against dim, when the pair is drawn
         ("shift.rotation_plane", [0],
-         "shift.rotation_plane must be a list of two ints, not [0]"),
-        ("shift.rotation_angle", None, "shift.rotation_angle must be float, not None"),
+         "data.generate: rotation_plane must name two distinct feature axes, not [0]"),
+        ("shift.rotation_angle", None,
+         "data.generate.shift: rotation_angle must be float, not None"),
     ])
     def test_a_bad_generate_value_names_its_key(self, tmp_path, capsys, key, value,
                                                  message):
@@ -456,7 +497,7 @@ class TestFailureHandling:
         out = tmp_path / "out"
         assert main(["suite", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: data.generate: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("side, key, value, message", [
@@ -475,16 +516,27 @@ class TestFailureHandling:
         pair = tmp_path / "pair"
         assert main(["gen-data", "--config", write_config(tmp_path, base_config()),
                      "--out", str(pair)]) == 0
-        cfg = base_config()
-        cfg["data"] = {s: {"features": str(pair / f"{s}_features.bin"),
-                           "labels": str(pair / f"{s}_labels.txt")}
-                       for s in ("source", "target")}
+        cfg = {**base_config(), "data": file_data(pair)}
         cfg["data"][side][key] = value
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["suite", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_an_empty_embeddings_file_is_named(self, tmp_path, capsys):
+        pair = tmp_path / "pair"
+        assert main(["gen-data", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(pair)]) == 0
+        features = pair / "target_features.bin"
+        features.write_bytes(features.read_bytes()[:4] + struct.pack("<III", 0, 5, 0))
+        (pair / "target_labels.txt").write_text("")
+        cfg = {**base_config(), "data": file_data(pair)}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["suite", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {features}: holds 0 rows of 5 features\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["suite", "sweep", "distgrid"])
@@ -872,6 +924,23 @@ class TestReportCommand:
         assert [[p[k] for k in keys] for p in points] == [[r[k] for k in keys]
                                                           for r in records]
 
+    def test_numeric_key_groups_go_by_value(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("\n".join([
+            ",".join(RECORD_COLUMNS + ["epochs", "cell"]),
+            "SFUDA,SHOT,s,t,layernorm,0,70.0,70.0,0.0,0,,10,16x4",
+            "SFUDA,SHOT,s,t,layernorm,0,71.0,70.0,1.0,0,,5,2x4",
+            "SFUDA,SHOT,s,t,layernorm,1,69.0,70.0,-1.0,1,,5,16x4",
+            "SFUDA,NRC,s,t,batchnorm,0,72.0,70.0,2.0,0,,10,2x4"]) + "\n")
+        out = tmp_path / "report"
+        assert main(["report", str(records), "--out", str(out)]) == 0
+        # 5 before 10; a key that is not all numbers goes by text
+        assert [r["group"] for r in read_rows(out / "by_epochs.csv")] == ["5", "10"]
+        assert [r["group"] for r in read_rows(out / "by_cell.csv")] == ["16x4", "2x4"]
+        assert [r["group"] for r in read_rows(out / "by_method.csv")] == ["NRC", "SHOT"]
+        printed = capsys.readouterr().out
+        assert printed.index("            5  n=2") < printed.index("           10  n=2")
+
     def test_records_with_different_columns_are_one_error(self, tmp_path, capsys):
         suite, sweep = tmp_path / "suite", tmp_path / "sweep"
         assert main(["suite", "--config", write_config(tmp_path, base_config()),
@@ -905,3 +974,201 @@ class TestReportCommand:
     def test_rejects_a_non_records_file(self, tmp_path, capsys):
         assert main(["report", ASSET_TABLE, "--out", str(tmp_path / "o")]) == 1
         assert "not a records table" in capsys.readouterr().err
+
+
+def json_values():
+    """Any JSON value, kept small."""
+    scalars = (st.none() | st.booleans() | st.integers(-3, 3)
+               | st.floats(-3, 3, allow_nan=False) | st.text(max_size=4))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                        max_leaves=4)
+
+
+def fits(value, kind):
+    """Whether the JSON value is of the kind a config field declares, as the
+    README states the rule: a float field also takes an integer, no number
+    field takes a bool."""
+    if " | " in kind:
+        return any(fits(value, k) for k in kind.split(" | "))
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(fits(v, kind[5:-1]) for v in value)
+    if kind == "float":
+        return type(value) in (int, float)
+    return type(value) is {"None": type(None), "int": int, "str": str, "bool": bool,
+                           "dict": dict}[kind]
+
+
+# (command, field, kind): typed fields of the config, each read by its command
+CONFIG_FIELDS = [("suite", f"data.generate.{k}", kind) for k, kind in [
+    ("num_classes", "int"), ("dim", "int"), ("n_per_class", "int"), ("class_sep", "float"),
+    ("seed", "int"), ("shift", "dict"), ("shift.mean_shift", "float | list[float]"),
+    ("shift.per_feature_scale", "float | list[float]"), ("shift.rotation_angle", "float"),
+    ("shift.rotation_plane", "list[int]"), ("shift.label_noise", "float")]] + [
+    ("files", f"data.{side}.{k}", kind) for side in ("source", "target") for k, kind in [
+        ("features", "str"), ("num_classes", "int | None"), ("name", "str")]] + [
+    ("files", "data.source.labels", "str"), ("files", "data.target.labels", "str | None"),
+    ("suite", "data", "dict"), ("suite", "data.generate", "dict"),
+    ("suite", "head", "dict"), ("suite", "head.hidden_dim", "int"),
+    ("suite", "head.norm_kind", "str"), ("suite", "train", "dict"),
+    ("suite", "train.epochs", "int"), ("suite", "train.learning_rate", "float"),
+    ("suite", "train.grad_clip", "float | None"), ("suite", "method_configs", "dict"),
+    ("suite", "method_configs.SHOT", "dict"), ("suite", "method_configs.SHOT.ce_weight", "float"),
+    ("suite", "method_configs.NRC.K", "int"), ("suite", "tasks", "list[str]"),
+    ("suite", "methods", "list[str]"), ("suite", "out_dir", "str"),
+    ("suite", "results_table", "str"), ("suite", "seeds", "list[int]"),
+    ("suite", "jobs", "int"), ("suite", "format", "str"),
+    ("distgrid", "distgrid", "dict"), ("distgrid", "distgrid.methods", "list[str]"),
+    ("distgrid", "distgrid.cells", "list[str]"), ("distgrid", "distgrid.sync_batchnorm", "bool"),
+    ("sweep", "sweep", "dict"), ("sweep", "sweep.method", "str"),
+    ("sweep", "sweep.params", "dict"), ("sweep", "sweep.task", "str"),
+]
+
+
+def run_cli(argv):
+    """main(argv) as (exit status, what it wrote to stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_one_error_line(code, err, out):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def letters_but_no_number():
+    return st.text("abcefnixyz", min_size=1, max_size=6).filter(lambda t: not _is_number(t))
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestMalformedInputFuzz:
+    """A valid input with one part broken ends the command with one error
+    line, exit status 1, no traceback and no output directory."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        pair = tmp_path_factory.mktemp("pair")
+        assert run_cli(["gen-data", "--config", write_config(pair, base_config()),
+                        "--out", str(pair)])[0] == 0
+        return pair
+
+    @given(field=st.sampled_from(CONFIG_FIELDS), value=json_values())
+    @example(field=("distgrid", "distgrid.cells", "list[str]"), value=[16])
+    @example(field=("distgrid", "distgrid.cells", "list[str]"), value="1x8")
+    @example(field=("sweep", "sweep.method", "str"), value=["SHOT"])
+    @example(field=("suite", "out_dir", "str"), value=5)
+    @example(field=("suite", "results_table", "str"), value=5)
+    @FUZZ
+    def test_a_config_value_of_the_wrong_type(self, pair, tmp_path, field, value):
+        command, path, kind = field
+        assume(not fits(value, kind))
+        cfg = {"suite": {**base_config(), "tasks": ["SFUDA"], "methods": ["SHOT"]},
+               "files": {**base_config(), "data": file_data(pair)},
+               "distgrid": distgrid_config(), "sweep": sweep_config()}[command]
+        section = cfg
+        *parents, name = path.split(".")
+        for parent in parents:
+            section = section.setdefault(parent, {})
+        section[name] = value
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+        config = write_config(out.parent, cfg)
+        code, err = run_cli(["suite" if command == "files" else command,
+                             "--config", config, "--out", str(out)])
+        assert_one_error_line(code, err, out)
+        # the line names the section, then the field
+        assert err.startswith(f"error: {'.'.join(parents)}") and name in err, err
+
+    @given(side=st.sampled_from(["source", "target"]), part=st.sampled_from(
+        ["cut", "extend", "rows", "empty", "magic", "nan", "label", "drop label"]),
+        cut=st.integers(0, 15), text=letters_but_no_number())
+    @example(side="target", part="empty", cut=0, text="x")
+    @FUZZ
+    def test_a_malformed_embeddings_file(self, pair, tmp_path, side, part, cut, text):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        for name in os.listdir(pair):
+            (work / name).write_bytes((pair / name).read_bytes())
+        features, labels = work / f"{side}_features.bin", work / f"{side}_labels.txt"
+        blob, lines = features.read_bytes(), labels.read_text().splitlines()
+        n, d = struct.unpack("<II", blob[4:12])
+        if part == "cut":
+            features.write_bytes(blob[:cut] if cut < 12 else blob[:-cut])
+        elif part == "extend":
+            features.write_bytes(blob + b"\0" * (cut + 1))
+        elif part == "rows":  # a row count that does not match the payload
+            features.write_bytes(blob[:4] + struct.pack("<I", cut) + blob[8:])
+        elif part == "empty":  # no rows, and so no labels
+            features.write_bytes(blob[:4] + struct.pack("<I", 0) + blob[8:16])
+            labels.write_text("")
+        elif part == "magic":
+            features.write_bytes(b"XXXX" + blob[4:])
+        elif part == "nan":
+            features.write_bytes(blob[:16 + 4 * (cut % (n * d))] + struct.pack("<f", np.nan)
+                                 + blob[20 + 4 * (cut % (n * d)):])
+        elif part == "label":
+            lines[cut % n] = text
+            labels.write_text("\n".join(lines) + "\n")
+        else:
+            labels.write_text("\n".join(lines[:-1 - cut % n]) + "\n")
+        out = work / "out"
+        code, err = run_cli(["suite", "--config", write_config(
+            work, {**base_config(), "data": file_data(work)}), "--out", str(out)])
+        assert_one_error_line(code, err, out)
+        assert side in err  # the file's path, or the dataset's name
+
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        runs = tmp_path_factory.mktemp("runs")
+        cfg = {**base_config(), "tasks": ["LP-ODG", "SFUDA"], "methods": ["SHOT"],
+               "method_configs": {"SHOT": {"epochs": 1}}}
+        assert run_cli(["suite", "--config", write_config(runs, cfg), "--seeds", "0,1",
+                        "--out", str(runs)])[0] == 0
+        return (runs / "records.csv").read_text().splitlines()
+
+    @given(row=st.integers(0, 3), column=st.sampled_from(
+        ["seed", "accuracy", "baseline_lp_odg", "delta", "failed", None]),
+        text=letters_but_no_number())
+    @FUZZ
+    def test_a_malformed_records_file(self, records, tmp_path, row, column, text):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        lines = list(records)
+        fields = lines[2 + row].split(",")
+        if column is None:
+            fields.pop()
+        else:
+            fields[RECORD_COLUMNS.index(column)] = text
+        lines[2 + row] = ",".join(fields)
+        (work / "records.csv").write_text("\n".join(lines) + "\n")
+        out = work / "out"
+        code, err = run_cli(["report", str(work / "records.csv"), "--out", str(out)])
+        assert_one_error_line(code, err, out)
+
+    @given(row=st.integers(0, 5), column=st.sampled_from(["top1", "pretrain", "accuracy"]),
+           text=letters_but_no_number() | st.sampled_from(["101", "-1"]))
+    @FUZZ
+    def test_a_malformed_results_table(self, tmp_path, row, column, text):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        with open(ASSET_TABLE) as fh:
+            lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+        header = lines[0].split(",")
+        fields = lines[1 + row].split(",")
+        fields[header.index(column)] = text
+        lines[1 + row] = ",".join(fields)
+        (work / "table.csv").write_text("\n".join(lines) + "\n")
+        out = work / "out"
+        code, err = run_cli(["stats", str(work / "table.csv"), "--out", str(out)])
+        assert_one_error_line(code, err, out)

@@ -52,7 +52,7 @@ class TestShardMachinery:
         assert effective_batch(100, 64, 4) == 64
         assert effective_batch(50, 64, 4) == 48
         assert effective_batch(7, 64, 4) == 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot split 3 rows across 4 workers"):
             effective_batch(3, 64, 4)
 
     def test_parse_cell(self):
