@@ -31,7 +31,7 @@ from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair
                    labels_text, load_embeddings, load_results_table)
 from .distsim import cell_columns, grid_error, grid_specs, parse_cell
 from .engine import DEFAULT_GRID
-from .harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, failure_report,
+from .harness import (ADAPT_METHODS, METHODS, ExperimentRecord, TaskSpec, failure_report,
                       format_mean_std, hyperparameter_grid, mean_std, run_suite,
                       spec_groups)
 from .head import HeadConfig, LoopConfig, TrainConfig
@@ -193,6 +193,13 @@ def _section(cls, raw, ctx: str):
         return cls(**raw)
 
 
+def _known_methods(methods: list[str], ctx: str) -> None:
+    """Raises naming ctx at the first method the harness does not run."""
+    for m in methods:
+        if m not in METHODS:
+            raise CliError(f"{ctx}: unknown method {m!r}")
+
+
 def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
     data = cfg.get("data", {})
     _check_keys(data, {"generate", "source", "target"}, "data")
@@ -239,6 +246,7 @@ def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
     tasks, methods = cfg.get("tasks", []), cfg.get("methods", [])
     if not tasks:
         raise CliError("config needs a nonempty 'tasks' list")
+    _known_methods(methods, "methods")
     common = dict(target=target, source=source, **_head_and_train(cfg, "layernorm"))
     method_configs = _method_configs(cfg)
     specs = []
@@ -444,6 +452,7 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
                  for c in [parse_cell(c) for c in grid.cells] or DEFAULT_GRID]
     if not grid.methods:
         raise CliError("distgrid: methods must be a nonempty list")
+    _known_methods(grid.methods, "distgrid.methods")
     source, target = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "batchnorm")
     specs = grid_specs(grid.methods, source, target, cells, _method_configs(cfg), **settings)
@@ -464,6 +473,7 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
 
 def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
     sweep = _section(Sweep, cfg.get("sweep", {}), "sweep")
+    _known_methods([sweep.method], "sweep.method")
     source, target = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "layernorm")
     # method_configs gives the settings the sweep does not vary

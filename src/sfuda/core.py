@@ -91,14 +91,19 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
 
     With rows (indices into m, in any order, repeats allowed) only those rows
     are ranked, from u[rows] @ u.T, and the result is knn_indices(m, k)[rows]
-    bit for bit. The two products round differently, by at most about
-    d * eps on unit rows, so the order is trusted only where every gap
-    between a ranked row's k+1 lowest costs exceeds a guard well above that
-    (see _RANK_GUARD); a smaller gap, a tie or a NaN makes the call rank the
-    full table and return its rows.
+    bit for bit. Each ranked row's k+1 lowest costs are picked by k+1 argmin
+    passes over the row, each pass setting its pick to inf, so they come out
+    ascending. The two products round differently, by at most about d * eps
+    on unit rows, so the order is trusted only where every gap between those
+    k+1 costs exceeds a guard well above that (see _RANK_GUARD); a smaller
+    gap or a tie among them makes the call rank the full table and return
+    its rows. So does a NaN anywhere in a ranked row's costs, which the
+    first pass picks: the result is the same, the cost that of the full
+    table.
 
     unit, when given, must be l2_normalize_rows(m): a caller that ranks rows
-    of one matrix more than once normalizes it once.
+    of one matrix more than once normalizes it once (a MemoryBank keeps its
+    unit rows, renormalizing only the rows it refreshes).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -130,20 +135,25 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
     if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
         raise ValueError(f"rows must be a vector of indices below n={n}")
     cost = -u[rows] @ u.T
-    cost[np.arange(rows.size), rows] = np.inf
-    # each row's k+1 lowest costs, ascending; with every gap above the guard
-    # there is no tie for the tie rule to break
-    low = np.argpartition(cost, k, axis=1)[:, :k + 1]
-    low_cost = np.take_along_axis(cost, low, axis=1)
-    order = np.argsort(low_cost, axis=1)
-    gaps = np.diff(np.take_along_axis(low_cost, order, axis=1), axis=1)
+    at = np.arange(rows.size)
+    cost[at, rows] = np.inf
+    # each row's k+1 lowest costs, ascending, by k+1 argmin passes that each
+    # set their pick to inf; argmin takes the lower index of equal costs, and
+    # a NaN before any number
+    low = np.empty((rows.size, k + 1), dtype=np.int64)
+    low_cost = np.empty((rows.size, k + 1))
+    for j in range(k + 1):
+        low[:, j] = cost.argmin(axis=1)
+        low_cost[:, j] = cost[at, low[:, j]]
+        cost[at, low[:, j]] = np.inf
+    gaps = np.diff(low_cost, axis=1)
     # Either product puts a cost of unit rows within d * eps / 2 of exact, so
     # rounding closes a gap of at most 2 * d * eps; the guard is four times
-    # that at least. A NaN sorts last: it reaches the k+1 lowest only when it
-    # changes the ranking, and then its gap compares False.
+    # that at least. A NaN is the first pick of its row, and its gap compares
+    # False.
     if not np.all(gaps > max(_RANK_GUARD, 8.0 * d * np.finfo(np.float64).eps)):
         return knn_indices(m, k, unit=u)[rows]
-    return np.take_along_axis(low, order[:, :k], axis=1)
+    return low[:, :k]
 
 
 def one_hot(labels: Array, num_classes: int) -> Array:

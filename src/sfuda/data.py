@@ -186,6 +186,9 @@ def load_embeddings(features_path: str, labels_path: str | None = None,
             raise ValueError(f"{labels_path}: non-integer label ({e})") from None
         if num_classes is None:
             num_classes = int(labels.max()) + 1
+            if num_classes > n:  # each class needs a row
+                raise ValueError(f"{labels_path}: largest label {num_classes - 1} implies "
+                                 f"{num_classes} classes, but there are {n} rows")
     elif num_classes is None:
         raise ValueError("num_classes is required when no labels file is given")
     return DomainDataset(name or features_path, feats, labels, num_classes)

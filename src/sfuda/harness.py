@@ -501,9 +501,9 @@ def hyperparameter_grid(param_grid: dict, spec: TaskSpec) -> tuple[list[TaskSpec
         if name == "seed":
             raise ValueError("sweep.params: seed is derived from each record's seed")
         if name not in legal:
-            raise ValueError(f"{method} has no parameter {name!r}")
+            raise ValueError(f"sweep.params: {method} has no parameter {name!r}")
         if not isinstance(values, (list, tuple)) or not values:
-            raise ValueError(f"sweep parameter {name!r} needs a nonempty list of values")
+            raise ValueError(f"sweep.params: {name} needs a nonempty list of values")
 
     combos = [dict(zip(param_grid, combo)) for combo in itertools.product(*param_grid.values())]
     try:

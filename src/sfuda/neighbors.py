@@ -4,7 +4,7 @@ decaying dispersal weight (AAD). Both update every head parameter."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,10 +46,13 @@ class AadConfig(LoopConfig):
 
 @dataclass
 class MemoryBank:
-    """Detached snapshot of the whole target set: unit features, simplex scores."""
+    """Detached snapshot of the whole target set: unit features, simplex
+    scores, and unit = l2_normalize_rows(features), the rows the neighbor
+    ranking reads, which refresh keeps so row by row."""
 
     features: np.ndarray
     scores: np.ndarray
+    unit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -63,6 +66,7 @@ class MemoryBank:
             raise ValueError("bank feature rows must be unit norm")
         if np.any(self.scores < -1e-12) or np.any(np.abs(self.scores.sum(axis=1) - 1.0) > 1e-6):
             raise ValueError("bank score rows must lie on the simplex")
+        self.unit = l2_normalize_rows(self.features)
 
     @property
     def n(self) -> int:
@@ -70,6 +74,9 @@ class MemoryBank:
 
     def refresh(self, rows: np.ndarray, feats: np.ndarray, scores: np.ndarray) -> None:
         self.features[rows] = l2_normalize_rows(feats)
+        # a row's norm reads that row alone, so this is the full
+        # l2_normalize_rows(features) bit for bit
+        self.unit[rows] = l2_normalize_rows(self.features[rows])
         self.scores[rows] = scores
 
 
@@ -83,7 +90,7 @@ def _bank_knn(bank: MemoryBank, k: int, knn: np.ndarray | None = None) -> np.nda
     wider table (knn_indices tables are prefixes of each other), or a fresh
     one when knn is None."""
     if knn is None:
-        return knn_indices(bank.features, k)
+        return knn_indices(bank.features, k, unit=bank.unit)
     knn = np.asarray(knn)
     if knn.ndim != 2 or knn.shape[0] != bank.n or knn.shape[1] < k:
         raise ValueError(f"neighbor table of shape {knn.shape} does not cover "
@@ -256,12 +263,15 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
         # neighbors (NRC): rank those alone; the rest hold n, so a stray read
         # raises IndexError
         knn = np.full((n, table_k), n, dtype=np.int64)
-        unit = l2_normalize_rows(bank.features)
-        knn[rows] = knn_indices(bank.features, table_k, rows=rows, unit=unit)
+        knn[rows] = knn_indices(bank.features, table_k, rows=rows, unit=bank.unit)
         if kind == "nrc":
-            extra = np.setdiff1d(knn[rows, :cfg.K], rows)
+            # the batch rows' neighbors outside the batch, ascending
+            extra = np.zeros(n, dtype=bool)
+            extra[knn[rows, :cfg.K]] = True
+            extra[rows] = False
+            extra = np.flatnonzero(extra)
             if extra.size:
-                knn[extra] = knn_indices(bank.features, table_k, rows=extra, unit=unit)
+                knn[extra] = knn_indices(bank.features, table_k, rows=extra, unit=bank.unit)
 
         def objective(shards, logits):
             p = softmax(logits)

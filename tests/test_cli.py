@@ -458,6 +458,12 @@ class TestFailureHandling:
          "method_configs.SHOT: seed is derived from each record's seed"),
         ("distgrid", "method_configs", {"AAD": {"seed": 1}},
          "method_configs.AAD: seed is derived from each record's seed"),
+        # a method name is checked against the methods the harness runs
+        ("suite", "methods", ["SHOT", "SHOTT"], "methods: unknown method 'SHOTT'"),
+        ("distgrid", "distgrid", {"methods": ["NRC", "SHOTT"]},
+         "distgrid.methods: unknown method 'SHOTT'"),
+        ("sweep", "sweep", {"method": "SHOTT", "params": {"epochs": [1]}},
+         "sweep.method: unknown method 'SHOTT'"),
     ])
     def test_a_section_of_the_wrong_type_is_named(self, tmp_path, capsys, command, key,
                                                   value, message):
@@ -555,6 +561,21 @@ class TestFailureHandling:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_a_stray_large_label_names_its_file(self, tmp_path, capsys):
+        pair = tmp_path / "pair"
+        assert main(["gen-data", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(pair)]) == 0
+        labels = pair / "source_labels.txt"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join(["99"] + lines[1:]) + "\n")
+        cfg = {**base_config(), "data": file_data(pair)}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["suite", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {labels}: largest label 99 implies "
+                                           f"100 classes, but there are {len(lines)} rows\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("values", [[], 2])
     def test_sweep_parameter_needs_a_nonempty_list(self, tmp_path, capsys, values):
         cfg_dict = base_config()
@@ -564,7 +585,7 @@ class TestFailureHandling:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: sweep parameter 'epochs' needs a nonempty list")
+        assert err.startswith("error: sweep.params: epochs needs a nonempty list")
         assert not out.exists()
 
     def test_a_dying_worker_fails_the_suite_with_one_error_line(self, tmp_path):
@@ -754,6 +775,7 @@ class TestSweepCommand:
         ({"epochs": [1], "momentum": [0.5, 1.5]},
          "sweep.params: momentum must lie in [0, 1)"),
         ({"seed": [1, 2, 3]}, "sweep.params: seed is derived from each record's seed"),
+        ({"neighbors": [3]}, "sweep.params: SHOT has no parameter 'neighbors'"),
     ])
     def test_a_bad_sweep_value_names_its_section(self, tmp_path, capsys, params, message):
         cfg_dict = base_config()

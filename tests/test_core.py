@@ -211,6 +211,25 @@ class TestRankedRows:
         assert fell_back
         np.testing.assert_array_equal(got, knn_indices(m, 5)[[7, 3]])
 
+    @pytest.mark.parametrize("rank", [1, 2], ids=["k+1_k+2", "k+2_k+3"])
+    def test_a_tie_past_the_lowest_costs_changes_nothing(self, rank):
+        """A copy of row 7's (k+rank)-th nearest row, put in place of its
+        farthest, ties ranks k+rank and k+rank+1: outside its k+1 lowest
+        costs, so neither the result nor the fallback decision moves."""
+        k, rows = 5, np.array([7, 3, 7])
+        m = make_rng(3).normal(size=(40, 8))
+        before, fell_back = self.ranked(m, k, rows)
+        assert not fell_back
+        order = knn_indices(m, m.shape[0] - 1)[7]
+        tied = m.copy()
+        tied[order[-1]] = m[order[k + rank - 1]]
+        assert (knn_indices(tied, k + rank + 1)[7, k + rank - 1:]
+                == np.sort([order[k + rank - 1], order[-1]])).all()
+        got, fell_back = self.ranked(tied, k, rows)
+        assert not fell_back
+        np.testing.assert_array_equal(got, knn_indices(tied, k)[rows])
+        np.testing.assert_array_equal(got[[0, 2]], before[[0, 2]])
+
     def test_nan_falls_back(self):
         m = make_rng(4).normal(size=(10, 3))
         m[6, 0] = np.nan

@@ -209,6 +209,20 @@ class TestEmbeddingsIO:
         with pytest.raises(ValueError, match="expected 30 labels, found 28"):
             load_embeddings(fpath, lpath)
 
+    def test_a_stray_large_label_names_the_file_and_the_label(self, tmp_path):
+        src, _ = small_pair(seed=2, n=10)
+        fpath, lpath = str(tmp_path / "e.bin"), str(tmp_path / "e.labels")
+        save(src, fpath, lpath)
+        lines = open(lpath).read().splitlines()
+        open(lpath, "w").write("\n".join(lines[:-1] + ["99"]) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(fpath, lpath)
+        assert str(err.value) == (f"{lpath}: largest label 99 implies 100 classes, "
+                                  "but there are 30 rows")
+        # a given class count is checked against the labels instead
+        with pytest.raises(ValueError, match="label out of range"):
+            load_embeddings(fpath, lpath, num_classes=3)
+
     def test_features_only_needs_class_count(self, tmp_path):
         src, _ = small_pair(seed=2, n=10)
         fpath = str(tmp_path / "e.bin")
