@@ -88,14 +88,19 @@ def load_config(path: str | None) -> dict:
 
 
 def parse_seeds(text: str) -> list[int]:
+    def seed(piece: str) -> int:
+        try:
+            return int(piece)
+        except ValueError:
+            raise CliError(f"seeds must be nonnegative integers, not {piece!r}") from None
+
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(seed, text.split("..", 1))
         if hi < lo:
             raise CliError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",") if v]
+    return [seed(v) for v in text.split(",") if v]
 
 
 def _int_at_least(value, low: int) -> bool:
@@ -610,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="single seed")
         p.add_argument("--seeds", help="seed range A..B or comma list")
-        p.add_argument("--jobs", type=int, help="worker processes for the records")
+        p.add_argument("--jobs", type=int, help="worker processes for first transfers and records")
         p.add_argument("--out", help="output directory (default $SFUDA_OUT_DIR)")
         p.add_argument("--format", choices=("csv", "tsv"), help="table format")
         p.set_defaults(func=func)

@@ -141,8 +141,8 @@ class TransferMemo:
     objects alive, so no other object can take over their ids. An outcome is
     a deterministic function of its key, so an Exception the computation
     raises is stored, its traceback cleared, and raised for every later
-    caller; a BaseException stores nothing. A pooled suite forks its
-    workers, so each works on its own copy, under the same ids."""
+    caller; a BaseException stores nothing. A suite's forked workers each
+    work on their own copy, under the same ids."""
 
     def __init__(self):
         self._slots: dict[tuple, tuple] = {}
@@ -339,19 +339,19 @@ def _blas_thread_cap(workers: int):
             setter(before)
 
 
-# The (records, memo) of the pooled suite a worker process serves; set by
-# _start_worker in the forked workers only, never in the suite's own process.
-_worker_suite: tuple | None = None
-
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
+# The (fn, items) a _map worker process serves; set by _start_worker in the
+# forked workers only, never in the mapping process.
+_worker_map: tuple | None = None
 
-def _start_worker(flat: list[TaskSpec], memo: TransferMemo, parent: int) -> None:
-    """Initializer of a pooled suite's workers. fork hands them flat and memo
-    as they are in the parent, without pickling."""
-    global _worker_suite
-    _worker_suite = flat, memo
-    # the kernel kills this worker when the suite's process dies, even by SIGKILL
+
+def _start_worker(fn, items: list, parent: int) -> None:
+    """Initializer of _map's workers. fork hands them fn and items as they
+    are in the parent, without pickling."""
+    global _worker_map
+    _worker_map = fn, items
+    # the kernel kills this worker when the mapping process dies, even by SIGKILL
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
@@ -360,76 +360,57 @@ def _start_worker(flat: list[TaskSpec], memo: TransferMemo, parent: int) -> None
         os._exit(1)
 
 
-def _stage_one_entries(spec: TaskSpec, role: str, memo: TransferMemo) -> list[tuple]:
-    """The memo entries of spec's first transfer in role and, for "lp", of
-    the LP-ODG baseline it scores."""
-    entries = [_transfer_entry(spec, *_transfer_plan(spec, memo)[role])]
-    return entries + [_baseline_entry(spec, memo)] if role == "lp" else entries
+def _map_item(i: int):
+    fn, items = _worker_map
+    return fn(items[i])
 
 
-def _pooled_transfer(i: int, role: str) -> list:
-    """Stage one, in a worker: the memo outcome, a value or an exception, of
-    each of record i's stage-one entries in role."""
-    flat, memo = _worker_suite
-    return [memo.outcome(*entry) for entry in _stage_one_entries(flat[i], role, memo)]
-
-
-def _pooled_record(i: int) -> ExperimentRecord:
-    flat, memo = _worker_suite
-    return _run_one(flat[i], memo)
-
-
-def _run_pooled(flat: list[TaskSpec], memo: TransferMemo, workers: int,
-                ) -> list[ExperimentRecord]:
-    """flat's records on `workers` forked processes, with what serial records
-    share computed once: in-domain splits here, then each
-    distinct first transfer and baseline on a first pool, then the records
-    on a second pool forked from the filled memo."""
+def _map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], on up to `jobs` forked worker processes
+    with BLAS threads capped for the pool's lifetime; serially below two
+    workers or where the platform cannot fork. A worker changes only its own
+    copy of what fn reaches, and sends back only fn's result. A worker that
+    dies raises BrokenProcessPool."""
+    workers = min(jobs, len(items))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    @contextlib.contextmanager
-    def pool():
+    with _blas_thread_cap(workers):
         executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_start_worker,
-                                       initargs=(flat, memo, os.getpid()))
+                                       initargs=(fn, items, os.getpid()))
         try:
-            yield executor
-        finally:  # after an exception (Ctrl-C too), start no further record
+            return list(executor.map(_map_item, range(len(items))))
+        finally:  # after an exception (Ctrl-C too), start no further item
             executor.shutdown(cancel_futures=True)
-
-    jobs = {}  # memo key -> (first record, role)
-    for i, spec in enumerate(flat):
-        for role, (scope, data) in _transfer_plan(spec, memo).items():
-            jobs.setdefault(memo.key(*_transfer_entry(spec, scope, data)[:2]), (i, role))
-
-    with pool() as executor:
-        done = list(executor.map(_pooled_transfer, *zip(*jobs.values())))
-    for (i, role), outcomes in zip(jobs.values(), done):
-        for (objects, params, _), outcome in zip(
-                _stage_one_entries(flat[i], role, memo), outcomes):
-            memo.outcome(objects, params, lambda: outcome)
-    with pool() as executor:
-        return list(executor.map(_pooled_record, range(len(flat))))
 
 
 def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> list[ExperimentRecord]:
     """Every spec at every seed, spec-major: spec i's records are the i-th
     run of len(seeds). A run that raises is recorded as an error, not a
     failure; the suite never aborts. Each distinct first transfer trains
-    once per suite, and one that raises fails every record that needs it
-    with the same error. jobs > 1 runs the records on that many forked
-    worker processes (serially where the platform cannot fork), with BLAS
-    threads capped for the pool's lifetime; results do not depend on either
-    and keep their positions. A worker that dies raises BrokenProcessPool."""
+    once per suite, before any record runs, and one that raises fails every
+    record that needs it with the same error. jobs > 1 runs each of the two
+    stages on that many forked worker processes (see _map); results do not
+    depend on it and keep their positions."""
     seeds = list(seeds)
     flat = [replace(spec, seed=seed) for spec in specs for seed in seeds]
     memo = TransferMemo()
-    workers = min(jobs, len(flat))
-    if workers > 1 and hasattr(os, "fork"):
-        with _blas_thread_cap(workers):
-            return _run_pooled(flat, memo, workers)
-    return [_run_one(s, memo) for s in flat]
+    groups = {}  # transfer key -> its memo entries, with the baseline it scores for "lp"
+    for spec in flat:
+        for role, (scope, data) in _transfer_plan(spec, memo).items():
+            entries = [_transfer_entry(spec, scope, data)]
+            if role == "lp":
+                entries.append(_baseline_entry(spec, memo))
+            groups.setdefault(memo.key(*entries[0][:2]), entries)
+    trained = _map(lambda entries: [memo.outcome(*entry) for entry in entries],
+                   list(groups.values()), jobs)
+    for entries, outcomes in zip(groups.values(), trained):
+        for (objects, params, _), outcome in zip(entries, outcomes):
+            memo.outcome(objects, params, lambda: outcome)
+    return _map(lambda spec: _run_one(spec, memo), flat, jobs)
 
 
 def spec_groups(records: list[ExperimentRecord], n_seeds: int) -> list[list]:

@@ -388,6 +388,8 @@ class TestFailureHandling:
         # a path is typed before it is opened (open() takes an int as a descriptor)
         ({"out_dir": 5}, [], "config: out_dir must be str, not 5"),
         ({"results_table": 5}, [], "config: results_table must be str, not 5"),
+        ({}, ["--seeds=x"], "seeds must be nonnegative integers, not 'x'"),
+        ({}, ["--seeds=1..3,5"], "seeds must be nonnegative integers, not '3,5'"),
     ])
     def test_malformed_seeds_and_jobs_are_config_errors(self, tmp_path, capsys, config,
                                                         flags, message):

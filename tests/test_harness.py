@@ -235,14 +235,18 @@ class TestSuite:
         b = run_suite([spec], [0, 1])
         assert [r.accuracy for r in a] == [r.accuracy for r in b]
 
-    def test_thread_pool_matches_serial(self):
+    def test_process_pool_matches_serial(self):
         src, tgt = small_shifted_pair()
         specs = [TaskSpec(task="LP-ODG", target=tgt, source=src, hidden_dim=16),
                  TaskSpec(task="SFUDA", target=tgt, source=src, method="SHOT",
-                          hidden_dim=16, method_config=ShotConfig(epochs=3))]
+                          hidden_dim=16, method_config=ShotConfig(epochs=3)),
+                 TaskSpec(task="SFUDA", target=tgt, source=src, method="NRC",
+                          hidden_dim=16, method_config=NrcConfig(K=200, epochs=1))]
         serial = run_suite(specs, [0, 1], jobs=1)
         pooled = run_suite(specs, [0, 1], jobs=2)
-        assert [r.accuracy for r in serial] == [r.accuracy for r in pooled]
+        assert serial[-1].error is not None  # an error record is compared too
+        assert [(scores(r), r.failed, r.error) for r in serial] == \
+            [(scores(r), r.failed, r.error) for r in pooled]
 
     def test_without_fork_a_pooled_suite_runs_serially(self, monkeypatch):
         src, tgt = small_shifted_pair()
@@ -387,6 +391,28 @@ class TestSharedFirstTransfer:
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy.real)
         assert kept.error is None
         assert scores(kept) == scores(run_task(no_source))
+
+    def test_every_first_transfer_trains_before_the_first_adaptation(self, monkeypatch):
+        src, tgt = small_shifted_pair()
+        # adapting records first, so that training on demand would interleave
+        specs = self.specs(src, tgt)[::-1]
+        events = []
+        real_train = sfuda.harness.train_supervised
+        cfg_cls, adapt_fn = ADAPT_METHODS["SHOT"]
+
+        def train(model, data, scope, cfg, step_hook=None):
+            events.append("train")
+            return real_train(model, data, scope, cfg, step_hook)
+
+        def adapt(model, feats, cfg, dist=None):
+            events.append("adapt")
+            return adapt_fn(model, feats, cfg, dist)
+
+        monkeypatch.setattr(sfuda.harness, "train_supervised", train)
+        monkeypatch.setitem(ADAPT_METHODS, "SHOT", (cfg_cls, adapt))
+        records = run_suite(specs, [0, 1], jobs=1)
+        assert all(r.error is None for r in records)
+        assert events == ["train"] * 6 + ["adapt"] * 4
 
     def test_the_memo_stores_an_exception_and_not_a_base_exception(self):
         memo, calls = sfuda.harness.TransferMemo(), []
