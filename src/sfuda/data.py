@@ -217,18 +217,21 @@ class ResultsTable:
 
 
 def load_results_table(path: str) -> ResultsTable:
-    """Comma-delimited benchmark records; every malformed line is reported."""
+    """Comma-delimited benchmark records; every malformed line is reported
+    by its line number in the file, comment lines counted."""
     rows: list[ResultsRow] = []
     problems: list[str] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        kept = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+        reader = csv.reader(line for _, line in kept)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         if tuple(h.strip() for h in header) != RESULT_COLUMNS:
             raise ValueError(f"{path}: header must be {','.join(RESULT_COLUMNS)}")
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
+            lineno = kept[reader.line_num - 1][0]
             if len(rec) != len(RESULT_COLUMNS):
                 problems.append(f"line {lineno}: expected {len(RESULT_COLUMNS)} columns")
                 continue

@@ -177,15 +177,47 @@ def decay_lambda(step: int, max_step: int, beta: float) -> float:
     return float((1.0 + 10.0 * step / max_step) ** -beta)
 
 
+def _floyd_choices(free: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """[rng.choice(f, size, replace=False) for f in free] from one
+    rng.integers call, draw for draw, leaving rng where the loop would.
+
+    For a small sample choice runs Floyd's algorithm: draws on [0, f-size+j]
+    for j = 0..size-1, each keeping f-size+j when its value is already
+    taken, then a shuffle with draws on [0, i] for i = size-1..1. Every one
+    is the bounded draw integers makes per element of an array bound, in C
+    order, so row r's draws are row r of a (b, 2*size-1) bound array.
+    Below, draw j of every row is one contiguous row of the transpose."""
+    b = len(free)
+    tops = np.empty((max(2 * size - 1, 0), b), dtype=np.int64)
+    tops[:size] = free - size + np.arange(size)[:, None]
+    tops[size:] = np.arange(size - 1, 0, -1)[:, None]
+    draws = rng.integers(0, tops.T, endpoint=True).T
+    pos = draws[:size].copy()
+    for j in range(1, size):
+        np.copyto(pos[j], tops[j], where=(pos[:j] == pos[j]).any(axis=0))
+    # pos is contiguous, so flat is a view: flat[j * b + r] is pos[j, r]
+    flat, cols = pos.ravel(), np.arange(b)
+    for c, i in enumerate(range(size - 1, 0, -1), start=size):
+        at = draws[c] * b + cols
+        swap = flat[at]
+        flat[at] = pos[i]
+        pos[i] = swap
+    return pos.T
+
+
 def sample_backgrounds(bank_n: int, neigh: np.ndarray, batch_indices: np.ndarray,
                        size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform non-neighbor sample per batch row, without replacement; neigh
     is (b, K) and batch_indices (b,).
 
-    Each row draws positions in its ascending pool of allowed bank indices
-    (one rng.choice per row, the draw rng.choice(pool, ...) would make) and
-    maps a position to its bank index by counting the blocked indices below
-    it, so no pool is built."""
+    Each row draws positions in its ascending pool of allowed bank indices,
+    the draw rng.choice(pool, size, replace=False) would make, row after row,
+    and maps a position to its bank index by counting the blocked indices
+    below it, so no pool is built. All rows draw through one rng.integers
+    call (_floyd_choices). numpy's choice shuffles the tail of arange(f)
+    instead when f > 10,000 and size > f // 50; if any row of a call is in
+    that regime, the call draws with one rng.choice per row. With the
+    default K=3 (size 6) no row is."""
     b, k = neigh.shape
     if bank_n <= k + size:
         raise ValueError(f"bank of {bank_n} too small for K={k} plus {size} background")
@@ -196,8 +228,11 @@ def sample_backgrounds(bank_n: int, neigh: np.ndarray, batch_indices: np.ndarray
     blocked[repeat] = bank_n + k + 1
     blocked.sort(axis=1)
     free = bank_n - (k + 1) + repeat.sum(axis=1)
-    pos = np.array([rng.choice(f, size=size, replace=False) for f in free],
-                   dtype=np.int64).reshape(b, size)
+    if np.any((free > 10_000) & (size > free // 50)):
+        pos = np.array([rng.choice(f, size=size, replace=False) for f in free],
+                       dtype=np.int64).reshape(b, size)
+    else:
+        pos = _floyd_choices(free, size, rng)
     # blocked[j] - j allowed indices lie below blocked[j]
     shifted = blocked - np.arange(k + 1)
     return pos + (shifted[:, None, :] <= pos[:, :, None]).sum(axis=2)
@@ -214,8 +249,10 @@ def aad_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
 
     batch_scores is (..., m, C) and batch_indices (..., m), one batch of m
     rows per leading index; the value has the leading shape (a float for
-    one (m, C) batch). All rows draw their backgrounds in one call, in
-    row-major order, so a stack draws what its batches would in turn."""
+    one (m, C) batch). All rows draw their backgrounds in one
+    sample_backgrounds call, in row-major order, which draws what one
+    rng.choice per row would (with one rng.integers call outside numpy's
+    tail regime), so a stack draws what its batches would in turn."""
     p = np.asarray(batch_scores, dtype=np.float64)
     bidx = np.asarray(batch_indices, dtype=np.int64)
     b = p.shape[-2]

@@ -272,6 +272,19 @@ class TestResultsTable:
         msg = str(exc.value)
         assert "line 2" in msg and "line 3" in msg
 
+    def test_a_comment_line_counts_in_the_line_number(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# a comment\n"
+                     "backbone,top1,pretrain,task,accuracy\n"
+                     "resnet50,76.1,1,office,71.3\n"
+                     "resnet101,abc,1,office,73.0\n"
+                     "# another\n"
+                     "vit-b,81.0,2,visda,68.8\n")
+        with pytest.raises(ValueError) as exc:
+            load_results_table(str(p))
+        assert str(exc.value) == (f"{p}: line 4: non-numeric field; "
+                                  "line 6: pretrain flag must be 0 or 1")
+
     def test_wrong_header(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,c\n1,2,3\n")

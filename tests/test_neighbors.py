@@ -298,6 +298,73 @@ class TestBackgroundStream:
             np.testing.assert_array_equal(got, want)
             assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
 
+    @staticmethod
+    def free_counts(bank_n, neigh, bidx):
+        return [bank_n - len(set(row.tolist()) | {int(i)}) for row, i in zip(neigh, bidx)]
+
+    def test_numpy_tail_regime_matches_the_pool_loop(self):
+        # rng.choice shuffles the tail of arange(f) when f > 10,000 and
+        # size > f // 50: here every row has f = 10,096 and size 210
+        bank_n, size = 10_100, 210
+        cases = make_rng(23)
+        bidx = np.array([5, 4_000, 10_099])
+        neigh = np.stack([cases.choice(np.delete(np.arange(bank_n), i), 3, replace=False)
+                          for i in bidx])
+        assert all(f > 10_000 and size > f // 50 for f in self.free_counts(bank_n, neigh, bidx))
+        got_rng, want_rng = CountingRng(make_rng(24)), make_rng(24)
+        got = sample_backgrounds(bank_n, neigh, bidx, size, got_rng)
+        assert got_rng.calls == ["choice"] * len(bidx)
+        want = pool_loop_backgrounds(bank_n, neigh, bidx, size, want_rng)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+    def test_rows_on_both_sides_of_the_tail_regime_match_the_pool_loop(self):
+        # repeated blocked indices raise a row's free count f: 9,998 with
+        # none, 10,000 with two (still Floyd's path), 10,001 with three (tail)
+        bank_n, size = 10_002, 210
+        bidx = np.array([7, 100, 9_000, 3])
+        neigh = np.array([[1, 2, 3], [100, 100, 5], [9_000, 9_000, 9_000], [4, 5, 6]])
+        assert self.free_counts(bank_n, neigh, bidx) == [9_998, 10_000, 10_001, 9_998]
+        # one tail row sends the whole call to per-row choice; without it
+        # the call draws once
+        for rows, calls in (([0, 1, 2, 3], ["choice"] * 4), ([0, 1, 3], ["integers"])):
+            for seed in range(3):
+                got_rng, want_rng = CountingRng(make_rng(seed)), make_rng(seed)
+                got = sample_backgrounds(bank_n, neigh[rows], bidx[rows], size, got_rng)
+                assert got_rng.calls == calls
+                want = pool_loop_backgrounds(bank_n, neigh[rows], bidx[rows], size, want_rng)
+                np.testing.assert_array_equal(got, want)
+                assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+    def test_a_batch_draws_with_one_integers_call(self):
+        cases = make_rng(25)
+        bank_n, b = 320, 64
+        bidx = cases.integers(0, bank_n, size=b)
+        neigh = np.stack([cases.choice(np.delete(np.arange(bank_n), i), 3, replace=False)
+                          for i in bidx])
+        got_rng = CountingRng(make_rng(26))
+        got = sample_backgrounds(bank_n, neigh, bidx, 6, got_rng)
+        assert got_rng.calls == ["integers"]
+        want_rng = make_rng(26)
+        np.testing.assert_array_equal(
+            got, pool_loop_backgrounds(bank_n, neigh, bidx, 6, want_rng))
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+
+class CountingRng:
+    """Forwards every method call to a real generator and logs its name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
 
 class TestSharedNeighborTable:
     def test_nrc_given_table_is_bit_identical(self):
