@@ -315,13 +315,17 @@ def _blas_build() -> str:
         return "unknown"
 
 
-def _manifest(cfg: dict, common: dict, chash: str, command: str) -> str:
-    # provenance is not hashed: the numeric environment is recorded, not compared
-    doc = {"config": cfg,
-           "provenance": {"toolkit_version": __version__, "config_sha256": chash,
-                          "command": command, "seeds": common["seeds"],
-                          "format": common["format"], "numpy": np.__version__,
-                          "scipy": scipy.__version__, "blas": _blas_build()}}
+def _manifest(cfg: dict, common: dict, chash: str, command: str,
+              datasets: dict[str, DomainDataset] | None = None) -> str:
+    """manifest.json: cfg and its provenance. provenance is not hashed: the
+    numeric environment is recorded, not compared. It includes the compute
+    dtype of each of the datasets (role -> dataset) the records ran on."""
+    prov = {"toolkit_version": __version__, "config_sha256": chash, "command": command,
+            "seeds": common["seeds"], "format": common["format"], "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": _blas_build()}
+    if datasets:
+        prov["compute_dtype"] = {role: str(ds.features.dtype) for role, ds in datasets.items()}
+    doc = {"config": cfg, "provenance": prov}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -371,29 +375,33 @@ def _remove(paths: list[str]) -> None:
 
 
 def _write(cfg: dict, common: dict, command: str, tables: dict,
-           chash: str | None = None) -> list[str]:
+           chash: str | None = None, datasets: dict | None = None) -> list[str]:
     """Each table (name -> (rows, columns)) as name.FORMAT, stamped with
-    chash (default: cfg's config hash), then manifest.json for cfg."""
+    chash (default: cfg's config hash), then manifest.json for cfg and the
+    datasets (see _manifest)."""
     chash = chash or config_hash(cfg, common)
     fmt = common["format"]
     files = {f"{name}.{fmt}": _table(rows, columns, fmt, _stamp(chash))
              for name, (rows, columns) in tables.items()}
-    files["manifest.json"] = _manifest(cfg, common, chash, command)
+    files["manifest.json"] = _manifest(cfg, common, chash, command, datasets)
     return _emit(common["out_dir"], files)
 
 
-def _write_records(cfg: dict, common: dict, command: str, records: list[ExperimentRecord],
-                   keys: list[dict], tables: dict | None = None, noun: str = "records",
+def _write_records(cfg: dict, common: dict, command: str, datasets: tuple,
+                   records: list[ExperimentRecord], keys: list[dict],
+                   tables: dict | None = None, noun: str = "records",
                    label=None) -> list[str]:
     """records.FORMAT, with RECORD_COLUMNS and then the key columns (keys
     holds one dict per spec, in run_suite's order), next to the command's
-    summary tables, written by _write. When records raised, the outputs
+    summary tables, written by _write with the (source, target) datasets
+    the records ran on. When records raised, the outputs
     stay complete and a CliError says how many of the noun did, naming the
     first as label(key, record) words it, or else pointing at the error column."""
     per_record = [key for key in keys for _ in common["seeds"]]  # specs are seed-minor
     rows = [{**row, **key} for row, key in zip(_record_rows(records), per_record)]
     columns = RECORD_COLUMNS + list(keys[0] if keys else ())
-    paths = _write(cfg, common, command, {"records": (rows, columns), **(tables or {})})
+    paths = _write(cfg, common, command, {"records": (rows, columns), **(tables or {})},
+                   datasets=dict(zip(("source", "target"), datasets)))
     raised = [(key, r) for key, r in zip(per_record, records) if r.error is not None]
     if raised:
         key, r = raised[0]
@@ -422,7 +430,8 @@ def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
 
 
 def cmd_run(args, cfg: dict, common: dict) -> list[str]:
-    specs = build_specs(cfg, *datasets_from_config(cfg))
+    datasets = datasets_from_config(cfg)
+    specs = build_specs(cfg, *datasets)
     if len(specs) != 1:
         raise CliError(f"run expects exactly one task/method, got {len(specs)}; use suite")
     if len(common["seeds"]) != 1:
@@ -431,11 +440,12 @@ def cmd_run(args, cfg: dict, common: dict) -> list[str]:
     status = "raised" if rec.error else "FAILED" if rec.failed else "ok"
     print(f"{rec.task}{'/' + rec.method if rec.method else ''} seed {rec.seed}: "
           f"accuracy {rec.accuracy:.2f} (baseline {rec.baseline_lp_odg:.2f}, {status})")
-    return _write_records(cfg, common, "run", records, [{}])
+    return _write_records(cfg, common, "run", datasets, records, [{}])
 
 
 def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
-    specs = build_specs(cfg, *datasets_from_config(cfg))
+    datasets = datasets_from_config(cfg)
+    specs = build_specs(cfg, *datasets)
     records = run_suite(specs, common["seeds"], jobs=common["jobs"])
     rows = []
     for group in spec_groups(records, len(common["seeds"])):
@@ -445,9 +455,9 @@ def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
                      "mean": _fmt_float(mean), "std": _fmt_float(std), "summary": summary})
         label = group[0].task + (f"/{group[0].method}" if group[0].method else "")
         print(f"{label:>16s}  {summary}")
-    return _write_records(cfg, common, "suite", records, [{}] * len(specs), {"aggregates": (
-        rows, ["task", "method", "source", "target", "norm_kind", "n_seeds", "n_ok", "mean",
-               "std", "summary"])})
+    return _write_records(cfg, common, "suite", datasets, records, [{}] * len(specs), {
+        "aggregates": (rows, ["task", "method", "source", "target", "norm_kind", "n_seeds",
+                              "n_ok", "mean", "std", "summary"])})
 
 
 def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
@@ -470,7 +480,7 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
         rows[i % len(cells)][specs[i].method] = f"{mean:.2f} ± {std:.2f}"
     for row in rows:
         print("  ".join([f"{row['cell']:>6s}"] + [f"{row[m]:>16s}" for m in grid.methods]))
-    return _write_records(cfg, common, "distgrid", records,
+    return _write_records(cfg, common, "distgrid", (source, target), records,
                           [cell_columns(s.dist) for s in specs],
                           {"distgrid": (rows, ["cell", "workers", "local_batch"] + grid.methods)},
                           "grid records", grid_error)
@@ -495,7 +505,7 @@ def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
         mean, _, n = mean_std(group)
         rows.append({**key, "mean": _fmt_float(mean), "n_ok": n, "n_total": len(group)})
         print(f"{combo(key):>32s}  mean {mean:.2f}")
-    return _write_records(cfg, common, "sweep", records, keys,
+    return _write_records(cfg, common, "sweep", (source, target), records, keys,
                           {"sweep": (rows, list(sweep.params) + ["mean", "n_ok", "n_total"])},
                           "sweep records", lambda key, r: f"{combo(key)} seed {r.seed}: {r.error}")
 
@@ -505,6 +515,8 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
     if not table_path:
         raise CliError("stats needs a results table (positional argument or config)")
     table = load_results_table(table_path)
+    with open(table_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     tasks = sorted({r.task for r in table.rows})
 
     rows = []
@@ -526,9 +538,12 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
         })
         print(f"{label}: lin adj_r2 {lin.adj_r2:.3f}  mlin adj_r2 {mlin.adj_r2:.3f}  "
               f"(m {mlin.m:.3f}, q {mlin.q:.2f}, dm {mlin.delta_m:.3f}, dq {mlin.delta_q:.2f})")
+    # the stamp covers the table's contents, not the path it was read from
+    hashed = {k: v for k, v in cfg.items() if k != "results_table"}
     return _write({**cfg, "results_table": table_path}, common, "stats",
                   {"stats": (rows, ["task", "n", "m", "q", "delta_m", "delta_q",
-                                    "lin_adj_r2", "mlin_adj_r2"])})
+                                    "lin_adj_r2", "mlin_adj_r2"])},
+                  config_hash({**hashed, "results_table_sha256": digest}, common))
 
 
 def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[dict]]:

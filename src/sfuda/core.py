@@ -1,8 +1,10 @@
 """Shared numerical primitives (softmax, row normalization, exact k-NN,
 one-hot targets, seeded randomness) and the config dataclasses' type check.
 
-All arithmetic is float64. Ranking ties break toward the lower index so that
-repeated runs are bit-for-bit reproducible.
+Arithmetic runs in the precision of the data: a float32 array is computed
+in float32, anything else in float64 (as_compute holds this one rule).
+Ranking ties break toward the lower index so that repeated runs are
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -34,9 +36,31 @@ def derive_seed(seed: int, tag: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+def as_compute(a) -> Array:
+    """a as an array of the dtype arithmetic on it runs in, without a copy
+    when it already is one: float32 when a is a float32 array (embeddings
+    files store float32), float64 for anything else (float64 arrays,
+    integers, lists, other float widths)."""
+    if type(a) is np.ndarray and (a.dtype is _FLOAT64 or a.dtype is _FLOAT32):
+        return a  # every per-step call: skip asarray's dtype resolution
+    return np.asarray(a, dtype=_FLOAT32 if getattr(a, "dtype", None) == _FLOAT32 else np.float64)
+
+
+def rounding_tol(dtype, n: int) -> float:
+    """Tolerance of a check that rows of n entries, computed in dtype, have
+    unit norm or sum to 1: 1e-6, or twice n * eps where that is larger. A
+    row's norm or sum, both of it as computed and of the check, is off by at
+    most about n * eps / 2 each, so the float32 bound (2.4e-4 for 1,024
+    entries) is a worst case, and float64's stays 1e-6."""
+    return max(1e-6, 2.0 * n * float(np.finfo(dtype).eps))
+
+
 def softmax(logits: Array) -> Array:
     """Row-wise softmax with the max-subtraction trick; rows sum to 1."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = as_compute(logits)
     if z.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(z)):
@@ -47,7 +71,7 @@ def softmax(logits: Array) -> Array:
 
 
 def log_softmax(logits: Array) -> Array:
-    z = np.asarray(logits, dtype=np.float64)
+    z = as_compute(logits)
     if z.shape[-1] == 0:
         raise ValueError("log_softmax of an empty vector")
     if not np.all(np.isfinite(z)):
@@ -58,7 +82,7 @@ def log_softmax(logits: Array) -> Array:
 
 def l2_normalize_rows(m: Array) -> Array:
     """Unit-normalize each row; raises naming the first zero row."""
-    m = np.asarray(m, dtype=np.float64)
+    m = as_compute(m)
     if m.ndim != 2:
         raise ValueError("l2_normalize_rows expects a matrix")
     norms = np.linalg.norm(m, axis=1)
@@ -101,11 +125,16 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
     first pass picks: the result is the same, the cost that of the full
     table.
 
-    unit, when given, must be l2_normalize_rows(m): a caller that ranks rows
-    of one matrix more than once normalizes it once (a MemoryBank keeps its
-    unit rows, renormalizing only the rows it refreshes).
+    Ranking runs in float64 whatever m's dtype. Its guard scales with the
+    ranking precision's eps, and float32's (2.4e-4 at d = 256) is wider than
+    the gaps between a row's nearest similarities: ranked in float32, every
+    step of NRC and AAD on 4,030 rows fell back to the full table.
+
+    unit, when given, must be l2_normalize_rows(m) in float64: a caller that
+    ranks rows of one matrix more than once normalizes it once (a MemoryBank
+    keeps its unit rows, renormalizing only the rows it refreshes).
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = as_compute(m)
     if m.ndim != 2:
         raise ValueError("knn_indices expects a matrix")
     n, d = m.shape
@@ -113,7 +142,8 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
         raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
     # cost is the negated cosine similarity: ascending cost is descending
     # similarity
-    u = l2_normalize_rows(m) if unit is None else np.asarray(unit, dtype=np.float64)
+    u = (l2_normalize_rows(m.astype(np.float64, copy=False)) if unit is None
+         else np.asarray(unit, dtype=np.float64))
     if u.shape != m.shape:
         raise ValueError(f"unit rows of shape {u.shape} do not match m {m.shape}")
     if rows is None:
@@ -141,7 +171,7 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
     # set their pick to inf; argmin takes the lower index of equal costs, and
     # a NaN before any number
     low = np.empty((rows.size, k + 1), dtype=np.int64)
-    low_cost = np.empty((rows.size, k + 1))
+    low_cost = np.empty((rows.size, k + 1), dtype=cost.dtype)
     for j in range(k + 1):
         low[:, j] = cost.argmin(axis=1)
         low_cost[:, j] = cost[at, low[:, j]]
@@ -151,16 +181,16 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
     # rounding closes a gap of at most 2 * d * eps; the guard is four times
     # that at least. A NaN is the first pick of its row, and its gap compares
     # False.
-    if not np.all(gaps > max(_RANK_GUARD, 8.0 * d * np.finfo(np.float64).eps)):
+    if not np.all(gaps > max(_RANK_GUARD, 8.0 * d * np.finfo(cost.dtype).eps)):
         return knn_indices(m, k, unit=u)[rows]
     return low[:, :k]
 
 
-def one_hot(labels: Array, num_classes: int) -> Array:
+def one_hot(labels: Array, num_classes: int, dtype=np.float64) -> Array:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("label out of range for one_hot")
-    out = np.zeros((labels.shape[0], num_classes))
+    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 

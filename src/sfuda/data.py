@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Section, l2_normalize_rows
+from .core import Section, as_compute, l2_normalize_rows
 
 EMBED_MAGIC = b"SFUD"
 
@@ -16,8 +16,11 @@ EMBED_MAGIC = b"SFUD"
 @dataclass
 class DomainDataset:
     """Feature matrix with optional integer labels for one domain. The
-    features are read-only, so that an adapter sees the matrix it is scored
-    on: a float64 array is frozen in place, without a copy."""
+    features keep their compute dtype (core.as_compute): float32 stays
+    float32, and everything a record computes from them runs in float32;
+    any other input becomes float64. They are read-only, so that an adapter
+    sees the matrix it is scored on: a float32 or float64 array is frozen in
+    place, without a copy."""
 
     name: str
     features: np.ndarray
@@ -25,7 +28,7 @@ class DomainDataset:
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = as_compute(self.features)
         self.features.flags.writeable = False
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
@@ -73,10 +76,11 @@ class ShiftSpec(Section):
         return cls(np.zeros(d), np.ones(d), np.zeros(d))
 
     def validate(self, d: int) -> None:
-        """Checks the shift for d features, each vector made d float64s first."""
+        """Checks the shift for d features, each vector made d floats first
+        (float64 unless given as a float32 array)."""
         for name in ("mean_shift", "per_feature_scale", "per_feature_offset"):
             v = getattr(self, name)
-            v = np.asarray([v] * d if np.ndim(v) == 0 else v, dtype=np.float64)
+            v = as_compute([v] * d if np.ndim(v) == 0 else v)
             if v.shape != (d,):
                 raise ValueError(f"{name} must be a float or have shape ({d},), not {v.shape}")
             if not np.all(np.isfinite(v)):
@@ -94,7 +98,7 @@ class ShiftSpec(Section):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x -> scale * R(x) + mean_shift + offset."""
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         self.validate(x.shape[1])
         y = x.copy()
         if self.rotation_angle != 0.0:
@@ -172,7 +176,8 @@ def load_embeddings(features_path: str, labels_path: str | None = None,
     if len(payload) != expected:
         raise ValueError(
             f"{features_path}: expected {expected} payload bytes, found {len(payload)}")
-    feats = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
+    # float32 as stored: every record on these features computes in float32
+    feats = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float32, copy=False)
 
     labels = None
     if labels_path is not None:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_compute
 from .data import DomainDataset
 from .engine import DEFAULT_GRID, DistConfig, shard_rows, sharded_step
 from .harness import (ADAPT_METHODS, TaskSpec, mean_std,  # noqa: F401 (re-exported)
@@ -47,8 +48,8 @@ def centralized_gradient(model: HeadModel, batch: np.ndarray, objective,
     objective(rows, logits) -> (value, dlogits). Operates on a private copy,
     so the caller's model (and its running statistics) stay put.
     """
-    work = model.copy()
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = as_compute(batch)
+    work = model.copy(batch.dtype)
     rows = np.arange(batch.shape[0])
     logits, _, cache = forward(work, batch, "train")
     _, dl = objective(rows, logits)
@@ -64,8 +65,8 @@ def sharded_gradient(model: HeadModel, batch: np.ndarray, objective,
     batch-coupled terms (the diversity penalty, batchnorm statistics) become
     shard-local.
     """
-    work = model.copy()
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = as_compute(batch)
+    work = model.copy(batch.dtype)
     shards = shard_rows(np.arange(batch.shape[0]), cfg.workers)
 
     def stacked(rows, logits):

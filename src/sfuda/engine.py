@@ -45,7 +45,7 @@ def shard_rows(rows: np.ndarray, workers: int) -> list[np.ndarray]:
 
 
 def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
-                 objective, sync_batchnorm: bool = False):
+                 objective, sync_batchnorm: bool = False, *, classifier: bool = True):
     """One simulated data-parallel step.
 
     The shards (equal in size, as shard_rows cuts them) are stacked: rows is
@@ -64,6 +64,8 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
 
     Returns (mean objective value, averaged gradient dict, (rows, logits,
     feats)), the forward's outputs stacked as (W, m), (W, m, C), (W, m, h).
+    With classifier False the dict holds BOTTLENECK_PARAMS only (see
+    head.backward), for a caller that keeps the classifier frozen.
     """
     w = len(shards)
     m = len(shards[0])
@@ -77,9 +79,11 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
     values, dl = objective(rows, logits)
     if pooled:
         # backward is linear in dlogits, so one pass gives the shard average
-        grads = backward(model, cache, dl.reshape(w * m, -1) / w)
+        dl = dl.reshape(w * m, -1)
+        grads = backward(model, cache, dl / w if w > 1 else dl, classifier=classifier)
     else:
-        grads = {k: g / w for k, g in backward(model, cache, dl).items()}
+        grads = {k: g / w for k, g in
+                 backward(model, cache, dl, classifier=classifier).items()}
     return float(np.mean(values)), grads, (rows, logits, feats)
 
 

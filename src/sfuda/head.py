@@ -9,11 +9,13 @@ pin every formula here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Section, derive_rng, log_softmax, make_rng, one_hot, softmax
+from .core import (Section, as_compute, derive_rng, log_softmax, make_rng, one_hot,
+                   softmax)
 from .data import DomainDataset
 
 BOTTLENECK_PARAMS = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta")
@@ -58,11 +60,13 @@ class NormLayer:
     momentum: float
     eps: float
 
-    def copy(self) -> "NormLayer":
-        return NormLayer(self.kind, self.gamma.copy(), self.beta.copy(),
-                         None if self.running_mean is None else self.running_mean.copy(),
-                         None if self.running_var is None else self.running_var.copy(),
-                         self.momentum, self.eps)
+    def copy(self, dtype=None) -> "NormLayer":
+        """A copy whose tensors are cast to dtype (default: their own)."""
+        def cp(a):
+            return None if a is None else a.astype(a.dtype if dtype is None else dtype)
+
+        return NormLayer(self.kind, cp(self.gamma), cp(self.beta), cp(self.running_mean),
+                         cp(self.running_var), self.momentum, self.eps)
 
 
 @dataclass
@@ -92,11 +96,14 @@ class HeadModel:
         return {k: getattr(self.norm if k in ("gamma", "beta") else self, k)
                 for k in PARAM_NAMES}
 
-    def copy(self) -> "HeadModel":
-        return HeadModel(self.bottleneck_weight.copy(), self.bottleneck_bias.copy(),
-                         self.norm.copy(), self.activation,
-                         self.classifier_weight.copy(), self.classifier_bias.copy(),
-                         self.version)
+    def copy(self, dtype=None) -> "HeadModel":
+        """A copy whose tensors are cast to dtype (default: their own): a
+        trainer casts the head it starts from to its data's dtype once."""
+        dtype = self.bottleneck_weight.dtype if dtype is None else dtype
+        return HeadModel(self.bottleneck_weight.astype(dtype),
+                         self.bottleneck_bias.astype(dtype), self.norm.copy(dtype),
+                         self.activation, self.classifier_weight.astype(dtype),
+                         self.classifier_bias.astype(dtype), self.version)
 
     def bump_version(self) -> None:
         self.version += 1
@@ -105,7 +112,8 @@ class HeadModel:
 def init_head(cfg: HeadConfig) -> HeadModel:
     """He-style normal init for weights, zeros for biases, identity norm
     (running-statistic momentum 0.1; eps 1e-5 for batchnorm, 1e-6 for
-    layernorm)."""
+    layernorm), drawn in float64 whatever the data; a trainer casts a copy
+    to its data's dtype (HeadModel.copy)."""
     rng = make_rng(cfg.seed)
     d, h, c = cfg.in_dim, cfg.hidden_dim, cfg.num_classes
     w1 = rng.standard_normal((d, h)) * np.sqrt(2.0 / d)
@@ -131,13 +139,14 @@ class ForwardCache:
 
 def _gelu(y: np.ndarray) -> np.ndarray:
     from scipy.special import erf  # imported here: it is most of the package's import time
-    return y * 0.5 * (1.0 + erf(y / np.sqrt(2.0)))
+    return y * 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
 
 
 def _gelu_grad(y: np.ndarray) -> np.ndarray:
     from scipy.special import erf
-    phi = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + erf(y / np.sqrt(2.0))) + y * phi
+    # Python floats, not numpy float64 scalars, which would upcast float32
+    phi = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+    return 0.5 * (1.0 + erf(y / math.sqrt(2.0))) + y * phi
 
 
 def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
@@ -154,7 +163,7 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = as_compute(x)
     if x.ndim not in (2, 3) or x.shape[-1] != model.in_dim:
         raise ValueError(f"expected inputs of width {model.in_dim}, got {x.shape}")
     b = x.shape[-2]
@@ -199,9 +208,11 @@ def _classifier_grads(feats: np.ndarray, dlogits: np.ndarray) -> dict[str, np.nd
             "classifier_bias": dlogits.sum(axis=-2)}
 
 
-def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
-             ) -> dict[str, np.ndarray]:
-    """Analytic gradients of a scalar loss wrt every parameter tensor.
+def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray, *,
+             classifier: bool = True) -> dict[str, np.ndarray]:
+    """Analytic gradients of a scalar loss wrt every parameter tensor, or
+    with classifier False wrt BOTTLENECK_PARAMS only (a frozen classifier's
+    gradients are not computed; the others are the same bits).
 
     Train-mode batchnorm gradients flow through the batch mean and variance;
     eval-mode statistics are constants. After a stacked forward, dlogits is
@@ -211,7 +222,7 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
     """
     if cache.version != model.version:
         raise StaleCacheError("forward cache is stale; parameters changed since")
-    dlogits = np.asarray(dlogits, dtype=np.float64)
+    dlogits = as_compute(dlogits)
     feats, y, xhat, inv = cache.feats, cache.y, cache.xhat, cache.inv_std
     norm = model.norm
 
@@ -238,7 +249,7 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray,
         "bottleneck_bias": dz.sum(axis=-2),
         "gamma": (dy * xhat).sum(axis=-2),
         "beta": dy.sum(axis=-2),
-        **_classifier_grads(feats, dlogits),
+        **(_classifier_grads(feats, dlogits) if classifier else {}),
     }
     if cache.x.ndim == 3:
         # add the shards' gradients one by one, in shard order, as summing
@@ -252,7 +263,7 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray,
     """Mean soft-target cross entropy and its logit gradient. logits and
     targets are (..., m, C), one batch of m rows per leading index, and the
     value has the leading shape (a float for one (m, C) batch)."""
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = as_compute(targets)
     b = logits.shape[-2]
     logp = log_softmax(logits)
     value = -(targets * logp).sum(axis=(-2, -1)) / b
@@ -260,8 +271,9 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray,
     return value, dlogits
 
 
-def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float) -> np.ndarray:
-    hot = one_hot(labels, num_classes)
+def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float,
+                     dtype=np.float64) -> np.ndarray:
+    hot = one_hot(labels, num_classes, dtype)
     return hot * (1.0 - smoothing) + smoothing / num_classes
 
 
@@ -392,12 +404,13 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
         raise ValueError(f"unknown scope {scope!r}")
     if data.d != model.in_dim or data.num_classes != model.num_classes:
         raise ValueError("model and dataset shapes disagree")
-    model = model.copy()
+    model = model.copy(data.features.dtype)
     bs = min(cfg.batch_size, data.n)
     full = scope == "full"
     if full and model.norm.kind == "batchnorm" and bs < 2:
         raise ValueError("batch_size < 2 is invalid with a batchnorm head")
-    targets = smoothed_targets(data.labels, data.num_classes, cfg.label_smoothing)
+    targets = smoothed_targets(data.labels, data.num_classes, cfg.label_smoothing,
+                               data.features.dtype)
     frozen = None if full else forward(model, data.features, "eval")[1]
 
     def step_grads(rows, _step):
@@ -424,13 +437,13 @@ def adabn(model: HeadModel, target_features: np.ndarray) -> HeadModel:
     """Swap batchnorm running statistics for the target set's pre-norm moments."""
     if model.norm.kind != "batchnorm":
         raise ValueError("statistic transfer needs a batchnorm head")
-    x = np.asarray(target_features, dtype=np.float64)
+    x = as_compute(target_features)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError("target features have the wrong width")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 target samples")
     z = x @ model.bottleneck_weight + model.bottleneck_bias
-    out = model.copy()
+    out = model.copy(x.dtype)
     out.norm.running_mean = z.mean(axis=0)
     out.norm.running_var = z.var(axis=0, ddof=1)
     out.bump_version()

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import derive_rng, knn_indices, l2_normalize_rows, softmax
+from .core import as_compute, derive_rng, knn_indices, l2_normalize_rows, rounding_tol, softmax
 from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
 from .head import PARAM_NAMES, HeadModel, LoopConfig, forward, run_epochs
 
@@ -47,26 +47,30 @@ class AadConfig(LoopConfig):
 @dataclass
 class MemoryBank:
     """Detached snapshot of the whole target set: unit features, simplex
-    scores, and unit = l2_normalize_rows(features), the rows the neighbor
-    ranking reads, which refresh keeps so row by row."""
+    scores, and unit = l2_normalize_rows(features) in float64, the rows the
+    neighbor ranking reads (it runs in float64, see core.knn_indices), which
+    refresh keeps so row by row. Unit norms and simplex sums are checked to
+    core.rounding_tol of the tensors' dtype."""
 
     features: np.ndarray
     scores: np.ndarray
     unit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.features = as_compute(self.features)
+        self.scores = as_compute(self.scores)
         if self.features.ndim != 2 or self.scores.ndim != 2:
             raise ValueError("bank tensors must be matrices")
         if self.features.shape[0] != self.scores.shape[0]:
             raise ValueError("bank row counts disagree")
-        norms = np.linalg.norm(self.features, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        norm_gap = np.abs(np.linalg.norm(self.features, axis=1) - 1.0)
+        if np.any(norm_gap > rounding_tol(self.features.dtype, self.features.shape[1])):
             raise ValueError("bank feature rows must be unit norm")
-        if np.any(self.scores < -1e-12) or np.any(np.abs(self.scores.sum(axis=1) - 1.0) > 1e-6):
+        sum_gap = np.abs(self.scores.sum(axis=1) - 1.0)
+        if (np.any(self.scores < -1e-12)
+                or np.any(sum_gap > rounding_tol(self.scores.dtype, self.scores.shape[1]))):
             raise ValueError("bank score rows must lie on the simplex")
-        self.unit = l2_normalize_rows(self.features)
+        self.unit = l2_normalize_rows(self.features.astype(np.float64, copy=False))
 
     @property
     def n(self) -> int:
@@ -75,8 +79,9 @@ class MemoryBank:
     def refresh(self, rows: np.ndarray, feats: np.ndarray, scores: np.ndarray) -> None:
         self.features[rows] = l2_normalize_rows(feats)
         # a row's norm reads that row alone, so this is the full
-        # l2_normalize_rows(features) bit for bit
-        self.unit[rows] = l2_normalize_rows(self.features[rows])
+        # l2_normalize_rows(features) in float64 bit for bit
+        refreshed = self.features[rows].astype(np.float64, copy=False)
+        self.unit[rows] = l2_normalize_rows(refreshed)
         self.scores[rows] = scores
 
 
@@ -136,7 +141,7 @@ def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
     index is one batch of m rows with its own diversity penalty, and the
     value has the leading shape (a float for one (m, C) batch).
     """
-    p = np.asarray(batch_scores, dtype=np.float64)
+    p = as_compute(batch_scores)
     bidx = np.asarray(batch_indices, dtype=np.int64)
     b = p.shape[-2]
     if bidx.shape != p.shape[:-1]:
@@ -145,7 +150,7 @@ def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
         raise ValueError("batch index outside the bank")
     if bank.n <= max(cfg.K, cfg.KK):
         raise ValueError("bank too small for the neighborhood sizes")
-    anchor = p if self_anchor is None else np.asarray(self_anchor, dtype=np.float64)
+    anchor = p if self_anchor is None else as_compute(self_anchor)
 
     table = _bank_knn(bank, max(cfg.K, cfg.KK), knn)
     nn_kk = table[:, :cfg.KK]
@@ -154,7 +159,7 @@ def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
         recip = reciprocal_flags(bank, cfg.K, bidx, table)
     else:
         recip = np.asarray(reciprocal_override, dtype=bool)
-    aff = np.where(recip, 1.0, cfg.r)                    # (..., b, K)
+    aff = np.where(recip, 1.0, cfg.r).astype(p.dtype, copy=False)  # (..., b, K)
 
     s_neigh = bank.scores[neigh]                         # (..., b, K, C)
     s_aff = (aff[..., None] * s_neigh).sum(axis=-2)      # (..., b, C)
@@ -253,7 +258,7 @@ def aad_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
     sample_backgrounds call, in row-major order, which draws what one
     rng.choice per row would (with one rng.integers call outside numpy's
     tail regime), so a stack draws what its batches would in turn."""
-    p = np.asarray(batch_scores, dtype=np.float64)
+    p = as_compute(batch_scores)
     bidx = np.asarray(batch_indices, dtype=np.int64)
     b = p.shape[-2]
     if bidx.shape != p.shape[:-1]:
@@ -284,8 +289,8 @@ def softmax_score_grad(p: np.ndarray, dscores: np.ndarray) -> np.ndarray:
 
 def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
                     kind: str, dist: DistConfig | None) -> HeadModel:
-    x = np.asarray(target_features, dtype=np.float64)
-    model = model.copy()
+    x = as_compute(target_features)
+    model = model.copy(x.dtype)
     n = x.shape[0]
     bs, dist = adapt_layout(model, n, cfg.batch_size, dist)
     bank = build_bank(model, x)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_rng
+from .core import as_compute, derive_rng
 from .engine import DistConfig
 from .head import HeadModel, LoopConfig
 from .sca import Prototypes, spherical_kmeans
@@ -38,8 +38,8 @@ def mixup_batch(x: np.ndarray, targets: np.ndarray, alpha: float,
                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Convex combination with a shuffled partner, one Beta(alpha, alpha)
     coefficient per batch. lam overrides the draw (test hook)."""
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    x = as_compute(x)
+    targets = as_compute(targets)
     if x.shape[0] < 2:
         raise ValueError("mixup needs a batch of at least 2")
     if x.shape[0] != targets.shape[0]:
@@ -89,7 +89,7 @@ def polycentric_pseudo_labels(model: HeadModel, target_features: np.ndarray,
     m_centers=1 this reproduces the single-center labeling fixpoint."""
     if m_centers < 1:
         raise ValueError("m_centers must be positive")
-    x = np.asarray(target_features, dtype=np.float64)
+    x = as_compute(target_features)
     labels, protos, feats_n = _label_pass(model, x, kmeans_rounds, prev_prototypes)
     return _polycentric_refine(feats_n, labels, protos, m_centers, rng), protos
 
@@ -101,7 +101,7 @@ def pcsr_adapt(model: HeadModel, target_features: np.ndarray, cfg: PcsrConfig,
     Classifier frozen. With M=1 and mixup_weight=0 the loop runs the same
     arithmetic as the single-center soft-prototype adapter.
     """
-    x = np.asarray(target_features, dtype=np.float64)
+    x = as_compute(target_features)
     rng_centers = derive_rng(cfg.seed, "pcsr-centers")
     rng_mix = derive_rng(cfg.seed, "pcsr-mixup")
 

@@ -7,23 +7,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import l2_normalize_rows
+from .core import as_compute, l2_normalize_rows, rounding_tol
 from .data import DomainDataset
 from .head import HeadModel, forward
 
 
 @dataclass
 class Prototypes:
-    """One unit-norm center per class, row index = class id."""
+    """One unit-norm center per class, row index = class id; norms are
+    checked to core.rounding_tol of the centers' dtype."""
 
     centers: np.ndarray
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.float64)
+        self.centers = as_compute(self.centers)
         if self.centers.ndim != 2 or self.centers.shape[0] < 1:
             raise ValueError("prototypes must be a nonempty matrix")
-        norms = np.linalg.norm(self.centers, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        norm_gap = np.abs(np.linalg.norm(self.centers, axis=1) - 1.0)
+        if np.any(norm_gap > rounding_tol(self.centers.dtype, self.centers.shape[1])):
             raise ValueError("prototype rows must be unit norm")
 
     @property
@@ -34,9 +35,9 @@ class Prototypes:
 def class_prototypes(features: np.ndarray, labels: np.ndarray, num_classes: int,
                      ) -> Prototypes:
     """Normalized mean of normalized member features, one row per class."""
-    feats = l2_normalize_rows(np.asarray(features, dtype=np.float64))
+    feats = l2_normalize_rows(as_compute(features))
     labels = np.asarray(labels, dtype=np.int64)
-    centers = np.empty((num_classes, feats.shape[1]))
+    centers = np.empty((num_classes, feats.shape[1]), dtype=feats.dtype)
     for c in range(num_classes):
         members = feats[labels == c]
         if members.shape[0] == 0:
@@ -70,8 +71,8 @@ def spherical_kmeans(features: np.ndarray, init: Prototypes, *,
     unit, when given, must be l2_normalize_rows(features): a caller that
     already holds the unit rows passes them instead of normalizing twice.
     """
-    features = np.asarray(features, dtype=np.float64)
-    feats = l2_normalize_rows(features) if unit is None else np.asarray(unit, dtype=np.float64)
+    features = as_compute(features)
+    feats = l2_normalize_rows(features) if unit is None else as_compute(unit)
     if feats.shape != features.shape:
         raise ValueError(f"unit rows of shape {feats.shape} do not match features {features.shape}")
     if feats.shape[1] != init.centers.shape[1]:
@@ -111,7 +112,7 @@ def spherical_kmeans(features: np.ndarray, init: Prototypes, *,
 
 def nearest_prototype(features: np.ndarray, protos: Prototypes) -> np.ndarray:
     """1-NN cosine labels against prototype rows, ties to the lower class."""
-    sims = l2_normalize_rows(np.asarray(features, dtype=np.float64)) @ protos.centers.T
+    sims = l2_normalize_rows(as_compute(features)) @ protos.centers.T
     return sims.argmax(axis=1).astype(np.int64)
 
 
@@ -127,7 +128,7 @@ def sca_adapt(source: DomainDataset, target_features: np.ndarray,
     """
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
-    target_features = np.asarray(target_features, dtype=np.float64)
+    target_features = as_compute(target_features)
     if space == "bottleneck":
         if model is None:
             raise ValueError("bottleneck space needs a head model")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_rng, l2_normalize_rows, log_softmax, one_hot
+from .core import as_compute, derive_rng, l2_normalize_rows, log_softmax, one_hot
 from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
 from .head import (BOTTLENECK_PARAMS, HeadModel, LoopConfig, cross_entropy, forward,
                    run_epochs)
@@ -33,8 +33,8 @@ def weighted_prototypes(probs: np.ndarray, feats: np.ndarray) -> np.ndarray:
 
     Raw (unnormalized) output; every class must carry positive soft mass.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    feats = np.asarray(feats, dtype=np.float64)
+    probs = as_compute(probs)
+    feats = as_compute(feats)
     mass = probs.sum(axis=0)
     if np.any(mass <= 0.0):
         c = int(np.flatnonzero(mass <= 0.0)[0])
@@ -56,7 +56,7 @@ def _label_pass(model: HeadModel, x: np.ndarray, kmeans_rounds: int,
     logits, feats, _ = forward(model, x, "eval")
     probs = np.exp(log_softmax(logits))
     live = probs.sum(axis=0) > 0.0
-    centers = np.empty((model.num_classes, feats.shape[1]))
+    centers = np.empty((model.num_classes, feats.shape[1]), dtype=feats.dtype)
     centers[live] = weighted_prototypes(probs[:, live], feats)
     hard = logits.argmax(axis=1)
     for c in np.flatnonzero(~live):
@@ -85,7 +85,7 @@ def shot_pseudo_labels(model: HeadModel, target_features: np.ndarray,
                        kmeans_rounds: int = 1,
                        prev_prototypes: Prototypes | None = None,
                        ) -> tuple[np.ndarray, Prototypes]:
-    x = np.asarray(target_features, dtype=np.float64)
+    x = as_compute(target_features)
     labels, protos, _ = _label_pass(model, x, kmeans_rounds, prev_prototypes)
     return labels, protos
 
@@ -117,7 +117,9 @@ def diversity_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     # log pbar_k = logsumexp_i logp_ik - log b, stable even under underflow
     m = logp.max(axis=-2, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    log_pbar = np.log(np.exp(logp - m).sum(axis=-2, keepdims=True)) + m - np.log(b)
+    # log b in logp's dtype: a numpy float64 scalar would upcast float32
+    log_pbar = (np.log(np.exp(logp - m).sum(axis=-2, keepdims=True)) + m
+                - np.log(logp.dtype.type(b)))
     pbar = np.exp(log_pbar)
     value = np.where(pbar > 0.0, pbar * log_pbar, 0.0).sum(axis=(-2, -1))
     inner = np.where(p > 0.0, p * log_pbar, 0.0)
@@ -146,15 +148,15 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
     epoch on the full set. The classifier never moves. mixup_fn, when given
     and weighted, contributes an extra supervised term on mixed inputs.
     """
-    x = np.asarray(target_features, dtype=np.float64)
-    model = model.copy()
+    x = as_compute(target_features)
+    model = model.copy(x.dtype)
     bs, dist = adapt_layout(model, x.shape[0], cfg.batch_size, dist)
     protos = targets = None
 
     def epoch_hook():
         nonlocal protos, targets
         labels, protos = relabel(model, protos)
-        targets = one_hot(labels, model.num_classes)
+        targets = one_hot(labels, model.num_classes, x.dtype)
 
     def objective(rows, logits):
         v_im, d_im = im_loss(logits)
@@ -163,7 +165,8 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
 
     def step_grads(rows, _step):
         shards = shard_rows(rows, dist.workers)
-        loss, grads, _ = sharded_step(model, x, shards, objective, dist.sync_batchnorm)
+        loss, grads, _ = sharded_step(model, x, shards, objective, dist.sync_batchnorm,
+                                      classifier=False)
         if mixup_fn is not None and mixup_weight > 0.0:
             mixed = [mixup_fn(x[sh], targets[sh]) for sh in shards]
             xm = np.concatenate([m[0] for m in mixed])
@@ -174,7 +177,7 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
                 return cross_entropy(logits, tm[mixed_rows])
 
             _, gm, _ = sharded_step(model, xm, shard_rows(pos, dist.workers),
-                                    mix_objective, dist.sync_batchnorm)
+                                    mix_objective, dist.sync_batchnorm, classifier=False)
             for k in BOTTLENECK_PARAMS:
                 grads[k] += mixup_weight * gm[k]
         return loss, grads

@@ -303,6 +303,83 @@ class TestSuite:
                                            "records.csv"]
 
 
+class TestFloat32Files:
+    """Embeddings files store float32, and every record on them computes in
+    float32; generated data computes in float64."""
+
+    @staticmethod
+    def file_config(tmp_path, norm_kind="batchnorm", activation="relu"):
+        pair = tmp_path / "pair"
+        assert main(["gen-data", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(pair)]) == 0
+        methods = ["SCA", "SHOT", "NRC", "AAD", "PCSR"]
+        return {**base_config(), "data": file_data(pair),
+                "tasks": ["LP-IDG", "FT-IDG", "LP-ODG", "FT-ODG", "SFUDA", "FT-SFUDA"],
+                "methods": methods,
+                "method_configs": {m: {"epochs": 2, "batch_size": 16} for m in methods[1:]},
+                "head": {"hidden_dim": 8, "norm_kind": norm_kind, "activation": activation}}
+
+    def test_records_are_identical_at_jobs_1_and_2(self, tmp_path):
+        cfg = write_config(tmp_path, self.file_config(tmp_path))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["suite", "--config", cfg, "--seeds", "0,1", "--out", str(a)]) == 0
+        assert main(["suite", "--config", cfg, "--seeds", "0,1", "--jobs", "2",
+                     "--out", str(b)]) == 0
+        rows = read_rows(a / "records.csv")
+        assert len(rows) == 2 * (4 + 2 * 5)
+        assert {r["method"] for r in rows} >= {"NRC", "AAD"}
+        assert all(r["error"] == "" for r in rows)
+        assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("norm_kind, activation",
+                             [("batchnorm", "relu"), ("layernorm", "gelu")])
+    def test_no_float64_array_reaches_the_head(self, tmp_path, monkeypatch, norm_kind,
+                                               activation):
+        """Spies on forward, backward and sgd_step wherever a module of the
+        package holds them, and sees every float array they take or give."""
+        seen = set()
+
+        def dtypes(obj):
+            if isinstance(obj, np.ndarray):
+                if obj.dtype.kind == "f":
+                    seen.add(obj.dtype)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    dtypes(v)
+            elif isinstance(obj, dict):
+                dtypes(list(obj.values()))
+            elif isinstance(obj, sfuda.head.HeadModel):
+                dtypes([obj.params(), obj.norm.running_mean, obj.norm.running_var])
+            elif isinstance(obj, sfuda.head.ForwardCache):
+                dtypes([obj.x, obj.xhat, obj.inv_std, obj.y, obj.feats])
+
+        def spy(fn):
+            def spied(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                dtypes([args, kwargs, result])
+                return result
+            return spied
+
+        for name in ("forward", "backward", "sgd_step"):
+            fn = getattr(sfuda.head, name)
+            for module in [m for n, m in sys.modules.items() if n.startswith("sfuda.")]:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, spy(fn))
+        cfg = self.file_config(tmp_path, norm_kind, activation)
+        assert main(["suite", "--config", write_config(tmp_path, cfg), "--seeds", "0",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen == {np.dtype(np.float32)}
+
+    def test_the_manifest_records_each_datasets_compute_dtype(self, tmp_path):
+        files, generated = tmp_path / "files", tmp_path / "generated"
+        for cfg, out in ((self.file_config(tmp_path), files), (base_config(), generated)):
+            assert main(["suite", "--config", write_config(tmp_path, cfg), "--seeds", "0",
+                         "--out", str(out)]) == 0
+        for out, dtype in ((files, "float32"), (generated, "float64")):
+            prov = json.loads((out / "manifest.json").read_text())["provenance"]
+            assert prov["compute_dtype"] == {"source": dtype, "target": dtype}
+
+
 class TestFailureHandling:
     def test_unknown_config_key_exits_with_one_error_line(self, tmp_path, capsys):
         cfg_dict = base_config()
@@ -824,6 +901,24 @@ class TestStatsCommand:
             assert float(r["mlin_adj_r2"]) > float(r["lin_adj_r2"])
         all_row = next(r for r in rows if r["task"] == "ALL")
         assert float(all_row["delta_q"]) > 5.0
+
+    @staticmethod
+    def stats_stamp(table, out):
+        assert main(["stats", str(table), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["results_table"] \
+            == str(table)
+        return (out / "stats.csv").read_text().splitlines()[0]
+
+    def test_the_stamp_follows_the_tables_contents_not_its_path(self, tmp_path):
+        table = Path(ASSET_TABLE).read_text()
+        a, b = tmp_path / "a.csv", tmp_path / "elsewhere" / "b.csv"
+        b.parent.mkdir()
+        a.write_text(table)
+        b.write_text(table)
+        first = self.stats_stamp(a, tmp_path / "o1")
+        assert self.stats_stamp(b, tmp_path / "o2") == first
+        a.write_text("".join(table.splitlines(True)[:-1]))
+        assert self.stats_stamp(a, tmp_path / "o3") != first
 
     def test_missing_table_argument(self, tmp_path, capsys):
         assert main(["stats", "--out", str(tmp_path / "o")]) == 1

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sfuda import core
-from sfuda.core import (derive_rng, derive_seed, knn_indices, l2_normalize_rows,
-                        log_softmax, make_rng, one_hot, softmax)
+from sfuda.core import (as_compute, derive_rng, derive_seed, knn_indices,
+                        l2_normalize_rows, log_softmax, make_rng, one_hot, rounding_tol,
+                        softmax)
 
 
 class TestSoftmax:
@@ -184,6 +185,14 @@ class TestRankedRows:
     @given(knn_inputs(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_the_full_table_rows(self, m, data):
+        self.check_rows(m, data)
+
+    @given(knn_inputs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_float32_rows_equal_the_full_table_rows(self, m, data):
+        self.check_rows(m.astype(np.float32), data)
+
+    def check_rows(self, m, data):
         n = m.shape[0]
         rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
                         dtype=np.int64)
@@ -196,7 +205,8 @@ class TestRankedRows:
             want = knn_indices(m, k)[rows]
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(
-                knn_indices(m, k, rows=rows, unit=l2_normalize_rows(m)), want)
+                knn_indices(m, k, rows=rows, unit=l2_normalize_rows(m.astype(np.float64))),
+                want)
             if (copies >= 2).any():
                 assert fell_back
 
@@ -230,6 +240,20 @@ class TestRankedRows:
         np.testing.assert_array_equal(got, knn_indices(tied, k)[rows])
         np.testing.assert_array_equal(got[[0, 2]], before[[0, 2]])
 
+    def test_float32_rows_rank_in_float64(self):
+        """A float32 matrix ranks in float64, so clustered rows whose nearest
+        similarities lie closer than a float32 guard (2.4e-4 at width 256)
+        rank without the full table, and equal its rows."""
+        rng = make_rng(5)
+        means = 3.0 * rng.normal(size=(20, 256))
+        m = (means[np.repeat(np.arange(20), 25)] + rng.normal(size=(500, 256)))
+        m = m.astype(np.float32)
+        for size in (1, 7, 64):
+            rows = rng.integers(0, 500, size=size)
+            got, fell_back = self.ranked(m, 3, rows)
+            assert not fell_back
+            np.testing.assert_array_equal(got, knn_indices(m, 3)[rows])
+
     def test_nan_falls_back(self):
         m = make_rng(4).normal(size=(10, 3))
         m[6, 0] = np.nan
@@ -245,6 +269,38 @@ class TestRankedRows:
     def test_unit_rows_must_match_the_matrix(self):
         with pytest.raises(ValueError, match="unit rows"):
             knn_indices(np.eye(10), 2, rows=np.arange(3), unit=np.eye(9))
+
+
+class TestComputeDtype:
+    def test_float32_stays_and_everything_else_is_float64(self):
+        assert as_compute(np.zeros(2, dtype=np.float32)).dtype == np.float32
+        for a in (np.zeros(2), np.zeros(2, dtype=np.float16), np.arange(2), [1.0], 2.0):
+            assert as_compute(a).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_compute_array_is_not_copied(self, dtype):
+        a = np.ones((2, 3), dtype=dtype)
+        assert as_compute(a) is a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_primitives_compute_in_the_input_dtype(self, dtype):
+        m = make_rng(0).normal(size=(6, 4)).astype(dtype)
+        assert softmax(m).dtype == dtype
+        assert log_softmax(m).dtype == dtype
+        assert l2_normalize_rows(m).dtype == dtype
+        assert one_hot(np.array([0, 3]), 4, dtype).dtype == dtype
+
+    def test_rounding_tolerance(self):
+        for n in (1, 65, 2048, 10 ** 6):
+            assert rounding_tol(np.float64, n) == 1e-6
+        # what float32 rounds to, measured: softmax sums of 65 classes off by
+        # up to 4.2e-7, norms of 2,048-wide unit rows by 1.2e-7
+        rng = make_rng(1)
+        p = softmax(rng.normal(scale=4.0, size=(2000, 65)).astype(np.float32))
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= rounding_tol(np.float32, 65)
+        u = l2_normalize_rows(rng.normal(size=(500, 2048)).astype(np.float32))
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= rounding_tol(np.float32, 2048)
+        assert rounding_tol(np.float32, 2048) < 1e-3
 
 
 class TestRngDerivation:

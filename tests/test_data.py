@@ -156,6 +156,16 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="read-only"):
             ds.features += 1.0
 
+    def test_float32_features_are_frozen_in_place(self):
+        x = np.zeros((3, 2), dtype=np.float32)
+        ds = DomainDataset("ok", x, None, 2)
+        assert ds.features is x and not x.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.float64])
+    def test_other_inputs_compute_in_float64(self, dtype):
+        ds = DomainDataset("ok", np.zeros((3, 2), dtype=dtype), None, 2)
+        assert ds.features.dtype == np.float64
+
 
 def save(dataset, fpath, lpath=None):
     """Writes dataset in the files `gen-data` writes."""
@@ -176,6 +186,14 @@ class TestEmbeddingsIO:
         np.testing.assert_array_equal(back.features, expect)
         np.testing.assert_array_equal(back.labels, src.labels)
         assert back.num_classes == src.num_classes
+
+    def test_files_load_in_their_stored_float32(self, tmp_path):
+        src, _ = small_pair(seed=2, n=20)
+        fpath = str(tmp_path / "e.bin")
+        save(src, fpath)
+        back = load_embeddings(fpath, num_classes=3)
+        assert back.features.dtype == np.float32
+        assert back.features.tobytes() == src.features.astype(np.float32).tobytes()
 
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         src, _ = small_pair(seed=2, n=10, d=6)

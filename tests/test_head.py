@@ -145,6 +145,22 @@ class TestBackward:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name],
                                        rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("norm", ["batchnorm", "layernorm"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_frozen_classifier_gets_no_gradient(self, norm, stacked):
+        """classifier=False drops the classifier's gradients and leaves the
+        others' bits as they are."""
+        model = tiny_model(seed=3, norm=norm)
+        shape = (2, 4) if stacked else (8,)
+        rng = make_rng(3)
+        x, dl = rng.normal(size=shape + (5,)), rng.normal(size=shape + (3,))
+        _, _, cache = forward(model, x, "train")
+        full = backward(model, cache, dl)
+        frozen = backward(model, cache, dl, classifier=False)
+        assert tuple(frozen) == BOTTLENECK_PARAMS
+        for k in BOTTLENECK_PARAMS:
+            assert frozen[k].tobytes() == full[k].tobytes()
+
     def test_stale_cache_rejected(self):
         model = tiny_model(seed=18)
         x = make_rng(19).normal(size=(4, 5))
@@ -184,8 +200,17 @@ class TestStackedShards:
     @given(stacked_cases(), st.sampled_from(["train", "eval"]))
     @settings(max_examples=200, deadline=None)
     def test_stack_equals_the_shard_loop_bit_for_bit(self, case, mode):
-        model, x, dl = case
-        loop, stack = model.copy(), model.copy()
+        self.check_stack(*case, mode, np.float64)
+
+    @given(stacked_cases(), st.sampled_from(["train", "eval"]))
+    @settings(max_examples=100, deadline=None)
+    def test_float32_stack_equals_the_shard_loop_bit_for_bit(self, case, mode):
+        self.check_stack(*case, mode, np.float32)
+
+    @staticmethod
+    def check_stack(model, x, dl, mode, dtype):
+        x, dl = x.astype(dtype), dl.astype(dtype)
+        loop, stack = model.copy(dtype), model.copy(dtype)
         outs, gsum = [], None
         for xw, dw in zip(x, dl):
             logits, feats, cache = forward(loop, xw, mode)
@@ -198,11 +223,13 @@ class TestStackedShards:
                     gsum[k] += g[k]
         logits, feats, cache = forward(stack, x, mode)
         grads = backward(stack, cache, dl)
+        assert logits.dtype == dtype
         for w, (lw, fw) in enumerate(outs):
             same_bytes(logits[w], lw)
             same_bytes(feats[w], fw)
         assert list(grads) == list(gsum)
         for k in gsum:
+            assert grads[k].dtype == dtype
             same_bytes(grads[k], gsum[k])
         if model.norm.kind == "batchnorm":
             same_bytes(stack.norm.running_mean, loop.norm.running_mean)
@@ -215,6 +242,32 @@ class TestStackedShards:
     def test_four_axes_rejected(self):
         with pytest.raises(ValueError, match="width"):
             forward(tiny_model(), np.zeros((2, 2, 2, 5)), "eval")
+
+
+class TestComputeDtype:
+    """A head is drawn in float64 and trained in its data's dtype."""
+
+    def test_copy_casts_every_tensor(self):
+        model = tiny_model(norm="batchnorm")
+        cast = model.copy(np.float32)
+        for k, v in model.params().items():
+            assert v.dtype == np.float64
+            assert cast.params()[k].dtype == np.float32
+            np.testing.assert_array_equal(cast.params()[k], v.astype(np.float32))
+        assert cast.norm.running_mean.dtype == cast.norm.running_var.dtype == np.float32
+        assert model.copy().params()["gamma"].dtype == np.float64
+
+    @pytest.mark.parametrize("scope", ["classifier_only", "full"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_follows_the_data(self, scope, dtype):
+        src, _ = gen_gaussian_pair(3, 5, 20, 3.0, ShiftSpec.identity(5), make_rng(0))
+        data = DomainDataset("s", src.features.astype(dtype), src.labels, 3)
+        model = train_supervised(tiny_model(norm="batchnorm"), data, scope,
+                                 TrainConfig(epochs=2, batch_size=8, seed=0))
+        for v in model.params().values():
+            assert v.dtype == dtype
+        assert model.norm.running_mean.dtype == dtype
+        assert smoothed_targets(data.labels, 3, 0.1, dtype).dtype == dtype
 
 
 class TestLossPieces:

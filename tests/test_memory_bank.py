@@ -41,10 +41,48 @@ class TestUnitRows:
             bank.refresh(rows, feats, scores)
             assert bank.unit.tobytes() == l2_normalize_rows(bank.features).tobytes()
 
+    def test_float32_features_keep_float64_unit_rows(self):
+        """The ranking reads unit rows in float64 whatever the features' dtype."""
+        rng = make_rng(3)
+        feats = l2_normalize_rows(rng.normal(size=(12, 5))).astype(np.float32)
+        bank = MemoryBank(feats, rng.dirichlet(np.ones(3), size=12).astype(np.float32))
+        bank.refresh(np.array([4, 1, 4]), rng.normal(size=(3, 5)).astype(np.float32),
+                     rng.dirichlet(np.ones(3), size=3).astype(np.float32))
+        assert bank.features.dtype == np.float32 and bank.unit.dtype == np.float64
+        want = l2_normalize_rows(bank.features.astype(np.float64))
+        assert bank.unit.tobytes() == want.tobytes()
+
     def test_build_bank_keeps_unit_rows(self):
         model = init_head(HeadConfig(4, 3, hidden_dim=6, seed=0))
         bank = build_bank(model, make_rng(1).normal(size=(10, 4)) + 0.3)
         assert bank.unit.tobytes() == l2_normalize_rows(bank.features).tobytes()
+
+
+class TestRoundingBounds:
+    """Unit norms and simplex sums are checked to core.rounding_tol: 1e-6 at
+    float64, a bound scaled to the row length at float32."""
+
+    @staticmethod
+    def rows(dtype, off):
+        rng = make_rng(2)
+        feats = l2_normalize_rows(rng.normal(size=(8, 256))).astype(dtype)
+        scores = core.softmax(rng.normal(size=(8, 65))).astype(dtype)
+        feats[0] *= dtype(1.0 + off)
+        scores[1, 0] += dtype(off)
+        return feats, scores
+
+    def test_float32_rows_inside_their_bound_are_accepted(self):
+        bank = MemoryBank(*self.rows(np.float32, 5e-6))
+        assert bank.features.dtype == bank.scores.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype, off", [(np.float64, 2e-6), (np.float32, 1e-3)])
+    @pytest.mark.parametrize("broken", ["features", "scores"])
+    def test_rows_past_the_bound_are_rejected(self, dtype, off, broken):
+        feats, scores = self.rows(dtype, 0.0)
+        off_feats, off_scores = self.rows(dtype, off)
+        args = (off_feats, scores) if broken == "features" else (feats, off_scores)
+        with pytest.raises(ValueError, match="unit norm" if broken == "features" else "simplex"):
+            MemoryBank(*args)
 
 
 def adapt_setup():

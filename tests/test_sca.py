@@ -68,6 +68,17 @@ class TestPrototypesValidation:
         with pytest.raises(ValueError):
             Prototypes(np.zeros((0, 3)))
 
+    def test_the_norm_bound_follows_the_dtype(self):
+        """1e-6 at float64; at float32 a bound scaled to the width (2 n eps)."""
+        rows = l2_normalize_rows(make_rng(0).normal(size=(3, 256)))
+        rows[0] *= 1.0 + 5e-6
+        assert Prototypes(rows.astype(np.float32)).centers.dtype == np.float32
+        with pytest.raises(ValueError, match="unit norm"):
+            Prototypes(rows)
+        rows[0] *= 1.0 + 1e-3
+        with pytest.raises(ValueError, match="unit norm"):
+            Prototypes(rows.astype(np.float32))
+
 
 class TestSphericalKmeans:
     def test_identical_centers_keep_everything_in_class_zero(self):

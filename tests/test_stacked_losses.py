@@ -12,7 +12,8 @@ from conftest import shard_loop_step
 from sfuda.core import knn_indices, make_rng, softmax
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
-from sfuda.head import HeadConfig, TrainConfig, cross_entropy, init_head, train_supervised
+from sfuda.head import (BOTTLENECK_PARAMS, HeadConfig, TrainConfig, cross_entropy, init_head,
+                        train_supervised)
 from sfuda.neighbors import (AadConfig, MemoryBank, NrcConfig, _simplex_nll_grad,
                              aad_adapt, aad_loss, nrc_adapt, nrc_loss, reciprocal_flags,
                              softmax_score_grad)
@@ -157,11 +158,14 @@ class TestStackedLossesEqualTheShardLoop:
             aad_loss(p, rows[:1], bank, 0.0, AadConfig(), rng=make_rng(0))
 
 
-def reference_step(model, x, shards, objective, sync_batchnorm=False):
+def reference_step(model, x, shards, objective, sync_batchnorm=False, *, classifier=True):
     """sharded_step as a loop: one forward, one (m, C) objective call and one
-    backward per shard, outputs stacked as sharded_step returns them."""
+    backward per shard, outputs stacked as sharded_step returns them; with
+    classifier False only the bottleneck-side gradients are returned."""
     value, grads, outputs = shard_loop_step(
         model, x, shards, lambda _w, rows, logits: objective(rows, logits), sync_batchnorm)
+    if not classifier:
+        grads = {k: grads[k] for k in BOTTLENECK_PARAMS}
     return value, grads, tuple(np.stack(part) for part in zip(*outputs))
 
 
@@ -174,22 +178,38 @@ class TestAdaptersMatchTheShardLoop:
         model = init_head(HeadConfig(d, 4, hidden_dim=16, norm_kind="batchnorm", seed=0))
         return tgt, train_supervised(model, src, "classifier_only", TrainConfig(seed=0))
 
-    @pytest.mark.parametrize("cell", [DistConfig(4, 16), DistConfig(16, 4)],
-                             ids=lambda c: c.label)
-    @pytest.mark.parametrize("adapt, module, cfg", [
+    cells = pytest.mark.parametrize("cell", [DistConfig(4, 16), DistConfig(16, 4)],
+                                    ids=lambda c: c.label)
+    adapters = pytest.mark.parametrize("adapt, module, cfg", [
         (pcsr_adapt, sfuda.shot, PcsrConfig(epochs=3, batch_size=64, seed=0)),
         (shot_adapt, sfuda.shot, ShotConfig(epochs=3, batch_size=64, seed=0)),
         (nrc_adapt, sfuda.neighbors, NrcConfig(epochs=3, batch_size=64, seed=0)),
         (aad_adapt, sfuda.neighbors, AadConfig(epochs=3, batch_size=64, seed=0)),
     ], ids=["pcsr", "shot", "nrc", "aad"])
+
+    @cells
+    @adapters
     def test_final_parameters_are_byte_identical(self, setup, monkeypatch, cell, adapt,
                                                  module, cfg):
         """PCSR mixes every shard and runs a second stacked step on the mixed
         rows; no benchmark workload runs that path with more than one worker."""
+        self.check(setup, monkeypatch, cell, adapt, module, cfg, np.float64)
+
+    @cells
+    @adapters
+    def test_float32_final_parameters_are_byte_identical(self, setup, monkeypatch, cell,
+                                                         adapt, module, cfg):
+        """The same at float32: a float32 target trains a float32 head."""
+        self.check(setup, monkeypatch, cell, adapt, module, cfg, np.float32)
+
+    @staticmethod
+    def check(setup, monkeypatch, cell, adapt, module, cfg, dtype):
         tgt, first = setup
-        stacked = adapt(first, tgt.features, cfg, dist=cell)
+        x = tgt.features.astype(dtype)
+        stacked = adapt(first, x, cfg, dist=cell)
         monkeypatch.setattr(module, "sharded_step", reference_step)
-        looped = adapt(first, tgt.features, cfg, dist=cell)
+        looped = adapt(first, x, cfg, dist=cell)
         for name, value in looped.params().items():
+            assert value.dtype == dtype, name
             assert stacked.params()[name].tobytes() == value.tobytes(), name
         assert stacked.norm.running_mean.tobytes() == looped.norm.running_mean.tobytes()
