@@ -31,14 +31,11 @@ from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair
                    labels_text, load_embeddings, load_results_table)
 from .distsim import cell_columns, grid_error, grid_specs, parse_cell
 from .engine import DEFAULT_GRID
-from .harness import (ADAPT_METHODS, METHODS, ExperimentRecord, TaskSpec, failure_report,
-                      format_mean_std, hyperparameter_grid, mean_std, run_suite,
-                      spec_groups)
+from .harness import (ADAPT_METHODS, METHODS, SFUDA_TASK, TASKS, ExperimentRecord, TaskSpec,
+                      failure_report, format_mean_std, hyperparameter_grid, mean_std,
+                      run_suite, spec_groups)
 from .head import HeadConfig, LoopConfig, TrainConfig
 from .stats import fit_linear, fit_multilinear
-
-SFUDA_TASKS = ("SFUDA", "FT-SFUDA")
-
 
 class CliError(ValueError):
     pass
@@ -180,7 +177,7 @@ class Sweep(Section):
 
     method: str
     params: dict
-    task: str = "SFUDA"
+    task: str = SFUDA_TASK
 
 
 def _section(cls, raw, ctx: str):
@@ -205,7 +202,13 @@ def _known_methods(methods: list[str], ctx: str) -> None:
             raise CliError(f"{ctx}: unknown method {m!r}")
 
 
-def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset, dict[str, str]]:
+    """cfg's (source, target) pair, and path -> sha256 of each file read."""
     data = cfg.get("data", {})
     _check_keys(data, {"generate", "source", "target"}, "data")
     if set(data) not in ({"generate"}, {"source", "target"}):
@@ -214,14 +217,16 @@ def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset]:
         gen = _section(Generate, data["generate"], "data.generate")
         shift = _section(ShiftSpec, gen.shift, "data.generate.shift")
         with _named("data.generate"):
-            return gen_gaussian_pair(gen.num_classes, gen.dim, gen.n_per_class,
-                                     float(gen.class_sep), shift, make_rng(gen.seed))
+            return *gen_gaussian_pair(gen.num_classes, gen.dim, gen.n_per_class,
+                                      float(gen.class_sep), shift, make_rng(gen.seed)), {}
     # both sides typed before open(), which takes an int as a file descriptor
     src = _section(SourceFile, data["source"], "data.source")
     tgt = _section(TargetFile, data["target"], "data.target")
     source = load_embeddings(src.features, src.labels, src.num_classes, src.name)
     num_classes = source.num_classes if tgt.num_classes is None else tgt.num_classes
-    return source, load_embeddings(tgt.features, tgt.labels, num_classes, tgt.name)
+    target = load_embeddings(tgt.features, tgt.labels, num_classes, tgt.name)
+    paths = [src.features, src.labels, tgt.features, tgt.labels]
+    return source, target, {p: _sha256(p) for p in paths if p is not None}
 
 
 def _method_configs(cfg: dict) -> dict:
@@ -256,15 +261,28 @@ def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
     method_configs = _method_configs(cfg)
     specs = []
     for task in tasks:
-        if task in SFUDA_TASKS and not methods:
+        adapts = task in TASKS and TASKS[task][1] == "sfuda"
+        if adapts and not methods:
             raise CliError(f"task {task} needs a 'methods' list")
         specs += [TaskSpec(task=task, method=m, method_config=method_configs.get(m), **common)
-                  for m in (methods if task in SFUDA_TASKS else [None])]
+                  for m in (methods if adapts else [None])]
     return specs
 
 
 def config_hash(cfg: dict, common: dict) -> str:
-    payload = {k: v for k, v in cfg.items() if k not in ("out_dir", "jobs")}
+    """sha256 of cfg, less out_dir and jobs, with the run's seeds and format.
+    A path of a file the command read (common["files"]: path -> sha256)
+    counts as the file's digest: the hash follows contents, not paths."""
+    files = common.get("files", {})
+
+    def contents(v):
+        if isinstance(v, dict):
+            return {k: contents(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [contents(x) for x in v]
+        return files.get(v, v) if isinstance(v, str) else v
+
+    payload = {k: contents(v) for k, v in cfg.items() if k not in ("out_dir", "jobs")}
     payload["_seeds"] = common["seeds"]
     payload["_format"] = common["format"]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -301,10 +319,6 @@ def _record_rows(records: list[ExperimentRecord]) -> list[dict]:
             for r in records]
 
 
-def _stamp(chash: str) -> str:
-    return f"# sfuda {__version__} config {chash[:12]}\n"
-
-
 def _blas_build() -> str:
     """numpy's BLAS as "name version"; "unknown" where numpy predates
     show_config(mode="dicts") or does not report it."""
@@ -319,10 +333,13 @@ def _manifest(cfg: dict, common: dict, chash: str, command: str,
               datasets: dict[str, DomainDataset] | None = None) -> str:
     """manifest.json: cfg and its provenance. provenance is not hashed: the
     numeric environment is recorded, not compared. It includes the compute
-    dtype of each of the datasets (role -> dataset) the records ran on."""
+    dtype of each of the datasets (role -> dataset) the records ran on, and
+    the path and sha256 of each file the command read."""
     prov = {"toolkit_version": __version__, "config_sha256": chash, "command": command,
             "seeds": common["seeds"], "format": common["format"], "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": _blas_build()}
+    if common.get("files"):
+        prov["files"] = common["files"]
     if datasets:
         prov["compute_dtype"] = {role: str(ds.features.dtype) for role, ds in datasets.items()}
     doc = {"config": cfg, "provenance": prov}
@@ -375,13 +392,13 @@ def _remove(paths: list[str]) -> None:
 
 
 def _write(cfg: dict, common: dict, command: str, tables: dict,
-           chash: str | None = None, datasets: dict | None = None) -> list[str]:
+           datasets: dict | None = None) -> list[str]:
     """Each table (name -> (rows, columns)) as name.FORMAT, stamped with
-    chash (default: cfg's config hash), then manifest.json for cfg and the
-    datasets (see _manifest)."""
-    chash = chash or config_hash(cfg, common)
-    fmt = common["format"]
-    files = {f"{name}.{fmt}": _table(rows, columns, fmt, _stamp(chash))
+    cfg's config hash, then manifest.json for cfg and the datasets (see
+    _manifest)."""
+    chash = config_hash(cfg, common)
+    fmt, stamp = common["format"], f"# sfuda {__version__} config {chash[:12]}\n"
+    files = {f"{name}.{fmt}": _table(rows, columns, fmt, stamp)
              for name, (rows, columns) in tables.items()}
     files["manifest.json"] = _manifest(cfg, common, chash, command, datasets)
     return _emit(common["out_dir"], files)
@@ -412,7 +429,7 @@ def _write_records(cfg: dict, common: dict, command: str, datasets: tuple,
 
 
 def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
-    source, target = datasets_from_config(cfg)  # checks that data is an object
+    source, target, _ = datasets_from_config(cfg)  # checks that data is an object
     if "generate" not in cfg["data"]:
         raise CliError("gen-data needs a data.generate section")
     chash = config_hash(cfg, common)
@@ -430,7 +447,7 @@ def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
 
 
 def cmd_run(args, cfg: dict, common: dict) -> list[str]:
-    datasets = datasets_from_config(cfg)
+    *datasets, common["files"] = datasets_from_config(cfg)
     specs = build_specs(cfg, *datasets)
     if len(specs) != 1:
         raise CliError(f"run expects exactly one task/method, got {len(specs)}; use suite")
@@ -444,7 +461,7 @@ def cmd_run(args, cfg: dict, common: dict) -> list[str]:
 
 
 def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
-    datasets = datasets_from_config(cfg)
+    *datasets, common["files"] = datasets_from_config(cfg)
     specs = build_specs(cfg, *datasets)
     records = run_suite(specs, common["seeds"], jobs=common["jobs"])
     rows = []
@@ -468,7 +485,7 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
     if not grid.methods:
         raise CliError("distgrid: methods must be a nonempty list")
     _known_methods(grid.methods, "distgrid.methods")
-    source, target = datasets_from_config(cfg)
+    source, target, common["files"] = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "batchnorm")
     specs = grid_specs(grid.methods, source, target, cells, _method_configs(cfg), **settings)
     records = run_suite(specs, common["seeds"], jobs=common["jobs"])
@@ -489,7 +506,7 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
 def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
     sweep = _section(Sweep, cfg.get("sweep", {}), "sweep")
     _known_methods([sweep.method], "sweep.method")
-    source, target = datasets_from_config(cfg)
+    source, target, common["files"] = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "layernorm")
     # method_configs gives the settings the sweep does not vary
     spec = TaskSpec(task=sweep.task, method=sweep.method, target=target, source=source,
@@ -515,8 +532,7 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
     if not table_path:
         raise CliError("stats needs a results table (positional argument or config)")
     table = load_results_table(table_path)
-    with open(table_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    common["files"] = {table_path: _sha256(table_path)}
     tasks = sorted({r.task for r in table.rows})
 
     rows = []
@@ -538,12 +554,9 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
         })
         print(f"{label}: lin adj_r2 {lin.adj_r2:.3f}  mlin adj_r2 {mlin.adj_r2:.3f}  "
               f"(m {mlin.m:.3f}, q {mlin.q:.2f}, dm {mlin.delta_m:.3f}, dq {mlin.delta_q:.2f})")
-    # the stamp covers the table's contents, not the path it was read from
-    hashed = {k: v for k, v in cfg.items() if k != "results_table"}
     return _write({**cfg, "results_table": table_path}, common, "stats",
                   {"stats": (rows, ["task", "n", "m", "q", "delta_m", "delta_q",
-                                    "lin_adj_r2", "mlin_adj_r2"])},
-                  config_hash({**hashed, "results_table_sha256": digest}, common))
+                                    "lin_adj_r2", "mlin_adj_r2"])})
 
 
 def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[dict]]:
@@ -584,7 +597,7 @@ def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[di
 def cmd_report(args, cfg: dict, common: dict) -> list[str]:
     if not args.records:
         raise CliError("report needs at least one records file")
-    columns, records, rows, digests = None, [], [], []
+    columns, records, rows = None, [], []
     for path in args.records:
         file_columns, file_records, file_rows = _read_records(path)
         if columns not in (None, file_columns):
@@ -592,8 +605,7 @@ def cmd_report(args, cfg: dict, common: dict) -> list[str]:
         columns = file_columns
         records.extend(file_records)
         rows.extend(file_rows)
-        with open(path, "rb") as fh:
-            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    common["files"] = {path: _sha256(path) for path in args.records}
 
     keys = columns[len(RECORD_COLUMNS):]
     tables = {}
@@ -612,9 +624,7 @@ def cmd_report(args, cfg: dict, common: dict) -> list[str]:
     tables["points"] = ([{**row, **fmt} for row, fmt in zip(rows, _record_rows(records))],
                         ["task", "method", "norm_kind", "seed", "baseline_lp_odg",
                          "accuracy", "delta", "failed", *keys])
-    # provenance covers what the records say, not where they were read from
-    return _write({"records": sorted(args.records)}, common, "report", tables,
-                  config_hash({"records_sha256": digests}, common))
+    return _write({"records": args.records}, common, "report", tables)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -102,16 +102,10 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
     """Exact k nearest cosine neighbors per row, self excluded.
 
     Returns an (n, k) int array ordered by decreasing similarity; ties break
-    toward the lower index, so the result equals the first k columns of a
-    stable descending argsort of each row, and the top-k table is a prefix of
-    every larger one. Brute force over the full similarity matrix, no
+    toward the lower index. The full table is the first k columns of a
+    stable argsort of each row of the negated similarity matrix, so the
+    top-k table is a prefix of every larger one. Brute force, no
     approximate indexing.
-
-    Selection is partial: np.partition finds each row's k-th largest
-    similarity, and only the candidates at or above it are stable-sorted, in
-    index order, so equal similarities keep the lower index first. A row with
-    more (or fewer) than k such candidates, because ties straddle the k-th
-    place or a NaN is present, is stable-sorted alone.
 
     With rows (indices into m, in any order, repeats allowed) only those rows
     are ranked, from u[rows] @ u.T, and the result is knn_indices(m, k)[rows]
@@ -150,17 +144,7 @@ def knn_indices(m: Array, k: int, *, rows: Array | None = None,
         cost = u @ u.T
         np.negative(cost, out=cost)
         np.fill_diagonal(cost, np.inf)
-        kth = np.partition(cost, k - 1, axis=1)[:, k - 1:k]
-        cand = cost <= kth
-        exact = cand.sum(axis=1) == k
-        out = np.empty((n, k), dtype=np.int64)
-        fast = np.flatnonzero(exact)
-        idx = np.nonzero(cand[fast])[1].reshape(fast.size, k)
-        order = np.argsort(cost[fast[:, None], idx], axis=1, kind="stable")
-        out[fast] = np.take_along_axis(idx, order, axis=1)
-        for i in np.flatnonzero(~exact):
-            out[i] = np.argsort(cost[i], kind="stable")[:k]
-        return out
+        return np.argsort(cost, axis=1, kind="stable")[:, :k]
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
         raise ValueError(f"rows must be a vector of indices below n={n}")

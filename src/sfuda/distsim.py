@@ -1,8 +1,8 @@
-"""Single-process simulation of data-parallel training: a global batch is cut
-into contiguous worker shards, each worker evaluates the full objective on its
-shard alone (batch-level statistics included), and the parameter update uses
-the unweighted average of shard gradients. This reproduces the quiet change of
-objective that sharding inflicts on batch-coupled loss terms."""
+"""The worker-layout grid of `sfuda distgrid`: its cells (W workers of B
+rows each), one SFUDA spec per (method, cell) run as one suite, and
+run_distributed_grid for one method. Also the reference gradients a
+sharded step is checked against: one centralized batch, and the average of
+per-shard gradients. The sharded training itself is engine.sharded_step."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import numpy as np
 from .core import as_compute
 from .data import DomainDataset
 from .engine import DEFAULT_GRID, DistConfig, shard_rows, sharded_step
-from .harness import (ADAPT_METHODS, TaskSpec, mean_std,  # noqa: F401 (re-exported)
-                      run_suite, spec_groups)
+from .harness import (ADAPT_METHODS, SFUDA_TASK, TaskSpec,  # noqa: F401 (re-exported)
+                      mean_std, run_suite, spec_groups)
 from .head import HeadModel, TrainConfig, backward, forward
 
 __all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell", "cell_columns", "grid_error",
@@ -92,7 +92,7 @@ def grid_specs(methods, source: DomainDataset, target: DomainDataset, cells,
     starts from one classifier-only transfer."""
     if len({c.global_batch for c in cells}) != 1:
         raise ValueError("grid cells must share one global batch size")
-    return [TaskSpec("SFUDA", target, source, method, dist=cell,
+    return [TaskSpec(SFUDA_TASK, target, source, method, dist=cell,
                      method_config=(method_cfgs or {}).get(method), **spec_kw)
             for method in methods for cell in cells]
 

@@ -30,7 +30,14 @@ from .pcsr import PcsrConfig, pcsr_adapt
 from .sca import sca_adapt
 from .shot import ShotConfig, shot_adapt
 
-TASKS = ("LP-IDG", "FT-IDG", "LP-ODG", "FT-ODG", "SFUDA", "FT-SFUDA")
+# The paper's grid: task -> (scope of its first transfer, evaluation). A
+# linear probe ("classifier_only") or fine-tune ("full") is scored in-domain
+# ("idg"), out-of-domain ("odg") or after source-free adaptation ("sfuda").
+TASKS = {"LP-IDG": ("classifier_only", "idg"), "FT-IDG": ("full", "idg"),
+         "LP-ODG": ("classifier_only", "odg"), "FT-ODG": ("full", "odg"),
+         "SFUDA": ("classifier_only", "sfuda"), "FT-SFUDA": ("full", "sfuda")}
+# the task a distgrid cell and, by default, a sweep run: a probe, adapted
+SFUDA_TASK = next(task for task, cell in TASKS.items() if cell == ("classifier_only", "sfuda"))
 # gradient-based adapters; prototype transport has no optimization loop to shard
 ADAPT_METHODS = {
     "SHOT": (ShotConfig, shot_adapt),
@@ -58,11 +65,11 @@ class TaskSpec:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
-        needs_source = self.task not in ("LP-IDG", "FT-IDG")
-        if needs_source and self.source is None:
+            raise ValueError(f"unknown task {self.task!r}, expected one of {tuple(TASKS)}")
+        evaluation = TASKS[self.task][1]
+        if evaluation != "idg" and self.source is None:
             raise ValueError(f"{self.task} needs a source dataset")
-        if self.task in ("SFUDA", "FT-SFUDA"):
+        if evaluation == "sfuda":
             if self.method is None:
                 raise ValueError(f"{self.task} needs an adaptation method")
             if self.method not in METHODS:
@@ -184,15 +191,16 @@ def first_transfer(spec: TaskSpec, scope: str, data: DomainDataset,
     return memo.get(*_transfer_entry(spec, scope, data))
 
 
-def _baseline_entry(spec: TaskSpec, memo: TransferMemo) -> tuple:
-    """The LP-ODG baseline's memo key and computation: the classifier-only
-    source transfer scored on the full target. Bitwise identical whether run
-    standalone or inside another task."""
-    objects, params, _ = _transfer_entry(spec, "classifier_only", spec.source)
+def _score_entry(spec: TaskSpec, scope: str, data: DomainDataset,
+                 memo: TransferMemo) -> tuple:
+    """The memo key and computation of a first transfer's accuracy (spec's
+    head trained on data at scope) on the full target: an ODG score, or for
+    the classifier-only source transfer the baseline. Bitwise identical
+    whether run standalone or inside another task."""
+    objects, params, _ = _transfer_entry(spec, scope, data)
     target = spec.target
-    return objects + (target,), ("baseline",) + params, lambda: evaluate(
-        first_transfer(spec, "classifier_only", spec.source, memo),
-        target.features, target.labels)
+    return objects + (target,), ("score",) + params, lambda: evaluate(
+        first_transfer(spec, scope, data, memo), target.features, target.labels)
 
 
 def _idg_split(spec: TaskSpec, memo: TransferMemo) -> tuple[DomainDataset, np.ndarray]:
@@ -210,50 +218,43 @@ def _idg_split(spec: TaskSpec, memo: TransferMemo) -> tuple[DomainDataset, np.nd
 
 def _transfer_plan(spec: TaskSpec, memo: TransferMemo) -> dict[str, tuple]:
     """The first transfers spec's task starts from, as role -> (scope, data),
-    in the order run_task trains them: "idg" on the in-domain split, "lp"
-    (the head the LP-ODG baseline scores) whenever there is a source, and
-    "ft" for the tasks that start from full fine-tuning on the source."""
-    plan = {}
-    if spec.task in ("LP-IDG", "FT-IDG"):
-        plan["idg"] = ("classifier_only" if spec.task == "LP-IDG" else "full",
-                       _idg_split(spec, memo)[0])
-    if spec.source is not None:
-        plan["lp"] = ("classifier_only", spec.source)
-    if spec.task in ("FT-ODG", "FT-SFUDA"):
-        plan["ft"] = ("full", spec.source)
+    in the order run_task trains them: "lp" (the head the LP-ODG baseline
+    scores) whenever there is a source, and "first", the transfer the task
+    starts from, at the task's scope on the in-domain split for IDG, else on
+    the source."""
+    scope, evaluation = TASKS[spec.task]
+    plan = {} if spec.source is None else {"lp": ("classifier_only", spec.source)}
+    plan["first"] = scope, _idg_split(spec, memo)[0] if evaluation == "idg" else spec.source
     return plan
 
 
 def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentRecord:
     """Execute one transfer task and score it against the shared baseline.
-    First transfers and the baseline come from memo (a fresh one when None),
+    First transfers and their scores come from memo (a fresh one when None),
     which changes no result, only how often they are computed."""
     t0 = time.perf_counter()
     memo = memo if memo is not None else TransferMemo()
     target = spec.target
-    heads = {role: first_transfer(spec, scope, data, memo)
-             for role, (scope, data) in _transfer_plan(spec, memo).items()}
-    baseline = memo.get(*_baseline_entry(spec, memo)) if "lp" in heads else float("nan")
+    plan = _transfer_plan(spec, memo)
+    baseline = memo.get(*_score_entry(spec, *plan["lp"], memo)) if "lp" in plan else float("nan")
+    first = first_transfer(spec, *plan["first"], memo)
 
-    if spec.task in ("LP-IDG", "FT-IDG"):
+    scope, evaluation = TASKS[spec.task]
+    if evaluation == "idg":
         te_idx = _idg_split(spec, memo)[1]
-        accuracy = evaluate(heads["idg"], target.features[te_idx], target.labels[te_idx])
-    elif spec.task == "LP-ODG":
-        accuracy = baseline
-    elif spec.task == "FT-ODG":
-        accuracy = evaluate(heads["ft"], target.features, target.labels)
+        accuracy = evaluate(first, target.features[te_idx], target.labels[te_idx])
+    elif evaluation == "odg":
+        accuracy = memo.get(*_score_entry(spec, *plan["first"], memo))
+    # sfuda is transductive: the adapter sees the read-only matrix that is scored
+    elif spec.method == "SCA":
+        # raw input space under classifier-only transfer, bottleneck after FT
+        space = "raw" if scope == "classifier_only" else "bottleneck"
+        labels, _ = sca_adapt(spec.source, target.features, space, model=first)
+        accuracy = float((labels == target.labels).mean() * 100.0)
     else:
-        # transductive: the adapter sees the read-only matrix that is scored
-        first = heads.get("ft", heads["lp"])
-        if spec.method == "SCA":
-            # raw input space under classifier-only transfer, bottleneck after FT
-            space = "bottleneck" if spec.task == "FT-SFUDA" else "raw"
-            labels, _ = sca_adapt(spec.source, target.features, space, model=first)
-            accuracy = float((labels == target.labels).mean() * 100.0)
-        else:
-            adapt_fn = ADAPT_METHODS[spec.method][1]
-            adapted = adapt_fn(first, target.features, spec.method_config, dist=spec.dist)
-            accuracy = evaluate(adapted, target.features, target.labels)
+        adapt_fn = ADAPT_METHODS[spec.method][1]
+        adapted = adapt_fn(first, target.features, spec.method_config, dist=spec.dist)
+        accuracy = evaluate(adapted, target.features, target.labels)
     return _record(spec, accuracy, baseline, t0)
 
 
@@ -403,7 +404,7 @@ def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> list[ExperimentRec
         for role, (scope, data) in _transfer_plan(spec, memo).items():
             entries = [_transfer_entry(spec, scope, data)]
             if role == "lp":
-                entries.append(_baseline_entry(spec, memo))
+                entries.append(_score_entry(spec, scope, data, memo))
             groups.setdefault(memo.key(*entries[0][:2]), entries)
     trained = _map(lambda entries: [memo.outcome(*entry) for entry in entries],
                    list(groups.values()), jobs)

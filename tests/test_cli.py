@@ -380,6 +380,62 @@ class TestFloat32Files:
             assert prov["compute_dtype"] == {"source": dtype, "target": dtype}
 
 
+class TestProvenance:
+    """A stamp covers the contents of the files a command read, not the
+    paths they were read from."""
+
+    @staticmethod
+    def gen_pair(tmp_path, out, seed):
+        cfg = base_config()
+        cfg["data"]["generate"]["seed"] = seed
+        assert main(["gen-data", "--config", write_config(tmp_path, cfg, "gen.json"),
+                     "--out", str(out)]) == 0
+
+    @staticmethod
+    def stamp(tmp_path, data, out):
+        cfg = write_config(tmp_path, {**base_config(), "data": data})
+        assert main(["suite", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+        return (out / "records.csv").read_text().splitlines()[0]
+
+    def test_the_same_files_at_two_paths_get_one_stamp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.gen_pair(tmp_path, tmp_path / "pair", 0)
+        relative = {s: {k: f"pair/{s}_{k}{ext}" for k, ext in
+                        (("features", ".bin"), ("labels", ".txt"))}
+                    for s in ("source", "target")}
+        first = self.stamp(tmp_path, relative, tmp_path / "o1")
+        assert self.stamp(tmp_path, file_data(tmp_path / "pair"), tmp_path / "o2") == first
+        (tmp_path / "copy").mkdir()
+        for f in (tmp_path / "pair").glob("*_*"):
+            (tmp_path / "copy" / f.name).write_bytes(f.read_bytes())
+        assert self.stamp(tmp_path, file_data(tmp_path / "copy"), tmp_path / "o3") == first
+
+    def test_different_contents_at_one_path_get_two_stamps(self, tmp_path):
+        pair = tmp_path / "pair"
+        self.gen_pair(tmp_path, pair, 0)
+        first = self.stamp(tmp_path, file_data(pair), tmp_path / "o1")
+        self.gen_pair(tmp_path, pair, 1)
+        assert self.stamp(tmp_path, file_data(pair), tmp_path / "o2") != first
+
+    def test_the_manifest_lists_each_file_read_with_its_digest(self, tmp_path):
+        pair = tmp_path / "pair"
+        self.gen_pair(tmp_path, pair, 0)
+        data = file_data(pair)
+        self.stamp(tmp_path, data, tmp_path / "out")
+        prov = json.loads((tmp_path / "out" / "manifest.json").read_text())["provenance"]
+        paths = [data[s][k] for s in ("source", "target") for k in ("features", "labels")]
+        assert prov["files"] == {p: sha256(Path(p)) for p in paths}
+
+    @pytest.mark.parametrize("make_bad", [Path.unlink, lambda p: (p.unlink(), p.mkdir())])
+    def test_a_missing_or_unreadable_file_is_one_error_line(self, tmp_path, make_bad):
+        pair = tmp_path / "pair"
+        self.gen_pair(tmp_path, pair, 0)
+        make_bad(pair / "target_labels.txt")
+        cfg = write_config(tmp_path, {**base_config(), "data": file_data(pair)})
+        out = tmp_path / "out"
+        assert_one_error_line(*run_cli(["suite", "--config", cfg, "--out", str(out)]), out)
+
+
 class TestFailureHandling:
     def test_unknown_config_key_exits_with_one_error_line(self, tmp_path, capsys):
         cfg_dict = base_config()

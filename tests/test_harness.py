@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 import sfuda.harness
-from sfuda.core import derive_seed, make_rng
+from sfuda.core import derive_rng, derive_seed, make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
 from sfuda.harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, failure_report,
                            format_mean_std, hyperparameter_grid, mean_std, run_suite,
                            run_task, spec_groups, stratified_split)
-from sfuda.head import TrainConfig
+from sfuda.head import HeadConfig, TrainConfig, evaluate, init_head, train_supervised
 from sfuda.neighbors import NrcConfig
 from sfuda.pcsr import PcsrConfig
-from sfuda.shot import ShotConfig
+from sfuda.sca import sca_adapt
+from sfuda.shot import ShotConfig, shot_adapt
 
 
 def separable_target():
@@ -189,6 +190,53 @@ class TestRunTask:
                                     method="SHOT", hidden_dim=32, seed=0,
                                     method_config=cfg))
         assert ft_shot.accuracy >= ft.accuracy + 3.0
+
+
+class TestTheGrid:
+    """Each task's record is its definition in the paper's grid, built here
+    from the primitives: a first transfer at the task's scope (linear probe
+    or fine-tune), scored in-domain on a held-out split, on the full target,
+    or after source-free adaptation. The baseline is the probe's ODG score."""
+
+    @pytest.mark.parametrize("task, method, scope", [
+        ("LP-IDG", None, "classifier_only"), ("FT-IDG", None, "full"),
+        ("LP-ODG", None, "classifier_only"), ("FT-ODG", None, "full"),
+        ("SFUDA", "SCA", "classifier_only"), ("SFUDA", "SHOT", "classifier_only"),
+        ("FT-SFUDA", "SCA", "full"),
+    ])
+    def test_each_record_is_its_definition_bit_for_bit(self, task, method, scope):
+        # data and training where LP and FT, and raw and bottleneck SCA, disagree
+        src, tgt = small_shifted_pair(sep=2.0, n=40)
+        seed, shot = 3, ShotConfig(epochs=2, batch_size=16)
+        train = {"epochs": 10, "learning_rate": 0.3}
+        rec = run_task(TaskSpec(task=task, target=tgt, source=src, method=method,
+                                hidden_dim=16, seed=seed, train=TrainConfig(**train),
+                                method_config=shot if method == "SHOT" else None))
+
+        head_cfg = HeadConfig(tgt.d, tgt.num_classes, 16, "layernorm", "relu",
+                              seed=derive_seed(seed, "head-init"))
+        train_cfg = TrainConfig(**train, seed=derive_seed(seed, "first-transfer"))
+
+        def transfer(data, at):
+            return train_supervised(init_head(head_cfg), data, at, train_cfg)
+
+        if task.endswith("IDG"):
+            tr, te = stratified_split(tgt.labels, 0.8, derive_rng(seed, "idg-split"))
+            split = DomainDataset("split", tgt.features[tr], tgt.labels[tr], tgt.num_classes)
+            accuracy = evaluate(transfer(split, scope), tgt.features[te], tgt.labels[te])
+        elif task.endswith("ODG"):
+            accuracy = evaluate(transfer(src, scope), tgt.features, tgt.labels)
+        elif method == "SCA":
+            space = "raw" if scope == "classifier_only" else "bottleneck"
+            labels, _ = sca_adapt(src, tgt.features, space, model=transfer(src, scope))
+            accuracy = float((labels == tgt.labels).mean() * 100.0)
+        else:
+            adapted = shot_adapt(transfer(src, scope), tgt.features,
+                                 replace(shot, seed=derive_seed(seed, "adapt")))
+            accuracy = evaluate(adapted, tgt.features, tgt.labels)
+        baseline = evaluate(transfer(src, "classifier_only"), tgt.features, tgt.labels)
+        assert (rec.accuracy, rec.baseline_lp_odg) == (accuracy, baseline)
+        assert rec.error is None and np.isfinite(accuracy)
 
 
 class TestSuite:

@@ -54,3 +54,32 @@ def test_allowed_names_still_exist_and_are_still_unused():
         node = next(n for d, _, n in defs if d == name)
         assert not any(n == name and top is not node for n, _, top in uses), \
             f"{name} is used now; drop it from ALLOWED"
+
+
+def _task_name_constants():
+    """(module, line, value) of each string constant in src/sfuda that names a
+    task, outside the TASKS literal; docstrings and f-string parts aside."""
+    from sfuda.harness import TASKS
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and path.name == "harness.py"
+                    and [getattr(t, "id", None) for t in node.targets] == ["TASKS"]):
+                skip.update(map(id, ast.walk(node.value)))
+            elif isinstance(node, ast.JoinedStr):
+                skip.update(map(id, node.values))
+            elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body \
+                    and isinstance(node.body[0], ast.Expr):
+                skip.add(id(node.body[0].value))
+        found += [(path.name, node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in TASKS
+                  and id(node) not in skip]
+    return found
+
+
+def test_task_names_are_written_only_in_the_task_table():
+    # every rule about a task reads harness.TASKS, never the task's name
+    assert _task_name_constants() == []
