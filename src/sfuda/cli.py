@@ -28,8 +28,8 @@ import scipy
 from . import __version__
 from .core import Section, check_type, make_rng
 from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
-                   labels_text, load_embeddings, load_results_table)
-from .distsim import cell_columns, grid_error, grid_specs, parse_cell
+                   labels_text, load_embeddings, load_results_table, read_table)
+from .distsim import cell_columns, check_cells, grid_error, grid_specs, parse_cell
 from .engine import DEFAULT_GRID
 from .harness import (ADAPT_METHODS, METHODS, SFUDA_TASK, TASKS, ExperimentRecord, TaskSpec,
                       failure_report, format_mean_std, hyperparameter_grid, mean_std,
@@ -202,6 +202,13 @@ def _known_methods(methods: list[str], ctx: str) -> None:
             raise CliError(f"{ctx}: unknown method {m!r}")
 
 
+def _known_tasks(tasks: list[str], ctx: str) -> None:
+    """Raises naming ctx at the first task the harness does not run."""
+    for t in tasks:
+        if t not in TASKS:
+            raise CliError(f"{ctx}: unknown task {t!r}, expected one of {tuple(TASKS)}")
+
+
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -250,23 +257,28 @@ def _head_and_train(cfg: dict, norm_kind: str) -> dict:
     return {**head, "train": _section(TrainConfig, cfg.get("train", {}), "train")}
 
 
-def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
-                ) -> list[TaskSpec]:
-    """One spec per task, and per method for an SFUDA task."""
+def _check_suite_names(cfg: dict) -> None:
+    """The suite's task and method names, checked before any data is read."""
     tasks, methods = cfg.get("tasks", []), cfg.get("methods", [])
     if not tasks:
         raise CliError("config needs a nonempty 'tasks' list")
+    _known_tasks(tasks, "tasks")
     _known_methods(methods, "methods")
+    for task in tasks:
+        if TASKS[task][1] == "sfuda" and not methods:
+            raise CliError(f"task {task} needs a 'methods' list")
+
+
+def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
+                ) -> list[TaskSpec]:
+    """One spec per task, and per method for an SFUDA task; the names are
+    those _check_suite_names passed."""
+    methods = cfg.get("methods", [])
     common = dict(target=target, source=source, **_head_and_train(cfg, "layernorm"))
     method_configs = _method_configs(cfg)
-    specs = []
-    for task in tasks:
-        adapts = task in TASKS and TASKS[task][1] == "sfuda"
-        if adapts and not methods:
-            raise CliError(f"task {task} needs a 'methods' list")
-        specs += [TaskSpec(task=task, method=m, method_config=method_configs.get(m), **common)
-                  for m in (methods if adapts else [None])]
-    return specs
+    return [TaskSpec(task=task, method=m, method_config=method_configs.get(m), **common)
+            for task in cfg["tasks"]
+            for m in (methods if TASKS[task][1] == "sfuda" else [None])]
 
 
 def config_hash(cfg: dict, common: dict) -> str:
@@ -447,6 +459,7 @@ def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
 
 
 def cmd_run(args, cfg: dict, common: dict) -> list[str]:
+    _check_suite_names(cfg)
     *datasets, common["files"] = datasets_from_config(cfg)
     specs = build_specs(cfg, *datasets)
     if len(specs) != 1:
@@ -461,6 +474,7 @@ def cmd_run(args, cfg: dict, common: dict) -> list[str]:
 
 
 def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
+    _check_suite_names(cfg)
     *datasets, common["files"] = datasets_from_config(cfg)
     specs = build_specs(cfg, *datasets)
     records = run_suite(specs, common["seeds"], jobs=common["jobs"])
@@ -482,6 +496,8 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
     with _named("distgrid"):
         cells = [replace(c, sync_batchnorm=grid.sync_batchnorm)
                  for c in [parse_cell(c) for c in grid.cells] or DEFAULT_GRID]
+    with _named("distgrid.cells"):
+        check_cells(cells)
     if not grid.methods:
         raise CliError("distgrid: methods must be a nonempty list")
     _known_methods(grid.methods, "distgrid.methods")
@@ -505,6 +521,9 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
 
 def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
     sweep = _section(Sweep, cfg.get("sweep", {}), "sweep")
+    _known_tasks([sweep.task], "sweep.task")
+    if TASKS[sweep.task][1] != "sfuda":
+        raise CliError(f"sweep.task: {sweep.task} does not take a method")
     _known_methods([sweep.method], "sweep.method")
     source, target, common["files"] = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "layernorm")
@@ -562,20 +581,15 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
 def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[dict]]:
     """A records table's columns (RECORD_COLUMNS, then any key columns),
     its records, and each row's fields by column."""
-    with open(path, newline="") as fh:
-        kept = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
-    delim = "\t" if kept and "\t" in kept[0][1] else ","
-    reader = csv.reader((line for _, line in kept), delimiter=delim)
-    columns = next(reader, None) or []
+    lines = read_table(path)
+    columns = lines[0][1] if lines else []
     keys = columns[len(RECORD_COLUMNS):]
     # a key column names a by_KEY table, so it must be a distinct identifier
     if (columns[:len(RECORD_COLUMNS)] != RECORD_COLUMNS or len(set(columns)) != len(columns)
             or not all(k.isidentifier() for k in keys)):
         raise CliError(f"{path}: not a records table")
     records, rows = [], []
-    for fields in reader:
-        if not fields:
-            continue
+    for lineno, fields in lines[1:]:
         try:
             if len(fields) != len(columns):
                 raise ValueError(f"expected {len(columns)} fields, not {len(fields)}")
@@ -589,7 +603,7 @@ def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[di
                 delta=float(row["delta"]), failed=bool(int(row["failed"])),
                 wall_time=0.0, error=row["error"] or None))
         except ValueError as e:
-            raise CliError(f"{path}: line {kept[reader.line_num - 1][0]}: {e}") from None
+            raise CliError(f"{path}: line {lineno}: {e}") from None
         rows.append(row)
     return columns, records, rows
 

@@ -13,6 +13,10 @@ from .core import Section, as_compute, l2_normalize_rows
 EMBED_MAGIC = b"SFUD"
 
 
+class LabelError(ValueError):
+    """A dataset's labels disagree with its rows or its class count."""
+
+
 @dataclass
 class DomainDataset:
     """Feature matrix with optional integer labels for one domain. The
@@ -41,13 +45,15 @@ class DomainDataset:
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.n,):
-                raise ValueError("labels length must match feature rows")
-            if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-                raise ValueError("label out of range")
+                raise LabelError("labels length must match feature rows")
+            outside = (self.labels < 0) | (self.labels >= self.num_classes)
+            if outside.any():
+                raise LabelError(f"label out of range: {self.labels[outside][0]} "
+                                 f"with {self.num_classes} classes")
             present = np.unique(self.labels)
             if present.size != self.num_classes:
                 missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
-                raise ValueError(f"classes {missing} have no samples")
+                raise LabelError(f"classes {missing} of {self.num_classes} have no samples")
 
     @property
     def n(self) -> int:
@@ -196,7 +202,12 @@ def load_embeddings(features_path: str, labels_path: str | None = None,
                                  f"{num_classes} classes, but there are {n} rows")
     elif num_classes is None:
         raise ValueError("num_classes is required when no labels file is given")
-    return DomainDataset(name or features_path, feats, labels, num_classes)
+    try:
+        return DomainDataset(name or features_path, feats, labels, num_classes)
+    except LabelError as e:
+        raise ValueError(f"{labels_path}: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{features_path}: {e}") from None
 
 
 RESULT_COLUMNS = ("backbone", "top1", "pretrain", "task", "accuracy")
@@ -221,43 +232,49 @@ class ResultsTable:
         return ResultsTable([r for r in self.rows if r.task == task])
 
 
+def read_table(path: str, delimiter: str | None = None) -> list[tuple[int, list[str]]]:
+    """A delimited text table's rows as (line number in the file, fields),
+    header first, skipping '#' comment lines and blank lines. With no
+    delimiter given, a tab in the first row picks tab, else comma."""
+    with open(path, newline="") as fh:
+        kept = [(n, line) for n, line in enumerate(fh, 1)
+                if line.strip() and not line.startswith("#")]
+    if delimiter is None:
+        delimiter = "\t" if kept and "\t" in kept[0][1] else ","
+    reader = csv.reader((line for _, line in kept), delimiter=delimiter)
+    return [(kept[reader.line_num - 1][0], fields) for fields in reader]
+
+
 def load_results_table(path: str) -> ResultsTable:
     """Comma-delimited benchmark records; every malformed line is reported
-    by its line number in the file, comment lines counted."""
+    by its line number in the file, comment and blank lines counted."""
     rows: list[ResultsRow] = []
     problems: list[str] = []
-    with open(path, newline="") as fh:
-        kept = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
-        reader = csv.reader(line for _, line in kept)
+    lines = read_table(path, ",")
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    if tuple(h.strip() for h in lines[0][1]) != RESULT_COLUMNS:
+        raise ValueError(f"{path}: header must be {','.join(RESULT_COLUMNS)}")
+    for lineno, rec in lines[1:]:
+        if len(rec) != len(RESULT_COLUMNS):
+            problems.append(f"line {lineno}: expected {len(RESULT_COLUMNS)} columns")
+            continue
+        backbone, top1_s, pre_s, task, acc_s = (v.strip() for v in rec)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != RESULT_COLUMNS:
-            raise ValueError(f"{path}: header must be {','.join(RESULT_COLUMNS)}")
-        for rec in reader:
-            lineno = kept[reader.line_num - 1][0]
-            if len(rec) != len(RESULT_COLUMNS):
-                problems.append(f"line {lineno}: expected {len(RESULT_COLUMNS)} columns")
-                continue
-            backbone, top1_s, pre_s, task, acc_s = (v.strip() for v in rec)
-            try:
-                top1 = float(top1_s)
-                acc = float(acc_s)
-                pre = int(pre_s)
-            except ValueError:
-                problems.append(f"line {lineno}: non-numeric field")
-                continue
-            if not 0.0 <= top1 <= 100.0:
-                problems.append(f"line {lineno}: top1 {top1} outside [0, 100]")
-                continue
-            if not 0.0 <= acc <= 100.0:
-                problems.append(f"line {lineno}: accuracy {acc} outside [0, 100]")
-                continue
-            if pre not in (0, 1):
-                problems.append(f"line {lineno}: pretrain flag must be 0 or 1")
-                continue
-            rows.append(ResultsRow(backbone, top1, pre, task, acc))
+            top1, acc, pre = float(top1_s), float(acc_s), int(pre_s)
+        except ValueError:
+            problems.append(f"line {lineno}: non-numeric field")
+            continue
+        if not 0.0 <= top1 <= 100.0:
+            problems.append(f"line {lineno}: top1 {top1} outside [0, 100]")
+            continue
+        if not 0.0 <= acc <= 100.0:
+            problems.append(f"line {lineno}: accuracy {acc} outside [0, 100]")
+            continue
+        if pre not in (0, 1):
+            problems.append(f"line {lineno}: pretrain flag must be 0 or 1")
+            continue
+        rows.append(ResultsRow(backbone, top1, pre, task, acc))
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
     return ResultsTable(rows)

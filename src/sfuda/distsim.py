@@ -17,9 +17,9 @@ from .harness import (ADAPT_METHODS, SFUDA_TASK, TaskSpec,  # noqa: F401 (re-exp
                       mean_std, run_suite, spec_groups)
 from .head import HeadModel, TrainConfig, backward, forward
 
-__all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell", "cell_columns", "grid_error",
-           "grid_specs", "centralized_gradient", "sharded_gradient", "run_distributed_grid",
-           "GridResult"]
+__all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell", "cell_columns", "check_cells",
+           "grid_error", "grid_specs", "centralized_gradient", "sharded_gradient",
+           "run_distributed_grid", "GridResult"]
 
 
 def parse_cell(label: str) -> DistConfig:
@@ -84,14 +84,20 @@ class GridResult:
     rows: list[dict]
 
 
+def check_cells(cells) -> None:
+    """Raises unless the grid cells share one global batch size, so that
+    every cell adapts with the same batch."""
+    if len({c.global_batch for c in cells}) != 1:
+        raise ValueError("grid cells must share one global batch size")
+
+
 def grid_specs(methods, source: DomainDataset, target: DomainDataset, cells,
                method_cfgs: dict | None = None, **spec_kw) -> list[TaskSpec]:
     """One SFUDA spec per (method, cell), method-major; a cell's global batch
     replaces the batch_size of method_cfgs, and spec_kw holds the other
     TaskSpec settings. Run in one suite, every method and cell of a seed
     starts from one classifier-only transfer."""
-    if len({c.global_batch for c in cells}) != 1:
-        raise ValueError("grid cells must share one global batch size")
+    check_cells(cells)
     return [TaskSpec(SFUDA_TASK, target, source, method, dist=cell,
                      method_config=(method_cfgs or {}).get(method), **spec_kw)
             for method in methods for cell in cells]

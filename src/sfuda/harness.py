@@ -3,8 +3,10 @@ their per-spec statistics, failure-rate reports, and sweep expansion.
 
 Every record carries the classifier-only out-of-domain baseline for its
 (source, target, seed); an adaptation that lands strictly below it is a
-failure. Identical specs reproduce identical accuracies bit for bit, and a
-suite trains each distinct first transfer once and shares it.
+failure. Identical specs reproduce identical accuracies bit for bit. A
+suite keeps one table of first-transfer outcomes, filled before any record
+runs: each distinct first transfer trains once per suite and target, and
+every record that starts from it reads it there.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numpy as np
 from .core import derive_rng, derive_seed
 from .data import DomainDataset
 from .engine import DistConfig
-from .head import (HeadConfig, HeadModel, TrainConfig, evaluate, init_head,
-                   train_supervised)
+from .head import HeadConfig, TrainConfig, evaluate, init_head, train_supervised
 from .neighbors import AadConfig, NrcConfig, aad_adapt, nrc_adapt
 from .pcsr import PcsrConfig, pcsr_adapt
 from .sca import sca_adapt
@@ -141,110 +142,81 @@ def stratified_split(labels: np.ndarray, train_frac: float,
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-class TransferMemo:
-    """Outcomes computed once per key and shared while the memo lives: one
-    `run_suite` call or one standalone `run_task`. A key is a tuple of
-    objects, taken by identity, plus hashable parameters; the memo keeps those
-    objects alive, so no other object can take over their ids. An outcome is
-    a deterministic function of its key, so an Exception the computation
-    raises is stored, its traceback cleared, and raised for every later
-    caller; a BaseException stores nothing. A suite's forked workers each
-    work on their own copy, under the same ids."""
-
-    def __init__(self):
-        self._slots: dict[tuple, tuple] = {}
-
-    @staticmethod
-    def key(objects: tuple, params: tuple) -> tuple:
-        return tuple(map(id, objects)), params
-
-    def outcome(self, objects: tuple, params: tuple, make):
-        """The key's value, or the Exception make raised, computed once."""
-        key = self.key(objects, params)
-        if key not in self._slots:
-            try:
-                value = make()
-            except Exception as err:
-                value = err.with_traceback(None)
-            self._slots[key] = (objects, value)
-        return self._slots[key][1]
-
-    def get(self, objects: tuple, params: tuple, make):
-        value = self.outcome(objects, params, make)
-        if isinstance(value, Exception):
-            raise value.with_traceback(None)  # a fresh traceback, not a growing one
-        return value
+def _idg_split(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The target's in-domain training rows (80% per class) and held-out rows."""
+    return stratified_split(spec.target.labels, 0.8, derive_rng(spec.seed, "idg-split"))
 
 
-def _transfer_entry(spec: TaskSpec, scope: str, data: DomainDataset) -> tuple:
-    """first_transfer's memo key (objects, params) and computation; the key
-    holds everything the head depends on."""
-    head_cfg, train_cfg = spec.head_config, spec.train
-    return ((data,), (scope, dataclasses.astuple(head_cfg), dataclasses.astuple(train_cfg)),
-            lambda: train_supervised(init_head(head_cfg), data, scope, train_cfg))
-
-
-def first_transfer(spec: TaskSpec, scope: str, data: DomainDataset,
-                   memo: TransferMemo) -> HeadModel:
-    """spec's head trained on data at scope, once per memo. Callers must not
-    modify the result (every adapter trains a copy)."""
-    return memo.get(*_transfer_entry(spec, scope, data))
-
-
-def _score_entry(spec: TaskSpec, scope: str, data: DomainDataset,
-                 memo: TransferMemo) -> tuple:
-    """The memo key and computation of a first transfer's accuracy (spec's
-    head trained on data at scope) on the full target: an ODG score, or for
-    the classifier-only source transfer the baseline. Bitwise identical
-    whether run standalone or inside another task."""
-    objects, params, _ = _transfer_entry(spec, scope, data)
-    target = spec.target
-    return objects + (target,), ("score",) + params, lambda: evaluate(
-        first_transfer(spec, scope, data, memo), target.features, target.labels)
-
-
-def _idg_split(spec: TaskSpec, memo: TransferMemo) -> tuple[DomainDataset, np.ndarray]:
-    """The in-domain training set (80% per class) and the held-out indices."""
-    target = spec.target
-
-    def split():
-        tr_idx, te_idx = stratified_split(target.labels, 0.8,
-                                          derive_rng(spec.seed, "idg-split"))
-        return DomainDataset(target.name + "/train", target.features[tr_idx],
-                             target.labels[tr_idx], target.num_classes), te_idx
-
-    return memo.get((target,), ("idg-split", spec.seed), split)
-
-
-def _transfer_plan(spec: TaskSpec, memo: TransferMemo) -> dict[str, tuple]:
-    """The first transfers spec's task starts from, as role -> (scope, data),
-    in the order run_task trains them: "lp" (the head the LP-ODG baseline
-    scores) whenever there is a source, and "first", the transfer the task
-    starts from, at the task's scope on the in-domain split for IDG, else on
-    the source."""
+def _plan(spec: TaskSpec) -> dict[str, tuple]:
+    """The first transfers spec's record reads, as role -> key: "lp" (the
+    head the LP-ODG baseline scores) whenever there is a source, and
+    "first", the task's own at its scope. A key holds all the outcome
+    depends on: scope, training data (the source or the seed's in-domain
+    split), target, head and train configs; datasets count by id."""
     scope, evaluation = TASKS[spec.task]
-    plan = {} if spec.source is None else {"lp": ("classifier_only", spec.source)}
-    plan["first"] = scope, _idg_split(spec, memo)[0] if evaluation == "idg" else spec.source
+    tail = (id(spec.target), dataclasses.astuple(spec.head_config),
+            dataclasses.astuple(spec.train))
+    plan = {} if spec.source is None else {"lp": ("classifier_only", id(spec.source), *tail)}
+    data = ("idg-split", spec.seed) if evaluation == "idg" else id(spec.source)
+    plan["first"] = (scope, data, *tail)
     return plan
 
 
-def run_task(spec: TaskSpec, memo: TransferMemo | None = None) -> ExperimentRecord:
-    """Execute one transfer task and score it against the shared baseline.
-    First transfers and their scores come from memo (a fresh one when None),
-    which changes no result, only how often they are computed."""
-    t0 = time.perf_counter()
-    memo = memo if memo is not None else TransferMemo()
+def _first_transfer(spec: TaskSpec, role: str):
+    """The outcome of spec's first transfer in role (see _plan): the trained
+    head and, when it trained on the source, its accuracy on the full
+    target (the baseline, or an ODG record's accuracy), else None. An
+    Exception is the outcome instead, its traceback cleared; a
+    BaseException propagates. Callers must not modify the head (every
+    adapter trains a copy)."""
+    scope, evaluation = ("classifier_only", "odg") if role == "lp" else TASKS[spec.task]
     target = spec.target
-    plan = _transfer_plan(spec, memo)
-    baseline = memo.get(*_score_entry(spec, *plan["lp"], memo)) if "lp" in plan else float("nan")
-    first = first_transfer(spec, *plan["first"], memo)
+    try:
+        if evaluation == "idg":
+            rows = _idg_split(spec)[0]
+            split = DomainDataset(target.name + "/train", target.features[rows],
+                                  target.labels[rows], target.num_classes)
+            return train_supervised(init_head(spec.head_config), split, scope, spec.train), None
+        head = train_supervised(init_head(spec.head_config), spec.source, scope, spec.train)
+        return head, evaluate(head, target.features, target.labels)
+    except Exception as err:
+        return err.with_traceback(None)
 
+
+def _first_transfers(specs: list[TaskSpec], jobs: int = 1) -> dict[tuple, object]:
+    """key -> outcome (see _plan, _first_transfer) of every first transfer
+    the specs' records read, each distinct key computed once, on up to
+    jobs worker processes (see _map)."""
+    todo = {}
+    for spec in specs:
+        for role, key in _plan(spec).items():
+            todo.setdefault(key, (spec, role))
+    return dict(zip(todo, _map(lambda item: _first_transfer(*item), list(todo.values()), jobs)))
+
+
+def run_task(spec: TaskSpec, transfers: dict | None = None) -> ExperimentRecord:
+    """Execute one transfer task and score it against the shared baseline.
+    Its first transfers and their scores are read from transfers (see
+    _first_transfers), built for spec alone when None; a stored error is
+    raised with a fresh traceback. Sharing them changes no result, only how
+    often they are computed."""
+    t0 = time.perf_counter()
+    if transfers is None:
+        transfers = _first_transfers([spec])
+    outcomes = {role: transfers[key] for role, key in _plan(spec).items()}
+    for outcome in outcomes.values():  # "lp" first
+        if isinstance(outcome, Exception):
+            raise outcome.with_traceback(None)  # a fresh traceback, not a growing one
+    baseline = outcomes["lp"][1] if "lp" in outcomes else float("nan")
+    first, score = outcomes["first"]
+
+    target = spec.target
     scope, evaluation = TASKS[spec.task]
     if evaluation == "idg":
-        te_idx = _idg_split(spec, memo)[1]
-        accuracy = evaluate(first, target.features[te_idx], target.labels[te_idx])
+        rows = _idg_split(spec)[1]
+        accuracy = evaluate(first, target.features[rows], target.labels[rows])
     elif evaluation == "odg":
-        accuracy = memo.get(*_score_entry(spec, *plan["first"], memo))
+        accuracy = score
     # sfuda is transductive: the adapter sees the read-only matrix that is scored
     elif spec.method == "SCA":
         # raw input space under classifier-only transfer, bottleneck after FT
@@ -275,10 +247,10 @@ def format_mean_std(mean: float, std: float, n: int) -> str:
     return s + " (n=1)" if n == 1 else s
 
 
-def _run_one(spec: TaskSpec, memo: TransferMemo) -> ExperimentRecord:
+def _run_one(spec: TaskSpec, transfers: dict) -> ExperimentRecord:
     t0 = time.perf_counter()
     try:
-        return run_task(spec, memo)
+        return run_task(spec, transfers)
     except Exception as err:  # isolate and record
         nan = float("nan")
         return _record(spec, nan, nan, t0, f"{type(err).__name__}: {err}")
@@ -392,26 +364,13 @@ def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> list[ExperimentRec
     """Every spec at every seed, spec-major: spec i's records are the i-th
     run of len(seeds). A run that raises is recorded as an error, not a
     failure; the suite never aborts. Each distinct first transfer trains
-    once per suite, before any record runs, and one that raises fails every
-    record that needs it with the same error. jobs > 1 runs each of the two
-    stages on that many forked worker processes (see _map); results do not
-    depend on it and keep their positions."""
-    seeds = list(seeds)
-    flat = [replace(spec, seed=seed) for spec in specs for seed in seeds]
-    memo = TransferMemo()
-    groups = {}  # transfer key -> its memo entries, with the baseline it scores for "lp"
-    for spec in flat:
-        for role, (scope, data) in _transfer_plan(spec, memo).items():
-            entries = [_transfer_entry(spec, scope, data)]
-            if role == "lp":
-                entries.append(_score_entry(spec, scope, data, memo))
-            groups.setdefault(memo.key(*entries[0][:2]), entries)
-    trained = _map(lambda entries: [memo.outcome(*entry) for entry in entries],
-                   list(groups.values()), jobs)
-    for entries, outcomes in zip(groups.values(), trained):
-        for (objects, params, _), outcome in zip(entries, outcomes):
-            memo.outcome(objects, params, lambda: outcome)
-    return _map(lambda spec: _run_one(spec, memo), flat, jobs)
+    once per suite and target, before any record runs, and one that raises
+    fails every record that needs it with the same error. jobs > 1 runs each
+    of the two stages on that many forked worker processes (see _map);
+    results do not depend on it and keep their positions."""
+    flat = [replace(spec, seed=seed) for spec, seed in itertools.product(specs, seeds)]
+    transfers = _first_transfers(flat, jobs)
+    return _map(lambda spec: _run_one(spec, transfers), flat, jobs)
 
 
 def spec_groups(records: list[ExperimentRecord], n_seeds: int) -> list[list]:
@@ -475,7 +434,7 @@ def hyperparameter_grid(param_grid: dict, spec: TaskSpec) -> tuple[list[TaskSpec
     seed, not once per combination."""
     method = spec.method
     if method not in ADAPT_METHODS:
-        raise ValueError(f"{method or spec.task} exposes no swept hyperparameters")
+        raise ValueError(f"sweep.method: {method or spec.task} exposes no swept hyperparameters")
     if not param_grid:
         raise ValueError("sweep: params must name at least one parameter")
     legal = {f.name for f in dataclasses.fields(spec.method_config)}

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import sfuda
 from sfuda.cli import RECORD_COLUMNS, main, parse_seeds
 from sfuda.data import load_embeddings
-from sfuda.harness import ADAPT_METHODS
+from sfuda.harness import ADAPT_METHODS, TASKS
 
 ASSET_TABLE = os.path.join(os.path.dirname(__file__), "..", "assets",
                            "example_results.csv")
@@ -599,6 +599,19 @@ class TestFailureHandling:
          "distgrid.methods: unknown method 'SHOTT'"),
         ("sweep", "sweep", {"method": "SHOTT", "params": {"epochs": [1]}},
          "sweep.method: unknown method 'SHOTT'"),
+        # a task name too, checked before any data is read
+        ("suite", "tasks", ["LP-ODG", "LP-XX"], f"tasks: unknown task 'LP-XX', "
+         f"expected one of {tuple(TASKS)}"),
+        ("run", "tasks", ["LP-XX"],
+         f"tasks: unknown task 'LP-XX', expected one of {tuple(TASKS)}"),
+        ("sweep", "sweep", {"method": "SHOT", "params": {"epochs": [1]}, "task": "LP-XX"},
+         f"sweep.task: unknown task 'LP-XX', expected one of {tuple(TASKS)}"),
+        ("sweep", "sweep", {"method": "SHOT", "params": {"epochs": [1]}, "task": "LP-ODG"},
+         "sweep.task: LP-ODG does not take a method"),
+        ("sweep", "sweep", {"method": "SCA", "params": {"K": [3]}},
+         "sweep.method: SCA exposes no swept hyperparameters"),
+        ("distgrid", "distgrid", {"cells": ["1x8", "2x8"]},
+         "distgrid.cells: grid cells must share one global batch size"),
     ])
     def test_a_section_of_the_wrong_type_is_named(self, tmp_path, capsys, command, key,
                                                   value, message):
@@ -709,6 +722,33 @@ class TestFailureHandling:
         assert main(["suite", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (f"error: {labels}: largest label 99 implies "
                                            f"100 classes, but there are {len(lines)} rows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side, num_classes, breaks, message", [
+        # a class count below the labels, then above them: the labels file is named
+        ("target", 2, None, "{labels}: label out of range: 2 with 2 classes"),
+        ("target", 5, None, "{labels}: classes [3, 4] of 5 have no samples"),
+        ("source", 4, None, "{labels}: classes [3] of 4 have no samples"),
+        # a NaN in the features: the embeddings file is named
+        ("target", None, "nan", "{features}: dataset 'target' has non-finite features"),
+    ])
+    def test_a_dataset_error_names_its_file(self, tmp_path, capsys, side, num_classes,
+                                            breaks, message):
+        pair = tmp_path / "pair"
+        assert main(["gen-data", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(pair)]) == 0
+        features, labels = pair / f"{side}_features.bin", pair / f"{side}_labels.txt"
+        if breaks == "nan":
+            blob = features.read_bytes()
+            features.write_bytes(blob[:20] + struct.pack("<f", np.nan) + blob[24:])
+        cfg = {**base_config(), "data": file_data(pair)}
+        if num_classes is not None:
+            cfg["data"][side]["num_classes"] = num_classes
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["suite", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: " + message.format(features=features, labels=labels) + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("values", [[], 2])
@@ -975,6 +1015,15 @@ class TestStatsCommand:
         assert self.stats_stamp(b, tmp_path / "o2") == first
         a.write_text("".join(table.splitlines(True)[:-1]))
         assert self.stats_stamp(a, tmp_path / "o3") != first
+
+    def test_blank_lines_are_skipped_like_comments(self, tmp_path):
+        table = Path(ASSET_TABLE).read_text()
+        spaced = tmp_path / "spaced.csv"
+        lines = table.splitlines(True)
+        spaced.write_text("".join(lines[:3] + ["\n", "  \n"] + lines[3:]) + "\n")
+        assert main(["stats", ASSET_TABLE, "--out", str(tmp_path / "a")]) == 0
+        assert main(["stats", str(spaced), "--out", str(tmp_path / "b")]) == 0
+        assert read_rows(tmp_path / "a" / "stats.csv") == read_rows(tmp_path / "b" / "stats.csv")
 
     def test_missing_table_argument(self, tmp_path, capsys):
         assert main(["stats", "--out", str(tmp_path / "o")]) == 1

@@ -303,6 +303,22 @@ class TestResultsTable:
         assert str(exc.value) == (f"{p}: line 4: non-numeric field; "
                                   "line 6: pretrain flag must be 0 or 1")
 
+    def test_a_blank_line_is_skipped_and_counts_in_the_line_number(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("backbone,top1,pretrain,task,accuracy\n"
+                     "\n"
+                     "resnet50,76.1,1,office,71.3\n"
+                     "  \n"
+                     "vit-b,81.0,2,visda,68.8\n"
+                     "\n")
+        with pytest.raises(ValueError) as exc:
+            load_results_table(str(p))
+        assert str(exc.value) == f"{p}: line 5: pretrain flag must be 0 or 1"
+        p.write_text(self.GOOD.replace("\n", "\n\n"))
+        plain = tmp_path / "plain.csv"
+        plain.write_text(self.GOOD)
+        assert load_results_table(str(p)) == load_results_table(str(plain))
+
     def test_wrong_header(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,c\n1,2,3\n")

@@ -462,28 +462,36 @@ class TestSharedFirstTransfer:
         assert all(r.error is None for r in records)
         assert events == ["train"] * 6 + ["adapt"] * 4
 
-    def test_the_memo_stores_an_exception_and_not_a_base_exception(self):
-        memo, calls = sfuda.harness.TransferMemo(), []
-
-        def make(error):
-            def raising():
-                calls.append(error)
-                raise error
-            return raising
-
-        stored = memo.outcome((), ("k",), make(RuntimeError("broke")))
-        assert stored.__traceback__ is None  # no frame of make outlives it
+    def test_a_stored_error_is_raised_fresh_and_a_base_exception_is_stored_nowhere(
+            self, monkeypatch, call_log):
+        src, tgt = small_shifted_pair()
+        needs_lp = self.specs(src, tgt)[1:]
+        spy = TrainSpy(call_log, fail=lambda scope, data: scope == "classifier_only")
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
+        transfers = sfuda.harness._first_transfers(needs_lp)
+        stored, = {id(v): v for v in transfers.values() if isinstance(v, Exception)}.values()
+        assert stored.__traceback__ is None  # no frame of the training outlives it
         depths = []
-        for _ in range(3):
+        for spec in needs_lp:
             with pytest.raises(RuntimeError) as raised:
-                memo.get((), ("k",), make(RuntimeError("other")))
+                run_task(spec, transfers)
             assert raised.value is stored
             depths.append(len(traceback.extract_tb(raised.tb)))
-        assert len(calls) == 1 and len(set(depths)) == 1
+        # one computation, one error object, raised at the same depth each time
+        assert [scope for scope, _, _ in spy.calls].count("classifier_only") == 1
+        assert len(set(depths)) == 1
+
+        def abort(model, data, scope, cfg, step_hook=None):
+            call_log.add("abort")
+            raise Abort()
+
+        monkeypatch.setattr(sfuda.harness, "train_supervised", abort)
+        before = len(call_log.read())
         for _ in range(2):
             with pytest.raises(Abort):
-                memo.get((), ("a",), make(Abort()))
-        assert len(calls) == 3
+                run_suite(needs_lp, [0])
+        # each suite stopped at its first training, and nothing kept the Abort
+        assert call_log.read()[before:] == [("abort",)] * 2
 
 
 BLAS = sfuda.harness._blas_thread_controls()
