@@ -441,9 +441,9 @@ def _write_records(cfg: dict, common: dict, command: str, datasets: tuple,
 
 
 def cmd_gen_data(args, cfg: dict, common: dict) -> list[str]:
-    source, target, _ = datasets_from_config(cfg)  # checks that data is an object
-    if "generate" not in cfg["data"]:
-        raise CliError("gen-data needs a data.generate section")
+    if isinstance(cfg.get("data"), dict) and set(cfg["data"]) == {"source", "target"}:
+        raise CliError("data: gen-data needs a generate section, not files")  # before any file opens
+    source, target, _ = datasets_from_config(cfg)
     chash = config_hash(cfg, common)
     files = {
         "source_features.bin": embeddings_bytes(source),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -233,16 +234,21 @@ class ResultsTable:
 
 
 def read_table(path: str, delimiter: str | None = None) -> list[tuple[int, list[str]]]:
-    """A delimited text table's rows as (line number in the file, fields),
-    header first, skipping '#' comment lines and blank lines. With no
+    """A delimited text table's rows as (line number in the file the row
+    starts on, fields), header first. '#' comment lines and blank lines are
+    skipped between rows; inside a quoted field they are kept. With no
     delimiter given, a tab in the first row picks tab, else comma."""
+    rows = []
     with open(path, newline="") as fh:
-        kept = [(n, line) for n, line in enumerate(fh, 1)
-                if line.strip() and not line.startswith("#")]
-    if delimiter is None:
-        delimiter = "\t" if kept and "\t" in kept[0][1] else ","
-    reader = csv.reader((line for _, line in kept), delimiter=delimiter)
-    return [(kept[reader.line_num - 1][0], fields) for fields in reader]
+        numbered = enumerate(fh, 1)
+        for n, line in numbered:
+            if not line.strip() or line.startswith("#"):
+                continue
+            delimiter = delimiter or ("\t" if "\t" in line else ",")
+            # the reader pulls further lines only while a quoted field is open
+            lines = itertools.chain([line], (more for _, more in numbered))
+            rows.append((n, next(csv.reader(lines, delimiter=delimiter))))
+    return rows
 
 
 def load_results_table(path: str) -> ResultsTable:

@@ -5,8 +5,8 @@ Every record carries the classifier-only out-of-domain baseline for its
 (source, target, seed); an adaptation that lands strictly below it is a
 failure. Identical specs reproduce identical accuracies bit for bit. A
 suite keeps one table of first-transfer outcomes, filled before any record
-runs: each distinct first transfer trains once per suite and target, and
-every record that starts from it reads it there.
+runs: each distinct first transfer trains and is scored once per suite and
+target, and every record reads it there; only adaptation computes more.
 """
 
 from __future__ import annotations
@@ -142,11 +142,6 @@ def stratified_split(labels: np.ndarray, train_frac: float,
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def _idg_split(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The target's in-domain training rows (80% per class) and held-out rows."""
-    return stratified_split(spec.target.labels, 0.8, derive_rng(spec.seed, "idg-split"))
-
-
 def _plan(spec: TaskSpec) -> dict[str, tuple]:
     """The first transfers spec's record reads, as role -> key: "lp" (the
     head the LP-ODG baseline scores) whenever there is a source, and
@@ -164,19 +159,20 @@ def _plan(spec: TaskSpec) -> dict[str, tuple]:
 
 def _first_transfer(spec: TaskSpec, role: str):
     """The outcome of spec's first transfer in role (see _plan): the trained
-    head and, when it trained on the source, its accuracy on the full
-    target (the baseline, or an ODG record's accuracy), else None. An
-    Exception is the outcome instead, its traceback cleared; a
-    BaseException propagates. Callers must not modify the head (every
-    adapter trains a copy)."""
+    head and its accuracy, on the full target after training on the source
+    (the baseline, or an ODG record's accuracy), else on the rows the seed's
+    in-domain split holds out (80% per class trains). An Exception is the
+    outcome instead, its traceback cleared; a BaseException propagates.
+    Callers must not modify the head (every adapter trains a copy)."""
     scope, evaluation = ("classifier_only", "odg") if role == "lp" else TASKS[spec.task]
     target = spec.target
     try:
         if evaluation == "idg":
-            rows = _idg_split(spec)[0]
+            rows, held = stratified_split(target.labels, 0.8, derive_rng(spec.seed, "idg-split"))
             split = DomainDataset(target.name + "/train", target.features[rows],
                                   target.labels[rows], target.num_classes)
-            return train_supervised(init_head(spec.head_config), split, scope, spec.train), None
+            head = train_supervised(init_head(spec.head_config), split, scope, spec.train)
+            return head, evaluate(head, target.features[held], target.labels[held])
         head = train_supervised(init_head(spec.head_config), spec.source, scope, spec.train)
         return head, evaluate(head, target.features, target.labels)
     except Exception as err:
@@ -198,8 +194,9 @@ def run_task(spec: TaskSpec, transfers: dict | None = None) -> ExperimentRecord:
     """Execute one transfer task and score it against the shared baseline.
     Its first transfers and their scores are read from transfers (see
     _first_transfers), built for spec alone when None; a stored error is
-    raised with a fresh traceback. Sharing them changes no result, only how
-    often they are computed."""
+    raised with a fresh traceback. Only a record with an adaptation method
+    computes more. Sharing them changes no result, only how often they are
+    computed."""
     t0 = time.perf_counter()
     if transfers is None:
         transfers = _first_transfers([spec])
@@ -208,22 +205,16 @@ def run_task(spec: TaskSpec, transfers: dict | None = None) -> ExperimentRecord:
         if isinstance(outcome, Exception):
             raise outcome.with_traceback(None)  # a fresh traceback, not a growing one
     baseline = outcomes["lp"][1] if "lp" in outcomes else float("nan")
-    first, score = outcomes["first"]
+    first, accuracy = outcomes["first"]
 
     target = spec.target
-    scope, evaluation = TASKS[spec.task]
-    if evaluation == "idg":
-        rows = _idg_split(spec)[1]
-        accuracy = evaluate(first, target.features[rows], target.labels[rows])
-    elif evaluation == "odg":
-        accuracy = score
     # sfuda is transductive: the adapter sees the read-only matrix that is scored
-    elif spec.method == "SCA":
+    if spec.method == "SCA":
         # raw input space under classifier-only transfer, bottleneck after FT
-        space = "raw" if scope == "classifier_only" else "bottleneck"
+        space = "raw" if TASKS[spec.task][0] == "classifier_only" else "bottleneck"
         labels, _ = sca_adapt(spec.source, target.features, space, model=first)
         accuracy = float((labels == target.labels).mean() * 100.0)
-    else:
+    elif spec.method is not None:
         adapt_fn = ADAPT_METHODS[spec.method][1]
         adapted = adapt_fn(first, target.features, spec.method_config, dist=spec.dist)
         accuracy = evaluate(adapted, target.features, target.labels)
@@ -287,29 +278,23 @@ def _blas_thread_controls() -> list[tuple]:
     return controls
 
 
-@contextlib.contextmanager
-def _blas_thread_cap(workers: int):
-    """While `workers` processes each call BLAS, give each library at most its
-    share of the usable cores, so workers times BLAS threads does not exceed
-    them; a count already lower stays. Every changed count is restored on
-    exit. Workers forked inside inherit the capped counts. No effect where
-    no OpenBLAS is found."""
+def _cap_blas_threads(workers: int) -> None:
+    """Cap each loaded OpenBLAS at this process's share of the usable cores
+    among `workers` processes calling BLAS at once; a count already lower
+    stays. No effect where no OpenBLAS is found."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         cpus = os.cpu_count() or 1
     share = max(1, cpus // workers)
-    changed = []
-    try:
-        for setter, getter in _blas_thread_controls():
-            before = getter()
-            if share < before:
-                setter(share)
-                changed.append((setter, before))
-        yield
-    finally:
-        for setter, before in changed:
-            setter(before)
+    for setter, getter in _blas_thread_controls():
+        if share < getter():
+            setter(share)
+    # a set restarts the thread pool that fork stopped, and its idle threads
+    # spin beside the other workers: stop it (BLAS restarts it on demand)
+    for path in _openblas_libraries():
+        with contextlib.suppress(OSError, AttributeError):  # unloadable, or no such symbol
+            ctypes.CDLL(path).blas_thread_shutdown_()
 
 
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -319,9 +304,9 @@ PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 _worker_map: tuple | None = None
 
 
-def _start_worker(fn, items: list, parent: int) -> None:
-    """Initializer of _map's workers. fork hands them fn and items as they
-    are in the parent, without pickling."""
+def _start_worker(fn, items: list, parent: int, workers: int) -> None:
+    """Initializer of each of _map's `workers` workers. fork hands them fn
+    and items as they are in the parent, without pickling."""
     global _worker_map
     _worker_map = fn, items
     # the kernel kills this worker when the mapping process dies, even by SIGKILL
@@ -331,6 +316,7 @@ def _start_worker(fn, items: list, parent: int) -> None:
         prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:  # it died before the request took effect
         os._exit(1)
+    _cap_blas_threads(workers)
 
 
 def _map_item(i: int):
@@ -340,24 +326,23 @@ def _map_item(i: int):
 
 def _map(fn, items: list, jobs: int) -> list:
     """[fn(item) for item in items], on up to `jobs` forked worker processes
-    with BLAS threads capped for the pool's lifetime; serially below two
-    workers or where the platform cannot fork. A worker changes only its own
-    copy of what fn reaches, and sends back only fn's result. A worker that
-    dies raises BrokenProcessPool."""
+    that each cap their own BLAS threads (the mapping process's never
+    change); serially below two workers or where the platform cannot fork. A
+    worker changes only its own copy of what fn reaches, and sends back only
+    fn's result. A worker that dies raises BrokenProcessPool."""
     workers = min(jobs, len(items))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with _blas_thread_cap(workers):
-        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_start_worker,
-                                       initargs=(fn, items, os.getpid()))
-        try:
-            return list(executor.map(_map_item, range(len(items))))
-        finally:  # after an exception (Ctrl-C too), start no further item
-            executor.shutdown(cancel_futures=True)
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start_worker,
+                                   initargs=(fn, items, os.getpid(), workers))
+    try:
+        return list(executor.map(_map_item, range(len(items))))
+    finally:  # after an exception (Ctrl-C too), start no further item
+        executor.shutdown(cancel_futures=True)
 
 
 def run_suite(specs: list[TaskSpec], seeds, jobs: int = 1) -> list[ExperimentRecord]:

@@ -110,12 +110,6 @@ def spherical_kmeans(features: np.ndarray, init: Prototypes, *,
     return Prototypes(centers), assign, np.asarray(trace)
 
 
-def nearest_prototype(features: np.ndarray, protos: Prototypes) -> np.ndarray:
-    """1-NN cosine labels against prototype rows, ties to the lower class."""
-    sims = l2_normalize_rows(as_compute(features)) @ protos.centers.T
-    return sims.argmax(axis=1).astype(np.int64)
-
-
 def sca_adapt(source: DomainDataset, target_features: np.ndarray,
               space: str = "raw", model: HeadModel | None = None,
               ) -> tuple[np.ndarray, Prototypes]:
@@ -144,6 +138,5 @@ def sca_adapt(source: DomainDataset, target_features: np.ndarray,
             f"target width {tgt_feats.shape[1]} does not match source width {src_feats.shape[1]}")
 
     protos = class_prototypes(src_feats, source.labels, source.num_classes)
-    adapted, _, _ = spherical_kmeans(tgt_feats, protos)
-    labels = nearest_prototype(tgt_feats, adapted)
+    adapted, labels, _ = spherical_kmeans(tgt_feats, protos)
     return labels, adapted

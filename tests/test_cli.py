@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import sfuda
 from sfuda.cli import RECORD_COLUMNS, main, parse_seeds
 from sfuda.data import load_embeddings
-from sfuda.harness import ADAPT_METHODS, TASKS
+from sfuda.harness import ADAPT_METHODS, TASKS, ExperimentRecord
 
 ASSET_TABLE = os.path.join(os.path.dirname(__file__), "..", "assets",
                            "example_results.csv")
@@ -612,6 +612,10 @@ class TestFailureHandling:
          "sweep.method: SCA exposes no swept hyperparameters"),
         ("distgrid", "distgrid", {"cells": ["1x8", "2x8"]},
          "distgrid.cells: grid cells must share one global batch size"),
+        # gen-data draws its pair, so it opens no file, not even a missing one
+        ("gen-data", "data", {"source": {"features": "nope.bin", "labels": "nope.txt"},
+                              "target": {"features": "nope.bin"}},
+         "data: gen-data needs a generate section, not files"),
     ])
     def test_a_section_of_the_wrong_type_is_named(self, tmp_path, capsys, command, key,
                                                   value, message):
@@ -1074,6 +1078,20 @@ class TestReportCommand:
         moved.write_bytes(records.read_bytes())
         assert (self.report_stamp(records, tmp_path / "r1")
                 == self.report_stamp(moved, tmp_path / "r2"))
+
+    @pytest.mark.parametrize("error", ["ValueError: first\n# second",
+                                       "ValueError: first\n\n# second"])
+    def test_a_quoted_comment_or_blank_line_stays_in_its_field(self, tmp_path, error):
+        records = [ExperimentRecord("SFUDA", "SHOT", "s", "t", "layernorm", seed, 70.0, 71.0,
+                                    -1.0, True, 0.0, error if seed == 0 else None)
+                   for seed in range(3)]
+        path = tmp_path / "records.csv"
+        path.write_text(sfuda.cli._table(sfuda.cli._record_rows(records), RECORD_COLUMNS,
+                                         "csv", "# a stamp\n"))
+        assert sfuda.cli._read_records(str(path))[1] == records
+        out = tmp_path / "report"
+        assert main(["report", str(path), "--out", str(out)]) == 0
+        assert [row["n"] for row in read_rows(out / "by_method.csv")] == ["3"]
 
     def test_errored_records_fill_the_error_rate_column(self, tmp_path, monkeypatch):
         cfg_cls, _ = ADAPT_METHODS["SHOT"]

@@ -319,6 +319,17 @@ class TestResultsTable:
         plain.write_text(self.GOOD)
         assert load_results_table(str(p)) == load_results_table(str(plain))
 
+    def test_a_quoted_field_keeps_its_comment_and_blank_lines(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("backbone,top1,pretrain,task,accuracy\n"
+                     '"resnet\n# 50\n\n",76.1,1,office,71.3\n'
+                     "vit-b,81.0,2,visda,68.8\n")
+        with pytest.raises(ValueError) as exc:
+            load_results_table(str(p))
+        assert str(exc.value) == f"{p}: line 6: pretrain flag must be 0 or 1"
+        p.write_text(p.read_text().replace(",2,", ",0,"))
+        assert [r.backbone for r in load_results_table(str(p)).rows] == ["resnet\n# 50", "vit-b"]
+
     def test_wrong_header(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,c\n1,2,3\n")

@@ -421,6 +421,20 @@ class TestSharedFirstTransfer:
         assert [scores(r) for r in records] == [scores(r) for r in alone]
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_in_domain_split_is_drawn_once_per_record(self, monkeypatch, call_log, jobs):
+        lp_idg = self.specs(*small_shifted_pair())[0]
+        real = sfuda.harness.stratified_split
+
+        def split(labels, train_frac, rng):
+            call_log.add(train_frac)
+            return real(labels, train_frac, rng)
+
+        monkeypatch.setattr(sfuda.harness, "stratified_split", split)
+        records = run_suite([lp_idg, replace(lp_idg, task="FT-IDG")], [0, 1], jobs=jobs)
+        assert all(r.error is None for r in records)
+        assert len(call_log.read()) == len(records) == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_raising_transfer_fails_every_record_that_needs_it(
             self, monkeypatch, call_log, jobs):
         src, tgt = small_shifted_pair()
@@ -514,9 +528,10 @@ class Abort(BaseException):
 
 
 class TestBlasThreadCap:
-    """A pooled suite caps BLAS threads at the workers' share of the
-    cores for its lifetime and restores them after; serial suites leave
-    them alone, and no result depends on the count."""
+    """Each worker of a pooled suite caps its BLAS threads at its share of
+    the cores when it starts; the counts of the process that runs the suite
+    never change, serial suites leave them alone, and no result depends on
+    the count."""
 
     @pytest.fixture
     def full_threads(self):
@@ -571,6 +586,21 @@ class TestBlasThreadCap:
         assert blas_counts() == [full_threads] * len(BLAS)
 
     @needs_openblas
+    def test_a_worker_at_one_thread_keeps_no_idle_blas_pool(
+            self, monkeypatch, call_log, full_threads):
+        if full_threads // 2 > 1 or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs a share of one core per worker and /proc")
+        real = sfuda.harness.train_supervised
+
+        def spy(model, data, scope, cfg, step_hook=None):
+            call_log.add(len(os.listdir("/proc/self/task")))  # the worker's threads
+            return real(model, data, scope, cfg, step_hook)
+
+        monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
+        run_suite(*self.two_records(), jobs=2)
+        assert call_log.read() == [(1,)] * 2
+
+    @needs_openblas
     @pytest.mark.parametrize("jobs,n_seeds", [(1, 2), (2, 1)])
     def test_a_suite_without_a_pool_leaves_the_count_alone(
             self, monkeypatch, call_log, full_threads, jobs, n_seeds):
@@ -601,9 +631,9 @@ class TestBlasThreadCap:
                             lambda: [control("low"), control("high")])
         monkeypatch.setattr(sfuda.harness.os, "sched_getaffinity",
                             lambda pid: set(range(8)), raising=False)
-        with sfuda.harness._blas_thread_cap(2):
-            assert counts == {"low": 1, "high": 4}
-        assert log == [("high", 4), ("high", 16)]
+        sfuda.harness._cap_blas_threads(2)
+        assert counts == {"low": 1, "high": 4}
+        assert log == [("high", 4)]
 
     def test_blas_thread_count_changes_no_result_byte(self):
         # big enough that OpenBLAS splits its GEMMs over threads at jobs 1

@@ -8,8 +8,7 @@ from conftest import full_recentering_kmeans
 from sfuda.core import l2_normalize_rows, make_rng
 from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
 from sfuda.head import HeadConfig, TrainConfig, evaluate, init_head, train_supervised
-from sfuda.sca import (Prototypes, class_prototypes, nearest_prototype,
-                       sca_adapt, spherical_kmeans)
+from sfuda.sca import Prototypes, class_prototypes, sca_adapt, spherical_kmeans
 
 
 def basis_cloud():
@@ -203,17 +202,6 @@ class TestSphericalKmeans:
         np.testing.assert_array_equal(protos.centers, init.centers)
         assert np.all(assign == 0)
 
-class TestNearestPrototype:
-    def test_ties_break_to_lower_class(self):
-        protos = Prototypes(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        labels = nearest_prototype(np.array([[1.0, 1.0]]), protos)
-        assert labels[0] == 0
-
-    def test_picks_the_aligned_center(self):
-        protos = Prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        labels = nearest_prototype(np.array([[0.9, 0.1], [-0.2, 2.0]]), protos)
-        np.testing.assert_array_equal(labels, [0, 1])
-
 
 class TestScaAdapt:
     def test_unshifted_target_matches_direct_prototype_labels(self):
@@ -224,10 +212,18 @@ class TestScaAdapt:
                                      make_rng(3))
         labels, _ = sca_adapt(src, tgt.features)
         acc_sca = float((labels == tgt.labels).mean() * 100.0)
-        direct = nearest_prototype(
-            tgt.features, class_prototypes(src.features, src.labels, 4))
+        protos = class_prototypes(src.features, src.labels, 4)
+        direct = (l2_normalize_rows(tgt.features) @ protos.centers.T).argmax(axis=1)
         acc_direct = float((direct == tgt.labels).mean() * 100.0)
         assert abs(acc_sca - acc_direct) <= 2.0
+
+    @pytest.mark.parametrize("centers, target, labels", [
+        ([[0.0, 1.0], [0.0, 1.0]], [[1.0, 1.0]], [0]),  # a tie goes to the lower class
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [-0.2, 2.0]], [0, 1]),  # the aligned center
+    ])
+    def test_each_row_takes_its_nearest_adapted_prototype(self, centers, target, labels):
+        source = DomainDataset("src", np.array(centers), np.array([0, 1]), 2)
+        np.testing.assert_array_equal(sca_adapt(source, np.array(target))[0], labels)
 
     def test_rotation_recovered_better_than_frozen_probe(self):
         d = 8
