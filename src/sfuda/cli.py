@@ -31,9 +31,9 @@ from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair
                    labels_text, load_embeddings, load_results_table, read_table)
 from .distsim import cell_columns, check_cells, grid_error, grid_specs, parse_cell
 from .engine import DEFAULT_GRID
-from .harness import (ADAPT_METHODS, METHODS, SFUDA_TASK, TASKS, ExperimentRecord, TaskSpec,
-                      failure_report, format_mean_std, hyperparameter_grid, mean_std,
-                      run_suite, spec_groups)
+from .harness import (ADAPT_METHODS, METHODS, NO_GRADIENT_LOOP, SFUDA_TASK, TASKS,
+                      ExperimentRecord, TaskSpec, failure_report, format_mean_std,
+                      hyperparameter_grid, mean_std, run_suite, spec_groups)
 from .head import HeadConfig, LoopConfig, TrainConfig
 from .stats import fit_linear, fit_multilinear
 
@@ -150,14 +150,13 @@ class TargetFile(Section):
     """data.target: embeddings and labels files; num_classes defaults to the source's."""
 
     features: str
-    labels: str | None = None
+    labels: str
     num_classes: int | None = None
     name: str = "target"
 
 
 @dataclass
 class SourceFile(TargetFile):
-    labels: str = field()  # required: field() drops TargetFile's default
     name: str = "source"
 
 
@@ -233,7 +232,7 @@ def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset, dict[
     num_classes = source.num_classes if tgt.num_classes is None else tgt.num_classes
     target = load_embeddings(tgt.features, tgt.labels, num_classes, tgt.name)
     paths = [src.features, src.labels, tgt.features, tgt.labels]
-    return source, target, {p: _sha256(p) for p in paths if p is not None}
+    return source, target, {p: _sha256(p) for p in paths}
 
 
 def _method_configs(cfg: dict) -> dict:
@@ -501,6 +500,8 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
     if not grid.methods:
         raise CliError("distgrid: methods must be a nonempty list")
     _known_methods(grid.methods, "distgrid.methods")
+    if unshardable := [m for m in grid.methods if m not in ADAPT_METHODS]:  # before any file opens
+        raise CliError(f"distgrid.methods: {unshardable[0]} {NO_GRADIENT_LOOP}")
     source, target, common["files"] = datasets_from_config(cfg)
     settings = _head_and_train(cfg, "batchnorm")
     specs = grid_specs(grid.methods, source, target, cells, _method_configs(cfg), **settings)
@@ -594,13 +595,15 @@ def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[di
             if len(fields) != len(columns):
                 raise ValueError(f"expected {len(columns)} fields, not {len(fields)}")
             row = dict(zip(columns, fields))
+            if row["failed"] not in ("0", "1"):
+                raise ValueError(f"failed must be 0 or 1, not {row['failed']!r}")
             records.append(ExperimentRecord(
                 task=row["task"], method=row["method"] or None,
                 source_name=row["source"], target_name=row["target"],
                 norm_kind=row["norm_kind"], seed=int(row["seed"]),
                 accuracy=float(row["accuracy"]),
                 baseline_lp_odg=float(row["baseline_lp_odg"]),
-                delta=float(row["delta"]), failed=bool(int(row["failed"])),
+                delta=float(row["delta"]), failed=row["failed"] == "1",
                 wall_time=0.0, error=row["error"] or None))
         except ValueError as e:
             raise CliError(f"{path}: line {lineno}: {e}") from None

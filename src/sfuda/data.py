@@ -20,16 +20,17 @@ class LabelError(ValueError):
 
 @dataclass
 class DomainDataset:
-    """Feature matrix with optional integer labels for one domain. The
-    features keep their compute dtype (core.as_compute): float32 stays
-    float32, and everything a record computes from them runs in float32;
-    any other input becomes float64. They are read-only, so that an adapter
-    sees the matrix it is scored on: a float32 or float64 array is frozen in
-    place, without a copy."""
+    """Feature matrix and integer labels of one domain: the labels train the
+    first transfer and score every record; an adapter gets the features
+    only. The features keep their compute dtype (core.as_compute): float32
+    stays float32, and everything a record computes from them runs in
+    float32; any other input becomes float64. They are read-only, so that an
+    adapter sees the matrix it is scored on: a float32 or float64 array is
+    frozen in place, without a copy."""
 
     name: str
     features: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
@@ -43,18 +44,20 @@ class DomainDataset:
             raise ValueError("num_classes must be positive")
         if self.n < self.num_classes:
             raise ValueError(f"need at least {self.num_classes} samples, got {self.n}")
-        if self.labels is not None:
+        try:  # None and other non-numbers: every dataset carries its labels
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.n,):
-                raise LabelError("labels length must match feature rows")
-            outside = (self.labels < 0) | (self.labels >= self.num_classes)
-            if outside.any():
-                raise LabelError(f"label out of range: {self.labels[outside][0]} "
-                                 f"with {self.num_classes} classes")
-            present = np.unique(self.labels)
-            if present.size != self.num_classes:
-                missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
-                raise LabelError(f"classes {missing} of {self.num_classes} have no samples")
+        except TypeError:
+            raise LabelError(f"dataset {self.name!r} needs integer labels") from None
+        if self.labels.shape != (self.n,):
+            raise LabelError("labels length must match feature rows")
+        outside = (self.labels < 0) | (self.labels >= self.num_classes)
+        if outside.any():
+            raise LabelError(f"label out of range: {self.labels[outside][0]} "
+                             f"with {self.num_classes} classes")
+        present = np.unique(self.labels)
+        if present.size != self.num_classes:
+            missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
+            raise LabelError(f"classes {missing} of {self.num_classes} have no samples")
 
     @property
     def n(self) -> int:
@@ -161,14 +164,13 @@ def embeddings_bytes(dataset: DomainDataset) -> bytes:
 
 
 def labels_text(dataset: DomainDataset) -> str:
-    if dataset.labels is None:
-        raise ValueError("dataset has no labels to save")
     return "".join(f"{int(v)}\n" for v in dataset.labels)
 
 
-def load_embeddings(features_path: str, labels_path: str | None = None,
+def load_embeddings(features_path: str, labels_path: str,
                     num_classes: int | None = None, name: str | None = None,
                     ) -> DomainDataset:
+    """A labeled dataset from an embeddings file and its labels file (one int a line)."""
     with open(features_path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16:
@@ -186,23 +188,19 @@ def load_embeddings(features_path: str, labels_path: str | None = None,
     # float32 as stored: every record on these features computes in float32
     feats = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float32, copy=False)
 
-    labels = None
-    if labels_path is not None:
-        with open(labels_path) as fh:
-            raw = [line.strip() for line in fh if line.strip()]
-        if len(raw) != n:
-            raise ValueError(f"{labels_path}: expected {n} labels, found {len(raw)}")
-        try:
-            labels = np.array([int(v) for v in raw], dtype=np.int64)
-        except ValueError as e:
-            raise ValueError(f"{labels_path}: non-integer label ({e})") from None
-        if num_classes is None:
-            num_classes = int(labels.max()) + 1
-            if num_classes > n:  # each class needs a row
-                raise ValueError(f"{labels_path}: largest label {num_classes - 1} implies "
-                                 f"{num_classes} classes, but there are {n} rows")
-    elif num_classes is None:
-        raise ValueError("num_classes is required when no labels file is given")
+    with open(labels_path) as fh:
+        raw = [line.strip() for line in fh if line.strip()]
+    if len(raw) != n:
+        raise ValueError(f"{labels_path}: expected {n} labels, found {len(raw)}")
+    try:
+        labels = np.array([int(v) for v in raw], dtype=np.int64)
+    except ValueError as e:
+        raise ValueError(f"{labels_path}: non-integer label ({e})") from None
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1
+        if num_classes > n:  # each class needs a row
+            raise ValueError(f"{labels_path}: largest label {num_classes - 1} implies "
+                             f"{num_classes} classes, but there are {n} rows")
     try:
         return DomainDataset(name or features_path, feats, labels, num_classes)
     except LabelError as e:

@@ -47,6 +47,7 @@ ADAPT_METHODS = {
     "PCSR": (PcsrConfig, pcsr_adapt),
 }
 METHODS = ("SCA",) + tuple(ADAPT_METHODS)
+NO_GRADIENT_LOOP = "has no gradient loop to shard; its result is invariant to the worker layout"
 
 
 @dataclass
@@ -78,17 +79,12 @@ class TaskSpec:
         elif self.method is not None:
             raise ValueError(f"{self.task} does not take a method")
         if self.dist is not None and self.method not in ADAPT_METHODS:
-            raise ValueError(f"{self.method or self.task} has no gradient loop to shard; "
-                             "its result is invariant to the worker layout")
+            raise ValueError(f"{self.method or self.task} {NO_GRADIENT_LOOP}")
         if self.source is not None:
-            if self.source.labels is None:
-                raise ValueError("source dataset must be labeled")
             if self.source.d != self.target.d:
                 raise ValueError("source and target widths differ")
             if self.source.num_classes != self.target.num_classes:
                 raise ValueError("source and target class counts differ")
-        if self.target.labels is None:
-            raise ValueError("target labels are required for scoring")
         # every setting a record runs with, resolved once: seeds derive from
         # the run seed, and a sharded adapter's batch is the cell's global one
         self.head_config = HeadConfig(self.target.d, self.target.num_classes,

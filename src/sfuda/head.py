@@ -398,8 +398,6 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
     BLAS kernel and may differ in the last bits. scope="full" trains
     everything with the bottleneck at a tenth of the rate.
     """
-    if data.labels is None:
-        raise ValueError("supervised training needs labels")
     if scope not in ("classifier_only", "full"):
         raise ValueError(f"unknown scope {scope!r}")
     if data.d != model.in_dim or data.num_classes != model.num_classes:

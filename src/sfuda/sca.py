@@ -120,8 +120,6 @@ def sca_adapt(source: DomainDataset, target_features: np.ndarray,
     both domains through the model's bottleneck first (eval mode, no weight is
     modified).
     """
-    if source.labels is None:
-        raise ValueError("source dataset must be labeled")
     target_features = as_compute(target_features)
     if space == "bottleneck":
         if model is None:

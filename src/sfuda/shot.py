@@ -47,26 +47,19 @@ def _label_pass(model: HeadModel, x: np.ndarray, kmeans_rounds: int,
     """Full-set eval pass -> soft prototypes -> cosine K-Means refinement.
 
     The soft prototypes of the classes with positive mass come from one
-    weighted_prototypes product. Fallback order for a class with zero soft
-    mass: mean of the samples that argmax to it, else the previous epoch's
-    prototype, else the global mean. The features are normalized once, and
-    the labels are the last K-Means round's assignments (with no round, the
-    nearest soft prototype). Returns (labels, prototypes, unit features).
+    weighted_prototypes product. A class with zero soft mass takes the
+    previous epoch's prototype, else the global mean. The features are
+    normalized once, and the labels are the last K-Means round's assignments
+    (with no round, the nearest soft prototype). Returns (labels,
+    prototypes, unit features).
     """
     logits, feats, _ = forward(model, x, "eval")
     probs = np.exp(log_softmax(logits))
     live = probs.sum(axis=0) > 0.0
     centers = np.empty((model.num_classes, feats.shape[1]), dtype=feats.dtype)
     centers[live] = weighted_prototypes(probs[:, live], feats)
-    hard = logits.argmax(axis=1)
-    for c in np.flatnonzero(~live):
-        members = feats[hard == c]
-        if members.shape[0]:
-            centers[c] = members.mean(axis=0)
-        elif prev is not None:
-            centers[c] = prev.centers[c]
-        else:
-            centers[c] = feats.mean(axis=0)
+    # no row argmaxes to a dead class: a row's top class keeps >= 1/C of its mass
+    centers[~live] = prev.centers[~live] if prev is not None else feats.mean(axis=0)
     norms = np.linalg.norm(centers, axis=1)
     if np.any(norms == 0.0):
         c = int(np.flatnonzero(norms == 0.0)[0])

@@ -616,6 +616,12 @@ class TestFailureHandling:
         ("gen-data", "data", {"source": {"features": "nope.bin", "labels": "nope.txt"},
                               "target": {"features": "nope.bin"}},
          "data: gen-data needs a generate section, not files"),
+        # every dataset carries its labels: a target without them is named before files open
+        ("suite", "data", {"source": {"features": "nope.bin", "labels": "nope.txt"},
+                           "target": {"features": "nope.bin"}}, "data.target needs labels"),
+        # SCA has no loop to shard, whatever the data
+        ("distgrid", "distgrid", {"methods": ["SHOT", "SCA"]}, "distgrid.methods: SCA has no "
+         "gradient loop to shard; its result is invariant to the worker layout"),
     ])
     def test_a_section_of_the_wrong_type_is_named(self, tmp_path, capsys, command, key,
                                                   value, message):
@@ -668,6 +674,7 @@ class TestFailureHandling:
         ("source", "name", 5, "data.source: name must be str, not 5"),
         ("target", "features", None, "data.target: features must be str, not None"),
         ("source", "labels", None, "data.source: labels must be str, not None"),
+        ("target", "labels", None, "data.target: labels must be str, not None"),
     ])
     def test_a_bad_data_file_value_names_its_side(self, tmp_path, capsys, side, key,
                                                   value, message):
@@ -1114,6 +1121,7 @@ class TestReportCommand:
         ("accuracy", "abc", "could not convert string to float: 'abc'"),
         ("seed", "x", "invalid literal for int() with base 10: 'x'"),
         (None, None, "expected 11 fields, not 10"),
+        ("failed", "2", "failed must be 0 or 1, not '2'"),
     ])
     def test_a_bad_row_names_its_file_and_line(self, tmp_path, capsys, fmt, field,
                                               value, message):
@@ -1249,7 +1257,7 @@ CONFIG_FIELDS = [("suite", f"data.generate.{k}", kind) for k, kind in [
     ("shift.rotation_plane", "list[int]"), ("shift.label_noise", "float")]] + [
     ("files", f"data.{side}.{k}", kind) for side in ("source", "target") for k, kind in [
         ("features", "str"), ("num_classes", "int | None"), ("name", "str")]] + [
-    ("files", "data.source.labels", "str"), ("files", "data.target.labels", "str | None"),
+    ("files", "data.source.labels", "str"), ("files", "data.target.labels", "str"),
     ("suite", "data", "dict"), ("suite", "data.generate", "dict"),
     ("suite", "head", "dict"), ("suite", "head.hidden_dim", "int"),
     ("suite", "head.norm_kind", "str"), ("suite", "train", "dict"),

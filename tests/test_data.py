@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sfuda.core import make_rng
-from sfuda.data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
-                        labels_text, load_embeddings, load_results_table)
+from sfuda.data import (DomainDataset, LabelError, ShiftSpec, embeddings_bytes,
+                        gen_gaussian_pair, labels_text, load_embeddings, load_results_table)
 from sfuda.head import HeadConfig, TrainConfig, evaluate, init_head, train_supervised
 
 
@@ -145,35 +145,34 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="non-finite"):
             DomainDataset("bad", f, np.array([0, 1, 0]), 2)
 
-    def test_unlabeled_allowed(self):
-        ds = DomainDataset("ok", np.zeros((3, 2)), None, 2)
-        assert ds.labels is None and ds.n == 3 and ds.d == 2
+    def test_labels_are_required(self):
+        with pytest.raises(LabelError, match="dataset 'bare' needs integer labels"):
+            DomainDataset("bare", np.zeros((3, 2)), None, 2)
 
     def test_float64_features_are_frozen_in_place(self):
         x = np.zeros((3, 2))
-        ds = DomainDataset("ok", x, None, 2)
+        ds = DomainDataset("ok", x, np.array([0, 1, 0]), 2)
         assert ds.features is x and not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ds.features += 1.0
 
     def test_float32_features_are_frozen_in_place(self):
         x = np.zeros((3, 2), dtype=np.float32)
-        ds = DomainDataset("ok", x, None, 2)
+        ds = DomainDataset("ok", x, np.array([0, 1, 0]), 2)
         assert ds.features is x and not x.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.float64])
     def test_other_inputs_compute_in_float64(self, dtype):
-        ds = DomainDataset("ok", np.zeros((3, 2), dtype=dtype), None, 2)
+        ds = DomainDataset("ok", np.zeros((3, 2), dtype=dtype), np.array([0, 1, 0]), 2)
         assert ds.features.dtype == np.float64
 
 
-def save(dataset, fpath, lpath=None):
+def save(dataset, fpath, lpath):
     """Writes dataset in the files `gen-data` writes."""
     with open(fpath, "wb") as fh:
         fh.write(embeddings_bytes(dataset))
-    if lpath is not None:
-        with open(lpath, "w") as fh:
-            fh.write(labels_text(dataset))
+    with open(lpath, "w") as fh:
+        fh.write(labels_text(dataset))
 
 
 class TestEmbeddingsIO:
@@ -189,34 +188,36 @@ class TestEmbeddingsIO:
 
     def test_files_load_in_their_stored_float32(self, tmp_path):
         src, _ = small_pair(seed=2, n=20)
-        fpath = str(tmp_path / "e.bin")
-        save(src, fpath)
-        back = load_embeddings(fpath, num_classes=3)
+        fpath, lpath = str(tmp_path / "e.bin"), str(tmp_path / "e.labels")
+        save(src, fpath, lpath)
+        back = load_embeddings(fpath, lpath)
         assert back.features.dtype == np.float32
         assert back.features.tobytes() == src.features.astype(np.float32).tobytes()
 
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         src, _ = small_pair(seed=2, n=10, d=6)
-        fpath = str(tmp_path / "e.bin")
-        save(src, fpath)
+        fpath, lpath = str(tmp_path / "e.bin"), str(tmp_path / "e.labels")
+        save(src, fpath, lpath)
         raw = open(fpath, "rb").read()
         open(fpath, "wb").write(raw[:-8])
         expected = 30 * 6 * 4  # n=10 per class, 3 classes
         with pytest.raises(ValueError, match=f"expected {expected} payload bytes, "
                                              f"found {expected - 8}"):
-            load_embeddings(fpath, num_classes=3)
+            load_embeddings(fpath, lpath)
 
     def test_bad_magic(self, tmp_path):
-        fpath = str(tmp_path / "e.bin")
+        fpath, lpath = str(tmp_path / "e.bin"), str(tmp_path / "e.labels")
         open(fpath, "wb").write(b"XXXX" + b"\0" * 12)
+        open(lpath, "w").write("0\n1\n")
         with pytest.raises(ValueError, match="magic"):
-            load_embeddings(fpath, num_classes=2)
+            load_embeddings(fpath, lpath)
 
     def test_truncated_header(self, tmp_path):
-        fpath = str(tmp_path / "e.bin")
+        fpath, lpath = str(tmp_path / "e.bin"), str(tmp_path / "e.labels")
         open(fpath, "wb").write(b"\0" * 7)
+        open(lpath, "w").write("0\n1\n")
         with pytest.raises(ValueError, match="truncated header"):
-            load_embeddings(fpath, num_classes=2)
+            load_embeddings(fpath, lpath)
 
     def test_label_count_mismatch(self, tmp_path):
         src, _ = small_pair(seed=2, n=10)
@@ -240,15 +241,6 @@ class TestEmbeddingsIO:
         # a given class count is checked against the labels instead
         with pytest.raises(ValueError, match="label out of range"):
             load_embeddings(fpath, lpath, num_classes=3)
-
-    def test_features_only_needs_class_count(self, tmp_path):
-        src, _ = small_pair(seed=2, n=10)
-        fpath = str(tmp_path / "e.bin")
-        save(src, fpath)
-        with pytest.raises(ValueError, match="num_classes"):
-            load_embeddings(fpath)
-        back = load_embeddings(fpath, num_classes=3)
-        assert back.labels is None and back.num_classes == 3
 
 
 class TestResultsTable:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sfuda.harness
 from conftest import max_rel_err, shard_loop_step, tiny_model
 from sfuda.core import make_rng
-from sfuda.data import ShiftSpec, gen_gaussian_pair
+from sfuda.data import LabelError, ShiftSpec, gen_gaussian_pair
 from sfuda.distsim import (ADAPT_METHODS, GridResult, cell_columns, centralized_gradient,
                            grid_specs, parse_cell, run_distributed_grid, sharded_gradient)
 from sfuda.engine import (DEFAULT_GRID, DistConfig, effective_batch, shard_rows,
@@ -288,10 +288,9 @@ class TestDistributedGrid:
                                  grid=(DistConfig(1, 64), DistConfig(2, 16)))
 
     def test_unlabeled_target_rejected(self):
-        src, tgt = self.grid_pair()
-        bare = dataclasses.replace(tgt, labels=None)
-        with pytest.raises(ValueError, match="labels"):
-            run_distributed_grid("SHOT", src, bare)
+        _, tgt = self.grid_pair()
+        with pytest.raises(LabelError, match=f"dataset {tgt.name!r} needs integer labels"):
+            dataclasses.replace(tgt, labels=None)
 
     def test_method_registry_lists_the_gradient_adapters(self):
         assert set(ADAPT_METHODS) == {"SHOT", "NRC", "AAD", "PCSR"}

@@ -9,7 +9,7 @@ import pytest
 
 import sfuda.harness
 from sfuda.core import derive_rng, derive_seed, make_rng
-from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
+from sfuda.data import DomainDataset, LabelError, ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
 from sfuda.harness import (ADAPT_METHODS, ExperimentRecord, TaskSpec, failure_report,
                            format_mean_std, hyperparameter_grid, mean_std, run_suite,
@@ -134,9 +134,9 @@ class TestTaskSpecValidation:
                      method_config=ShotConfig())
 
     def test_unlabeled_targets_rejected(self):
-        bare = DomainDataset("b", np.zeros((6, 3)), None, 2)
-        with pytest.raises(ValueError, match="target labels"):
-            TaskSpec(task="LP-IDG", target=bare)
+        # a target without labels is never built, so no spec can score one
+        with pytest.raises(LabelError, match="dataset 'b' needs integer labels"):
+            DomainDataset("b", np.zeros((6, 3)), None, 2)
 
 
 class TestRunTask:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sfuda.head
 from conftest import fd_param_grads, grad_gap, max_rel_err, per_batch_transfer, tiny_model
 from sfuda.core import derive_rng, make_rng
-from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
+from sfuda.data import DomainDataset, LabelError, ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
 from sfuda.head import (BOTTLENECK_PARAMS, CLASSIFIER_PARAMS, PARAM_NAMES,
                         HeadConfig, HeadModel, NormLayer,
@@ -402,10 +402,9 @@ class TestTraining:
         assert evaluate(guarded, data.features, data.labels) >= acc_plain
 
     def test_unlabeled_data_rejected(self):
-        data = DomainDataset("u", np.zeros((8, 3)), None, 2)
-        model = init_head(HeadConfig(3, 2, hidden_dim=4, seed=0))
-        with pytest.raises(ValueError, match="labels"):
-            train_supervised(model, data, "full", TrainConfig(epochs=1))
+        # data without labels is never built, so nothing trains on it
+        with pytest.raises(LabelError, match="dataset 'u' needs integer labels"):
+            DomainDataset("u", np.zeros((8, 3)), None, 2)
 
     def test_unknown_scope_rejected(self):
         src, _ = gen_gaussian_pair(3, 6, 10, 3.0, ShiftSpec.identity(6), make_rng(0))

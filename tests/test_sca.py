@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import sfuda.sca
 from conftest import full_recentering_kmeans
 from sfuda.core import l2_normalize_rows, make_rng
-from sfuda.data import DomainDataset, ShiftSpec, gen_gaussian_pair
+from sfuda.data import DomainDataset, LabelError, ShiftSpec, gen_gaussian_pair
 from sfuda.head import HeadConfig, TrainConfig, evaluate, init_head, train_supervised
 from sfuda.sca import Prototypes, class_prototypes, sca_adapt, spherical_kmeans
 
@@ -256,9 +256,9 @@ class TestScaAdapt:
             np.testing.assert_array_equal(v, keep[k])
 
     def test_unlabeled_source_rejected(self):
-        source = DomainDataset("u", np.ones((5, 3)), None, 2)
-        with pytest.raises(ValueError, match="labeled"):
-            sca_adapt(source, np.ones((4, 3)))
+        # a source without labels is never built, so it has no prototypes to transport
+        with pytest.raises(LabelError, match="dataset 'u' needs integer labels"):
+            DomainDataset("u", np.ones((5, 3)), None, 2)
 
     def test_unknown_space_rejected(self):
         src, tgt = gen_gaussian_pair(3, 6, 10, 4.0, ShiftSpec.identity(6),
