@@ -44,10 +44,14 @@ class DomainDataset:
             raise ValueError("num_classes must be positive")
         if self.n < self.num_classes:
             raise ValueError(f"need at least {self.num_classes} samples, got {self.n}")
-        try:  # None and other non-numbers: every dataset carries its labels
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-        except TypeError:
-            raise LabelError(f"dataset {self.name!r} needs integer labels") from None
+        try:  # None, strings and fractions alike: labels equal their int64 cast
+            with np.errstate(invalid="ignore"):
+                labels = np.asarray(self.labels).astype(np.int64)
+        except (TypeError, ValueError):
+            labels = None
+        if labels is None or not np.array_equal(labels, self.labels):
+            raise LabelError(f"dataset {self.name!r} needs integer labels")
+        self.labels = labels
         if self.labels.shape != (self.n,):
             raise LabelError("labels length must match feature rows")
         outside = (self.labels < 0) | (self.labels >= self.num_classes)

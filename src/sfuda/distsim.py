@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import as_compute
 from .data import DomainDataset
-from .engine import DEFAULT_GRID, DistConfig, shard_rows, sharded_step
+from .engine import DEFAULT_GRID, DistConfig, sharded_step
 from .harness import (ADAPT_METHODS, SFUDA_TASK, TaskSpec,  # noqa: F401 (re-exported)
                       mean_std, run_suite, spec_groups)
 from .head import HeadModel, TrainConfig, backward, forward
@@ -67,7 +67,7 @@ def sharded_gradient(model: HeadModel, batch: np.ndarray, objective,
     """
     batch = as_compute(batch)
     work = model.copy(batch.dtype)
-    shards = shard_rows(np.arange(batch.shape[0]), cfg.workers)
+    shards = np.arange(batch.shape[0]).reshape(cfg.workers, -1)
 
     def stacked(rows, logits):
         # objective sees one (m, C) shard at a time, in shard order

@@ -1,6 +1,7 @@
-"""Simulated data parallelism for the gradient-based adaptation loops:
-contiguous worker shards of each batch, one stacked objective call for all
-of them, and shard-averaged gradients. The W=1 path is the plain
+"""Simulated data parallelism for the gradient-based adaptation loops: a
+batch's worker shards are its (W, m) view, batch.reshape(W, -1), so shard w
+holds the batch's w-th contiguous m rows; one stacked objective call covers
+every worker, and gradients are shard-averaged. The W=1 path is the plain
 single-worker step; the loop itself is head.run_epochs."""
 
 from __future__ import annotations
@@ -36,21 +37,13 @@ DEFAULT_GRID = (DistConfig(1, 64), DistConfig(2, 32), DistConfig(4, 16),
                 DistConfig(8, 8), DistConfig(16, 4))
 
 
-def shard_rows(rows: np.ndarray, workers: int) -> list[np.ndarray]:
-    """Contiguous equal shards of an already shuffled batch."""
-    if len(rows) % workers:
-        raise ValueError(f"batch of {len(rows)} does not split into {workers} shards")
-    m = len(rows) // workers
-    return [rows[w * m:(w + 1) * m] for w in range(workers)]
-
-
-def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
+def sharded_step(model: HeadModel, x: np.ndarray, shards: np.ndarray,
                  objective, sync_batchnorm: bool = False, *, classifier: bool = True):
-    """One simulated data-parallel step.
+    """One simulated data-parallel step on shards, a (W, m) array of row
+    indices into x, one row per worker.
 
-    The shards (equal in size, as shard_rows cuts them) are stacked: rows is
-    (W, m) and logits (W, m, C), and objective(rows, logits) -> (values,
-    dlogits) is called once for all workers. It must treat each leading index
+    objective(shards, logits) -> (values, dlogits) is called once for all
+    workers, with logits (W, m, C). It must treat each leading index
     as its own batch, so any batch-level statistic inside it is shard-local,
     and return per-shard values (W,) and dlogits (W, m, C). Each worker
     normalizes with its own shard's batch statistics unless sync_batchnorm
@@ -62,21 +55,17 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
     calls and backwards bit for bit. One worker, or pooled batchnorm
     statistics, take one plain (W*m, d) batch instead.
 
-    Returns (mean objective value, averaged gradient dict, (rows, logits,
-    feats)), the forward's outputs stacked as (W, m), (W, m, C), (W, m, h).
+    Returns (mean objective value, averaged gradient dict, (shards, logits,
+    feats)), the forward's outputs stacked as (W, m, C) and (W, m, h).
     With classifier False the dict holds BOTTLENECK_PARAMS only (see
     head.backward), for a caller that keeps the classifier frozen.
     """
-    w = len(shards)
-    m = len(shards[0])
-    if any(len(sh) != m for sh in shards):
-        raise ValueError("shards must have equal sizes")
+    w, m = shards.shape
     pooled = w == 1 or (sync_batchnorm and model.norm.kind == "batchnorm")
-    rows = np.stack(shards)
-    xb = x[rows.ravel()]
+    xb = x[shards.ravel()]
     logits, feats, cache = forward(model, xb if pooled else xb.reshape(w, m, -1), "train")
     logits, feats = logits.reshape(w, m, -1), feats.reshape(w, m, -1)
-    values, dl = objective(rows, logits)
+    values, dl = objective(shards, logits)
     if pooled:
         # backward is linear in dlogits, so one pass gives the shard average
         dl = dl.reshape(w * m, -1)
@@ -84,23 +73,20 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: list[np.ndarray],
     else:
         grads = {k: g / w for k, g in
                  backward(model, cache, dl, classifier=classifier).items()}
-    return float(np.mean(values)), grads, (rows, logits, feats)
-
-
-def effective_batch(n: int, batch_size: int, workers: int) -> int:
-    """Largest usable batch: at most n, and an exact multiple of workers."""
-    bs = min(batch_size, n)
-    if bs < workers:
-        raise ValueError(f"cannot split {bs} rows across {workers} workers")
-    return bs - bs % workers
+    return float(np.mean(values)), grads, (shards, logits, feats)
 
 
 def adapt_layout(model: HeadModel, n: int, batch_size: int,
                  dist: DistConfig | None) -> tuple[int, DistConfig]:
     """An adapter's global batch on n rows and its worker layout (one worker
-    when dist is None); rejects shards too small for batchnorm statistics."""
+    when dist is None). The batch is the largest exact multiple of the
+    workers that is at most batch_size and n, so every batch reshapes to
+    (W, m); rejects shards too small for batchnorm statistics."""
     dist = dist if dist is not None else DistConfig()
-    bs = effective_batch(n, batch_size, dist.workers)
+    bs = min(batch_size, n)
+    if bs < dist.workers:
+        raise ValueError(f"cannot split {bs} rows across {dist.workers} workers")
+    bs -= bs % dist.workers
     if (model.norm.kind == "batchnorm" and bs // dist.workers < 2
             and not dist.sync_batchnorm):
         raise ValueError("shard size < 2 is invalid with a batchnorm head")

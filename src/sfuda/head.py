@@ -349,7 +349,7 @@ def sgd_step(model: HeadModel, grads: dict[str, np.ndarray],
 
 
 def run_epochs(model: HeadModel, n: int, batch_size: int, cfg: LoopConfig, step_grads, *,
-               names: tuple[str, ...], rng: np.random.Generator,
+               rng: np.random.Generator,
                schedule: str = "inverse-decay", grad_clip: float | None = None,
                lr_scale: dict[str, float] | None = None,
                epoch_hook=None, step_hook=None) -> None:
@@ -358,13 +358,14 @@ def run_epochs(model: HeadModel, n: int, batch_size: int, cfg: LoopConfig, step_
 
     Each epoch calls epoch_hook(), then cuts a seeded shuffle of the n
     rows into contiguous batches, dropping the trailing partial batch. Per
-    batch, step_grads(rows, step) -> (loss, grads) gives the gradients; the
-    loop keeps those of the trainable names, clips their global norm to
-    grad_clip when set, calls step_hook(step, loss, grads), and takes a
-    momentum step at the scheduled rate times lr_scale[name] (default 1).
+    batch, step_grads(rows, step) -> (loss, grads) gives the gradients of
+    exactly the tensors it trains, the same keys in the same order at every
+    step; the first step's keys size the momentum buffers. The loop clips
+    their global norm to grad_clip when set, calls step_hook(step, loss,
+    grads), and takes a momentum step at the scheduled rate times
+    lr_scale[name] (default 1).
     """
-    params = model.params()
-    buffers = {k: np.zeros_like(params[k]) for k in names}
+    buffers = None
     steps_per_epoch = n // batch_size
     total_steps = cfg.epochs * steps_per_epoch
     step = 0
@@ -374,7 +375,8 @@ def run_epochs(model: HeadModel, n: int, batch_size: int, cfg: LoopConfig, step_
         order = rng.permutation(n)
         for s in range(steps_per_epoch):
             loss, grads = step_grads(order[s * batch_size:(s + 1) * batch_size], step)
-            grads = {k: grads[k] for k in names}
+            if buffers is None:
+                buffers = {k: np.zeros_like(model.params()[k]) for k in grads}
             if grad_clip is not None:
                 clip_global_norm(grads, grad_clip)
             if step_hook is not None:
@@ -421,9 +423,7 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
         loss, dlogits = cross_entropy(logits, targets[rows])
         return loss, _classifier_grads(feats, dlogits)
 
-    run_epochs(model, data.n, bs, cfg, step_grads,
-               names=PARAM_NAMES if full else CLASSIFIER_PARAMS,
-               rng=derive_rng(cfg.seed, "train-shuffle"),
+    run_epochs(model, data.n, bs, cfg, step_grads, rng=derive_rng(cfg.seed, "train-shuffle"),
                schedule=cfg.lr_schedule, grad_clip=cfg.grad_clip,
                # bottleneck-side tensors move slower than the freshly seeded classifier
                lr_scale={k: 0.1 for k in BOTTLENECK_PARAMS} if full else None,

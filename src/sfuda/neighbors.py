@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_compute, derive_rng, knn_indices, l2_normalize_rows, rounding_tol, softmax
-from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
-from .head import PARAM_NAMES, HeadModel, LoopConfig, forward, run_epochs
+from .engine import DistConfig, adapt_layout, sharded_step
+from .head import HeadModel, LoopConfig, forward, run_epochs
 
 
 @dataclass
@@ -324,15 +324,14 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
             return v, softmax_score_grad(p, dscores)
 
         loss, grads, (_, logits, feats) = sharded_step(
-            model, x, shard_rows(rows, dist.workers), objective, dist.sync_batchnorm)
+            model, x, rows.reshape(dist.workers, -1), objective, dist.sync_batchnorm)
         # pre-update outputs, as the optimizer step that follows never reads
         # the bank; the stacked shards hold the batch rows in order
         bank.refresh(rows, feats.reshape(len(rows), -1),
                      softmax(logits).reshape(len(rows), -1))
         return loss, grads
 
-    run_epochs(model, n, bs, cfg, step_grads, names=PARAM_NAMES,
-               rng=derive_rng(cfg.seed, "adapt-shuffle"))
+    run_epochs(model, n, bs, cfg, step_grads, rng=derive_rng(cfg.seed, "adapt-shuffle"))
     return model
 
 

@@ -10,18 +10,18 @@ import numpy as np
 
 from .core import as_compute, derive_rng
 from .engine import DistConfig
-from .head import HeadModel, LoopConfig
+from .head import HeadModel
 from .sca import Prototypes, spherical_kmeans
-from .shot import _label_pass, run_im_ce_loop
+from .shot import ShotConfig, _label_pass, run_im_ce_loop
 
 
 @dataclass
-class PcsrConfig(LoopConfig):
+class PcsrConfig(ShotConfig):
+    """SHOT's settings and checks, plus the sub-center count and mixup."""
+
     M: int = 2
     mixup_alpha: float = 0.3
     mixup_weight: float = 1.0
-    ce_weight: float = 0.3
-    kmeans_rounds: int = 1
 
     def __post_init__(self):
         super().__post_init__()
@@ -29,8 +29,8 @@ class PcsrConfig(LoopConfig):
             raise ValueError("M must be positive")
         if self.mixup_alpha <= 0:
             raise ValueError("mixup_alpha must be positive")
-        if self.mixup_weight < 0 or self.ce_weight < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if self.mixup_weight < 0:
+            raise ValueError("mixup_weight must be nonnegative")
 
 
 def mixup_batch(x: np.ndarray, targets: np.ndarray, alpha: float,

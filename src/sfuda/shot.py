@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_compute, derive_rng, l2_normalize_rows, log_softmax, one_hot
-from .engine import DistConfig, adapt_layout, shard_rows, sharded_step
-from .head import (BOTTLENECK_PARAMS, HeadModel, LoopConfig, cross_entropy, forward,
-                   run_epochs)
+from .engine import DistConfig, adapt_layout, sharded_step
+from .head import HeadModel, LoopConfig, cross_entropy, forward, run_epochs
 from .sca import Prototypes, spherical_kmeans
 
 
@@ -131,15 +130,17 @@ def im_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     return ve + vd, ge + gd
 
 
-def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
-                   mixup_fn=None, mixup_weight: float = 0.0,
+def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg: ShotConfig,
+                   relabel, mixup_fn=None, mixup_weight: float = 0.0,
                    dist: DistConfig | None = None) -> HeadModel:
     """Shared trainer for the pseudo-label + information-maximization family.
 
-    cfg (ShotConfig or PcsrConfig) gives the loop's hyperparameters and the
-    CE weight. relabel(model, prev_protos) -> (labels, protos) runs once per
-    epoch on the full set. The classifier never moves. mixup_fn, when given
-    and weighted, contributes an extra supervised term on mixed inputs.
+    cfg (a ShotConfig, or PCSR's subclass) gives the loop's hyperparameters
+    and the CE weight. relabel(model, prev_protos) -> (labels, protos) runs
+    once per epoch on the full set. Each batch splits into its (W, m) worker
+    shards; the classifier never moves, so a step trains the bottleneck
+    tensors sharded_step returns. mixup_fn, when given and weighted, adds the
+    weighted CE on each shard's mixed rows, sharded the same way.
     """
     x = as_compute(target_features)
     model = model.copy(x.dtype)
@@ -157,25 +158,20 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg, relabel,
         return v_im + cfg.ce_weight * v_ce, d_im + cfg.ce_weight * d_ce
 
     def step_grads(rows, _step):
-        shards = shard_rows(rows, dist.workers)
+        shards = rows.reshape(dist.workers, -1)
         loss, grads, _ = sharded_step(model, x, shards, objective, dist.sync_batchnorm,
                                       classifier=False)
         if mixup_fn is not None and mixup_weight > 0.0:
             mixed = [mixup_fn(x[sh], targets[sh]) for sh in shards]
-            xm = np.concatenate([m[0] for m in mixed])
-            tm = np.concatenate([m[1] for m in mixed])
-            pos = np.arange(len(xm))
-
-            def mix_objective(mixed_rows, logits):
-                return cross_entropy(logits, tm[mixed_rows])
-
-            _, gm, _ = sharded_step(model, xm, shard_rows(pos, dist.workers),
-                                    mix_objective, dist.sync_batchnorm, classifier=False)
-            for k in BOTTLENECK_PARAMS:
+            xm, tm = (np.concatenate(part) for part in zip(*mixed))
+            _, gm, _ = sharded_step(model, xm, np.arange(len(xm)).reshape(shards.shape),
+                                    lambda pos, logits: cross_entropy(logits, tm[pos]),
+                                    dist.sync_batchnorm, classifier=False)
+            for k in gm:
                 grads[k] += mixup_weight * gm[k]
         return loss, grads
 
-    run_epochs(model, x.shape[0], bs, cfg, step_grads, names=BOTTLENECK_PARAMS,
+    run_epochs(model, x.shape[0], bs, cfg, step_grads,
                rng=derive_rng(cfg.seed, "adapt-shuffle"), epoch_hook=epoch_hook)
     return model
 

@@ -4,8 +4,8 @@ import numpy as np
 
 import sfuda.sca
 from sfuda.core import derive_rng, l2_normalize_rows
-from sfuda.head import (CLASSIFIER_PARAMS, HeadConfig, _classifier_grads, backward,
-                        cross_entropy, forward, init_head, run_epochs, smoothed_targets)
+from sfuda.head import (HeadConfig, _classifier_grads, backward, cross_entropy, forward,
+                        init_head, run_epochs, smoothed_targets)
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -135,6 +135,6 @@ def per_batch_transfer(model, data, cfg):
         return loss, _classifier_grads(feats, dlogits)
 
     run_epochs(model, data.n, min(cfg.batch_size, data.n), cfg, step_grads,
-               names=CLASSIFIER_PARAMS, rng=derive_rng(cfg.seed, "train-shuffle"),
-               schedule=cfg.lr_schedule, grad_clip=cfg.grad_clip)
+               rng=derive_rng(cfg.seed, "train-shuffle"), schedule=cfg.lr_schedule,
+               grad_clip=cfg.grad_clip)
     return model

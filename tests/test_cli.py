@@ -581,6 +581,11 @@ class TestFailureHandling:
         ("distgrid", "head", {"hidden_dim": 2.5}, "hidden_dim must be int, not 2.5"),
         ("suite", "method_configs", {"SHOT": {"momentum": 1.5}},
          "method_configs.SHOT: momentum must lie in [0, 1)"),
+        # PCSR takes SHOT's keys with SHOT's checks, under its own section
+        ("suite", "method_configs", {"PCSR": {"kmeans_rounds": -1}},
+         "method_configs.PCSR: kmeans_rounds must be nonnegative"),
+        ("suite", "method_configs", {"PCSR": {"mixup_weight": -1.0}},
+         "method_configs.PCSR: mixup_weight must be nonnegative"),
         ("suite", "method_configs", {"NRC": {"learning_rate": -1}},  # NRC does not run
          "method_configs.NRC: learning_rate and weight_decay must be nonnegative"),
         ("distgrid", "method_configs", {"AAD": {"batch_size": True}},

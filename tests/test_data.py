@@ -145,9 +145,22 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="non-finite"):
             DomainDataset("bad", f, np.array([0, 1, 0]), 2)
 
-    def test_labels_are_required(self):
+    @pytest.mark.parametrize("labels", [
+        None,
+        [0.9, 1.7, 0.2],   # not truncated to [0, 1, 0]
+        ["a", "b", "a"],
+        ["1", "0", "1"],   # not parsed as integers
+        [0.0, np.nan, 1.0],
+    ])
+    def test_labels_are_required(self, labels):
         with pytest.raises(LabelError, match="dataset 'bare' needs integer labels"):
-            DomainDataset("bare", np.zeros((3, 2)), None, 2)
+            DomainDataset("bare", np.zeros((3, 2)), labels, 2)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [0.0, 1.0, 0.0],
+                                        np.array([0, 1, 0], dtype=np.int32)])
+    def test_integral_labels_become_int64(self, labels):
+        ds = DomainDataset("ok", np.zeros((3, 2)), labels, 2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0]
 
     def test_float64_features_are_frozen_in_place(self):
         x = np.zeros((3, 2))

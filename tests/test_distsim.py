@@ -11,8 +11,7 @@ from sfuda.core import make_rng
 from sfuda.data import LabelError, ShiftSpec, gen_gaussian_pair
 from sfuda.distsim import (ADAPT_METHODS, GridResult, cell_columns, centralized_gradient,
                            grid_specs, parse_cell, run_distributed_grid, sharded_gradient)
-from sfuda.engine import (DEFAULT_GRID, DistConfig, effective_batch, shard_rows,
-                          sharded_step)
+from sfuda.engine import DEFAULT_GRID, DistConfig, adapt_layout, sharded_step
 from sfuda.harness import TaskSpec, mean_std, run_suite, run_task, spec_groups
 from sfuda.head import PARAM_NAMES, HeadConfig, TrainConfig, init_head, train_supervised
 from sfuda.neighbors import AadConfig
@@ -37,23 +36,13 @@ def drop_rows(objective):
 
 
 class TestShardMachinery:
-    def test_shards_are_contiguous_and_equal(self):
-        rows = np.arange(12)
-        shards = shard_rows(rows, 4)
-        assert len(shards) == 4
-        np.testing.assert_array_equal(np.concatenate(shards), rows)
-        assert all(len(s) == 3 for s in shards)
-
-    def test_indivisible_batch_rejected(self):
-        with pytest.raises(ValueError, match="does not split"):
-            shard_rows(np.arange(10), 4)
-
     def test_effective_batch_rounds_to_worker_multiple(self):
-        assert effective_batch(100, 64, 4) == 64
-        assert effective_batch(50, 64, 4) == 48
-        assert effective_batch(7, 64, 4) == 4
+        model, four = tiny_model(norm="layernorm"), DistConfig(4, 16)
+        assert adapt_layout(model, 100, 64, four) == (64, four)
+        assert adapt_layout(model, 50, 64, four) == (48, four)
+        assert adapt_layout(model, 7, 64, four) == (4, four)
         with pytest.raises(ValueError, match="cannot split 3 rows across 4 workers"):
-            effective_batch(3, 64, 4)
+            adapt_layout(model, 3, 64, four)
 
     def test_parse_cell(self):
         cfg = parse_cell("16x4")
@@ -79,7 +68,7 @@ class TestStackedStep:
         model = tiny_model(seed=seed, d=int(rng.integers(1, 6)), h=int(rng.integers(1, 6)),
                            c=c, norm=norm, act=act)
         x = rng.normal(size=(w * m + 3, model.in_dim))
-        shards = shard_rows(rng.permutation(len(x))[:w * m], w)
+        shards = rng.permutation(len(x))[:w * m].reshape(w, m)
         targets = rng.dirichlet(np.ones(c), size=len(x))
 
         def shard_objective(wi, sh, logits):
@@ -108,11 +97,6 @@ class TestStackedStep:
         if norm == "batchnorm":
             assert new_model.norm.running_mean.tobytes() == ref_model.norm.running_mean.tobytes()
             assert new_model.norm.running_var.tobytes() == ref_model.norm.running_var.tobytes()
-
-    def test_unequal_shards_rejected(self):
-        with pytest.raises(ValueError, match="equal sizes"):
-            sharded_step(tiny_model(), np.zeros((5, 5)), [np.arange(3), np.arange(3, 5)],
-                         lambda rows, logits: (np.zeros(len(rows)), np.zeros_like(logits)))
 
 
 class TestGradientDecomposition:

@@ -1,6 +1,7 @@
-"""Dead-code guard: every top-level function and class in `src/sfuda` must be
-read by some other code in `src/`. An import, a string in `__all__`, a use in
-its own body or a use in tests does not count."""
+"""Dead-code guard: every top-level function, class and assigned name in
+`src/sfuda` must be read by some other code in `src/`. An import, a string in
+`__all__`, a use in its own body or assignment, a write, or a use in tests
+does not count; module dunders such as `__all__` are exempt."""
 
 import ast
 from pathlib import Path
@@ -18,17 +19,27 @@ ALLOWED = {
 }
 
 
+def _assigned_names(top):
+    """The plain names a top-level assignment binds, dunders aside."""
+    targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+    return [node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")]
+
+
 def _definitions_and_uses():
-    """(name, module, node) of each top-level def/class, and every name or
-    attribute that code reads, as (name, module, top-level node holding it)."""
+    """(name, module, node) of each top-level def/class and assigned name, and
+    every name or attribute that code reads, as (name, module, top-level node
+    holding it)."""
     defs, uses = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((top.name, path.name, top))
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                defs += [(name, path.name, top) for name in _assigned_names(top)]
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     uses.append((node.id, path.name, top))
                 elif isinstance(node, ast.Attribute):
                     uses.append((node.attr, path.name, top))
