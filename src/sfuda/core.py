@@ -184,8 +184,8 @@ _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bo
 
 def check_type(name: str, value, kind: str) -> None:
     """Raises TypeError naming name unless value is of kind: int, float (an int
-    passes; a bool is no number), str, bool, dict, list[KIND] (a list, tuple or
-    array of KIND), or kinds joined by " | ", such as float | list[float]."""
+    passes, a bool is no number; NaN or inf, which json reads, is a ValueError),
+    str, bool, dict, list[KIND] (a list, tuple or array of KIND), or "A | B"."""
     first, *rest = kind.split(" | ")
     listed = [k[5:-1] for k in (first, *rest) if k.startswith("list[")]
     if value is None and "None" in rest:
@@ -197,6 +197,8 @@ def check_type(name: str, value, kind: str) -> None:
         raise TypeError(f"{name} must be a list, not {value!r}")
     elif isinstance(value, bool) != (first == "bool") or not isinstance(value, _KINDS[first]):
         raise TypeError(f"{name} must be {first}, not {value!r}")
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
 
 
 class Section:

@@ -76,18 +76,13 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: np.ndarray,
     return float(np.mean(values)), grads, (shards, logits, feats)
 
 
-def adapt_layout(model: HeadModel, n: int, batch_size: int,
-                 dist: DistConfig | None) -> tuple[int, DistConfig]:
+def adapt_layout(n: int, batch_size: int, dist: DistConfig | None) -> tuple[int, DistConfig]:
     """An adapter's global batch on n rows and its worker layout (one worker
     when dist is None). The batch is the largest exact multiple of the
     workers that is at most batch_size and n, so every batch reshapes to
-    (W, m); rejects shards too small for batchnorm statistics."""
+    (W, m); forward's check raises at the first step on a 1-row batchnorm shard."""
     dist = dist if dist is not None else DistConfig()
     bs = min(batch_size, n)
     if bs < dist.workers:
         raise ValueError(f"cannot split {bs} rows across {dist.workers} workers")
-    bs -= bs % dist.workers
-    if (model.norm.kind == "batchnorm" and bs // dist.workers < 2
-            and not dist.sync_batchnorm):
-        raise ValueError("shard size < 2 is invalid with a batchnorm head")
-    return bs, dist
+    return bs - bs % dist.workers, dist

@@ -154,7 +154,8 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
     """Returns (logits, post-activation bottleneck features, cache).
 
     Train mode normalizes with batch statistics and updates the running
-    estimates; eval mode is a pure per-row function.
+    estimates; eval mode is a pure per-row function. Only this checks that
+    a train-mode batchnorm batch, or each shard of a stack, has 2 rows.
 
     x is a batch (m, d) or a stack of equal worker shards (W, m, d). A stack
     gives each shard its own batch statistics and running-statistic update,
@@ -316,13 +317,9 @@ class TrainConfig(LoopConfig):
             raise ValueError("grad_clip must be positive when set")
 
 
-def scheduled_lr(base: float, schedule: str, step: int, total_steps: int) -> float:
-    """Step size at a step: base itself under "constant", else the shared
-    (1 + 10 t)^(-0.75) inverse decay with t = step / total_steps."""
-    if schedule == "constant":
-        return base
-    t = step / max(1, total_steps)
-    return base * (1.0 + 10.0 * t) ** -0.75
+def inverse_decay(t: float, power: float) -> float:
+    """(1 + 10 t)^(-power), with t the share of a loop's steps taken."""
+    return (1.0 + 10.0 * t) ** -power
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -349,40 +346,40 @@ def sgd_step(model: HeadModel, grads: dict[str, np.ndarray],
 
 
 def run_epochs(model: HeadModel, n: int, batch_size: int, cfg: LoopConfig, step_grads, *,
-               rng: np.random.Generator,
-               schedule: str = "inverse-decay", grad_clip: float | None = None,
-               lr_scale: dict[str, float] | None = None,
+               rng: np.random.Generator, schedule: str = "inverse-decay",
+               grad_clip: float | None = None, lr_scale: dict[str, float] | None = None,
                epoch_hook=None, step_hook=None) -> None:
     """The one SGD loop behind first transfer and every adapter; trains model
     in place for cfg.epochs at cfg's learning rate, momentum and weight decay.
 
-    Each epoch calls epoch_hook(), then cuts a seeded shuffle of the n
-    rows into contiguous batches, dropping the trailing partial batch. Per
-    batch, step_grads(rows, step) -> (loss, grads) gives the gradients of
-    exactly the tensors it trains, the same keys in the same order at every
-    step; the first step's keys size the momentum buffers. The loop clips
-    their global norm to grad_clip when set, calls step_hook(step, loss,
-    grads), and takes a momentum step at the scheduled rate times
-    lr_scale[name] (default 1).
+    Each epoch calls epoch_hook(), then cuts a seeded shuffle of the n rows
+    into contiguous batches, dropping the trailing partial batch. Per batch,
+    step_grads(rows, t) -> (loss, grads), t the share of the loop's steps
+    taken, gives the gradients of exactly the tensors it trains, the same
+    keys in the same order at every step; the first step's keys size the
+    momentum buffers. The loop clips their global norm to grad_clip when set,
+    calls step_hook(step, loss, grads), and steps at cfg.learning_rate *
+    inverse_decay(t, 0.75) (power 0 under "constant") times lr_scale[name].
     """
     buffers = None
     steps_per_epoch = n // batch_size
     total_steps = cfg.epochs * steps_per_epoch
+    power = 0.0 if schedule == "constant" else 0.75  # x ** -0.0 is 1.0 exactly
     step = 0
     for _ in range(cfg.epochs):
         if epoch_hook is not None:
             epoch_hook()
         order = rng.permutation(n)
         for s in range(steps_per_epoch):
-            loss, grads = step_grads(order[s * batch_size:(s + 1) * batch_size], step)
+            t = step / total_steps
+            loss, grads = step_grads(order[s * batch_size:(s + 1) * batch_size], t)
             if buffers is None:
                 buffers = {k: np.zeros_like(model.params()[k]) for k in grads}
             if grad_clip is not None:
                 clip_global_norm(grads, grad_clip)
             if step_hook is not None:
                 step_hook(step, loss, grads)
-            sgd_step(model, grads, buffers,
-                     scheduled_lr(cfg.learning_rate, schedule, step, total_steps),
+            sgd_step(model, grads, buffers, cfg.learning_rate * inverse_decay(t, power),
                      cfg.momentum, cfg.weight_decay, lr_scale)
             step += 1
 
@@ -395,10 +392,11 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
     bottleneck, the norm parameters, and the batchnorm running statistics
     stay untouched. Since the bottleneck never moves, its eval-mode features
     are computed once, by one forward over the whole set, and each step reads
-    the rows of its batch. That equals a forward per batch bit for bit when
-    a batch has at least 2 rows; a 1-row product goes through a different
-    BLAS kernel and may differ in the last bits. scope="full" trains
-    everything with the bottleneck at a tenth of the rate.
+    the rows of its batch. That equals a forward per batch bit for bit when a
+    batch has at least 2 rows; a 1-row product goes through a different BLAS
+    kernel and may differ in the last bits. scope="full" trains everything
+    with the bottleneck at a tenth of the rate; on a batchnorm head forward
+    raises at the first step if a batch has fewer than 2 rows.
     """
     if scope not in ("classifier_only", "full"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -407,13 +405,11 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
     model = model.copy(data.features.dtype)
     bs = min(cfg.batch_size, data.n)
     full = scope == "full"
-    if full and model.norm.kind == "batchnorm" and bs < 2:
-        raise ValueError("batch_size < 2 is invalid with a batchnorm head")
     targets = smoothed_targets(data.labels, data.num_classes, cfg.label_smoothing,
                                data.features.dtype)
     frozen = None if full else forward(model, data.features, "eval")[1]
 
-    def step_grads(rows, _step):
+    def step_grads(rows, _t):
         if full:
             logits, _, cache = forward(model, data.features[rows], "train")
             loss, dlogits = cross_entropy(logits, targets[rows])

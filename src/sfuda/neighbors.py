@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import as_compute, derive_rng, knn_indices, l2_normalize_rows, rounding_tol, softmax
 from .engine import DistConfig, adapt_layout, sharded_step
-from .head import HeadModel, LoopConfig, forward, run_epochs
+from .head import HeadModel, LoopConfig, forward, inverse_decay, run_epochs
 
 
 @dataclass
@@ -171,17 +171,6 @@ def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
     return value + v_div, -pulled / b + g_div
 
 
-def decay_lambda(step: int, max_step: int, beta: float) -> float:
-    """Dispersal weight (1 + 10 step/max_step)^(-beta)."""
-    if max_step < 1:
-        raise ValueError("max_step must be positive")
-    if not 0 <= step <= max_step:
-        raise ValueError("step must lie in [0, max_step]")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    return float((1.0 + 10.0 * step / max_step) ** -beta)
-
-
 def _floyd_choices(free: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """[rng.choice(f, size, replace=False) for f in free] from one
     rng.integers call, draw for draw, leaving rng where the loop would.
@@ -292,14 +281,13 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
     x = as_compute(target_features)
     model = model.copy(x.dtype)
     n = x.shape[0]
-    bs, dist = adapt_layout(model, n, cfg.batch_size, dist)
+    bs, dist = adapt_layout(n, cfg.batch_size, dist)
     bank = build_bank(model, x)
     rng_bg = derive_rng(cfg.seed, "aad-background")
-    total_steps = cfg.epochs * (n // bs)
     table_k = max(cfg.K, cfg.KK) if kind == "nrc" else cfg.K
 
-    def step_grads(rows, step):
-        lambda_t = decay_lambda(step, total_steps, cfg.beta) if kind == "aad" else 0.0
+    def step_grads(rows, t):
+        lambda_t = inverse_decay(t, cfg.beta) if kind == "aad" else 0.0
         # the bank only changes once every shard has run, and a step reads
         # the table rows of its batch (AAD), or of its batch and their K
         # neighbors (NRC): rank those alone; the rest hold n, so a stray read

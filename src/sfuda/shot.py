@@ -144,7 +144,7 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg: ShotConfi
     """
     x = as_compute(target_features)
     model = model.copy(x.dtype)
-    bs, dist = adapt_layout(model, x.shape[0], cfg.batch_size, dist)
+    bs, dist = adapt_layout(x.shape[0], cfg.batch_size, dist)
     protos = targets = None
 
     def epoch_hook():
@@ -157,7 +157,7 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg: ShotConfi
         v_ce, d_ce = cross_entropy(logits, targets[rows])
         return v_im + cfg.ce_weight * v_ce, d_im + cfg.ce_weight * d_ce
 
-    def step_grads(rows, _step):
+    def step_grads(rows, _t):
         shards = rows.reshape(dist.workers, -1)
         loss, grads, _ = sharded_step(model, x, shards, objective, dist.sync_batchnorm,
                                       classifier=False)

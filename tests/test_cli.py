@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -592,6 +593,15 @@ class TestFailureHandling:
          "method_configs.AAD: batch_size must be int, not True"),
         ("suite", "train", {"label_smoothing": 1.5},
          "train: label_smoothing must lie in [0, 1)"),
+        # json reads NaN and Infinity, which no float setting takes
+        ("suite", "method_configs", {"NRC": {"learning_rate": float("nan")}},
+         "method_configs.NRC: learning_rate must be finite, not nan"),
+        ("suite", "method_configs", {"NRC": {"learning_rate": float("inf")}},
+         "method_configs.NRC: learning_rate must be finite, not inf"),
+        ("suite", "method_configs", {"AAD": {"beta": float("nan")}},
+         "method_configs.AAD: beta must be finite, not nan"),
+        ("sweep", "sweep", {"method": "AAD", "params": {"beta": [0.5, float("-inf")]}},
+         "sweep.params: beta must be finite, not -inf"),
         # a record's loop seeds derive from its run seed, so no section sets one
         ("suite", "train", {"seed": 12345}, "train: seed is derived from each record's seed"),
         ("suite", "method_configs", {"SHOT": {"seed": 999}},
@@ -649,6 +659,9 @@ class TestFailureHandling:
         ("shift.label_noise", "x", "data.generate.shift: label_noise must be float, not 'x'"),
         ("shift.mean_shift", [1, "a", 0, 0, 0],
          "data.generate.shift: mean_shift must be float, not 'a'"),
+        ("shift.mean_shift", [1, float("nan"), 0, 0, 0],
+         "data.generate.shift: mean_shift must be finite, not nan"),
+        ("class_sep", float("inf"), "data.generate: class_sep must be finite, not inf"),
         # checked against dim, when the pair is drawn
         ("shift.rotation_plane", [0],
          "data.generate: rotation_plane must name two distinct feature axes, not [0]"),
@@ -1232,9 +1245,12 @@ class TestReportCommand:
 
 
 def json_values():
-    """Any JSON value, kept small."""
+    """Any JSON value, kept small, NaN and the infinities among them (json
+    reads NaN and Infinity)."""
     scalars = (st.none() | st.booleans() | st.integers(-3, 3)
-               | st.floats(-3, 3, allow_nan=False) | st.text(max_size=4))
+               | st.floats(-3, 3, allow_nan=False)
+               | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+               | st.text(max_size=4))
     return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
                         | st.dictionaries(st.text(max_size=3), inner, max_size=2),
                         max_leaves=4)
@@ -1242,14 +1258,14 @@ def json_values():
 
 def fits(value, kind):
     """Whether the JSON value is of the kind a config field declares, as the
-    README states the rule: a float field also takes an integer, no number
-    field takes a bool."""
+    README states the rule: a float field also takes an integer, but no NaN
+    or infinity, and no number field takes a bool."""
     if " | " in kind:
         return any(fits(value, k) for k in kind.split(" | "))
     if kind.startswith("list["):
         return isinstance(value, list) and all(fits(v, kind[5:-1]) for v in value)
     if kind == "float":
-        return type(value) in (int, float)
+        return type(value) in (int, float) and math.isfinite(value)
     return type(value) is {"None": type(None), "int": int, "str": str, "bool": bool,
                            "dict": dict}[kind]
 

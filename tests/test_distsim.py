@@ -37,12 +37,12 @@ def drop_rows(objective):
 
 class TestShardMachinery:
     def test_effective_batch_rounds_to_worker_multiple(self):
-        model, four = tiny_model(norm="layernorm"), DistConfig(4, 16)
-        assert adapt_layout(model, 100, 64, four) == (64, four)
-        assert adapt_layout(model, 50, 64, four) == (48, four)
-        assert adapt_layout(model, 7, 64, four) == (4, four)
+        four = DistConfig(4, 16)
+        assert adapt_layout(100, 64, four) == (64, four)
+        assert adapt_layout(50, 64, four) == (48, four)
+        assert adapt_layout(7, 64, four) == (4, four)
         with pytest.raises(ValueError, match="cannot split 3 rows across 4 workers"):
-            adapt_layout(model, 3, 64, four)
+            adapt_layout(3, 64, four)
 
     def test_parse_cell(self):
         cfg = parse_cell("16x4")
@@ -239,8 +239,7 @@ class TestDistributedGrid:
                            norm_kind="batchnorm", hidden_dim=16, train=kw["train_cfg"])
         first, broken = run_suite(specs, kw["seeds"])
         assert first.error is None
-        assert broken.error == ("ValueError: shard size < 2 is invalid with a batchnorm "
-                                "head")
+        assert broken.error == "ValueError: train-mode batchnorm needs a batch of at least 2"
         assert np.isfinite(mean_std([first], skip_raised=False)[0])
         assert np.isnan(mean_std([broken], skip_raised=False)[0])
         with pytest.raises(RuntimeError, match="1 grid record.*SHOT 64x1 seed 0"):

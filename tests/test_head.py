@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfuda.head
+import sfuda.neighbors
 from conftest import fd_param_grads, grad_gap, max_rel_err, per_batch_transfer, tiny_model
 from sfuda.core import derive_rng, make_rng
 from sfuda.data import DomainDataset, LabelError, ShiftSpec, gen_gaussian_pair
@@ -14,9 +15,9 @@ from sfuda.head import (BOTTLENECK_PARAMS, CLASSIFIER_PARAMS, PARAM_NAMES,
                         HeadConfig, HeadModel, NormLayer,
                         StaleCacheError, TrainConfig, adabn, backward,
                         clip_global_norm, cross_entropy, evaluate, forward,
-                        init_head, scheduled_lr, sgd_step, smoothed_targets,
+                        init_head, inverse_decay, sgd_step, smoothed_targets,
                         train_supervised)
-from sfuda.neighbors import AadConfig, NrcConfig, nrc_adapt
+from sfuda.neighbors import AadConfig, NrcConfig, aad_adapt, nrc_adapt
 from sfuda.pcsr import PcsrConfig
 from sfuda.shot import ShotConfig, shot_adapt
 
@@ -298,11 +299,12 @@ class TestLossPieces:
         np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
 
     def test_lr_schedule(self):
-        assert scheduled_lr(0.5, "inverse-decay", 0, 100) == 0.5
-        rates = [scheduled_lr(0.5, "inverse-decay", s, 100) for s in range(0, 101, 10)]
+        assert 0.5 * inverse_decay(0.0, 0.75) == 0.5
+        rates = [0.5 * inverse_decay(s / 100, 0.75) for s in range(0, 101, 10)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
         assert rates[-1] == 0.5 * 11.0 ** -0.75
-        assert scheduled_lr(0.5, "constant", 73, 100) == 0.5
+        # power 0 is the constant schedule: every step at the base rate
+        assert inverse_decay(0.73, 0.0) == 1.0
 
 
 class TestTraining:
@@ -406,6 +408,19 @@ class TestTraining:
         with pytest.raises(LabelError, match="dataset 'u' needs integer labels"):
             DomainDataset("u", np.zeros((8, 3)), None, 2)
 
+    def test_one_row_batchnorm_batches_raise_in_forward(self):
+        # forward alone holds the two-row rule; a pooled shard stack passes it
+        src, tgt = gen_gaussian_pair(3, 6, 10, 3.0, ShiftSpec.identity(6), make_rng(0))
+        model = init_head(HeadConfig(6, 3, hidden_dim=16, norm_kind="batchnorm", seed=0))
+        one = TrainConfig(epochs=1, batch_size=1)
+        model = train_supervised(model, src, "classifier_only", one)  # eval-mode features
+        with pytest.raises(ValueError, match="train-mode batchnorm needs a batch of at least 2"):
+            train_supervised(model, src, "full", one)
+        four = ShotConfig(epochs=1, batch_size=4)
+        with pytest.raises(ValueError, match="train-mode batchnorm needs a batch of at least 2"):
+            shot_adapt(model, tgt.features, four, dist=DistConfig(4, 1))
+        shot_adapt(model, tgt.features, four, dist=DistConfig(4, 1, sync_batchnorm=True))
+
     def test_unknown_scope_rejected(self):
         src, _ = gen_gaussian_pair(3, 6, 10, 3.0, ShiftSpec.identity(6), make_rng(0))
         model = init_head(HeadConfig(6, 3, hidden_dim=4, seed=0))
@@ -415,8 +430,8 @@ class TestTraining:
 
 class TestOneLoop:
     """First transfer and the adapters all step through head.run_epochs: one
-    sgd_step per full batch, at the closed-form rate, over the trainer's
-    trainable names."""
+    sgd_step per full batch, at the loop's one inverse decay of the share of
+    steps taken (bit for bit), over the trainer's trainable names."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -435,9 +450,9 @@ class TestOneLoop:
         if schedule == "constant":
             rates = [lr] * total
         else:
-            rates = [lr * (1.0 + 10.0 * s / total) ** -0.75 for s in range(total)]
+            rates = [lr * inverse_decay(s / total, 0.75) for s in range(total)]
         assert len(steps) == total
-        assert [step[0] for step in steps] == pytest.approx(rates, rel=1e-12, abs=0.0)
+        assert [step[0] for step in steps] == rates
         assert all(step[1] == sorted(names) for step in steps)
         assert all(step[2] == lr_scale for step in steps)
 
@@ -475,6 +490,25 @@ class TestOneLoop:
                   NrcConfig(epochs=2, batch_size=16, learning_rate=0.05),
                   dist=DistConfig(workers, 16 // workers))
         self.check(steps, 2 * 4, 0.05, "inverse-decay", PARAM_NAMES)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("beta", [0.75, 1.5])
+    def test_aad_adapt(self, steps, monkeypatch, workers, beta):
+        # 15 epochs of 4 batches: T = 60, where 10*(s/T) and 10*s/T round
+        # apart at 11 steps (13 for beta 1.5)
+        lambdas, real = [], sfuda.neighbors.aad_loss
+
+        def spy(p, rows, bank, lambda_t, *args, **kwargs):
+            lambdas.append(lambda_t)
+            return real(p, rows, bank, lambda_t, *args, **kwargs)
+
+        monkeypatch.setattr(sfuda.neighbors, "aad_loss", spy)
+        _, tgt = self.pair()
+        aad_adapt(init_head(HeadConfig(6, 3, hidden_dim=8, seed=0)), tgt.features,
+                  AadConfig(epochs=15, batch_size=16, learning_rate=0.05, beta=beta),
+                  dist=DistConfig(workers, 16 // workers))
+        self.check(steps, 60, 0.05, "inverse-decay", PARAM_NAMES)
+        assert lambdas == [inverse_decay(s / 60, beta) for s in range(60)]
 
 
 class TestClassifierOnlyGradients:
@@ -671,6 +705,8 @@ class TestConfigValidation:
             TrainConfig(grad_clip="x")
         with pytest.raises(TypeError, match="lr_schedule must be str, not 1"):
             TrainConfig(lr_schedule=1)
+        with pytest.raises(ValueError, match="learning_rate must be finite, not nan"):
+            TrainConfig(learning_rate=float("nan"))
         with pytest.raises(TypeError, match="K must be int, not 3.0"):
             NrcConfig(K=3.0)
         with pytest.raises(TypeError, match="hidden_dim must be int, not 2.5"):

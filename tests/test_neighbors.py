@@ -6,9 +6,9 @@ from sfuda.core import knn_indices, make_rng, softmax
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
 from sfuda.head import (PARAM_NAMES, HeadConfig, TrainConfig, backward,
-                        evaluate, forward, init_head, train_supervised)
+                        evaluate, forward, init_head, inverse_decay, train_supervised)
 from sfuda.neighbors import (AadConfig, MemoryBank, NrcConfig, aad_adapt,
-                             aad_loss, build_bank, decay_lambda, nrc_adapt,
+                             aad_loss, build_bank, nrc_adapt,
                              nrc_loss, reciprocal_flags, sample_backgrounds,
                              softmax_score_grad)
 
@@ -473,23 +473,13 @@ class TestSharedNeighborTable:
 
 class TestDecay:
     def test_boundary_values(self):
-        assert decay_lambda(0, 100, 0.75) == 1.0
-        assert decay_lambda(50, 100, 0.0) == 1.0
-        assert abs(decay_lambda(100, 100, 1.0) - 1.0 / 11.0) < 1e-12
+        assert inverse_decay(0.0, 0.75) == 1.0
+        assert inverse_decay(0.5, 0.0) == 1.0
+        assert abs(inverse_decay(1.0, 1.0) - 1.0 / 11.0) < 1e-12
 
     def test_non_increasing(self):
-        vals = [decay_lambda(s, 40, 0.75) for s in range(41)]
+        vals = [inverse_decay(s / 40, 0.75) for s in range(41)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            decay_lambda(5, 0, 0.75)
-        with pytest.raises(ValueError):
-            decay_lambda(-1, 10, 0.75)
-        with pytest.raises(ValueError):
-            decay_lambda(11, 10, 0.75)
-        with pytest.raises(ValueError):
-            decay_lambda(1, 10, -0.5)
 
 
 class TestScoreGradPullback:

@@ -26,6 +26,52 @@ def _assigned_names(top):
             if isinstance(node, ast.Name) and not node.id.startswith("__")]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+           ast.DictComp, ast.GeneratorExp)
+
+
+def _locals(scope):
+    """The names a function, lambda or comprehension binds in its own scope
+    (parameters, stores, nested defs, imports, except targets, less global
+    and nonlocal ones); nested scopes are not searched."""
+    if isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    a = scope.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    declared, todo = set(), [] if isinstance(scope, ast.Lambda) else list(scope.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {al.asname or al.name.split(".")[0] for al in node.names}
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared |= set(node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _reads(node, shadowed=frozenset()):
+    """Every module-level name or attribute that code under node reads: a
+    load of a name that an enclosing function, lambda or comprehension binds
+    locally reads that local instead."""
+    if isinstance(node, _SCOPES):
+        shadowed = shadowed | _locals(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in shadowed:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, shadowed)
+
+
 def _definitions_and_uses():
     """(name, module, node) of each top-level def/class and assigned name, and
     every name or attribute that code reads, as (name, module, top-level node
@@ -38,12 +84,18 @@ def _definitions_and_uses():
                 defs.append((top.name, path.name, top))
             elif isinstance(top, (ast.Assign, ast.AnnAssign)):
                 defs += [(name, path.name, top) for name in _assigned_names(top)]
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    uses.append((node.id, path.name, top))
-                elif isinstance(node, ast.Attribute):
-                    uses.append((node.attr, path.name, top))
+            uses += [(name, path.name, top) for name in _reads(top)]
     return defs, uses
+
+
+def test_a_load_of_a_local_of_the_same_name_is_no_use():
+    tree = ast.parse(
+        "def f(step):\n"
+        "    def g(rows):\n"
+        "        return step + rows + scale + [pad for pad in rows] + h.pad\n"
+        "    limit = 2\n"
+        "    return lambda grads: grads + limit + clip\n")
+    assert sorted(_reads(tree)) == ["clip", "h", "pad", "scale"]
 
 
 def test_every_top_level_definition_is_used_in_src():
