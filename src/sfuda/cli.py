@@ -23,7 +23,6 @@ import sys
 from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import Section, check_type, make_rng
@@ -75,10 +74,11 @@ def load_config(path: str | None) -> dict:
         raw = raw["config"]
     _check_keys(raw, {"out_dir", "format", "seeds", "jobs", "head", "train", "data",
                       "tasks", "methods", "method_configs", "distgrid", "sweep",
-                      "results_table"}, "config")
+                      "results_table", "records"}, "config")
     with _named("config"):  # before a path in it is opened or made
         for key, kind in (("out_dir", "str"), ("results_table", "str"),
-                          ("tasks", "list[str]"), ("methods", "list[str]")):
+                          ("tasks", "list[str]"), ("methods", "list[str]"),
+                          ("records", "list[str]")):
             if key in raw:
                 check_type(key, raw[key], kind)
     return raw
@@ -281,9 +281,10 @@ def build_specs(cfg: dict, source: DomainDataset, target: DomainDataset,
 
 
 def config_hash(cfg: dict, common: dict) -> str:
-    """sha256 of cfg, less out_dir and jobs, with the run's seeds and format.
-    A path of a file the command read (common["files"]: path -> sha256)
-    counts as the file's digest: the hash follows contents, not paths."""
+    """sha256 of cfg, less out_dir and jobs, with the run's seeds and format
+    (counted once, as resolved, whether or not cfg names them). A path of a
+    file the command read (common["files"]: path -> sha256) counts as the
+    file's digest: the hash follows contents, not paths."""
     files = common.get("files", {})
 
     def contents(v):
@@ -293,7 +294,8 @@ def config_hash(cfg: dict, common: dict) -> str:
             return [contents(x) for x in v]
         return files.get(v, v) if isinstance(v, str) else v
 
-    payload = {k: contents(v) for k, v in cfg.items() if k not in ("out_dir", "jobs")}
+    payload = {k: contents(v) for k, v in cfg.items()
+               if k not in ("out_dir", "jobs", "seeds", "format")}
     payload["_seeds"] = common["seeds"]
     payload["_format"] = common["format"]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -342,10 +344,14 @@ def _blas_build() -> str:
 
 def _manifest(cfg: dict, common: dict, chash: str, command: str,
               datasets: dict[str, DomainDataset] | None = None) -> str:
-    """manifest.json: cfg and its provenance. provenance is not hashed: the
-    numeric environment is recorded, not compared. It includes the compute
-    dtype of each of the datasets (role -> dataset) the records ran on, and
-    the path and sha256 of each file the command read."""
+    """manifest.json: cfg, with the run's resolved seeds and format, and its
+    provenance, so that the manifest given as --config re-runs the command
+    with no flag. provenance is not hashed: the numeric environment is
+    recorded, not compared. It includes the compute dtype of each of the
+    datasets (role -> dataset) the records ran on, and the path and sha256
+    of each file the command read."""
+    import scipy  # here, not at module level: only a manifest needs it
+
     prov = {"toolkit_version": __version__, "config_sha256": chash, "command": command,
             "seeds": common["seeds"], "format": common["format"], "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": _blas_build()}
@@ -353,7 +359,8 @@ def _manifest(cfg: dict, common: dict, chash: str, command: str,
         prov["files"] = common["files"]
     if datasets:
         prov["compute_dtype"] = {role: str(ds.features.dtype) for role, ds in datasets.items()}
-    doc = {"config": cfg, "provenance": prov}
+    doc = {"config": {**cfg, "seeds": common["seeds"], "format": common["format"]},
+           "provenance": prov}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -612,17 +619,18 @@ def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[di
 
 
 def cmd_report(args, cfg: dict, common: dict) -> list[str]:
-    if not args.records:
+    paths = args.records or cfg.get("records", [])
+    if not paths:
         raise CliError("report needs at least one records file")
     columns, records, rows = None, [], []
-    for path in args.records:
+    for path in paths:
         file_columns, file_records, file_rows = _read_records(path)
         if columns not in (None, file_columns):
-            raise CliError(f"{path}: its columns differ from those of {args.records[0]}")
+            raise CliError(f"{path}: its columns differ from those of {paths[0]}")
         columns = file_columns
         records.extend(file_records)
         rows.extend(file_rows)
-    common["files"] = {path: _sha256(path) for path in args.records}
+    common["files"] = {path: _sha256(path) for path in paths}
 
     keys = columns[len(RECORD_COLUMNS):]
     tables = {}
@@ -641,7 +649,7 @@ def cmd_report(args, cfg: dict, common: dict) -> list[str]:
     tables["points"] = ([{**row, **fmt} for row, fmt in zip(rows, _record_rows(records))],
                         ["task", "method", "norm_kind", "seed", "baseline_lp_odg",
                          "accuracy", "delta", "failed", *keys])
-    return _write({"records": args.records}, common, "report", tables)
+    return _write({"records": paths}, common, "report", tables)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("stats", cmd_stats, "fit accuracy-transfer regressions on a table").add_argument(
         "table", nargs="?", help="results table (backbone,top1,...)")
     command("report", cmd_report, "delta/failure tables from records files").add_argument(
-        "records", nargs="*", help="records.csv files")
+        "records", nargs="*", help="records.csv files (default: the config's records)")
     return parser
 
 

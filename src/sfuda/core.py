@@ -12,6 +12,7 @@ from __future__ import annotations
 import numbers
 import zlib
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,26 +59,37 @@ def rounding_tol(dtype, n: int) -> float:
     return max(1e-6, 2.0 * n * float(np.finfo(dtype).eps))
 
 
-def softmax(logits: Array) -> Array:
-    """Row-wise softmax with the max-subtraction trick; rows sum to 1."""
+class SoftmaxPass(NamedTuple):
+    """log_softmax(logits) and softmax(logits) of one pass (softmax_pass)."""
+
+    logp: Array
+    p: Array
+
+
+def softmax_pass(logits: Array) -> SoftmaxPass:
+    """Row-wise log-softmax and softmax from one check, max-shift, exp and
+    sum: with z the shifted logits, e = exp(z) and s its row sums, logp is
+    z - log(s) and p is e / s, each computed in place in z and e."""
     z = as_compute(logits)
     if z.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("softmax input must be finite")
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
+    e /= s
+    z -= np.log(s)
+    return SoftmaxPass(z, e)
+
+
+def softmax(logits: Array) -> Array:
+    """Row-wise softmax with the max-subtraction trick; rows sum to 1."""
+    return softmax_pass(logits).p
 
 
 def log_softmax(logits: Array) -> Array:
-    z = as_compute(logits)
-    if z.shape[-1] == 0:
-        raise ValueError("log_softmax of an empty vector")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("log_softmax input must be finite")
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return softmax_pass(logits).logp
 
 
 def l2_normalize_rows(m: Array) -> Array:

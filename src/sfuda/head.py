@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Section, as_compute, derive_rng, log_softmax, make_rng, one_hot,
-                   softmax)
+from .core import (Section, SoftmaxPass, as_compute, derive_rng, make_rng, one_hot,
+                   softmax_pass)
 from .data import DomainDataset
 
 BOTTLENECK_PARAMS = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta")
@@ -139,7 +139,13 @@ class ForwardCache:
 
 def _gelu(y: np.ndarray) -> np.ndarray:
     from scipy.special import erf  # imported here: it is most of the package's import time
-    return y * 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
+    # y * 0.5 * (1.0 + erf(y / sqrt 2)), each step in place
+    t = y / math.sqrt(2.0)
+    erf(t, out=t)
+    t += 1.0
+    out = y * 0.5
+    out *= t
+    return out
 
 
 def _gelu_grad(y: np.ndarray) -> np.ndarray:
@@ -147,6 +153,16 @@ def _gelu_grad(y: np.ndarray) -> np.ndarray:
     # Python floats, not numpy float64 scalars, which would upcast float32
     phi = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
     return 0.5 * (1.0 + erf(y / math.sqrt(2.0))) + y * phi
+
+
+def _mean(a: np.ndarray, axis: int) -> np.ndarray:
+    """a.mean(axis=axis, keepdims=True) bit for bit, without np.mean's call
+    overhead: the same np.add.reduce, then the true division by the count
+    (which np.mean makes in float64 for float32 data; rounding that quotient
+    to float32 gives the float32 quotient, as for any division)."""
+    s = np.add.reduce(a, axis=axis, keepdims=True)
+    s /= a.shape[axis]
+    return s
 
 
 def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
@@ -161,6 +177,12 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
     gives each shard its own batch statistics and running-statistic update,
     in shard order, so its outputs and the model's state afterwards equal
     those of W forwards on the shards one after another, bit for bit.
+
+    Every step past the bottleneck product runs in place, so a call
+    allocates the arrays it returns or caches (xhat, y, feats, the logits)
+    and only small statistics besides. The batch statistics are those of
+    np.mean and np.var, bit for bit: the variance is the mean of the squared
+    centred batch, which is np.var's own arithmetic.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -169,35 +191,38 @@ def forward(model: HeadModel, x: np.ndarray, mode: str = "eval",
         raise ValueError(f"expected inputs of width {model.in_dim}, got {x.shape}")
     b = x.shape[-2]
     norm = model.norm
-    z = x @ model.bottleneck_weight + model.bottleneck_bias
+    xhat = x @ model.bottleneck_weight
+    xhat += model.bottleneck_bias
 
-    if norm.kind == "batchnorm":
-        if mode == "train":
-            if b < 2:
-                raise ValueError("train-mode batchnorm needs a batch of at least 2")
-            mu = z.mean(axis=-2, keepdims=True)
-            var = z.var(axis=-2, keepdims=True)
-            inv = 1.0 / np.sqrt(var + norm.eps)
-            xhat = (z - mu) * inv
-            m, h = norm.momentum, z.shape[-1]
+    if norm.kind == "batchnorm" and mode == "eval":
+        xhat -= norm.running_mean
+        inv = 1.0 / np.sqrt(norm.running_var + norm.eps)
+        y = np.empty_like(xhat)
+    else:
+        if norm.kind == "batchnorm" and b < 2:
+            raise ValueError("train-mode batchnorm needs a batch of at least 2")
+        # batchnorm's statistics run over the batch, layernorm's over a row
+        axis = -2 if norm.kind == "batchnorm" else -1
+        mu = _mean(xhat, axis)
+        xhat -= mu
+        y = np.square(xhat)  # y's buffer holds the squares until the affine step
+        var = _mean(y, axis)
+        inv = 1.0 / np.sqrt(var + norm.eps)
+        if norm.kind == "batchnorm":
+            m, h = norm.momentum, xhat.shape[-1]
             for mu_w, var_w in zip(mu.reshape(-1, h), var.reshape(-1, h)):
                 norm.running_mean = (1.0 - m) * norm.running_mean + m * mu_w
                 norm.running_var = (1.0 - m) * norm.running_var + m * var_w * b / (b - 1)
-        else:
-            inv = 1.0 / np.sqrt(norm.running_var + norm.eps)
-            xhat = (z - norm.running_mean) * inv
-    else:
-        mu = z.mean(axis=-1, keepdims=True)
-        var = z.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + norm.eps)
-        xhat = (z - mu) * inv
-    y = norm.gamma * xhat + norm.beta
+    xhat *= inv
+    np.multiply(norm.gamma, xhat, out=y)
+    y += norm.beta
 
     if model.activation == "relu":
         feats = np.maximum(y, 0.0)
     else:
         feats = _gelu(y)
-    logits = feats @ model.classifier_weight + model.classifier_bias
+    logits = feats @ model.classifier_weight
+    logits += model.classifier_bias
     cache = ForwardCache(mode, x, xhat, inv, y, feats, model.version)
     return logits, feats, cache
 
@@ -219,7 +244,9 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray, *,
     eval-mode statistics are constants. After a stacked forward, dlogits is
     (W, m, C) too, each shard's gradients flow through its own statistics,
     and the result is the sum of the W per-shard gradients, added in shard
-    order: bit for bit what summing W separate backward calls gives.
+    order: bit for bit what summing W separate backward calls gives. The
+    intermediates are built in place in arrays this call allocated; none of
+    the cache's arrays is written.
     """
     if cache.version != model.version:
         raise StaleCacheError("forward cache is stale; parameters changed since")
@@ -227,23 +254,19 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray, *,
     feats, y, xhat, inv = cache.feats, cache.y, cache.xhat, cache.inv_std
     norm = model.norm
 
-    dfeats = dlogits @ model.classifier_weight.T
+    dy = dlogits @ model.classifier_weight.T
+    dy *= (y > 0) if model.activation == "relu" else _gelu_grad(y)
 
-    if model.activation == "relu":
-        dy = dfeats * (y > 0)
-    else:
-        dy = dfeats * _gelu_grad(y)
-
-    dxhat = dy * norm.gamma
-    if norm.kind == "batchnorm":
-        if cache.mode == "train":
-            dz = inv * (dxhat - dxhat.mean(axis=-2, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-2, keepdims=True))
-        else:
-            dz = dxhat * inv
-    else:
-        dz = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dz = dy * norm.gamma  # dxhat, made into dz in place
+    if norm.kind != "batchnorm" or cache.mode == "train":
+        # dz = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), the
+        # means over the batch (batchnorm) or a row (layernorm)
+        axis = -2 if norm.kind == "batchnorm" else -1
+        t = dz * xhat
+        np.multiply(xhat, _mean(t, axis), out=t)
+        dz -= _mean(dz, axis)
+        dz -= t
+    dz *= inv
 
     grads = {
         "bottleneck_weight": np.swapaxes(cache.x, -1, -2) @ dz,
@@ -259,16 +282,19 @@ def backward(model: HeadModel, cache: ForwardCache, dlogits: np.ndarray, *,
     return grads
 
 
-def cross_entropy(logits: np.ndarray, targets: np.ndarray,
+def cross_entropy(logits: np.ndarray, targets: np.ndarray, sm: SoftmaxPass | None = None,
                   ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean soft-target cross entropy and its logit gradient. logits and
     targets are (..., m, C), one batch of m rows per leading index, and the
-    value has the leading shape (a float for one (m, C) batch)."""
+    value has the leading shape (a float for one (m, C) batch). sm, when
+    given, must be softmax_pass(logits); a caller whose other terms read
+    the same pass computes it once."""
     targets = as_compute(targets)
     b = logits.shape[-2]
-    logp = log_softmax(logits)
+    logp, p = softmax_pass(logits) if sm is None else sm
     value = -(targets * logp).sum(axis=(-2, -1)) / b
-    dlogits = (softmax(logits) - targets) / b
+    dlogits = p - targets
+    dlogits /= b
     return value, dlogits
 
 
@@ -415,7 +441,8 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
             loss, dlogits = cross_entropy(logits, targets[rows])
             return loss, backward(model, cache, dlogits)
         feats = frozen[rows]
-        logits = feats @ model.classifier_weight + model.classifier_bias
+        logits = feats @ model.classifier_weight
+        logits += model.classifier_bias
         loss, dlogits = cross_entropy(logits, targets[rows])
         return loss, _classifier_grads(feats, dlogits)
 

@@ -303,20 +303,24 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
             if extra.size:
                 knn[extra] = knn_indices(bank.features, table_k, rows=extra, unit=bank.unit)
 
+        probs = []  # the softmax of each objective call's logits, in shard order
+
         def objective(shards, logits):
             p = softmax(logits)
+            probs.append(p)
             if kind == "nrc":
                 v, dscores = nrc_loss(p, shards, bank, cfg, knn=knn)
             else:
                 v, dscores = aad_loss(p, shards, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
             return v, softmax_score_grad(p, dscores)
 
-        loss, grads, (_, logits, feats) = sharded_step(
+        loss, grads, (_, _, feats) = sharded_step(
             model, x, rows.reshape(dist.workers, -1), objective, dist.sync_batchnorm)
         # pre-update outputs, as the optimizer step that follows never reads
-        # the bank; the stacked shards hold the batch rows in order
+        # the bank; the stacked shards hold the batch rows in order, and so
+        # do the objective's scores, one call per shard or one for them all
         bank.refresh(rows, feats.reshape(len(rows), -1),
-                     softmax(logits).reshape(len(rows), -1))
+                     np.concatenate([p.reshape(-1, p.shape[-1]) for p in probs]))
         return loss, grads
 
     run_epochs(model, n, bs, cfg, step_grads, rng=derive_rng(cfg.seed, "adapt-shuffle"))

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_compute, derive_rng, l2_normalize_rows, log_softmax, one_hot
+from .core import (SoftmaxPass, as_compute, derive_rng, l2_normalize_rows, log_softmax, one_hot,
+                   softmax_pass)
 from .engine import DistConfig, adapt_layout, sharded_step
 from .head import HeadModel, LoopConfig, cross_entropy, forward, run_epochs
 from .sca import Prototypes, spherical_kmeans
@@ -53,7 +54,8 @@ def _label_pass(model: HeadModel, x: np.ndarray, kmeans_rounds: int,
     prototypes, unit features).
     """
     logits, feats, _ = forward(model, x, "eval")
-    probs = np.exp(log_softmax(logits))
+    probs = log_softmax(logits)
+    np.exp(probs, out=probs)
     live = probs.sum(axis=0) > 0.0
     centers = np.empty((model.num_classes, feats.shape[1]), dtype=feats.dtype)
     centers[live] = weighted_prototypes(probs[:, live], feats)
@@ -82,30 +84,37 @@ def shot_pseudo_labels(model: HeadModel, target_features: np.ndarray,
     return labels, protos
 
 
-def entropy_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+def entropy_loss(logits: np.ndarray, logp: np.ndarray | None = None,
+                 p: np.ndarray | None = None) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean per-row prediction entropy and its logit gradient.
 
     logits is (..., m, C): each leading index is one batch of m rows, and
-    the value has the leading shape (a float for one (m, C) batch)."""
+    the value has the leading shape (a float for one (m, C) batch). logp,
+    when given, is log_softmax(logits), and p, when given, np.exp(logp):
+    im_loss computes both once for its two terms."""
     b = logits.shape[-2]
-    logp = log_softmax(logits)
-    p = np.exp(logp)
-    plogp = np.where(p > 0.0, p * logp, 0.0)
+    logp = log_softmax(logits) if logp is None else logp
+    p = np.exp(logp) if p is None else p
+    live = p > 0.0
+    plogp = np.where(live, p * logp, 0.0)
     h_rows = -plogp.sum(axis=-1)
-    grad = np.where(p > 0.0, -p * (logp + h_rows[..., None]), 0.0) / b
+    grad = np.where(live, -p * (logp + h_rows[..., None]), 0.0)
+    grad /= b
     return h_rows.mean(axis=-1), grad
 
 
-def diversity_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+def diversity_loss(logits: np.ndarray, logp: np.ndarray | None = None,
+                   p: np.ndarray | None = None) -> tuple[float | np.ndarray, np.ndarray]:
     """Negative entropy of the batch-mean prediction, sum_k pbar_k ln pbar_k.
 
     This is the term that depends on who shares your batch: its minimum -ln C
     is reached when the batch marginal is uniform. logits is (..., m, C), and
-    each leading index is a batch with its own marginal.
+    each leading index is a batch with its own marginal. logp and p are as
+    in entropy_loss.
     """
     b = logits.shape[-2]
-    logp = log_softmax(logits)
-    p = np.exp(logp)
+    logp = log_softmax(logits) if logp is None else logp
+    p = np.exp(logp) if p is None else p
     # log pbar_k = logsumexp_i logp_ik - log b, stable even under underflow
     m = logp.max(axis=-2, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
@@ -115,19 +124,26 @@ def diversity_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     pbar = np.exp(log_pbar)
     value = np.where(pbar > 0.0, pbar * log_pbar, 0.0).sum(axis=(-2, -1))
     inner = np.where(p > 0.0, p * log_pbar, 0.0)
-    grad = (inner - p * inner.sum(axis=-1, keepdims=True)) / b
+    grad = p * inner.sum(axis=-1, keepdims=True)
+    np.subtract(inner, grad, out=grad)
+    grad /= b
     return value, grad
 
 
-def im_loss(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+def im_loss(logits: np.ndarray, sm: SoftmaxPass | None = None,
+            ) -> tuple[float | np.ndarray, np.ndarray]:
     """Information-maximization objective: confident rows, diverse marginal.
 
     Lower bound is -ln C, attained by one-hot rows spread evenly over classes.
-    logits is (..., m, C), one value per leading index.
+    logits is (..., m, C), one value per leading index. sm, when given, is
+    softmax_pass(logits); both terms read its logp and one p = np.exp(logp).
     """
-    ve, ge = entropy_loss(logits)
-    vd, gd = diversity_loss(logits)
-    return ve + vd, ge + gd
+    logp = (softmax_pass(logits) if sm is None else sm).logp
+    p = np.exp(logp)
+    ve, ge = entropy_loss(logits, logp, p)
+    vd, gd = diversity_loss(logits, logp, p)
+    ge += gd
+    return ve + vd, ge
 
 
 def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg: ShotConfig,
@@ -153,9 +169,13 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg: ShotConfi
         targets = one_hot(labels, model.num_classes, x.dtype)
 
     def objective(rows, logits):
-        v_im, d_im = im_loss(logits)
-        v_ce, d_ce = cross_entropy(logits, targets[rows])
-        return v_im + cfg.ce_weight * v_ce, d_im + cfg.ce_weight * d_ce
+        # one softmax pass for both information-maximization terms and CE
+        sm = softmax_pass(logits)
+        v_im, d_im = im_loss(logits, sm)
+        v_ce, d_ce = cross_entropy(logits, targets[rows], sm)
+        d_ce *= cfg.ce_weight
+        d_im += d_ce
+        return v_im + cfg.ce_weight * v_ce, d_im
 
     def step_grads(rows, _t):
         shards = rows.reshape(dist.workers, -1)

@@ -106,9 +106,11 @@ def alive(pid):
 
 class TestImport:
     def test_the_cli_loads_neither_scipy_special_nor_multiprocessing(self, tmp_path):
-        # gelu heads and pooled suites import them when they run
+        # gelu heads and pooled suites import them when they run, and a
+        # manifest imports scipy for its version
         proc = start_cli(tmp_path, ["--version"], patch="import sfuda.cli\nprint(sorted("
-                         "m for m in ('scipy.special', 'multiprocessing') if m in sys.modules))")
+                         "m for m in ('scipy', 'scipy.special', 'multiprocessing')"
+                         " if m in sys.modules))")
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         assert out.splitlines()[0] == "[]"
@@ -257,6 +259,29 @@ class TestSuite:
         code = main(["suite", "--config", str(a / "manifest.json"),
                      "--seeds", "0,1", "--out", str(b)])
         assert code == 0
+        assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+
+    def test_manifest_reruns_with_no_flag(self, tmp_path):
+        # the manifest carries the resolved seeds and format
+        cfg = write_config(tmp_path, self.suite_config())
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["suite", "--config", cfg, "--seeds", "0..1", "--format", "tsv",
+                     "--out", str(a)]) == 0
+        config = json.loads((a / "manifest.json").read_text())["config"]
+        assert (config["seeds"], config["format"]) == ([0, 1], "tsv")
+        assert main(["suite", "--config", str(a / "manifest.json"), "--out", str(b)]) == 0
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b)) == [
+            "aggregates.tsv", "manifest.json", "records.tsv"]
+        for name in os.listdir(a):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_a_config_naming_its_seeds_and_format_hashes_as_one_that_does_not(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["suite", "--config", write_config(tmp_path, self.suite_config()),
+                     "--seeds", "0,1", "--out", str(a)]) == 0
+        named = {**self.suite_config(), "seeds": [0, 1], "format": "csv"}
+        assert main(["suite", "--config", write_config(tmp_path, named, "named.json"),
+                     "--out", str(b)]) == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
     def test_manifest_records_the_numeric_environment(self, tmp_path):
@@ -1086,6 +1111,18 @@ class TestReportCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["records"] == [str(records)]
         return manifest["provenance"]["config_sha256"]
+
+    def test_manifest_reruns_with_no_flag(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        records = tmp_path / "suite" / "records.csv"
+        assert main(["suite", "--config", cfg, "--seeds", "0,1",
+                     "--out", str(records.parent)]) == 0
+        a, b = tmp_path / "r1", tmp_path / "r2"
+        assert main(["report", str(records), "--out", str(a)]) == 0
+        assert main(["report", "--config", str(a / "manifest.json"), "--out", str(b)]) == 0
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in os.listdir(a):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_stamp_follows_the_records_contents(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
