@@ -1,25 +1,20 @@
 """The worker-layout grid of `sfuda distgrid`: its cells (W workers of B
 rows each), one SFUDA spec per (method, cell) run as one suite, and
-run_distributed_grid for one method. Also the reference gradients a
-sharded step is checked against: one centralized batch, and the average of
-per-shard gradients. The sharded training itself is engine.sharded_step."""
+run_distributed_grid for one method. The sharded training itself is
+engine.sharded_step."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import as_compute
 from .data import DomainDataset
-from .engine import DEFAULT_GRID, DistConfig, sharded_step
+from .engine import DEFAULT_GRID, DistConfig
 from .harness import (ADAPT_METHODS, SFUDA_TASK, TaskSpec,  # noqa: F401 (re-exported)
                       mean_std, run_suite, spec_groups)
-from .head import HeadModel, TrainConfig, backward, forward
+from .head import TrainConfig
 
 __all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell", "cell_columns", "check_cells",
-           "grid_error", "grid_specs", "centralized_gradient", "sharded_gradient",
-           "run_distributed_grid", "GridResult"]
+           "grid_error", "grid_specs", "run_distributed_grid", "GridResult"]
 
 
 def parse_cell(label: str) -> DistConfig:
@@ -39,43 +34,6 @@ def cell_columns(cell: DistConfig) -> dict:
 def grid_error(key: dict, record) -> str:
     """How an error line names a raised grid record, by its cell columns."""
     return f"{record.method} {key['cell']} seed {record.seed}: {record.error}"
-
-
-def centralized_gradient(model: HeadModel, batch: np.ndarray, objective,
-                         ) -> dict[str, np.ndarray]:
-    """Reference gradient: one train-mode forward over the whole batch.
-
-    objective(rows, logits) -> (value, dlogits). Operates on a private copy,
-    so the caller's model (and its running statistics) stay put.
-    """
-    batch = as_compute(batch)
-    work = model.copy(batch.dtype)
-    rows = np.arange(batch.shape[0])
-    logits, _, cache = forward(work, batch, "train")
-    _, dl = objective(rows, logits)
-    return backward(work, cache, dl)
-
-
-def sharded_gradient(model: HeadModel, batch: np.ndarray, objective,
-                     cfg: DistConfig) -> dict[str, np.ndarray]:
-    """Average of per-shard gradients under cfg.workers contiguous shards.
-
-    objective(rows, logits) -> (value, dlogits), as in centralized_gradient,
-    is called once per shard on that shard's (m,) rows and (m, C) logits, so
-    batch-coupled terms (the diversity penalty, batchnorm statistics) become
-    shard-local.
-    """
-    batch = as_compute(batch)
-    work = model.copy(batch.dtype)
-    shards = np.arange(batch.shape[0]).reshape(cfg.workers, -1)
-
-    def stacked(rows, logits):
-        # objective sees one (m, C) shard at a time, in shard order
-        parts = [objective(r, lg) for r, lg in zip(rows, logits)]
-        return np.array([v for v, _ in parts]), np.stack([dl for _, dl in parts])
-
-    _, grads, _ = sharded_step(work, batch, shards, stacked, cfg.sync_batchnorm)
-    return grads
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Simulated data parallelism for the gradient-based adaptation loops: a
-batch's worker shards are its (W, m) view, batch.reshape(W, -1), so shard w
-holds the batch's w-th contiguous m rows; one stacked objective call covers
-every worker, and gradients are shard-averaged. The W=1 path is the plain
-single-worker step; the loop itself is head.run_epochs."""
+"""Simulated data parallelism, and adapt, the loop of every gradient adapter:
+a batch's worker shards are its (W, m) view, batch.reshape(W, -1), so shard w
+holds the batch's w-th contiguous m rows; sharded_step covers every worker
+with one stacked objective call and averages their gradients. The W=1 path
+is the plain single-worker step; adapt drives head.run_epochs."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .head import HeadModel, backward, forward
+from .core import as_compute, derive_rng
+from .head import HeadModel, LoopConfig, backward, forward, run_epochs
 
 @dataclass(frozen=True)
 class DistConfig:
@@ -76,13 +77,23 @@ def sharded_step(model: HeadModel, x: np.ndarray, shards: np.ndarray,
     return float(np.mean(values)), grads, (shards, logits, feats)
 
 
-def adapt_layout(n: int, batch_size: int, dist: DistConfig | None) -> tuple[int, DistConfig]:
-    """An adapter's global batch on n rows and its worker layout (one worker
-    when dist is None). The batch is the largest exact multiple of the
-    workers that is at most batch_size and n, so every batch reshapes to
-    (W, m); forward's check raises at the first step on a 1-row batchnorm shard."""
+def adapt(model: HeadModel, target_features: np.ndarray, cfg: LoopConfig,
+          dist: DistConfig | None, start) -> HeadModel:
+    """Train and return a copy of model on target_features in their compute
+    dtype. The global batch is the largest multiple of dist's workers (one
+    when dist is None) at most cfg.batch_size and the row count; forward
+    raises at the first step on a 1-row batchnorm shard. start(model, x,
+    dist) -> (step, epoch_hook) sets the adapter up on the copy and the cast
+    x; step(shards, t) -> (loss, grads) trains on one batch's (W, m) shards,
+    and epoch_hook, unless None, runs before each epoch."""
+    x = as_compute(target_features)
+    model = model.copy(x.dtype)
     dist = dist if dist is not None else DistConfig()
-    bs = min(batch_size, n)
+    bs = min(cfg.batch_size, x.shape[0])
     if bs < dist.workers:
         raise ValueError(f"cannot split {bs} rows across {dist.workers} workers")
-    return bs - bs % dist.workers, dist
+    step, epoch_hook = start(model, x, dist)
+    run_epochs(model, x.shape[0], bs - bs % dist.workers, cfg,
+               lambda rows, t: step(rows.reshape(dist.workers, -1), t),
+               rng=derive_rng(cfg.seed, "adapt-shuffle"), epoch_hook=epoch_hook)
+    return model

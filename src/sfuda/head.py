@@ -454,23 +454,6 @@ def train_supervised(model: HeadModel, data: DomainDataset, scope: str,
     return model
 
 
-def adabn(model: HeadModel, target_features: np.ndarray) -> HeadModel:
-    """Swap batchnorm running statistics for the target set's pre-norm moments."""
-    if model.norm.kind != "batchnorm":
-        raise ValueError("statistic transfer needs a batchnorm head")
-    x = as_compute(target_features)
-    if x.ndim != 2 or x.shape[1] != model.in_dim:
-        raise ValueError("target features have the wrong width")
-    if x.shape[0] < 2:
-        raise ValueError("need at least 2 target samples")
-    z = x @ model.bottleneck_weight + model.bottleneck_bias
-    out = model.copy(x.dtype)
-    out.norm.running_mean = z.mean(axis=0)
-    out.norm.running_var = z.var(axis=0, ddof=1)
-    out.bump_version()
-    return out
-
-
 def evaluate(model: HeadModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy in percent, eval-mode forward."""
     logits, _, _ = forward(model, features, "eval")

@@ -4,13 +4,14 @@ decaying dispersal weight (AAD). Both update every head parameter."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import as_compute, derive_rng, knn_indices, l2_normalize_rows, rounding_tol, softmax
-from .engine import DistConfig, adapt_layout, sharded_step
-from .head import HeadModel, LoopConfig, forward, inverse_decay, run_epochs
+from .engine import DistConfig, adapt, sharded_step
+from .head import HeadModel, LoopConfig, forward, inverse_decay
 
 
 @dataclass
@@ -127,6 +128,17 @@ def _simplex_nll_grad(scores: np.ndarray) -> tuple[float | np.ndarray, np.ndarra
     return value, grad
 
 
+def _checked_batch(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBank):
+    """A loss's checked (..., m, C) scores, their (..., m) bank rows, and m."""
+    p = as_compute(batch_scores)
+    bidx = np.asarray(batch_indices, dtype=np.int64)
+    if bidx.shape != p.shape[:-1]:
+        raise ValueError("batch_indices must match batch_scores rows")
+    if bidx.size and (bidx.min() < 0 or bidx.max() >= bank.n):
+        raise ValueError("batch index outside the bank")
+    return p, bidx, p.shape[-2]
+
+
 def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBank,
              cfg: NrcConfig, self_anchor: np.ndarray | None = None,
              reciprocal_override: np.ndarray | None = None,
@@ -141,13 +153,7 @@ def nrc_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
     index is one batch of m rows with its own diversity penalty, and the
     value has the leading shape (a float for one (m, C) batch).
     """
-    p = as_compute(batch_scores)
-    bidx = np.asarray(batch_indices, dtype=np.int64)
-    b = p.shape[-2]
-    if bidx.shape != p.shape[:-1]:
-        raise ValueError("batch_indices must match batch_scores rows")
-    if bidx.size and (bidx.min() < 0 or bidx.max() >= bank.n):
-        raise ValueError("batch index outside the bank")
+    p, bidx, b = _checked_batch(batch_scores, batch_indices, bank)
     if bank.n <= max(cfg.K, cfg.KK):
         raise ValueError("bank too small for the neighborhood sizes")
     anchor = p if self_anchor is None else as_compute(self_anchor)
@@ -247,13 +253,7 @@ def aad_loss(batch_scores: np.ndarray, batch_indices: np.ndarray, bank: MemoryBa
     sample_backgrounds call, in row-major order, which draws what one
     rng.choice per row would (with one rng.integers call outside numpy's
     tail regime), so a stack draws what its batches would in turn."""
-    p = as_compute(batch_scores)
-    bidx = np.asarray(batch_indices, dtype=np.int64)
-    b = p.shape[-2]
-    if bidx.shape != p.shape[:-1]:
-        raise ValueError("batch_indices must match batch_scores rows")
-    if bidx.size and (bidx.min() < 0 or bidx.max() >= bank.n):
-        raise ValueError("batch index outside the bank")
+    p, bidx, b = _checked_batch(batch_scores, batch_indices, bank)
 
     neigh = _bank_knn(bank, cfg.K, knn)[bidx]        # (..., b, K)
     if backgrounds is None:
@@ -276,27 +276,25 @@ def softmax_score_grad(p: np.ndarray, dscores: np.ndarray) -> np.ndarray:
     return p * (dscores - (p * dscores).sum(axis=-1, keepdims=True))
 
 
-def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
-                    kind: str, dist: DistConfig | None) -> HeadModel:
-    x = as_compute(target_features)
-    model = model.copy(x.dtype)
-    n = x.shape[0]
-    bs, dist = adapt_layout(n, cfg.batch_size, dist)
+def _neighbor_start(kind: str, cfg, model: HeadModel, x: np.ndarray, dist: DistConfig):
+    """engine.adapt's start for NRC and AAD: the copy's bank, and a step that
+    ranks the neighbors it reads, runs the objective and refreshes the bank."""
     bank = build_bank(model, x)
     rng_bg = derive_rng(cfg.seed, "aad-background")
     table_k = max(cfg.K, cfg.KK) if kind == "nrc" else cfg.K
 
-    def step_grads(rows, t):
+    def step(shards, t):
+        rows = shards.ravel()
         lambda_t = inverse_decay(t, cfg.beta) if kind == "aad" else 0.0
         # the bank only changes once every shard has run, and a step reads
         # the table rows of its batch (AAD), or of its batch and their K
-        # neighbors (NRC): rank those alone; the rest hold n, so a stray read
+        # neighbors (NRC): rank those alone; the rest hold bank.n, so a stray read
         # raises IndexError
-        knn = np.full((n, table_k), n, dtype=np.int64)
+        knn = np.full((bank.n, table_k), bank.n, dtype=np.int64)
         knn[rows] = knn_indices(bank.features, table_k, rows=rows, unit=bank.unit)
         if kind == "nrc":
             # the batch rows' neighbors outside the batch, ascending
-            extra = np.zeros(n, dtype=bool)
+            extra = np.zeros(bank.n, dtype=bool)
             extra[knn[rows, :cfg.K]] = True
             extra[rows] = False
             extra = np.flatnonzero(extra)
@@ -305,17 +303,16 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
 
         probs = []  # the softmax of each objective call's logits, in shard order
 
-        def objective(shards, logits):
+        def objective(bidx, logits):
             p = softmax(logits)
             probs.append(p)
             if kind == "nrc":
-                v, dscores = nrc_loss(p, shards, bank, cfg, knn=knn)
+                v, dscores = nrc_loss(p, bidx, bank, cfg, knn=knn)
             else:
-                v, dscores = aad_loss(p, shards, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
+                v, dscores = aad_loss(p, bidx, bank, lambda_t, cfg, rng=rng_bg, knn=knn)
             return v, softmax_score_grad(p, dscores)
 
-        loss, grads, (_, _, feats) = sharded_step(
-            model, x, rows.reshape(dist.workers, -1), objective, dist.sync_batchnorm)
+        loss, grads, (_, _, feats) = sharded_step(model, x, shards, objective, dist.sync_batchnorm)
         # pre-update outputs, as the optimizer step that follows never reads
         # the bank; the stacked shards hold the batch rows in order, and so
         # do the objective's scores, one call per shard or one for them all
@@ -323,15 +320,14 @@ def _neighbor_adapt(model: HeadModel, target_features: np.ndarray, cfg,
                      np.concatenate([p.reshape(-1, p.shape[-1]) for p in probs]))
         return loss, grads
 
-    run_epochs(model, n, bs, cfg, step_grads, rng=derive_rng(cfg.seed, "adapt-shuffle"))
-    return model
+    return step, None
 
 
 def nrc_adapt(model: HeadModel, target_features: np.ndarray, cfg: NrcConfig,
               dist: DistConfig | None = None) -> HeadModel:
-    return _neighbor_adapt(model, target_features, cfg, "nrc", dist)
+    return adapt(model, target_features, cfg, dist, functools.partial(_neighbor_start, "nrc", cfg))
 
 
 def aad_adapt(model: HeadModel, target_features: np.ndarray, cfg: AadConfig,
               dist: DistConfig | None = None) -> HeadModel:
-    return _neighbor_adapt(model, target_features, cfg, "aad", dist)
+    return adapt(model, target_features, cfg, dist, functools.partial(_neighbor_start, "aad", cfg))

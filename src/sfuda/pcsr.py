@@ -101,11 +101,10 @@ def pcsr_adapt(model: HeadModel, target_features: np.ndarray, cfg: PcsrConfig,
     Classifier frozen. With M=1 and mixup_weight=0 the loop runs the same
     arithmetic as the single-center soft-prototype adapter.
     """
-    x = as_compute(target_features)
     rng_centers = derive_rng(cfg.seed, "pcsr-centers")
     rng_mix = derive_rng(cfg.seed, "pcsr-mixup")
 
-    def relabel(m, prev):
+    def relabel(m, x, prev):
         return polycentric_pseudo_labels(m, x, cfg.M, rng_centers, cfg.kmeans_rounds, prev)
 
     mixup_fn = None
@@ -114,5 +113,5 @@ def pcsr_adapt(model: HeadModel, target_features: np.ndarray, cfg: PcsrConfig,
             xm, tm, _ = mixup_batch(xb, tb, cfg.mixup_alpha, rng_mix)
             return xm, tm
 
-    return run_im_ce_loop(model, x, cfg, relabel, mixup_fn=mixup_fn,
+    return run_im_ce_loop(model, target_features, cfg, relabel, mixup_fn=mixup_fn,
                           mixup_weight=cfg.mixup_weight, dist=dist)

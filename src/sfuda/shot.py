@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SoftmaxPass, as_compute, derive_rng, l2_normalize_rows, log_softmax, one_hot,
-                   softmax_pass)
-from .engine import DistConfig, adapt_layout, sharded_step
-from .head import HeadModel, LoopConfig, cross_entropy, forward, run_epochs
+from .core import SoftmaxPass, as_compute, l2_normalize_rows, log_softmax, one_hot, softmax_pass
+from .engine import DistConfig, adapt, sharded_step
+from .head import HeadModel, LoopConfig, cross_entropy, forward
 from .sca import Prototypes, spherical_kmeans
 
 
@@ -152,55 +151,52 @@ def run_im_ce_loop(model: HeadModel, target_features: np.ndarray, cfg: ShotConfi
     """Shared trainer for the pseudo-label + information-maximization family.
 
     cfg (a ShotConfig, or PCSR's subclass) gives the loop's hyperparameters
-    and the CE weight. relabel(model, prev_protos) -> (labels, protos) runs
-    once per epoch on the full set. Each batch splits into its (W, m) worker
-    shards; the classifier never moves, so a step trains the bottleneck
-    tensors sharded_step returns. mixup_fn, when given and weighted, adds the
-    weighted CE on each shard's mixed rows, sharded the same way.
+    and the CE weight. relabel(model, x, prev_protos) -> (labels, protos)
+    runs once per epoch on the loop's cast features x. The classifier never
+    moves, so a step trains the bottleneck tensors sharded_step returns.
+    mixup_fn, when given, adds mixup_weight times the CE on each shard's
+    mixed rows, sharded the same way.
     """
-    x = as_compute(target_features)
-    model = model.copy(x.dtype)
-    bs, dist = adapt_layout(x.shape[0], cfg.batch_size, dist)
-    protos = targets = None
+    def start(model, x, dist):
+        protos = targets = None
 
-    def epoch_hook():
-        nonlocal protos, targets
-        labels, protos = relabel(model, protos)
-        targets = one_hot(labels, model.num_classes, x.dtype)
+        def epoch_hook():
+            nonlocal protos, targets
+            labels, protos = relabel(model, x, protos)
+            targets = one_hot(labels, model.num_classes, x.dtype)
 
-    def objective(rows, logits):
-        # one softmax pass for both information-maximization terms and CE
-        sm = softmax_pass(logits)
-        v_im, d_im = im_loss(logits, sm)
-        v_ce, d_ce = cross_entropy(logits, targets[rows], sm)
-        d_ce *= cfg.ce_weight
-        d_im += d_ce
-        return v_im + cfg.ce_weight * v_ce, d_im
+        def objective(rows, logits):
+            # one softmax pass for both information-maximization terms and CE
+            sm = softmax_pass(logits)
+            v_im, d_im = im_loss(logits, sm)
+            v_ce, d_ce = cross_entropy(logits, targets[rows], sm)
+            d_ce *= cfg.ce_weight
+            d_im += d_ce
+            return v_im + cfg.ce_weight * v_ce, d_im
 
-    def step_grads(rows, _t):
-        shards = rows.reshape(dist.workers, -1)
-        loss, grads, _ = sharded_step(model, x, shards, objective, dist.sync_batchnorm,
-                                      classifier=False)
-        if mixup_fn is not None and mixup_weight > 0.0:
-            mixed = [mixup_fn(x[sh], targets[sh]) for sh in shards]
-            xm, tm = (np.concatenate(part) for part in zip(*mixed))
-            _, gm, _ = sharded_step(model, xm, np.arange(len(xm)).reshape(shards.shape),
-                                    lambda pos, logits: cross_entropy(logits, tm[pos]),
-                                    dist.sync_batchnorm, classifier=False)
-            for k in gm:
-                grads[k] += mixup_weight * gm[k]
-        return loss, grads
+        def step(shards, _t):
+            loss, grads, _ = sharded_step(model, x, shards, objective, dist.sync_batchnorm,
+                                          classifier=False)
+            if mixup_fn is not None:
+                mixed = [mixup_fn(x[sh], targets[sh]) for sh in shards]
+                xm, tm = (np.concatenate(part) for part in zip(*mixed))
+                _, gm, _ = sharded_step(model, xm, np.arange(len(xm)).reshape(shards.shape),
+                                        lambda pos, logits: cross_entropy(logits, tm[pos]),
+                                        dist.sync_batchnorm, classifier=False)
+                for k in gm:
+                    grads[k] += mixup_weight * gm[k]
+            return loss, grads
 
-    run_epochs(model, x.shape[0], bs, cfg, step_grads,
-               rng=derive_rng(cfg.seed, "adapt-shuffle"), epoch_hook=epoch_hook)
-    return model
+        return step, epoch_hook
+
+    return adapt(model, target_features, cfg, dist, start)
 
 
 def shot_adapt(model: HeadModel, target_features: np.ndarray, cfg: ShotConfig,
                dist: DistConfig | None = None) -> HeadModel:
     """Adapt the bottleneck to unlabeled target features; classifier frozen."""
 
-    def relabel(m, prev):
-        return shot_pseudo_labels(m, target_features, cfg.kmeans_rounds, prev)
+    def relabel(m, x, prev):
+        return shot_pseudo_labels(m, x, cfg.kmeans_rounds, prev)
 
     return run_im_ce_loop(model, target_features, cfg, relabel, dist=dist)

@@ -12,13 +12,14 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import FD_TOL, fd_param_grads, grad_gap, max_rel_err, tiny_model
+from oracles import adabn, centralized_gradient, sharded_gradient
 from sfuda.cli import main as cli_main
 from sfuda.core import knn_indices, log_softmax, make_rng, one_hot, softmax
 from sfuda.data import ShiftSpec, gen_gaussian_pair
-from sfuda.distsim import centralized_gradient, parse_cell, sharded_gradient
+from sfuda.distsim import parse_cell
 from sfuda.engine import DistConfig
 from sfuda.harness import TaskSpec, run_task
-from sfuda.head import (HeadConfig, TrainConfig, adabn, backward, cross_entropy,
+from sfuda.head import (HeadConfig, TrainConfig, backward, cross_entropy,
                         evaluate, forward, init_head, smoothed_targets,
                         train_supervised)
 from sfuda.neighbors import (AadConfig, NrcConfig, aad_loss, build_bank,

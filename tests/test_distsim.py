@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sfuda.engine
 import sfuda.harness
+import sfuda.head
+import sfuda.neighbors
 from conftest import max_rel_err, shard_loop_step, tiny_model
+from oracles import centralized_gradient, sharded_gradient
 from sfuda.core import make_rng
 from sfuda.data import LabelError, ShiftSpec, gen_gaussian_pair
-from sfuda.distsim import (ADAPT_METHODS, GridResult, cell_columns, centralized_gradient,
-                           grid_specs, parse_cell, run_distributed_grid, sharded_gradient)
-from sfuda.engine import DEFAULT_GRID, DistConfig, adapt_layout, sharded_step
+from sfuda.distsim import (ADAPT_METHODS, GridResult, cell_columns, grid_specs, parse_cell,
+                           run_distributed_grid)
+from sfuda.engine import DEFAULT_GRID, DistConfig, adapt, sharded_step
 from sfuda.harness import TaskSpec, mean_std, run_suite, run_task, spec_groups
-from sfuda.head import PARAM_NAMES, HeadConfig, TrainConfig, init_head, train_supervised
-from sfuda.neighbors import AadConfig
-from sfuda.shot import ShotConfig, diversity_loss, entropy_loss, im_loss
+from sfuda.head import (PARAM_NAMES, HeadConfig, LoopConfig, TrainConfig, init_head,
+                        train_supervised)
+from sfuda.neighbors import AadConfig, NrcConfig, aad_adapt, nrc_adapt
+from sfuda.pcsr import PcsrConfig, pcsr_adapt
+from sfuda.shot import ShotConfig, diversity_loss, entropy_loss, im_loss, shot_adapt
 
 
 def trained_rig():
@@ -36,13 +42,37 @@ def drop_rows(objective):
 
 
 class TestShardMachinery:
-    def test_effective_batch_rounds_to_worker_multiple(self):
-        four = DistConfig(4, 16)
-        assert adapt_layout(100, 64, four) == (64, four)
-        assert adapt_layout(50, 64, four) == (48, four)
-        assert adapt_layout(7, 64, four) == (4, four)
+    @staticmethod
+    def shard_shapes(n, dist):
+        """The shard shape of each step adapt runs on n rows, batches of 64."""
+        shapes = []
+
+        def start(model, x, dist):
+            def step(shards, _t):
+                shapes.append(shards.shape)
+                return 0.0, {}
+            return step, None
+
+        adapt(tiny_model(), np.zeros((n, 5)), LoopConfig(epochs=1, batch_size=64), dist, start)
+        return shapes
+
+    @pytest.mark.parametrize("n, batch", [(100, 64), (50, 48), (7, 4)])
+    def test_effective_batch_rounds_to_worker_multiple(self, n, batch):
+        assert self.shard_shapes(n, DistConfig(4, 16)) == [(4, batch // 4)] * (n // batch)
+
+    def test_a_batch_smaller_than_the_workers_raises(self):
         with pytest.raises(ValueError, match="cannot split 3 rows across 4 workers"):
-            adapt_layout(3, 64, four)
+            self.shard_shapes(3, DistConfig(4, 16))
+
+    def test_nrc_raises_the_split_error_before_any_forward(self, monkeypatch):
+        def forward(*args):
+            raise AssertionError("forward ran before the layout check")
+
+        monkeypatch.setattr(sfuda.neighbors, "forward", forward)
+        monkeypatch.setattr(sfuda.engine, "forward", forward)
+        with pytest.raises(ValueError, match="cannot split 3 rows across 4 workers"):
+            nrc_adapt(tiny_model(), make_rng(0).normal(size=(3, 5)), NrcConfig(),
+                      dist=DistConfig(4, 16))
 
     def test_parse_cell(self):
         cfg = parse_cell("16x4")
@@ -54,6 +84,37 @@ class TestShardMachinery:
     def test_default_grid_shares_global_batch(self):
         assert {c.global_batch for c in DEFAULT_GRID} == {64}
         assert [c.label for c in DEFAULT_GRID][0] == "1x64"
+
+
+class TestEachStepCallsItsModulesShardedStep:
+    """test_stacked_losses swaps an adapter module's sharded_step for a
+    per-shard reference loop and compares the results; that shows nothing
+    unless every step of the adapter calls the module's sharded_step."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("adapter, module, cfg, per_step", [
+        (shot_adapt, sfuda.shot, ShotConfig(epochs=2, batch_size=16, seed=0), 1),
+        (pcsr_adapt, sfuda.shot, PcsrConfig(epochs=2, batch_size=16, seed=0), 2),
+        (nrc_adapt, sfuda.neighbors, NrcConfig(epochs=2, batch_size=16, seed=0), 1),
+        (aad_adapt, sfuda.neighbors, AadConfig(epochs=2, batch_size=16, seed=0), 1),
+    ], ids=["shot", "pcsr-mixup", "nrc", "aad"])
+    def test_sharded_step_calls_per_step(self, monkeypatch, workers, adapter, module, cfg,
+                                         per_step):
+        _, tgt, trained = trained_rig()
+        calls, steps = [], []
+        real_step, real_sgd = module.sharded_step, sfuda.head.sgd_step
+
+        def counted(log, real):
+            def wrapper(*args, **kwargs):
+                log.append(1)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(module, "sharded_step", counted(calls, real_step))
+        monkeypatch.setattr(sfuda.head, "sgd_step", counted(steps, real_sgd))
+        adapter(trained, tgt.features, cfg, dist=DistConfig(workers, 16 // workers))
+        assert len(steps) == cfg.epochs * (tgt.n // 16)
+        assert len(calls) == per_step * len(steps)
 
 
 class TestStackedStep:

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import sfuda.head
 import sfuda.neighbors
 from conftest import fd_param_grads, grad_gap, max_rel_err, per_batch_transfer, tiny_model
+from oracles import adabn
 from sfuda.core import derive_rng, make_rng
 from sfuda.data import DomainDataset, LabelError, ShiftSpec, gen_gaussian_pair
 from sfuda.engine import DistConfig
 from sfuda.head import (BOTTLENECK_PARAMS, CLASSIFIER_PARAMS, PARAM_NAMES,
                         HeadConfig, HeadModel, NormLayer,
-                        StaleCacheError, TrainConfig, adabn, backward,
+                        StaleCacheError, TrainConfig, backward,
                         clip_global_norm, cross_entropy, evaluate, forward,
                         init_head, inverse_decay, sgd_step, smoothed_targets,
                         train_supervised)

@@ -10,10 +10,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sfuda"
 
 # Kept without a caller in src/, each for a reason outside it.
 ALLOWED = {
-    # oracles that the acceptance and unit tests compare the pipeline against
-    "adabn": "AdaBN statistic transfer; acceptance and head tests score against it",
-    "centralized_gradient": "one-batch reference gradient for the sharded step",
-    "sharded_gradient": "the sharded step's gradient, compared with centralized_gradient",
     # the benchmark's tracer and launcher wrap it by name
     "run_distributed_grid": "perfbench entry point; acceptance test_05 calls it",
 }
