@@ -1,5 +1,5 @@
 """Shared numerical primitives (softmax, row normalization, exact k-NN,
-one-hot targets, seeded randomness) and the config dataclasses' type check.
+one-hot targets, seeded randomness) and the config sections' checks.
 
 Arithmetic runs in the precision of the data: a float32 array is computed
 in float32, anything else in float64 (as_compute holds this one rule).
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 import zlib
-from dataclasses import fields
+from dataclasses import MISSING, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -213,10 +213,43 @@ def check_type(name: str, value, kind: str) -> None:
         raise ValueError(f"{name} must be finite, not {value!r}")
 
 
+def _bounded(ok, message: str):
+    """A maker of Section fields, required unless given a default, whose value
+    (unless None) must pass ok, or raises message formatted with name and value."""
+    return lambda default=MISSING: field(default=default, metadata={"bound": (ok, message)})
+
+
+positive = _bounded(lambda v: v > 0, "{name} must be positive")  # an int: at least 1
+nonnegative = _bounded(lambda v: v >= 0, "{name} must be nonnegative")
+fraction = _bounded(lambda v: 0 <= v < 1, "{name} must lie in [0, 1)")
+
+
+def one_of(names: tuple, default):
+    """A Section field with default whose value must be one of names."""
+    return _bounded(names.__contains__, "unknown {name} {value!r}")(default)
+
+
+def field_bound(cls, name: str):
+    """(ok, message) of cls's field name, from the nearest class in cls's MRO
+    that bounds it, so a subclass that re-declares a field to change its
+    default keeps its base's bound; None for an unbounded field."""
+    for c in cls.__mro__:
+        f = getattr(c, "__dataclass_fields__", {}).get(name)
+        if f is not None and "bound" in f.metadata:
+            return f.metadata["bound"]
+    return None
+
+
 class Section:
-    """Base of the config dataclasses: building one runs check_type on each
-    field against its annotation. A subclass's __post_init__ calls this first."""
+    """Base of the config dataclasses: building one checks each field, in
+    declaration order, against its annotation (check_type) and then against
+    its bound (positive, nonnegative, fraction or one_of), so the first field
+    at fault is the one named."""
 
     def __post_init__(self):
         for f in fields(self):
-            check_type(f.name, getattr(self, f.name), f.type)
+            value = getattr(self, f.name)
+            check_type(f.name, value, f.type)
+            bound = field_bound(type(self), f.name)
+            if bound is not None and value is not None and not bound[0](value):
+                raise ValueError(bound[1].format(name=f.name, value=value))

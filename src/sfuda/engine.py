@@ -10,20 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_compute, derive_rng
+from .core import Section, as_compute, derive_rng, positive
 from .head import HeadModel, LoopConfig, backward, forward, run_epochs
 
 @dataclass(frozen=True)
-class DistConfig:
+class DistConfig(Section):
     """Simulated data-parallel geometry: workers x local_batch samples."""
 
-    workers: int = 1
-    local_batch: int = 64
+    workers: int = positive(1)
+    local_batch: int = positive(64)
     sync_batchnorm: bool = False
-
-    def __post_init__(self):
-        if self.workers < 1 or self.local_batch < 1:
-            raise ValueError("workers and local_batch must be positive")
 
     @property
     def global_batch(self) -> int:

@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Section, SoftmaxPass, as_compute, derive_rng, make_rng, one_hot,
-                   softmax_pass)
+from .core import (Section, SoftmaxPass, as_compute, derive_rng, fraction, make_rng,
+                   nonnegative, one_hot, one_of, positive, softmax_pass)
 from .data import DomainDataset
 
 BOTTLENECK_PARAMS = ("bottleneck_weight", "bottleneck_bias", "gamma", "beta")
 CLASSIFIER_PARAMS = ("classifier_weight", "classifier_bias")
 PARAM_NAMES = BOTTLENECK_PARAMS + CLASSIFIER_PARAMS
-
-NORM_KINDS = ("batchnorm", "layernorm")
-ACTIVATIONS = ("relu", "gelu")
 
 
 class StaleCacheError(RuntimeError):
@@ -32,22 +29,12 @@ class StaleCacheError(RuntimeError):
 
 @dataclass
 class HeadConfig(Section):
-    in_dim: int
-    num_classes: int
-    hidden_dim: int = 256
-    norm_kind: str = "layernorm"
-    activation: str = "relu"
+    in_dim: int = positive()
+    num_classes: int = positive()
+    hidden_dim: int = positive(256)
+    norm_kind: str = one_of(("batchnorm", "layernorm"), "layernorm")
+    activation: str = one_of(("relu", "gelu"), "relu")
     seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        for name in ("in_dim", "num_classes", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -307,40 +294,22 @@ def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float,
 @dataclass
 class LoopConfig(Section):
     """The SGD settings of run_epochs, shared by first transfer and every
-    adapter's config, with their checks; subclasses add their own fields."""
+    adapter's config; subclasses add their own fields."""
 
-    epochs: int = 15
-    batch_size: int = 64
-    learning_rate: float = 1e-2
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
+    epochs: int = positive(15)
+    batch_size: int = positive(64)
+    learning_rate: float = nonnegative(1e-2)
+    momentum: float = fraction(0.9)
+    weight_decay: float = nonnegative(1e-3)
     seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate and weight_decay must be nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass
 class TrainConfig(LoopConfig):
-    epochs: int = 30
-    label_smoothing: float = 0.1
-    lr_schedule: str = "inverse-decay"
-    grad_clip: float | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must lie in [0, 1)")
-        if self.lr_schedule not in ("constant", "inverse-decay"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when set")
+    epochs: int = 30  # keeps LoopConfig's bound (core.field_bound)
+    label_smoothing: float = fraction(0.1)
+    lr_schedule: str = one_of(("constant", "inverse-decay"), "inverse-decay")
+    grad_clip: float | None = positive(None)
 
 
 def inverse_decay(t: float, power: float) -> float:

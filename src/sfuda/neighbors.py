@@ -9,36 +9,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_compute, derive_rng, knn_indices, l2_normalize_rows, rounding_tol, softmax
+from .core import (as_compute, derive_rng, knn_indices, l2_normalize_rows, nonnegative, positive,
+                   rounding_tol, softmax)
 from .engine import DistConfig, adapt, sharded_step
 from .head import HeadModel, LoopConfig, forward, inverse_decay
 
 
 @dataclass
 class NrcConfig(LoopConfig):
-    K: int = 3
-    KK: int = 3
-    r: float = 0.1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.K < 1 or self.KK < 1:
-            raise ValueError("K and KK must be positive")
-        if self.r < 0:
-            raise ValueError("reduced affinity r must be nonnegative")
+    K: int = positive(3)
+    KK: int = positive(3)
+    r: float = nonnegative(0.1)
 
 
 @dataclass
 class AadConfig(LoopConfig):
-    K: int = 3
-    beta: float = 0.75
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.K < 1:
-            raise ValueError("K must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+    K: int = positive(3)
+    beta: float = nonnegative(0.75)
 
     @property
     def background_size(self) -> int:

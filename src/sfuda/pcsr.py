@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_compute, derive_rng
+from .core import as_compute, derive_rng, nonnegative, positive
 from .engine import DistConfig
 from .head import HeadModel
 from .sca import Prototypes, spherical_kmeans
@@ -19,18 +19,9 @@ from .shot import ShotConfig, _label_pass, run_im_ce_loop
 class PcsrConfig(ShotConfig):
     """SHOT's settings and checks, plus the sub-center count and mixup."""
 
-    M: int = 2
-    mixup_alpha: float = 0.3
-    mixup_weight: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.M < 1:
-            raise ValueError("M must be positive")
-        if self.mixup_alpha <= 0:
-            raise ValueError("mixup_alpha must be positive")
-        if self.mixup_weight < 0:
-            raise ValueError("mixup_weight must be nonnegative")
+    M: int = positive(2)
+    mixup_alpha: float = positive(0.3)
+    mixup_weight: float = nonnegative(1.0)
 
 
 def mixup_batch(x: np.ndarray, targets: np.ndarray, alpha: float,

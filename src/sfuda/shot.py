@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SoftmaxPass, as_compute, l2_normalize_rows, log_softmax, one_hot, softmax_pass
+from .core import (SoftmaxPass, as_compute, l2_normalize_rows, log_softmax, nonnegative, one_hot,
+                   softmax_pass)
 from .engine import DistConfig, adapt, sharded_step
 from .head import HeadModel, LoopConfig, cross_entropy, forward
 from .sca import Prototypes, spherical_kmeans
@@ -16,15 +17,8 @@ from .sca import Prototypes, spherical_kmeans
 
 @dataclass
 class ShotConfig(LoopConfig):
-    ce_weight: float = 0.3
-    kmeans_rounds: int = 1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.ce_weight < 0:
-            raise ValueError("ce_weight must be nonnegative")
-        if self.kmeans_rounds < 0:
-            raise ValueError("kmeans_rounds must be nonnegative")
+    ce_weight: float = nonnegative(0.3)
+    kmeans_rounds: int = nonnegative(1)
 
 
 def weighted_prototypes(probs: np.ndarray, feats: np.ndarray) -> np.ndarray:

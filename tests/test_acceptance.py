@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import FD_TOL, fd_param_grads, grad_gap, max_rel_err, tiny_model
+from conftest import FD_TOL, fd_param_grads, grad_gap, tiny_model
 from oracles import adabn, centralized_gradient, sharded_gradient
 from sfuda.cli import main as cli_main
-from sfuda.core import knn_indices, log_softmax, make_rng, one_hot, softmax
+from sfuda.core import knn_indices, log_softmax, make_rng, softmax
 from sfuda.data import ShiftSpec, gen_gaussian_pair
 from sfuda.distsim import parse_cell
 from sfuda.engine import DistConfig

@@ -613,7 +613,11 @@ class TestFailureHandling:
         ("suite", "method_configs", {"PCSR": {"mixup_weight": -1.0}},
          "method_configs.PCSR: mixup_weight must be nonnegative"),
         ("suite", "method_configs", {"NRC": {"learning_rate": -1}},  # NRC does not run
-         "method_configs.NRC: learning_rate and weight_decay must be nonnegative"),
+         "method_configs.NRC: learning_rate must be nonnegative"),
+        ("suite", "method_configs", {"NRC": {"weight_decay": -1}},
+         "method_configs.NRC: weight_decay must be nonnegative"),
+        ("suite", "method_configs", {"NRC": {"KK": 0}}, "method_configs.NRC: KK must be positive"),
+        ("suite", "train", {"batch_size": 0}, "train: batch_size must be positive"),
         ("distgrid", "method_configs", {"AAD": {"batch_size": True}},
          "method_configs.AAD: batch_size must be int, not True"),
         ("suite", "train", {"label_smoothing": 1.5},

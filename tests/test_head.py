@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sfuda.head
 import sfuda.neighbors
-from conftest import fd_param_grads, grad_gap, max_rel_err, per_batch_transfer, tiny_model
+from conftest import fd_param_grads, grad_gap, per_batch_transfer, tiny_model
 from oracles import adabn
 from sfuda.core import derive_rng, make_rng
 from sfuda.data import DomainDataset, LabelError, ShiftSpec, gen_gaussian_pair

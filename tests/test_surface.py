@@ -142,3 +142,30 @@ def _task_name_constants():
 def test_task_names_are_written_only_in_the_task_table():
     # every rule about a task reads harness.TASKS, never the task's name
     assert _task_name_constants() == []
+
+
+def _section_classes():
+    """(module, ClassDef) of each class in src/sfuda that derives, directly
+    or not, from core.Section."""
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        classes += [(path.name, node) for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for _, node in classes}
+    derived, grew = {"Section"}, True
+    while grew:
+        new = {name for name, of in bases.items() if of & derived} - derived
+        derived, grew = derived | new, bool(new)
+    return [(module, node) for module, node in classes
+            if node.name != "Section" and node.name in derived]
+
+
+def test_config_sections_state_their_bounds_declaratively():
+    # Section checks each field's kind and bound; a section's own
+    # __post_init__ would state a rule outside its field
+    sections = _section_classes()
+    assert {node.name for _, node in sections} >= {"HeadConfig", "TrainConfig", "PcsrConfig"}
+    assert [f"{module}:{node.name}" for module, node in sections
+            if any(isinstance(d, ast.FunctionDef) and d.name == "__post_init__"
+                   for d in node.body)] == []
