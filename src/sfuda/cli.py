@@ -350,11 +350,9 @@ def _manifest(cfg: dict, common: dict, chash: str, command: str,
     recorded, not compared. It includes the compute dtype of each of the
     datasets (role -> dataset) the records ran on, and the path and sha256
     of each file the command read."""
-    import scipy  # here, not at module level: only a manifest needs it
-
     prov = {"toolkit_version": __version__, "config_sha256": chash, "command": command,
             "seeds": common["seeds"], "format": common["format"], "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": _blas_build()}
+            "blas": _blas_build()}
     if common.get("files"):
         prov["files"] = common["files"]
     if datasets:

@@ -209,8 +209,8 @@ def check_type(name: str, value, kind: str) -> None:
         raise TypeError(f"{name} must be a list, not {value!r}")
     elif isinstance(value, bool) != (first == "bool") or not isinstance(value, _KINDS[first]):
         raise TypeError(f"{name} must be {first}, not {value!r}")
-    elif isinstance(value, float) and not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, not {value!r}")
+    elif isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {float(value)!r}")
 
 
 def _bounded(ok, message: str):

@@ -244,8 +244,8 @@ def _run_one(spec: TaskSpec, transfers: dict) -> ExperimentRecord:
 
 
 def _openblas_libraries() -> list[str]:
-    """Paths of the OpenBLAS builds mapped into this process (numpy's and
-    scipy's wheels each bundle one); empty where /proc/self/maps is absent."""
+    """Paths of the OpenBLAS builds mapped into this process (numpy's wheel
+    bundles one); empty where /proc/self/maps is absent."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]

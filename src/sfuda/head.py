@@ -124,11 +124,14 @@ class ForwardCache:
     version: int
 
 
+# libm's erf of each entry, as a Python float: cast back to the input's
+# dtype, a float32 entry is computed in double and rounded once
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _gelu(y: np.ndarray) -> np.ndarray:
-    from scipy.special import erf  # imported here: it is most of the package's import time
-    # y * 0.5 * (1.0 + erf(y / sqrt 2)), each step in place
-    t = y / math.sqrt(2.0)
-    erf(t, out=t)
+    # y * 0.5 * (1.0 + erf(y / sqrt 2)), each step after erf in place
+    t = _erf(y / math.sqrt(2.0)).astype(y.dtype)
     t += 1.0
     out = y * 0.5
     out *= t
@@ -136,10 +139,9 @@ def _gelu(y: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(y: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
     # Python floats, not numpy float64 scalars, which would upcast float32
     phi = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-    return 0.5 * (1.0 + erf(y / math.sqrt(2.0))) + y * phi
+    return 0.5 * (1.0 + _erf(y / math.sqrt(2.0)).astype(y.dtype)) + y * phi
 
 
 def _mean(a: np.ndarray, axis: int) -> np.ndarray:

@@ -105,15 +105,24 @@ def alive(pid):
 
 
 class TestImport:
-    def test_the_cli_loads_neither_scipy_special_nor_multiprocessing(self, tmp_path):
-        # gelu heads and pooled suites import them when they run, and a
-        # manifest imports scipy for its version
+    def test_the_cli_does_not_load_multiprocessing(self, tmp_path):
+        # only a pooled suite imports it, when its pool starts
         proc = start_cli(tmp_path, ["--version"], patch="import sfuda.cli\nprint(sorted("
-                         "m for m in ('scipy', 'scipy.special', 'multiprocessing')"
-                         " if m in sys.modules))")
+                         "m for m in ('multiprocessing',) if m in sys.modules))")
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         assert out.splitlines()[0] == "[]"
+
+    def test_a_gelu_suite_loads_no_scipy(self, tmp_path):
+        cfg = {**base_config(), "head": {"hidden_dim": 8, "activation": "gelu"}}
+        write_config(tmp_path, cfg)
+        proc = start_cli(tmp_path, ["suite", "--config", "cfg.json", "--out", "out"],
+                         patch="import atexit\natexit.register(lambda: print(sorted("
+                         "m for m in sys.modules if m.startswith('scipy'))))")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "records.csv").exists()
 
 
 class TestSeedParsing:
@@ -290,7 +299,7 @@ class TestSuite:
         assert main(["suite", "--config", cfg, "--seeds", "0,1", "--out", str(a)]) == 0
         prov = json.loads((a / "manifest.json").read_text())["provenance"]
         assert prov["numpy"] == np.__version__
-        assert prov["scipy"] and prov["blas"]
+        assert prov["blas"] and "scipy" not in prov
         assert main(["suite", "--config", str(a / "manifest.json"),
                      "--seeds", "0,1", "--out", str(b)]) == 0
         for name in ("records.csv", "aggregates.csv", "manifest.json"):

@@ -7,10 +7,12 @@ import math
 import pkgutil
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 import sfuda
 from sfuda.core import Section, field_bound
+from sfuda.data import ShiftSpec
 from sfuda.engine import DistConfig
 from sfuda.head import HeadConfig, LoopConfig, TrainConfig
 from sfuda.neighbors import NrcConfig
@@ -103,6 +105,11 @@ def test_dist_config_is_a_section():
      "unknown norm_kind 'groupnorm'"),
     # a field's bound is checked right after its type, before a later field's type
     (lambda: LoopConfig(batch_size=0, momentum="x"), "batch_size must be positive"),
+    # and its finiteness before its bound, for a numpy float too, bounded or not
+    (lambda: TrainConfig(learning_rate=np.float32("nan")),
+     "learning_rate must be finite, not nan"),
+    (lambda: ShiftSpec(rotation_angle=np.float32("inf")),
+     "rotation_angle must be finite, not inf"),
 ])
 def test_the_first_field_at_fault_is_named(build, message):
     with pytest.raises(ValueError) as err:

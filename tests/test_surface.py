@@ -4,6 +4,7 @@
 does not count; module dunders such as `__all__` are exempt."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sfuda"
@@ -169,3 +170,26 @@ def test_config_sections_state_their_bounds_declaratively():
     assert [f"{module}:{node.name}" for module, node in sections
             if any(isinstance(d, ast.FunctionDef) and d.name == "__post_init__"
                    for d in node.body)] == []
+
+
+def _foreign_imports():
+    """module:line name of each import in src/sfuda that names neither a
+    stdlib module nor numpy, nor the package itself by a relative import."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [al.name for al in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    # a lazy import inside a function counts: sfuda runs on numpy alone
+    assert _foreign_imports() == []
