@@ -28,7 +28,7 @@ from . import __version__
 from .core import Section, check_type, make_rng
 from .data import (DomainDataset, ShiftSpec, embeddings_bytes, gen_gaussian_pair,
                    labels_text, load_embeddings, load_results_table, read_table)
-from .distsim import cell_columns, check_cells, grid_error, grid_specs, parse_cell
+from .distsim import cell_columns, check_cells, grid_specs, parse_cell
 from .engine import DEFAULT_GRID
 from .harness import (ADAPT_METHODS, METHODS, NO_GRADIENT_LOOP, SFUDA_TASK, TASKS,
                       ExperimentRecord, TaskSpec, failure_report, format_mean_std,
@@ -100,6 +100,13 @@ def parse_seeds(text: str) -> list[int]:
     return [seed(v) for v in text.split(",") if v]
 
 
+def _spelled(text: str):
+    """A flag's text as the int it spells, else as given, for the checks to word."""
+    with contextlib.suppress(ValueError):
+        return int(text)
+    return text
+
+
 def _int_at_least(value, low: int) -> bool:
     # JSON true and false are bools, which Python counts as ints
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
@@ -113,7 +120,7 @@ def resolve_common(args, cfg: dict) -> dict:
     if args.seed is not None and args.seeds is not None:
         raise CliError("give either --seed or --seeds, not both")
     if args.seed is not None:
-        seeds = [args.seed]
+        seeds = [_spelled(args.seed)]
     elif args.seeds is not None:
         seeds = parse_seeds(args.seeds)
     else:
@@ -127,7 +134,7 @@ def resolve_common(args, cfg: dict) -> dict:
             raise CliError(f"seeds must be nonnegative integers, not {seed!r}")
         if seed in seeds[:i]:
             raise CliError(f"seed {seed} is given more than once")
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs", 1)
+    jobs = _spelled(args.jobs) if args.jobs is not None else cfg.get("jobs", 1)
     if not _int_at_least(jobs, 1):
         raise CliError(f"jobs must be a positive integer, not {jobs!r}")
     return {"out_dir": out_dir, "format": fmt, "seeds": seeds, "jobs": jobs}
@@ -323,6 +330,10 @@ RECORD_COLUMNS = ["task", "method", "source", "target", "norm_kind", "seed",
                   "accuracy", "baseline_lp_odg", "delta", "failed", "error"]
 
 
+def _task_method(r: ExperimentRecord) -> str:
+    return r.task + (f"/{r.method}" if r.method else "")
+
+
 def _record_rows(records: list[ExperimentRecord]) -> list[dict]:
     return [{"task": r.task, "method": r.method or "", "source": r.source_name,
              "target": r.target_name, "norm_kind": r.norm_kind, "seed": r.seed,
@@ -422,14 +433,13 @@ def _write(cfg: dict, common: dict, command: str, tables: dict,
 
 def _write_records(cfg: dict, common: dict, command: str, datasets: tuple,
                    records: list[ExperimentRecord], keys: list[dict],
-                   tables: dict | None = None, noun: str = "records",
-                   label=None) -> list[str]:
+                   tables: dict | None = None) -> list[str]:
     """records.FORMAT, with RECORD_COLUMNS and then the key columns (keys
     holds one dict per spec, in run_suite's order), next to the command's
     summary tables, written by _write with the (source, target) datasets
-    the records ran on. When records raised, the outputs
-    stay complete and a CliError says how many of the noun did, naming the
-    first as label(key, record) words it, or else pointing at the error column."""
+    the records ran on. When records raised, the outputs stay complete and
+    a CliError says how many did, naming the first by its task, method, key
+    columns and seed."""
     per_record = [key for key in keys for _ in common["seeds"]]  # specs are seed-minor
     rows = [{**row, **key} for row, key in zip(_record_rows(records), per_record)]
     columns = RECORD_COLUMNS + list(keys[0] if keys else ())
@@ -438,9 +448,9 @@ def _write_records(cfg: dict, common: dict, command: str, datasets: tuple,
     raised = [(key, r) for key, r in zip(per_record, records) if r.error is not None]
     if raised:
         key, r = raised[0]
-        where = (f"first: {label(key, r)}" if label
-                 else f"see the error column of records.{common['format']}")
-        raise CliError(f"{len(raised)} of {len(records)} {noun} raised ({where})")
+        first = ", ".join([_task_method(r), *(f"{k}={v}" for k, v in key.items())])
+        raise CliError(f"{len(raised)} of {len(records)} records raised "
+                       f"(first: {first}, seed {r.seed}: {r.error})")
     return paths
 
 
@@ -472,7 +482,7 @@ def cmd_run(args, cfg: dict, common: dict) -> list[str]:
         raise CliError("run expects exactly one seed; use suite for sweeps")
     rec, = records = run_suite(specs, common["seeds"])
     status = "raised" if rec.error else "FAILED" if rec.failed else "ok"
-    print(f"{rec.task}{'/' + rec.method if rec.method else ''} seed {rec.seed}: "
+    print(f"{_task_method(rec)} seed {rec.seed}: "
           f"accuracy {rec.accuracy:.2f} (baseline {rec.baseline_lp_odg:.2f}, {status})")
     return _write_records(cfg, common, "run", datasets, records, [{}])
 
@@ -488,8 +498,7 @@ def cmd_suite(args, cfg: dict, common: dict) -> list[str]:
         summary = format_mean_std(mean, std, n) if n else "no successful runs"
         rows.append({**_record_rows(group[:1])[0], "n_seeds": len(group), "n_ok": n,
                      "mean": _fmt_float(mean), "std": _fmt_float(std), "summary": summary})
-        label = group[0].task + (f"/{group[0].method}" if group[0].method else "")
-        print(f"{label:>16s}  {summary}")
+        print(f"{_task_method(group[0]):>16s}  {summary}")
     return _write_records(cfg, common, "suite", datasets, records, [{}] * len(specs), {
         "aggregates": (rows, ["task", "method", "source", "target", "norm_kind", "n_seeds",
                               "n_ok", "mean", "std", "summary"])})
@@ -521,8 +530,7 @@ def cmd_distgrid(args, cfg: dict, common: dict) -> list[str]:
         print("  ".join([f"{row['cell']:>6s}"] + [f"{row[m]:>16s}" for m in grid.methods]))
     return _write_records(cfg, common, "distgrid", (source, target), records,
                           [cell_columns(s.dist) for s in specs],
-                          {"distgrid": (rows, ["cell", "workers", "local_batch"] + grid.methods)},
-                          "grid records", grid_error)
+                          {"distgrid": (rows, ["cell", "workers", "local_batch"] + grid.methods)})
 
 
 def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
@@ -539,17 +547,13 @@ def cmd_sweep(args, cfg: dict, common: dict) -> list[str]:
     specs, keys = hyperparameter_grid(sweep.params, spec)
     records = run_suite(specs, common["seeds"], jobs=common["jobs"])
 
-    def combo(key):
-        return ", ".join(f"{n}={v}" for n, v in key.items())
-
     rows = []
     for key, group in zip(keys, spec_groups(records, len(common["seeds"]))):
         mean, _, n = mean_std(group)
         rows.append({**key, "mean": _fmt_float(mean), "n_ok": n, "n_total": len(group)})
-        print(f"{combo(key):>32s}  mean {mean:.2f}")
+        print(f"{', '.join(f'{n}={v}' for n, v in key.items()):>32s}  mean {mean:.2f}")
     return _write_records(cfg, common, "sweep", (source, target), records, keys,
-                          {"sweep": (rows, list(sweep.params) + ["mean", "n_ok", "n_total"])},
-                          "sweep records", lambda key, r: f"{combo(key)} seed {r.seed}: {r.error}")
+                          {"sweep": (rows, list(sweep.params) + ["mean", "n_ok", "n_total"])})
 
 
 def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
@@ -661,11 +665,11 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="single seed")
+        p.add_argument("--seed", help="single seed")
         p.add_argument("--seeds", help="seed range A..B or comma list")
-        p.add_argument("--jobs", type=int, help="worker processes for first transfers and records")
+        p.add_argument("--jobs", help="worker processes for first transfers and records")
         p.add_argument("--out", help="output directory (default $SFUDA_OUT_DIR)")
-        p.add_argument("--format", choices=("csv", "tsv"), help="table format")
+        p.add_argument("--format", help="table format: csv or tsv")
         p.set_defaults(func=func)
         return p
 

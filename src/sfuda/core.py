@@ -219,7 +219,8 @@ def _bounded(ok, message: str):
     return lambda default=MISSING: field(default=default, metadata={"bound": (ok, message)})
 
 
-positive = _bounded(lambda v: v > 0, "{name} must be positive")  # an int: at least 1
+# an int: at least 1; a list or array: every entry
+positive = _bounded(lambda v: np.all(np.greater(v, 0)), "{name} must be positive")
 nonnegative = _bounded(lambda v: v >= 0, "{name} must be nonnegative")
 fraction = _bounded(lambda v: 0 <= v < 1, "{name} must lie in [0, 1)")
 

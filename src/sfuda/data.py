@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Section, as_compute, l2_normalize_rows
+from .core import Section, as_compute, fraction, l2_normalize_rows, positive
 
 EMBED_MAGIC = b"SFUD"
 
@@ -74,16 +74,17 @@ class DomainDataset:
 
 @dataclass
 class ShiftSpec(Section):
-    """Affine domain shift: rotate in one coordinate plane, scale per feature,
-    then translate; label_noise reassigns that fraction of target labels. As
-    the data.generate.shift section, a vector given as one float repeats it."""
+    """Affine domain shift: rotate in one coordinate plane, scale per feature
+    (each scale positive), then translate; label_noise reassigns that fraction
+    of target labels. As the data.generate.shift section, a vector given as
+    one float repeats it; validate(d) checks the rules that need d."""
 
     mean_shift: float | list[float] = 0.0
-    per_feature_scale: float | list[float] = 1.0
+    per_feature_scale: float | list[float] = positive(1.0)
     per_feature_offset: float | list[float] = 0.0
     rotation_angle: float = 0.0
     rotation_plane: list[int] = (0, 1)
-    label_noise: float = 0.0
+    label_noise: float = fraction(0.0)
 
     @classmethod
     def identity(cls, d: int) -> "ShiftSpec":
@@ -97,18 +98,10 @@ class ShiftSpec(Section):
             v = as_compute([v] * d if np.ndim(v) == 0 else v)
             if v.shape != (d,):
                 raise ValueError(f"{name} must be a float or have shape ({d},), not {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
             setattr(self, name, v)
-        if np.any(self.per_feature_scale <= 0):
-            raise ValueError("per_feature_scale entries must be positive")
-        if not np.isfinite(self.rotation_angle):
-            raise ValueError("rotation_angle must be finite")
         plane = self.rotation_plane
         if len(plane) != 2 or plane[0] == plane[1] or not all(0 <= a < d for a in plane):
             raise ValueError(f"rotation_plane must name two distinct feature axes, not {plane!r}")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ValueError("label_noise must lie in [0, 1)")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x -> scale * R(x) + mean_shift + offset."""
@@ -139,7 +132,6 @@ def gen_gaussian_pair(num_classes: int, dim: int, n_per_class: int, class_sep: f
         raise ValueError("n_per_class must be positive")
     if class_sep <= 0:
         raise ValueError("class_sep must be positive")
-    shift.validate(dim)
 
     means = l2_normalize_rows(rng.standard_normal((num_classes, dim))) * class_sep
     n_total = num_classes * n_per_class

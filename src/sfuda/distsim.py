@@ -9,12 +9,8 @@ from dataclasses import dataclass
 
 from .data import DomainDataset
 from .engine import DEFAULT_GRID, DistConfig
-from .harness import (ADAPT_METHODS, SFUDA_TASK, TaskSpec,  # noqa: F401 (re-exported)
-                      mean_std, run_suite, spec_groups)
+from .harness import SFUDA_TASK, TaskSpec, mean_std, run_suite, spec_groups
 from .head import TrainConfig
-
-__all__ = ["DistConfig", "DEFAULT_GRID", "parse_cell", "cell_columns", "check_cells",
-           "grid_error", "grid_specs", "run_distributed_grid", "GridResult"]
 
 
 def parse_cell(label: str) -> DistConfig:
@@ -29,11 +25,6 @@ def parse_cell(label: str) -> DistConfig:
 def cell_columns(cell: DistConfig) -> dict:
     """A grid cell's key columns in the distgrid tables."""
     return {"cell": cell.label, "workers": cell.workers, "local_batch": cell.local_batch}
-
-
-def grid_error(key: dict, record) -> str:
-    """How an error line names a raised grid record, by its cell columns."""
-    return f"{record.method} {key['cell']} seed {record.seed}: {record.error}"
 
 
 @dataclass
@@ -75,7 +66,8 @@ def run_distributed_grid(method: str, source: DomainDataset, target: DomainDatas
                        hidden_dim=hidden_dim, train=train_cfg)
     groups = spec_groups(run_suite(specs, seeds), len(seeds))
     keys = [cell_columns(cell) for cell in cells]
-    errors = [grid_error(key, r) for key, group in zip(keys, groups) for r in group if r.error]
+    errors = [f"{r.method} {key['cell']} seed {r.seed}: {r.error}"
+              for key, group in zip(keys, groups) for r in group if r.error]
     if errors:
         raise RuntimeError(f"{len(errors)} grid record(s) raised; first: {errors[0]}")
     return GridResult(method, [{**key, "mean": m, "std": s,

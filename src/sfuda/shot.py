@@ -54,11 +54,7 @@ def _label_pass(model: HeadModel, x: np.ndarray, kmeans_rounds: int,
     centers[live] = weighted_prototypes(probs[:, live], feats)
     # no row argmaxes to a dead class: a row's top class keeps >= 1/C of its mass
     centers[~live] = prev.centers[~live] if prev is not None else feats.mean(axis=0)
-    norms = np.linalg.norm(centers, axis=1)
-    if np.any(norms == 0.0):
-        c = int(np.flatnonzero(norms == 0.0)[0])
-        raise ValueError(f"prototype for class {c} is the zero vector")
-    protos = Prototypes(centers / norms[:, None])
+    protos = Prototypes(l2_normalize_rows(centers))  # row C is class C's prototype
 
     feats_n = l2_normalize_rows(feats)
     labels = None

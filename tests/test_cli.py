@@ -194,7 +194,7 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == "SFUDA/SHOT seed 0: accuracy nan (baseline nan, raised)\n"
         assert captured.err == ("error: 1 of 1 records raised "
-                                "(see the error column of records.csv)\n")
+                                "(first: SFUDA/SHOT, seed 0: RuntimeError: adapter broke)\n")
         assert [r["error"] for r in read_rows(out / "records.csv")] == \
             ["RuntimeError: adapter broke"]
         assert sorted(os.listdir(out)) == ["manifest.json", "records.csv"]
@@ -509,7 +509,8 @@ class TestFailureHandling:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert [ln for ln in err if ln.startswith("error:")] == \
-            ["error: 1 of 2 records raised (see the error column of records.csv)"]
+            ["error: 1 of 2 records raised (first: SFUDA/SHOT, seed 0: "
+             "RuntimeError: adapter broke)"]
         rows = read_rows(out / "records.csv")
         assert [r["error"] for r in rows] == ["", "RuntimeError: adapter broke"]
         # the record that raised is an error, not an adaptation failure
@@ -529,7 +530,8 @@ class TestFailureHandling:
                      "--out", str(out)]) == 1
         err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(err) == 1
-        assert err[0] == ("error: 3 of 6 grid records raised (first: SHOT 64x1 seed 0: "
+        assert err[0] == ("error: 3 of 6 records raised (first: SFUDA/SHOT, cell=64x1, "
+                          "workers=64, local_batch=1, seed 0: "
                           "ValueError: cannot split 36 rows across 64 workers)")
         rows = read_rows(out / "distgrid.csv")
         assert [r["cell"] for r in rows] == ["1x64", "64x1"]
@@ -558,6 +560,10 @@ class TestFailureHandling:
         ({"results_table": 5}, [], "config: results_table must be str, not 5"),
         ({}, ["--seeds=x"], "seeds must be nonnegative integers, not 'x'"),
         ({}, ["--seeds=1..3,5"], "seeds must be nonnegative integers, not '3,5'"),
+        # a flag's value is worded as the config's is, not by the argument parser
+        ({}, ["--seed=x"], "seeds must be nonnegative integers, not 'x'"),
+        ({}, ["--jobs=x"], "jobs must be a positive integer, not 'x'"),
+        ({}, ["--format=xml"], "format must be csv or tsv, not 'xml'"),
     ])
     def test_malformed_seeds_and_jobs_are_config_errors(self, tmp_path, capsys, config,
                                                         flags, message):
@@ -695,6 +701,9 @@ class TestFailureHandling:
         ("class_sep", "x", "data.generate: class_sep must be float, not 'x'"),
         ("seed", -1, "data.generate: seed must be nonnegative, not -1"),
         ("shift.label_noise", "x", "data.generate.shift: label_noise must be float, not 'x'"),
+        ("shift.label_noise", 1.0, "data.generate.shift: label_noise must lie in [0, 1)"),
+        ("shift.per_feature_scale", [1, 0, 1, 1],
+         "data.generate.shift: per_feature_scale must be positive"),
         ("shift.mean_shift", [1, "a", 0, 0, 0],
          "data.generate.shift: mean_shift must be float, not 'a'"),
         ("shift.mean_shift", [1, float("nan"), 0, 0, 0],
@@ -1045,8 +1054,8 @@ class TestSweepCommand:
                      "--seeds", "0,1", "--out", str(out)]) == 1
         err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(err) == 1
-        assert err[0].startswith("error: 2 of 4 sweep records raised "
-                                 "(first: K=200, epochs=1 seed 0: ValueError: ")
+        assert err[0].startswith("error: 2 of 4 records raised "
+                                 "(first: SFUDA/NRC, K=200, epochs=1, seed 0: ValueError: ")
         rows = read_rows(out / "sweep.csv")
         assert [(r["K"], r["n_ok"], r["n_total"]) for r in rows] == \
             [("2", "2", "2"), ("200", "0", "2")]

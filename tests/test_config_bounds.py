@@ -64,7 +64,7 @@ def _build(cls, **values):
 def test_the_walk_finds_every_config_section():
     found = {cls.__name__ for cls, _ in BOUNDED}
     assert found == {"HeadConfig", "LoopConfig", "TrainConfig", "ShotConfig", "PcsrConfig",
-                     "NrcConfig", "AadConfig", "DistConfig"}
+                     "NrcConfig", "AadConfig", "DistConfig", "ShiftSpec"}
 
 
 @pytest.mark.parametrize("cls, f", BOUNDED, ids=[f"{c.__name__}.{f.name}" for c, f in BOUNDED])

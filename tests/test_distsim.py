@@ -13,10 +13,10 @@ from conftest import max_rel_err, shard_loop_step, tiny_model
 from oracles import centralized_gradient, sharded_gradient
 from sfuda.core import make_rng
 from sfuda.data import LabelError, ShiftSpec, gen_gaussian_pair
-from sfuda.distsim import (ADAPT_METHODS, GridResult, cell_columns, grid_specs, parse_cell,
+from sfuda.distsim import (GridResult, cell_columns, grid_specs, parse_cell,
                            run_distributed_grid)
 from sfuda.engine import DEFAULT_GRID, DistConfig, adapt, sharded_step
-from sfuda.harness import TaskSpec, mean_std, run_suite, run_task, spec_groups
+from sfuda.harness import ADAPT_METHODS, TaskSpec, mean_std, run_suite, run_task, spec_groups
 from sfuda.head import (PARAM_NAMES, HeadConfig, LoopConfig, TrainConfig, init_head,
                         train_supervised)
 from sfuda.neighbors import AadConfig, NrcConfig, aad_adapt, nrc_adapt

@@ -170,6 +170,16 @@ class TestPseudoLabels:
                                        prev_prototypes=prev)
         np.testing.assert_array_equal(protos.centers[2], marker[2])
 
+    def test_a_zero_prototype_names_its_class(self):
+        # a zero norm scale zeroes every feature, so every prototype is zero
+        _, tgt = self.make_pair()
+        model = self.make_model()
+        model.norm.gamma[...] = 0.0
+        model.norm.beta[...] = 0.0
+        model.bump_version()
+        with pytest.raises(ValueError, match="^cannot normalize zero row 0$"):
+            shot_pseudo_labels(model, tgt.features, kmeans_rounds=0)
+
     def test_labels_cover_reasonable_accuracy_on_easy_data(self):
         _, tgt = self.make_pair()
         model = self.make_model()

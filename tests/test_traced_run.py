@@ -2,7 +2,9 @@
 functions by name and binds their argument names, so a refactor that renames
 either makes the traced run fail. Both CLI workloads it traces run here on
 tiny configs, and the benchmark's own summary of their spans pins the number
-of first transfers trained."""
+of first transfers trained. Untraced, the launcher marks the entry of
+functions it reaches as attributes of the package (`sfuda.distsim` among
+them) after importing only `sfuda` and `sfuda.cli`; those runs are here too."""
 import csv
 import importlib.util
 import json
@@ -66,3 +68,18 @@ def test_traced_cli_run_succeeds(tmp_path, command, cfg):
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
         assert len(rows) == 3
         assert [r["error"] for r in rows] == ["", "", ""]
+
+
+@pytest.mark.parametrize("flags", [[], ["--setup-only"]], ids=["untraced", "setup-only"])
+@pytest.mark.parametrize("command, cfg", [("suite", SUITE), ("distgrid", DISTGRID)])
+def test_untraced_launch_marks_its_first_record(tmp_path, command, cfg, flags):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    marks = tmp_path / "marks.json"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(LAUNCH), "--marks", str(marks), *flags, "--", command,
+         "--config", str(config), "--seeds", "0", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "first_record" in json.loads(marks.read_text())
