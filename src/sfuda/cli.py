@@ -10,6 +10,7 @@ command removes its partial outputs and exits nonzero with one error line.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -129,18 +130,19 @@ def resolve_common(args, cfg: dict) -> dict:
             raise CliError(f"seeds must be a list of integers, not {seeds!r}")
     if not seeds:
         raise CliError("no seeds selected")
-    for i, seed in enumerate(seeds):
+    for seed in seeds:
         if not _int_at_least(seed, 0):
             raise CliError(f"seeds must be nonnegative integers, not {seed!r}")
-        if seed in seeds[:i]:
-            raise CliError(f"seed {seed} is given more than once")
+    repeated = [seed for seed, n in collections.Counter(seeds).items() if n > 1]
+    if repeated:
+        raise CliError(f"seed {repeated[0]} is given more than once")
     jobs = _spelled(args.jobs) if args.jobs is not None else cfg.get("jobs", 1)
     if not _int_at_least(jobs, 1):
         raise CliError(f"jobs must be a positive integer, not {jobs!r}")
     return {"out_dir": out_dir, "format": fmt, "seeds": seeds, "jobs": jobs}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Generate(Section):
     """data.generate: gen_gaussian_pair's arguments; shift is a ShiftSpec section."""
 
@@ -152,7 +154,7 @@ class Generate(Section):
     shift: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetFile(Section):
     """data.target: embeddings and labels files; num_classes defaults to the source's."""
 
@@ -162,12 +164,12 @@ class TargetFile(Section):
     name: str = "target"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceFile(TargetFile):
     name: str = "source"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Distgrid(Section):
     """distgrid: methods run in each worker layout of cells ("WxB"; the default
     grid when empty)."""
@@ -177,7 +179,7 @@ class Distgrid(Section):
     sync_batchnorm: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sweep(Section):
     """sweep: every combination of params (name -> values) of method's config."""
 

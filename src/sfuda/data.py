@@ -72,12 +72,12 @@ class DomainDataset:
         return self.features.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShiftSpec(Section):
     """Affine domain shift: rotate in one coordinate plane, scale per feature
     (each scale positive), then translate; label_noise reassigns that fraction
-    of target labels. As the data.generate.shift section, a vector given as
-    one float repeats it; validate(d) checks the rules that need d."""
+    of target labels. A vector given as one float repeats it to each input's
+    width; validate(d) checks the rules that need d."""
 
     mean_shift: float | list[float] = 0.0
     per_feature_scale: float | list[float] = positive(1.0)
@@ -90,23 +90,26 @@ class ShiftSpec(Section):
     def identity(cls, d: int) -> "ShiftSpec":
         return cls(np.zeros(d), np.ones(d), np.zeros(d))
 
-    def validate(self, d: int) -> None:
-        """Checks the shift for d features, each vector made d floats first
-        (float64 unless given as a float32 array)."""
+    def validate(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Checks the shift for d features, and returns its mean_shift,
+        per_feature_scale and per_feature_offset as d floats each (float64
+        unless given as a float32 array); the spec itself is unchanged."""
+        vectors = []
         for name in ("mean_shift", "per_feature_scale", "per_feature_offset"):
             v = getattr(self, name)
             v = as_compute([v] * d if np.ndim(v) == 0 else v)
             if v.shape != (d,):
                 raise ValueError(f"{name} must be a float or have shape ({d},), not {v.shape}")
-            setattr(self, name, v)
+            vectors.append(v)
         plane = self.rotation_plane
         if len(plane) != 2 or plane[0] == plane[1] or not all(0 <= a < d for a in plane):
             raise ValueError(f"rotation_plane must name two distinct feature axes, not {plane!r}")
+        return tuple(vectors)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x -> scale * R(x) + mean_shift + offset."""
         x = as_compute(x)
-        self.validate(x.shape[1])
+        mean_shift, scale, offset = self.validate(x.shape[1])
         y = x.copy()
         if self.rotation_angle != 0.0:
             i, j = self.rotation_plane
@@ -114,8 +117,7 @@ class ShiftSpec(Section):
             yi = c * x[:, i] - s * x[:, j]
             yj = s * x[:, i] + c * x[:, j]
             y[:, i], y[:, j] = yi, yj
-        y = y * self.per_feature_scale
-        return y + self.mean_shift + self.per_feature_offset
+        return y * scale + mean_shift + offset
 
 
 def gen_gaussian_pair(num_classes: int, dim: int, n_per_class: int, class_sep: float,

@@ -54,7 +54,7 @@ NO_GRADIENT_LOOP = "has no gradient loop to shard; its result is invariant to th
 class TaskSpec:
     task: str
     target: DomainDataset
-    source: DomainDataset | None = None
+    source: DomainDataset
     method: str | None = None
     norm_kind: str = "layernorm"
     activation: str = "relu"
@@ -68,10 +68,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {tuple(TASKS)}")
-        evaluation = TASKS[self.task][1]
-        if evaluation != "idg" and self.source is None:
-            raise ValueError(f"{self.task} needs a source dataset")
-        if evaluation == "sfuda":
+        if TASKS[self.task][1] == "sfuda":
             if self.method is None:
                 raise ValueError(f"{self.task} needs an adaptation method")
             if self.method not in METHODS:
@@ -80,11 +77,10 @@ class TaskSpec:
             raise ValueError(f"{self.task} does not take a method")
         if self.dist is not None and self.method not in ADAPT_METHODS:
             raise ValueError(f"{self.method or self.task} {NO_GRADIENT_LOOP}")
-        if self.source is not None:
-            if self.source.d != self.target.d:
-                raise ValueError("source and target widths differ")
-            if self.source.num_classes != self.target.num_classes:
-                raise ValueError("source and target class counts differ")
+        if self.source.d != self.target.d:
+            raise ValueError("source and target widths differ")
+        if self.source.num_classes != self.target.num_classes:
+            raise ValueError("source and target class counts differ")
         # every setting a record runs with, resolved once: seeds derive from
         # the run seed, and a sharded adapter's batch is the cell's global one
         self.head_config = HeadConfig(self.target.d, self.target.num_classes,
@@ -139,18 +135,15 @@ def stratified_split(labels: np.ndarray, train_frac: float,
 
 
 def _plan(spec: TaskSpec) -> dict[str, tuple]:
-    """The first transfers spec's record reads, as role -> key: "lp" (the
-    head the LP-ODG baseline scores) whenever there is a source, and
-    "first", the task's own at its scope. A key holds all the outcome
-    depends on: scope, training data (the source or the seed's in-domain
-    split), target, head and train configs; datasets count by id."""
+    """The first transfers spec's record reads, as role -> key: "lp", the
+    head the LP-ODG baseline scores, and "first", the task's own at its
+    scope. A key holds all the outcome depends on: scope, training data (the
+    source or the seed's in-domain split), target, head and train configs
+    (frozen sections, equal by value); datasets count by id."""
     scope, evaluation = TASKS[spec.task]
-    tail = (id(spec.target), dataclasses.astuple(spec.head_config),
-            dataclasses.astuple(spec.train))
-    plan = {} if spec.source is None else {"lp": ("classifier_only", id(spec.source), *tail)}
+    tail = (id(spec.target), spec.head_config, spec.train)
     data = ("idg-split", spec.seed) if evaluation == "idg" else id(spec.source)
-    plan["first"] = (scope, data, *tail)
-    return plan
+    return {"lp": ("classifier_only", id(spec.source), *tail), "first": (scope, data, *tail)}
 
 
 def _first_transfer(spec: TaskSpec, role: str):
@@ -187,12 +180,12 @@ def _first_transfers(specs: list[TaskSpec], jobs: int = 1) -> dict[tuple, object
 
 
 def run_task(spec: TaskSpec, transfers: dict | None = None) -> ExperimentRecord:
-    """Execute one transfer task and score it against the shared baseline.
-    Its first transfers and their scores are read from transfers (see
-    _first_transfers), built for spec alone when None; a stored error is
-    raised with a fresh traceback. Only a record with an adaptation method
-    computes more. Sharing them changes no result, only how often they are
-    computed."""
+    """Execute one transfer task and score it against the LP-ODG baseline
+    of its source. Its first transfers and their scores are read from
+    transfers (see _first_transfers), built for spec alone when None; a
+    stored error is raised with a fresh traceback. Only a record with an
+    adaptation method computes more. Sharing them changes no result, only
+    how often they are computed."""
     t0 = time.perf_counter()
     if transfers is None:
         transfers = _first_transfers([spec])
@@ -200,7 +193,7 @@ def run_task(spec: TaskSpec, transfers: dict | None = None) -> ExperimentRecord:
     for outcome in outcomes.values():  # "lp" first
         if isinstance(outcome, Exception):
             raise outcome.with_traceback(None)  # a fresh traceback, not a growing one
-    baseline = outcomes["lp"][1] if "lp" in outcomes else float("nan")
+    baseline = outcomes["lp"][1]
     first, accuracy = outcomes["first"]
 
     target = spec.target
@@ -222,8 +215,7 @@ def _record(spec: TaskSpec, accuracy: float, baseline: float, t0: float,
     """spec's record, scored against baseline, timed from perf_counter t0. A
     record that raised has nan scores, so it is no failure."""
     return ExperimentRecord(
-        task=spec.task, method=spec.method,
-        source_name=spec.source.name if spec.source else "",
+        task=spec.task, method=spec.method, source_name=spec.source.name,
         target_name=spec.target.name, norm_kind=spec.norm_kind, seed=spec.seed,
         accuracy=accuracy, baseline_lp_odg=baseline, delta=accuracy - baseline,
         failed=bool(accuracy < baseline), wall_time=time.perf_counter() - t0, error=error)

@@ -27,7 +27,7 @@ class StaleCacheError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadConfig(Section):
     in_dim: int = positive()
     num_classes: int = positive()
@@ -69,10 +69,6 @@ class HeadModel:
     @property
     def in_dim(self) -> int:
         return self.bottleneck_weight.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.bottleneck_weight.shape[1]
 
     @property
     def num_classes(self) -> int:
@@ -293,7 +289,7 @@ def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float,
     return hot * (1.0 - smoothing) + smoothing / num_classes
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopConfig(Section):
     """The SGD settings of run_epochs, shared by first transfer and every
     adapter's config; subclasses add their own fields."""
@@ -306,7 +302,7 @@ class LoopConfig(Section):
     seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(LoopConfig):
     epochs: int = 30  # keeps LoopConfig's bound (core.field_bound)
     label_smoothing: float = fraction(0.1)

@@ -15,14 +15,14 @@ from .engine import DistConfig, adapt, sharded_step
 from .head import HeadModel, LoopConfig, forward, inverse_decay
 
 
-@dataclass
+@dataclass(frozen=True)
 class NrcConfig(LoopConfig):
     K: int = positive(3)
     KK: int = positive(3)
     r: float = nonnegative(0.1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AadConfig(LoopConfig):
     K: int = positive(3)
     beta: float = nonnegative(0.75)

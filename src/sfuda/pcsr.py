@@ -15,7 +15,7 @@ from .sca import Prototypes, spherical_kmeans
 from .shot import ShotConfig, _label_pass, run_im_ce_loop
 
 
-@dataclass
+@dataclass(frozen=True)
 class PcsrConfig(ShotConfig):
     """SHOT's settings and checks, plus the sub-center count and mixup."""
 

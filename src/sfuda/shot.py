@@ -15,7 +15,7 @@ from .head import HeadModel, LoopConfig, cross_entropy, forward
 from .sca import Prototypes, spherical_kmeans
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShotConfig(LoopConfig):
     ce_weight: float = nonnegative(0.3)
     kmeans_rounds: int = nonnegative(1)

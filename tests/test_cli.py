@@ -554,6 +554,8 @@ class TestFailureHandling:
         ({"jobs": 1.5}, [], "jobs must be a positive integer, not 1.5"),
         ({}, ["--jobs=0"], "jobs must be a positive integer, not 0"),
         ({"seeds": [0, 0, 1]}, [], "seed 0 is given more than once"),
+        # every entry's kind is checked before any repeat
+        ({"seeds": [0, 0, None]}, [], "seeds must be nonnegative integers, not None"),
         ({}, ["--seeds=3,1,3"], "seed 3 is given more than once"),
         # a path is typed before it is opened (open() takes an int as a descriptor)
         ({"out_dir": 5}, [], "config: out_dir must be str, not 5"),
@@ -1403,6 +1405,7 @@ class TestMalformedInputFuzz:
     @example(field=("sweep", "sweep.method", "str"), value=["SHOT"])
     @example(field=("suite", "out_dir", "str"), value=5)
     @example(field=("suite", "results_table", "str"), value=5)
+    @example(field=("suite", "seeds", "list[int]"), value=[0, 0, None])
     @FUZZ
     def test_a_config_value_of_the_wrong_type(self, pair, tmp_path, field, value):
         command, path, kind = field

@@ -116,6 +116,13 @@ class TestShiftSpec:
             mu_b = back[tgt.labels == c].mean(axis=0)
             assert np.linalg.norm(mu_s - mu_b) < 0.6
 
+    def test_one_spec_shifts_data_of_any_width(self):
+        # a float field repeats to each input's width, and the spec keeps it
+        s = ShiftSpec(mean_shift=0.3)
+        s.apply(np.zeros((2, 5)))
+        np.testing.assert_array_equal(s.apply(np.zeros((2, 6))), np.full((2, 6), 0.3))
+        assert s.mean_shift == 0.3
+
     def test_validation_errors(self):
         d = 4
         with pytest.raises(ValueError, match="per_feature_scale"):

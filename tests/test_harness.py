@@ -72,12 +72,7 @@ class TestTaskSpecValidation:
     def test_unknown_task(self):
         tgt = separable_target()
         with pytest.raises(ValueError, match="unknown task"):
-            TaskSpec(task="LP-XXX", target=tgt)
-
-    def test_out_of_domain_needs_source(self):
-        tgt = separable_target()
-        with pytest.raises(ValueError, match="needs a source"):
-            TaskSpec(task="LP-ODG", target=tgt)
+            TaskSpec(task="LP-XXX", target=tgt, source=tgt)
 
     def test_adaptation_needs_method(self):
         src, tgt = small_shifted_pair()
@@ -141,10 +136,10 @@ class TestTaskSpecValidation:
 
 class TestRunTask:
     def test_in_domain_probe_on_separable_data(self):
-        rec = run_task(TaskSpec(task="LP-IDG", target=separable_target(),
-                                hidden_dim=16, seed=0))
+        tgt = separable_target()
+        rec = run_task(TaskSpec(task="LP-IDG", target=tgt, source=tgt, hidden_dim=16, seed=0))
         assert rec.accuracy >= 95.0
-        assert np.isnan(rec.baseline_lp_odg)
+        assert np.isfinite(rec.baseline_lp_odg)
         assert rec.failed is False
 
     def test_baseline_task_sits_exactly_on_its_own_baseline(self):
@@ -439,12 +434,13 @@ class TestSharedFirstTransfer:
             self, monkeypatch, call_log, jobs):
         src, tgt = small_shifted_pair()
         needs_lp = self.specs(src, tgt)[1:]
-        no_source = TaskSpec(task="LP-IDG", target=tgt, hidden_dim=16,
-                             train=TrainConfig(epochs=4))
+        other_src, _ = small_shifted_pair(seed=41)
+        lp_idg = TaskSpec(task="LP-IDG", target=tgt, source=other_src, hidden_dim=16,
+                          train=TrainConfig(epochs=4))
         spy = TrainSpy(call_log, fail=lambda scope, data: scope == "classifier_only"
                        and data is src)
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy)
-        kept, *broken = run_suite([no_source] + needs_lp, [0], jobs=jobs)
+        kept, *broken = run_suite([lp_idg] + needs_lp, [0], jobs=jobs)
         assert [r.error for r in broken] == \
             ["RuntimeError: first transfer broke"] * len(needs_lp)
         # the failure is stored: trained once, its error shared by every record
@@ -452,7 +448,7 @@ class TestSharedFirstTransfer:
                    for scope, digest, _ in spy.calls) == 1
         monkeypatch.setattr(sfuda.harness, "train_supervised", spy.real)
         assert kept.error is None
-        assert scores(kept) == scores(run_task(no_source))
+        assert scores(kept) == scores(run_task(lp_idg))
 
     def test_every_first_transfer_trains_before_the_first_adaptation(self, monkeypatch):
         src, tgt = small_shifted_pair()

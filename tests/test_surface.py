@@ -4,6 +4,7 @@
 does not count; module dunders such as `__all__` are exempt."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -170,6 +171,17 @@ def test_config_sections_state_their_bounds_declaratively():
     assert [f"{module}:{node.name}" for module, node in sections
             if any(isinstance(d, ast.FunctionDef) and d.name == "__post_init__"
                    for d in node.body)] == []
+
+
+def test_config_sections_are_frozen():
+    # Section checks a field when the section is built; a later write
+    # would skip those checks, so a section is a value that never changes
+    sections = _section_classes()
+    assert {node.name for _, node in sections} >= {"ShiftSpec", "Generate", "DistConfig"}
+    thawed = [f"{module}:{node.name}" for module, node in sections
+              if not getattr(importlib.import_module(f"sfuda.{Path(module).stem}"),
+                             node.name).__dataclass_params__.frozen]
+    assert thawed == []
 
 
 def _foreign_imports():
