@@ -33,7 +33,8 @@ from .distsim import cell_columns, check_cells, grid_specs, parse_cell
 from .engine import DEFAULT_GRID
 from .harness import (ADAPT_METHODS, METHODS, NO_GRADIENT_LOOP, SFUDA_TASK, TASKS,
                       ExperimentRecord, TaskSpec, failure_report, format_mean_std,
-                      hyperparameter_grid, mean_std, run_suite, spec_groups)
+                      hyperparameter_grid, mean_std, openblas_runtime, run_suite,
+                      spec_groups)
 from .head import HeadConfig, LoopConfig, TrainConfig
 from .stats import fit_linear, fit_multilinear
 
@@ -217,13 +218,9 @@ def _known_tasks(tasks: list[str], ctx: str) -> None:
             raise CliError(f"{ctx}: unknown task {t!r}, expected one of {tuple(TASKS)}")
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset, dict[str, str]]:
-    """cfg's (source, target) pair, and path -> sha256 of each file read."""
+    """cfg's (source, target) pair, and path -> sha256 of the bytes parsed
+    from each file read."""
     data = cfg.get("data", {})
     _check_keys(data, {"generate", "source", "target"}, "data")
     if set(data) not in ({"generate"}, {"source", "target"}):
@@ -237,11 +234,12 @@ def datasets_from_config(cfg: dict) -> tuple[DomainDataset, DomainDataset, dict[
     # both sides typed before open(), which takes an int as a file descriptor
     src = _section(SourceFile, data["source"], "data.source")
     tgt = _section(TargetFile, data["target"], "data.target")
-    source = load_embeddings(src.features, src.labels, src.num_classes, src.name)
+    digests = {}
+    source = load_embeddings(src.features, src.labels, src.num_classes, src.name,
+                             digests=digests)
     num_classes = source.num_classes if tgt.num_classes is None else tgt.num_classes
-    target = load_embeddings(tgt.features, tgt.labels, num_classes, tgt.name)
-    paths = [src.features, src.labels, tgt.features, tgt.labels]
-    return source, target, {p: _sha256(p) for p in paths}
+    target = load_embeddings(tgt.features, tgt.labels, num_classes, tgt.name, digests=digests)
+    return source, target, digests
 
 
 def _method_configs(cfg: dict) -> dict:
@@ -360,12 +358,13 @@ def _manifest(cfg: dict, common: dict, chash: str, command: str,
     """manifest.json: cfg, with the run's resolved seeds and format, and its
     provenance, so that the manifest given as --config re-runs the command
     with no flag. provenance is not hashed: the numeric environment is
-    recorded, not compared. It includes the compute dtype of each of the
-    datasets (role -> dataset) the records ran on, and the path and sha256
-    of each file the command read."""
+    recorded, not compared. It includes each loaded OpenBLAS's kernel,
+    build line and thread count, the compute dtype of each of the datasets
+    (role -> dataset) the records ran on, and the path of each file the
+    command read with the sha256 of the bytes it parsed there."""
     prov = {"toolkit_version": __version__, "config_sha256": chash, "command": command,
             "seeds": common["seeds"], "format": common["format"], "numpy": np.__version__,
-            "blas": _blas_build()}
+            "blas": _blas_build(), "openblas": openblas_runtime()}
     if common.get("files"):
         prov["files"] = common["files"]
     if datasets:
@@ -562,8 +561,8 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
     table_path = args.table or cfg.get("results_table")
     if not table_path:
         raise CliError("stats needs a results table (positional argument or config)")
-    table = load_results_table(table_path)
-    common["files"] = {table_path: _sha256(table_path)}
+    common["files"] = {}
+    table = load_results_table(table_path, digests=common["files"])
     tasks = sorted({r.task for r in table.rows})
 
     rows = []
@@ -590,10 +589,12 @@ def cmd_stats(args, cfg: dict, common: dict) -> list[str]:
                                     "lin_adj_r2", "mlin_adj_r2"])})
 
 
-def _read_records(path: str) -> tuple[list[str], list[ExperimentRecord], list[dict]]:
+def _read_records(path: str, digests: dict | None = None,
+                  ) -> tuple[list[str], list[ExperimentRecord], list[dict]]:
     """A records table's columns (RECORD_COLUMNS, then any key columns),
-    its records, and each row's fields by column."""
-    lines = read_table(path)
+    its records, and each row's fields by column; digests as in
+    data.load_embeddings."""
+    lines = read_table(path, digests=digests)
     columns = lines[0][1] if lines else []
     keys = columns[len(RECORD_COLUMNS):]
     # a key column names a by_KEY table, so it must be a distinct identifier
@@ -627,14 +628,14 @@ def cmd_report(args, cfg: dict, common: dict) -> list[str]:
     if not paths:
         raise CliError("report needs at least one records file")
     columns, records, rows = None, [], []
+    common["files"] = {}
     for path in paths:
-        file_columns, file_records, file_rows = _read_records(path)
+        file_columns, file_records, file_rows = _read_records(path, common["files"])
         if columns not in (None, file_columns):
             raise CliError(f"{path}: its columns differ from those of {paths[0]}")
         columns = file_columns
         records.extend(file_records)
         rows.extend(file_rows)
-    common["files"] = {path: _sha256(path) for path in paths}
 
     keys = columns[len(RECORD_COLUMNS):]
     tables = {}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -58,9 +60,9 @@ class DomainDataset:
         if outside.any():
             raise LabelError(f"label out of range: {self.labels[outside][0]} "
                              f"with {self.num_classes} classes")
-        present = np.unique(self.labels)
-        if present.size != self.num_classes:
-            missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
+        counts = np.bincount(self.labels, minlength=self.num_classes)
+        if not counts.all():
+            missing = np.flatnonzero(counts == 0).tolist()
             raise LabelError(f"classes {missing} of {self.num_classes} have no samples")
 
     @property
@@ -165,10 +167,30 @@ def labels_text(dataset: DomainDataset) -> str:
     return "".join(f"{int(v)}\n" for v in dataset.labels)
 
 
+def _note_digest(digests: dict | None, path: str, *parts: bytes) -> None:
+    """digests[path] = sha256 of the parts in turn; nothing when digests is None."""
+    if digests is not None:
+        sha = hashlib.sha256()
+        for part in parts:
+            sha.update(part)
+        digests[path] = sha.hexdigest()
+
+
+def _read_text(path: str, digests: dict | None, newline: str | None = None) -> io.TextIOWrapper:
+    """path's contents, read once, as open(path, newline=newline) would
+    give them; their sha256 goes into digests (see _note_digest)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    _note_digest(digests, path, raw)
+    return io.TextIOWrapper(io.BytesIO(raw), newline=newline)
+
+
 def load_embeddings(features_path: str, labels_path: str,
                     num_classes: int | None = None, name: str | None = None,
-                    ) -> DomainDataset:
-    """A labeled dataset from an embeddings file and its labels file (one int a line)."""
+                    *, digests: dict | None = None) -> DomainDataset:
+    """A labeled dataset from an embeddings file and its labels file (one int
+    a line). Each file is read once; with digests given, each path maps there
+    to the sha256 of the bytes that were parsed."""
     with open(features_path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16:
@@ -179,6 +201,7 @@ def load_embeddings(features_path: str, labels_path: str,
         if not n * d:
             raise ValueError(f"{features_path}: holds {n} rows of {d} features")
         payload = fh.read()
+    _note_digest(digests, features_path, header, payload)
     expected = n * d * 4
     if len(payload) != expected:
         raise ValueError(
@@ -186,7 +209,7 @@ def load_embeddings(features_path: str, labels_path: str,
     # float32 as stored: every record on these features computes in float32
     feats = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float32, copy=False)
 
-    with open(labels_path) as fh:
+    with _read_text(labels_path, digests) as fh:
         raw = [line.strip() for line in fh if line.strip()]
     if len(raw) != n:
         raise ValueError(f"{labels_path}: expected {n} labels, found {len(raw)}")
@@ -229,13 +252,15 @@ class ResultsTable:
         return ResultsTable([r for r in self.rows if r.task == task])
 
 
-def read_table(path: str, delimiter: str | None = None) -> list[tuple[int, list[str]]]:
+def read_table(path: str, delimiter: str | None = None, *, digests: dict | None = None,
+               ) -> list[tuple[int, list[str]]]:
     """A delimited text table's rows as (line number in the file the row
     starts on, fields), header first. '#' comment lines and blank lines are
     skipped between rows; inside a quoted field they are kept. With no
-    delimiter given, a tab in the first row picks tab, else comma."""
+    delimiter given, a tab in the first row picks tab, else comma. digests
+    as in load_embeddings."""
     rows = []
-    with open(path, newline="") as fh:
+    with _read_text(path, digests, newline="") as fh:
         numbered = enumerate(fh, 1)
         for n, line in numbered:
             if not line.strip() or line.startswith("#"):
@@ -247,12 +272,13 @@ def read_table(path: str, delimiter: str | None = None) -> list[tuple[int, list[
     return rows
 
 
-def load_results_table(path: str) -> ResultsTable:
+def load_results_table(path: str, *, digests: dict | None = None) -> ResultsTable:
     """Comma-delimited benchmark records; every malformed line is reported
-    by its line number in the file, comment and blank lines counted."""
+    by its line number in the file, comment and blank lines counted. digests
+    as in load_embeddings."""
     rows: list[ResultsRow] = []
     problems: list[str] = []
-    lines = read_table(path, ",")
+    lines = read_table(path, ",", digests=digests)
     if not lines:
         raise ValueError(f"{path}: empty file")
     if tuple(h.strip() for h in lines[0][1]) != RESULT_COLUMNS:

@@ -118,10 +118,11 @@ class ExperimentRecord:
 
 def stratified_split(labels: np.ndarray, train_frac: float,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded per-class shuffle; both sides nonempty when class counts permit."""
+    """Seeded per-class shuffle of nonnegative integer labels, classes in
+    ascending order; both sides nonempty when class counts permit."""
     labels = np.asarray(labels, dtype=np.int64)
     train_parts, test_parts = [], []
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):  # the classes present
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(idx.size)]
         n_tr = int(round(train_frac * idx.size))
@@ -246,23 +247,52 @@ def _openblas_libraries() -> list[str]:
     return sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
 
 
-def _blas_thread_controls() -> list[tuple]:
-    """(set, get) of each loaded OpenBLAS's thread count, under whichever
-    of the symbol names its build exports."""
-    controls = []
+def _openblas_function(lib, name: str, argtypes: list, restype):
+    """lib's OpenBLAS function name, typed, under whichever of the symbol
+    names its build exports; None where it exports none."""
+    for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+        fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+            return fn
+    return None
+
+
+def _openblas_handles() -> list:
+    """A ctypes handle on each OpenBLAS build that _openblas_libraries finds
+    and that loads."""
+    handles = []
     for path in _openblas_libraries():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
-            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
+        with contextlib.suppress(OSError):
+            handles.append(ctypes.CDLL(path))
+    return handles
+
+
+def openblas_runtime() -> list[dict]:
+    """For each loaded OpenBLAS: the kernel its DYNAMIC_ARCH picked at run
+    time ("corename"), its build line ("config") and this process's thread
+    count ("num_threads"); a value its build does not export is None. The
+    kernel decides matmul bits."""
+    runtime = []
+    for lib in _openblas_handles():
+        entry = {}
+        for key, restype in (("corename", ctypes.c_char_p), ("config", ctypes.c_char_p),
+                             ("num_threads", ctypes.c_int)):
+            fn = _openblas_function(lib, f"get_{key}", [], restype)
+            value = None if fn is None else fn()
+            entry[key] = value.decode() if isinstance(value, bytes) else value
+        runtime.append(entry)
+    return runtime
+
+
+def _blas_thread_controls() -> list[tuple]:
+    """(set, get) of each loaded OpenBLAS's thread count."""
+    controls = []
+    for lib in _openblas_handles():
+        setter = _openblas_function(lib, "set_num_threads", [ctypes.c_int], None)
+        getter = _openblas_function(lib, "get_num_threads", [], ctypes.c_int)
+        if setter is not None and getter is not None:
+            controls.append((setter, getter))
     return controls
 
 
@@ -280,9 +310,9 @@ def _cap_blas_threads(workers: int) -> None:
             setter(share)
     # a set restarts the thread pool that fork stopped, and its idle threads
     # spin beside the other workers: stop it (BLAS restarts it on demand)
-    for path in _openblas_libraries():
-        with contextlib.suppress(OSError, AttributeError):  # unloadable, or no such symbol
-            ctypes.CDLL(path).blas_thread_shutdown_()
+    for lib in _openblas_handles():
+        with contextlib.suppress(AttributeError):  # no such symbol
+            lib.blas_thread_shutdown_()
 
 
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>

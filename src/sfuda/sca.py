@@ -92,7 +92,9 @@ def spherical_kmeans(features: np.ndarray, init: Prototypes, *,
             changed = assign != prev_assign
             if not changed.any():
                 break
-            moved = np.union1d(assign[changed], prev_assign[changed])
+            touched = np.zeros(k, dtype=bool)  # clusters a row left or joined
+            touched[assign[changed]] = touched[prev_assign[changed]] = True
+            moved = np.flatnonzero(touched)  # ascending
         if len(trace) >= 2 and trace[-1] - trace[-2] < _KMEANS_TOL:
             break
         for c in moved:

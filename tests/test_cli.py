@@ -66,6 +66,40 @@ def file_data(pair):
                 "labels": str(pair / f"{s}_labels.txt")} for s in ("source", "target")}
 
 
+COMMANDS = ["gen-data", "run", "suite", "distgrid", "sweep", "stats", "report"]
+
+
+def command_inputs(tmp_path, command):
+    """(config, arguments after the flags, input files) of a small run of
+    command in tmp_path: gen-data generates its pair; run, suite (both IDG
+    tasks and SCA), distgrid and sweep read a generated pair's files; stats
+    reads a copy of the example table, report a suite's records. The config
+    file is not listed."""
+    pair = tmp_path / "pair"
+    assert main(["gen-data", "--config", write_config(tmp_path, base_config(), "gen.json"),
+                 "--out", str(pair)]) == 0
+    data = file_data(pair)
+    cfg = {**base_config(), "data": data}
+    if command == "gen-data":
+        return base_config(), [], []
+    if command == "suite":
+        cfg.update(tasks=["LP-IDG", "FT-IDG", "SFUDA"], methods=["SCA"])
+    elif command == "distgrid":
+        cfg = {**distgrid_config(), "data": data}
+    elif command == "sweep":
+        cfg = {**sweep_config(), "data": data}
+    elif command == "stats":
+        table = tmp_path / "table.csv"
+        table.write_bytes(Path(ASSET_TABLE).read_bytes())
+        return {}, [str(table)], [str(table)]
+    elif command == "report":
+        assert main(["suite", "--config", write_config(tmp_path, cfg, "suite.json"),
+                     "--out", str(tmp_path / "suite")]) == 0
+        records = str(tmp_path / "suite" / "records.csv")
+        return {}, [records], [records]
+    return cfg, [], [data[s][k] for s in ("source", "target") for k in ("features", "labels")]
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -123,6 +157,18 @@ class TestImport:
         assert proc.returncode == 0, err
         assert out.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_loads_numpy_ma(self, tmp_path, command):
+        # numpy's set routines (np.unique, np.union1d) import numpy.ma
+        cfg, args, _ = command_inputs(tmp_path, command)
+        write_config(tmp_path, cfg)
+        proc = start_cli(tmp_path, [command, "--config", "cfg.json", "--out", "out", *args],
+                         patch="import atexit\natexit.register(lambda: "
+                         "print('numpy.ma' in sys.modules))")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.splitlines()[-1] == "False"
 
 
 class TestSeedParsing:
@@ -460,6 +506,43 @@ class TestProvenance:
         prov = json.loads((tmp_path / "out" / "manifest.json").read_text())["provenance"]
         paths = [data[s][k] for s in ("source", "target") for k in ("features", "labels")]
         assert prov["files"] == {p: sha256(Path(p)) for p in paths}
+
+    def test_a_digest_covers_the_bytes_that_were_parsed(self, tmp_path, monkeypatch):
+        pair, other = tmp_path / "pair", tmp_path / "other"
+        self.gen_pair(tmp_path, pair, 0)
+        self.gen_pair(tmp_path, other, 1)
+        parsed = {p.name: sha256(p) for p in pair.glob("*_*")}
+        real = sfuda.cli.load_embeddings
+
+        def load_then_replace(*args, **kwargs):  # new contents after the parse
+            dataset = real(*args, **kwargs)
+            for f in other.glob("*_*"):
+                (pair / f.name).write_bytes(f.read_bytes())
+            return dataset
+
+        monkeypatch.setattr(sfuda.cli, "load_embeddings", load_then_replace)
+        self.stamp(tmp_path, file_data(pair), tmp_path / "out")
+        prov = json.loads((tmp_path / "out" / "manifest.json").read_text())["provenance"]
+        assert {Path(p).name: digest for p, digest in prov["files"].items()
+                if Path(p).name.startswith("source")} == \
+            {name: digest for name, digest in parsed.items() if name.startswith("source")}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_opens_each_input_once(self, tmp_path, monkeypatch, command):
+        cfg, args, inputs = command_inputs(tmp_path, command)
+        inputs.append(write_config(tmp_path, cfg))
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.path.abspath(file) if isinstance(file, str) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main([command, "--config", inputs[-1], "--out", str(tmp_path / "out"),
+                     *args]) == 0
+        monkeypatch.undo()
+        assert {p: opened.count(os.path.abspath(p)) for p in inputs} == {p: 1 for p in inputs}
 
     @pytest.mark.parametrize("make_bad", [Path.unlink, lambda p: (p.unlink(), p.mkdir())])
     def test_a_missing_or_unreadable_file_is_one_error_line(self, tmp_path, make_bad):

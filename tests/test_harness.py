@@ -796,6 +796,16 @@ class TestStratifiedSplit:
             assert (labels[tr] == c).sum() >= 1
             assert (labels[te] == c).sum() >= 1
 
+    def test_classes_are_drawn_in_ascending_order_gaps_skipped(self):
+        labels = make_rng(3).permutation(np.repeat([7, 0, 4], [5, 9, 2]))
+        rng, want = make_rng(2), []
+        for c in np.unique(labels):  # the reference order
+            idx = np.flatnonzero(labels == c)
+            want.append(idx[rng.permutation(idx.size)])
+        tr, te = stratified_split(labels, 0.5, make_rng(2))
+        assert sorted(np.concatenate([tr, te]).tolist()) == list(range(labels.size))
+        np.testing.assert_array_equal(tr, np.concatenate([w[:round(w.size / 2)] for w in want]))
+
     def test_seeded(self):
         labels = np.repeat(np.arange(3), 10)
         a = stratified_split(labels, 0.7, make_rng(5))
